@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .dae_transform import (
 )
 from .dense_solvers import SolverError
 from .gramians_norms import truncated_h2_norm
+from .mmio import write_json
 from .problems import gen_burgers, gen_synthetic_dae, load_system, save_reduced, save_system
 from .simulate import InputSignal, Trajectory, compare, simulate_dae, simulate_ode
 from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
@@ -35,21 +35,6 @@ NO_CONVERGENCE = 3
 def _fail(msg, code=RUNTIME_ERROR):
     print(f"qbmor: error: {msg}", file=sys.stderr)
     return code
-
-
-def _write_json_atomic(path, payload):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _make_input(text, m):
@@ -115,7 +100,7 @@ def _cmd_reduce(args):
     payload = trace.to_json_dict()
     payload.update({"order": args.order, "tol": args.tol, "seed": args.seed,
                     "max_iters": args.max_iters})
-    _write_json_atomic(os.path.join(args.out, "trace.json"), payload)
+    write_json(os.path.join(args.out, "trace.json"), payload)
     if not trace.converged:
         print(f"not converged after {trace.iterations} iterations "
               f"(last change {trace.relative_changes[-1]:.3e})", file=sys.stderr)
@@ -132,17 +117,7 @@ def _cmd_simulate(args):
     else:
         u = _make_input(args.input, system.m)
         traj = simulate_ode(system, u, args.t_final, args.dt)
-    d = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    os.close(fd)
-    try:
-        traj.to_csv(tmp)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    traj.to_csv(args.out)
     print(args.out)
     return 0
 
@@ -153,7 +128,7 @@ def _cmd_compare(args):
     full = Trajectory(t=tf, states=np.zeros((tf.size, 0)), outputs=yf, inputs=uf)
     red = Trajectory(t=tr, states=np.zeros((tr.size, 0)), outputs=yr, inputs=ur)
     report = compare(full, red)
-    _write_json_atomic(args.out, report)
+    write_json(args.out, report)
     print(f"aggregate relative L2 error: {report['aggregate_relative_l2']:.6e}")
     return 0
 

@@ -1,7 +1,8 @@
 """Dense linear-algebra backends.
 
-Generalized pencil eigendecomposition, shifted solves, diagonal-shift
-Sylvester solves, generalized Lyapunov solves, and saddle-point solves.
+Generalized pencil eigendecomposition, shifted and saddle-point solves
+(one factorization per shift serves plain and transposed solves),
+diagonal-shift Sylvester solves, and generalized Lyapunov solves.
 Every solver computes the residual of its own output, raises
 :class:`ResidualError` when the stated bound is exceeded, and reports the
 value to any active :func:`record_residuals` context.
@@ -186,14 +187,15 @@ def _canonical_eigenbasis(w, Y):
 
 
 def _left_inverse(EY):
+    """``X`` with ``X @ EY = I``, refined on that (left) residual."""
     r = EY.shape[0]
     lu = la.lu_factor(EY)
-    X = la.lu_solve(lu, np.eye(r, dtype=EY.dtype))
+    X = la.lu_solve(lu, np.eye(r, dtype=EY.dtype), trans=1).T
     for _ in range(3):
-        R = np.eye(r) - EY @ X
+        R = np.eye(r) - X @ EY
         if _fro(R) <= 0.1 * PENCIL_TOL:
             break
-        X = X + la.lu_solve(lu, R)
+        X = X + la.lu_solve(lu, R.T, trans=1).T
     return X
 
 
@@ -235,10 +237,13 @@ def pencil_eig(Ehat, Ahat):
     w, Y, X, res = factor(w, Y)
     if res > PENCIL_TOL:
         # refine: the computed basis nearly diagonalizes the pencil, so one
-        # more (well-conditioned) eigensolve of X A Y cleans up the residual
-        w2, Z = la.eig(X @ Ahat @ Y)
+        # more (well-conditioned) eigensolve in that basis cleans up the
+        # residual; the basis is made real first so that the refined
+        # spectrum of the real pencil stays exactly conjugate-closed
+        Yr = realify_paired_columns(w, Y)
+        w2, Z = la.eig(_left_inverse(Ehat @ Yr) @ Ahat @ Yr)
         if np.all(np.isfinite(w2)):
-            w_r, Y_r, X_r, res_r = factor(w2, Y @ Z)
+            w_r, Y_r, X_r, res_r = factor(w2, Yr @ Z)
             if res_r < res:
                 w, Y, X, res = w_r, Y_r, X_r, res_r
     kappa = _fro(X) * _fro(Ehat @ Y)
@@ -252,31 +257,90 @@ def pencil_eig(Ehat, Ahat):
     return SpectralFactorization(X=X, Y=Y, eigenvalues=w)
 
 
+class _ShiftFactor:
+    """LU factors of one shifted or saddle matrix at a fixed shift.
+
+    The matrix is ``-sigma E - A`` or, with constraint blocks, the saddle
+    matrix ``[[-sigma E - A, A12], [A21, 0]]``.  Only the LU factors and
+    pivots are kept; residuals are formed from the blocks at each solve.
+    ``solve(rhs, trans)`` solves with the matrix or its plain
+    (unconjugated) transpose, zero-padding ``rhs`` over the constraint rows.
+    """
+
+    def __init__(self, E, A, sigma, A12=None, A21=None):
+        self.E, self.A, self.sigma = np.asarray(E), np.asarray(A), sigma
+        self.saddle = A12 is not None
+        n = self.A.shape[0]
+        self.A12 = np.asarray(A12) if self.saddle else np.zeros((n, 0))
+        self.A21 = np.asarray(A21) if self.saddle else np.zeros((0, n))
+        M = -sigma * self.E - self.A
+        if self.saddle:
+            n_p = self.A12.shape[1]
+            M = np.block([[M, self.A12],
+                          [self.A21, np.zeros((n_p, n_p), dtype=M.dtype)]])
+        try:
+            with _quiet_singular():
+                self.lu = la.lu_factor(M, overwrite_a=True)
+        except (la.LinAlgError, ValueError) as exc:
+            raise SolverError(f"{self._failure()}: {exc}") from exc
+
+    def _failure(self):
+        if self.saddle:
+            return f"singular saddle matrix at sigma={self.sigma}"
+        return f"shift collides with spectrum (sigma={self.sigma})"
+
+    def solve(self, rhs, trans=False):
+        """Solution of ``M z = [rhs; 0]`` (``M^T`` with ``trans``), refined once."""
+        rhs = np.asarray(rhs)
+        n = rhs.shape[0]
+        full = np.concatenate(
+            [rhs, np.zeros((self.A12.shape[1],) + rhs.shape[1:], dtype=rhs.dtype)])
+        # the shifted block is re-formed per call rather than stored per shift
+        M = -self.sigma * self.E - self.A
+        M, B12, B21 = ((M.T, self.A21.T, self.A12.T) if trans
+                       else (M, self.A12, self.A21))
+
+        def apply(z):
+            return M @ z[:n] + B12 @ z[n:], B21 @ z[:n]
+
+        try:
+            with _quiet_singular():
+                z = la.lu_solve(self.lu, full, trans=int(trans))
+                z = z + la.lu_solve(self.lu, full - np.concatenate(apply(z)),
+                                    trans=int(trans))
+        except (la.LinAlgError, ValueError) as exc:
+            raise SolverError(f"{self._failure()}: {exc}") from exc
+        if not np.all(np.isfinite(z)):
+            raise SolverError(self._failure())
+        top, bottom = apply(z)
+        res = _fro(np.concatenate([rhs - top, bottom])) / max(_fro(rhs), _TINY)
+        if self.saddle and res > SADDLE_TOL:
+            raise ResidualError(
+                f"saddle solve residual {res:.3e} exceeds {SADDLE_TOL:.0e} "
+                f"at sigma={self.sigma}"
+            )
+        if not self.saddle and res > SHIFTED_TOL:
+            raise ResidualError(
+                f"{self._failure()}: relative residual {res:.3e} exceeds "
+                f"{SHIFTED_TOL:.0e}"
+            )
+        cres = _fro(bottom) / max(_fro(z[:n]), _TINY)
+        if cres > SADDLE_TOL:
+            raise ResidualError(
+                f"saddle constraint residual {cres:.3e} exceeds {SADDLE_TOL:.0e}"
+            )
+        _note("saddle" if self.saddle else "shifted", max(res, cres))
+        return z
+
+
 def solve_shifted(E, A, sigma, rhs):
-    """Solve ``(-sigma E - A) Z = rhs`` with one step of iterative refinement."""
-    E = np.asarray(E)
-    A = np.asarray(A)
-    rhs = np.asarray(rhs)
-    M = -sigma * E - A
-    try:
-        with _quiet_singular():
-            lu = la.lu_factor(M)
-            Z = la.lu_solve(lu, rhs)
-            Z = Z + la.lu_solve(lu, rhs - M @ Z)
-    except (la.LinAlgError, ValueError) as exc:
-        raise SolverError(
-            f"shift collides with spectrum (sigma={sigma}): {exc}"
-        ) from exc
-    if not np.all(np.isfinite(Z)):
-        raise SolverError(f"shift collides with spectrum (sigma={sigma})")
-    res = _fro(rhs - M @ Z) / max(_fro(rhs), _TINY)
-    if res > SHIFTED_TOL:
-        raise ResidualError(
-            f"shift collides with spectrum (sigma={sigma}): "
-            f"relative residual {res:.3e} exceeds {SHIFTED_TOL:.0e}"
-        )
-    _note("shifted", res)
-    return Z
+    """Solve ``(-sigma E - A) Z = rhs`` with one step of iterative refinement.
+
+    With ``rhs=None`` the factorization is returned instead: an object whose
+    ``solve(rhs, trans=False)`` reuses it for plain and transposed solves.
+    """
+    fact = _ShiftFactor(E, A, sigma)
+    return fact if rhs is None else fact.solve(rhs)
 
 
 def solve_sylvester(E, A, lam, RHS, realify=True):
@@ -385,81 +449,29 @@ def solve_lyapunov(A, E, RHS):
     return P
 
 
-def _saddle_solve(K, rhs, n_v, sigma, constraint):
-    try:
-        with _quiet_singular():
-            lu = la.lu_factor(K)
-            z = la.lu_solve(lu, rhs)
-            z = z + la.lu_solve(lu, rhs - K @ z)
-    except (la.LinAlgError, ValueError) as exc:
-        raise SolverError(f"singular saddle matrix at sigma={sigma}: {exc}") from exc
-    if not np.all(np.isfinite(z)):
-        raise SolverError(f"singular saddle matrix at sigma={sigma}")
-    res = _fro(rhs - K @ z) / max(_fro(rhs), _TINY)
-    if res > SADDLE_TOL:
-        raise ResidualError(
-            f"saddle solve residual {res:.3e} exceeds {SADDLE_TOL:.0e} "
-            f"at sigma={sigma}"
-        )
-    top, bottom = z[:n_v], z[n_v:]
-    cres = _fro(constraint @ top) / max(_fro(top), _TINY)
-    if cres > SADDLE_TOL:
-        raise ResidualError(
-            f"saddle constraint residual {cres:.3e} exceeds {SADDLE_TOL:.0e}"
-        )
-    _note("saddle", max(res, cres))
-    return top, bottom
-
-
 def solve_saddle(E11, A11, A12, A21, sigma, f):
     """Solve ``[[-sigma E11 - A11, A12], [A21, 0]] [v; xi] = [f; 0]``.
 
     The solution block ``v`` lies in the kernel of ``A21`` and equals the
     obliquely projected shifted solve used by the projector-free reduction
-    iteration.
+    iteration.  With ``f=None`` the saddle factorization is returned, as in
+    :func:`solve_shifted`.
     """
-    E11 = np.asarray(E11)
-    A11 = np.asarray(A11)
-    A12 = np.asarray(A12)
-    A21 = np.asarray(A21)
-    f = np.asarray(f)
-    n_v, n_p = A12.shape
-    one_d = f.ndim == 1
-    F = f.reshape(n_v, -1)
-    dtype = complex if (np.iscomplexobj(F) or np.iscomplexobj(sigma)) else float
-    K = np.zeros((n_v + n_p, n_v + n_p), dtype=dtype)
-    K[:n_v, :n_v] = -sigma * E11 - A11
-    K[:n_v, n_v:] = A12
-    K[n_v:, :n_v] = A21
-    rhs = np.vstack([F, np.zeros((n_p, F.shape[1]), dtype=dtype)])
-    top, bottom = _saddle_solve(K, rhs, n_v, sigma, A21)
-    if one_d:
-        return top[:, 0], bottom[:, 0]
-    return top, bottom
+    fact = _ShiftFactor(E11, A11, sigma, A12, A21)
+    if f is None:
+        return fact
+    n_v = np.shape(A12)[0]
+    z = fact.solve(f)
+    return z[:n_v], z[n_v:]
 
 
 def solve_saddle_adjoint(E11, A11, A12, A21, sigma, g):
     """Solve ``[[(-sigma E11 - A11)^T, A21^T], [A12^T, 0]] [w; xi] = [g; 0]``.
 
-    The blocks are plain transposes (not conjugated), matching the transposed
-    Sylvester operator; the solution block ``w`` lies in the kernel of
-    ``A12^T``.
+    This is the plain transpose (not conjugated) of the :func:`solve_saddle`
+    matrix, matching the transposed Sylvester operator; the solution block
+    ``w`` lies in the kernel of ``A12^T``.
     """
-    E11 = np.asarray(E11)
-    A11 = np.asarray(A11)
-    A12 = np.asarray(A12)
-    A21 = np.asarray(A21)
-    g = np.asarray(g)
-    n_v, n_p = A12.shape
-    one_d = g.ndim == 1
-    G = g.reshape(n_v, -1)
-    dtype = complex if (np.iscomplexobj(G) or np.iscomplexobj(sigma)) else float
-    K = np.zeros((n_v + n_p, n_v + n_p), dtype=dtype)
-    K[:n_v, :n_v] = (-sigma * E11 - A11).T
-    K[:n_v, n_v:] = A21.T
-    K[n_v:, :n_v] = A12.T
-    rhs = np.vstack([G, np.zeros((n_p, G.shape[1]), dtype=dtype)])
-    top, bottom = _saddle_solve(K, rhs, n_v, sigma, A12.T)
-    if one_d:
-        return top[:, 0], bottom[:, 0]
-    return top, bottom
+    n_v = np.shape(A12)[0]
+    z = _ShiftFactor(E11, A11, sigma, A12, A21).solve(g, trans=True)
+    return z[:n_v], z[n_v:]

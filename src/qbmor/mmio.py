@@ -1,4 +1,4 @@
-"""Matrix Market read/write with strict validation.
+"""Matrix Market read/write with strict validation, and atomic file output.
 
 Supports ``coordinate real general`` (1-based indices) and
 ``array real general`` (column-major).  Values are written with 17
@@ -7,13 +7,15 @@ significant digits so that save/load round-trips are exact for float64.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["read_matrix", "write_matrix"]
+__all__ = ["atomic_open", "read_matrix", "write_json", "write_matrix"]
 
 _BANNER = "%%MatrixMarket"
 
@@ -75,26 +77,46 @@ def read_matrix(path):
     return vals.reshape((rows, cols), order="F")
 
 
-def write_matrix(path, M):
-    """Write a matrix atomically; sparse goes to coordinate format, dense to array."""
+@contextmanager
+def atomic_open(path):
+    """Open ``path`` for writing text through a temporary file beside it.
+
+    The parent directory is created if needed.  The temporary file replaces
+    ``path`` when the block completes; on any exception it is removed and
+    ``path`` is left as it was.
+    """
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            if sp.issparse(M):
-                coo = M.tocoo()
-                fh.write(f"{_BANNER} matrix coordinate real general\n")
-                fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-                for i, j, v in zip(coo.row, coo.col, coo.data):
-                    fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-            else:
-                D = np.atleast_2d(np.asarray(M, dtype=float))
-                fh.write(f"{_BANNER} matrix array real general\n")
-                fh.write(f"{D.shape[0]} {D.shape[1]}\n")
-                for v in D.ravel(order="F"):
-                    fh.write(f"{v:.17g}\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path, payload):
+    """Write ``payload`` atomically as indented JSON with sorted keys."""
+    with atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_matrix(path, M):
+    """Write a matrix atomically; sparse goes to coordinate format, dense to array."""
+    with atomic_open(path) as fh:
+        if sp.issparse(M):
+            coo = M.tocoo()
+            fh.write(f"{_BANNER} matrix coordinate real general\n")
+            fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
+            for i, j, v in zip(coo.row, coo.col, coo.data):
+                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        else:
+            D = np.atleast_2d(np.asarray(M, dtype=float))
+            fh.write(f"{_BANNER} matrix array real general\n")
+            fh.write(f"{D.shape[0]} {D.shape[1]}\n")
+            for v in D.ravel(order="F"):
+                fh.write(f"{v:.17g}\n")

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .mmio import read_matrix, write_matrix
+from .mmio import read_matrix, write_json, write_matrix
 from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
 from .tensor_kron import HessianTensor, quadratic_jacobian, symmetrize
 
@@ -178,20 +177,6 @@ def steady_state_shift(sys, v_s, p_s):
 # -- manifest I/O -----------------------------------------------------------
 
 
-def _atomic_json(path, payload):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _dense(M):
     return np.asarray(M.todense()) if sp.issparse(M) else np.asarray(M)
 
@@ -246,7 +231,7 @@ def save_system(sys, outdir):
     else:
         raise TypeError(f"cannot save object of type {type(sys).__name__}")
     path = os.path.join(outdir, "manifest.json")
-    _atomic_json(path, manifest)
+    write_json(path, manifest)
     return path
 
 
@@ -283,7 +268,7 @@ def save_reduced(red, outdir):
         "v0": None,
     }
     path = os.path.join(outdir, "manifest.json")
-    _atomic_json(path, manifest)
+    write_json(path, manifest)
     return path
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .dae_transform import recover_pressure
+from .mmio import atomic_open
 from .system_model import ReducedQbSystem
 from .tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
 
@@ -130,6 +131,7 @@ class Trajectory:
         return float(self.t[1] - self.t[0])
 
     def to_csv(self, path):
+        """Write the trajectory table atomically."""
         m, p = self.inputs.shape[1], self.outputs.shape[1]
         cols = (["t"] + [f"u_{k+1}" for k in range(m)]
                 + [f"y_{k+1}" for k in range(p)])
@@ -138,7 +140,7 @@ class Trajectory:
             cols.append("constraint_residual")
             data.append(self.constraint_residual)
         body = np.column_stack(data)
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             fh.write(",".join(cols) + "\n")
             for row in body:
                 fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -25,6 +25,7 @@ __all__ = [
     "ReducedQbSystem",
     "OdeValidationReport",
     "validate_ode",
+    "project_realization",
     "project_ode",
     "project_dae_outputs",
 ]
@@ -325,17 +326,30 @@ def validate_ode(sys):
     )
 
 
-def _symmetrized_mode1(Hm, r):
-    T = Hm.reshape(r, r, r)
-    return (0.5 * (T + np.transpose(T, (0, 2, 1)))).reshape(r, r * r)
+def project_realization(E, A, H, N, B, C, V, W):
+    """Petrov-Galerkin projection of the matrices of a QB realization.
+
+    Returns ``(W^T E V, W^T A V, W^T H (V kron V), (W^T N_k V)_k, W^T B,
+    C V)`` with the reduced Hessian symmetrized; no ``(W^T V)^{-1}``
+    normalization is applied, the generalized mass matrix is kept.
+    """
+    r = V.shape[1]
+    T = (W.T @ hessian_congruence(H, 1, V, V)).reshape(r, r, r)
+    return (
+        W.T @ E @ V,
+        W.T @ A @ V,
+        (0.5 * (T + np.transpose(T, (0, 2, 1)))).reshape(r, r * r),
+        tuple(W.T @ Nk @ V for Nk in N),
+        W.T @ B,
+        C @ V,
+    )
 
 
 def project_ode(sys, V, W):
     """Petrov-Galerkin projection onto orthonormal bases ``V`` and ``W``.
 
-    Returns the reduced realization ``(W^T E V, W^T A V, W^T H (V kron V),
-    W^T N_k V, W^T B, C V)``; no ``(W^T V)^{-1}`` normalization is applied,
-    the generalized mass matrix is kept.
+    Returns a :class:`ReducedQbSystem` holding :func:`project_realization`
+    of the system's matrices and the bases.
     """
     V = _as_matrix("V", V)
     W = _as_matrix("W", W, V.shape)
@@ -346,16 +360,9 @@ def project_ode(sys, V, W):
         raise ValueError("V is rank deficient")
     if np.linalg.matrix_rank(W) < r:
         raise ValueError("W is rank deficient")
-    Hhat = W.T @ hessian_congruence(sys.H, 1, V, V)
     return ReducedQbSystem(
-        Ehat=W.T @ sys.E @ V,
-        Ahat=W.T @ sys.A @ V,
-        Hhat=_symmetrized_mode1(Hhat, r),
-        Nhat=tuple(W.T @ Nk @ V for Nk in sys.N),
-        Bhat=W.T @ sys.B,
-        Chat=sys.C @ V,
-        V=V,
-        W=W,
+        *project_realization(sys.E, sys.A, sys.H, sys.N, sys.B, sys.C, V, W),
+        V=V, W=W,
     )
 
 

@@ -19,9 +19,6 @@ pairing breaks that identity for unsymmetric data.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -36,14 +33,6 @@ __all__ = [
     "apply_unfolded",
     "quadratic_jacobian",
 ]
-
-
-def _thread_cap():
-    """Worker cap for embarrassingly parallel column loops (QBMOR_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("QBMOR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class HessianTensor:
@@ -244,17 +233,9 @@ def apply_unfolded(M, L, R):
     dtype = np.result_type(M.dtype, L.dtype, R.dtype)
     out = np.empty((M.shape[0], rL * rR), dtype=dtype)
 
-    def fill(a):
-        block = np.multiply.outer(L[:, a], R).reshape(n * n, rR)
-        out[:, a * rR:(a + 1) * rR] = M @ block
-
-    workers = _thread_cap()
-    if workers > 1 and rL > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(rL)))
-    else:
-        for a in range(rL):
-            fill(a)
+    for a in range(rL):
+        # one expression, so each (n^2 x rR) block is freed before the next
+        out[:, a * rR:(a + 1) * rR] = M @ np.multiply.outer(L[:, a], R).reshape(n * n, rR)
     return out
 
 

@@ -4,14 +4,17 @@ One iteration diagonalizes the current reduced pencil, transforms the
 reduced data into interpolation form, solves two families of shifted linear
 systems per side (a linear family and a quadratic/bilinear correction
 family), sums and orthonormalizes the results, and projects the full-order
-matrices.  The three entry points share this core and differ only in how a
-single shifted solve is carried out:
+matrices.  Every distinct shift of a sweep is factored once, and that one
+factorization serves all four families: plain solves for ``V`` and
+transposed solves for ``W``.  The three entry points share this core and
+differ only in the shift factorization they pass:
 
-* :func:`tqb_irka_ode` solves ``(-sigma E - A) z = rhs`` directly,
-* :func:`tqb_irka_dae_explicit` sandwiches the solve between explicit
-  projector factors (small-scale oracle path),
-* :func:`tqb_irka_dae_saddle` replaces each projected solve by one saddle
-  system in the original sparse blocks (production path).
+* :func:`tqb_irka_ode` factors ``-sigma E - A``,
+* :func:`tqb_irka_dae_explicit` factors the projected pencil in explicit
+  projector coordinates and lifts each solve back (small-scale oracle path),
+* :func:`tqb_irka_dae_saddle` factors one saddle matrix in the original
+  sparse blocks, whose transpose is the adjoint saddle matrix (production
+  path).
 
 Convergence is declared when the sorted reduced-pencil eigenvalues change by
 less than ``tol`` (relative, 2-norm) between sweeps.
@@ -32,10 +35,10 @@ from .dense_solvers import (
     realify_paired_columns,
     record_residuals,
     solve_saddle,
-    solve_saddle_adjoint,
+    solve_saddle_adjoint,  # noqa: F401  (bench/tracer.py wraps it by this name)
     solve_shifted,
 )
-from .system_model import ReducedQbSystem, project_dae_outputs
+from .system_model import ReducedQbSystem, project_dae_outputs, project_realization
 from .tensor_kron import apply_unfolded, hessian_congruence
 
 __all__ = [
@@ -152,35 +155,47 @@ def _dense_mode2(Hm, r):
     return np.transpose(T, (1, 2, 0)).reshape(r, r * r)
 
 
-def _solve_family(solve, lam, RHS, pairs_split):
+def _shift_solver(factor, lam, n):
+    """Solves at ``lam[idx]`` through one factorization per shift.
+
+    A shift whose factorization or any solve raises :class:`SolverError` is
+    refactored once at a deterministic nudge and keeps that factor for the
+    rest of the sweep.
+    """
+    factors, nudged = {}, set()
+
+    def solve(idx, rhs, trans):
+        try:
+            if idx not in factors:
+                factors[idx] = factor(lam[idx])
+            return factors[idx].solve(rhs, trans)[:n]
+        except SolverError:
+            if idx in nudged:
+                raise
+            nudged.add(idx)
+            sigma = lam[idx]
+            factors[idx] = factor(sigma + 1e-8 * (1.0 + abs(sigma)))
+            return factors[idx].solve(rhs, trans)[:n]
+
+    return solve
+
+
+def _solve_family(solve, RHS, pairs_split, trans=False):
     """One column per shift, mirroring exact conjugate shift pairs."""
-    n = RHS.shape[0]
-    V = np.zeros((n, lam.size), dtype=complex)
+    V = np.zeros(RHS.shape, dtype=complex)
     real_idx, pairs = pairs_split
     for idx in real_idx:
-        V[:, idx] = solve(lam[idx], RHS[:, idx])
+        V[:, idx] = solve(idx, RHS[:, idx], trans)
     for neg, pos in pairs:
-        V[:, neg] = solve(lam[neg], RHS[:, neg])
+        V[:, neg] = solve(neg, RHS[:, neg], trans)
         V[:, pos] = V[:, neg].conjugate()
     return V
 
 
-def _with_retry(solve):
-    """Deterministic escape for shift/spectrum collisions: nudge and retry once."""
-
-    def solver(sigma, rhs):
-        try:
-            return solve(sigma, rhs)
-        except SolverError:
-            nudged = sigma + 1e-8 * (1.0 + abs(sigma))
-            return solve(nudged, rhs)
-
-    return solver
-
-
-def _run_iteration(state, backend, lam_split, fact):
+def _run_iteration(state, factor, data, lam_split, fact):
     """One sweep: interpolation data, four solve families, projection."""
     Eh, Ah, Hh, Nh, Bh, Ch = state
+    E, A, H, N, B, C = data
     r = Ah.shape[0]
     X, Y, lam = fact.X, fact.Y, fact.eigenvalues
     Bt = X @ Bh                              # r x m
@@ -188,34 +203,37 @@ def _run_iteration(state, backend, lam_split, fact):
     Nt = [X @ Nk @ Y for Nk in Nh]
     Ht = X @ apply_unfolded(Hh, Y, Y)        # r x r^2, complex
     Ht2 = _dense_mode2(Ht, r)
+    solve = _shift_solver(factor, lam, B.shape[0])
 
-    solve_v = _with_retry(backend["solve_v"])
-    solve_w = _with_retry(backend["solve_w"])
-    B, C, H, N = backend["B"], backend["C"], backend["H"], backend["N"]
-
-    V1 = _solve_family(solve_v, lam, (B @ Bt.T).astype(complex), lam_split)
+    V1 = _solve_family(solve, (B @ Bt.T).astype(complex), lam_split)
     rhs_v2 = hessian_congruence(H, 1, V1, V1) @ Ht.T
     for Nk, Ntk in zip(N, Nt):
         rhs_v2 = rhs_v2 + Nk @ V1 @ Ntk.T
-    V2 = _solve_family(solve_v, lam, rhs_v2, lam_split)
+    V2 = _solve_family(solve, rhs_v2, lam_split)
 
-    W1 = _solve_family(solve_w, lam, (C.T @ Ct).astype(complex), lam_split)
+    W1 = _solve_family(solve, (C.T @ Ct).astype(complex), lam_split, trans=True)
     rhs_w2 = 2.0 * hessian_congruence(H, 2, V1, W1) @ Ht2.T
     for Nk, Ntk in zip(N, Nt):
         rhs_w2 = rhs_w2 + Nk.T @ W1 @ Ntk
-    W2 = _solve_family(solve_w, lam, rhs_w2, lam_split)
+    W2 = _solve_family(solve, rhs_w2, lam_split, trans=True)
 
     V = realify_paired_columns(lam, V1 + V2)
     W = realify_paired_columns(lam, W1 + W2)
     V, _ = np.linalg.qr(V)
     W, _ = np.linalg.qr(W)
-    return backend["project"](V, W), V, W
+    return project_realization(*data, V, W), V, W
 
 
-def _drive(backend, cfg):
-    m = backend["B"].shape[1]
-    p = backend["C"].shape[0]
-    n = backend["B"].shape[0]
+def _drive(factor, data, cfg):
+    """Iterate with shift factorizations ``factor(sigma)`` and projection data.
+
+    ``data`` is the realization ``(E, A, H, N, B, C)`` that every sweep
+    projects; ``factor(sigma).solve(rhs, trans)`` must return a solution
+    whose first ``n`` rows are the state block.
+    """
+    B, C = data[4], data[5]
+    n, m = B.shape
+    p = C.shape[0]
     if cfg.r > n:
         raise ValueError(f"reduced order {cfg.r} exceeds state dimension {n}")
     state = _initial_model(cfg, m, p)
@@ -229,7 +247,7 @@ def _drive(backend, cfg):
                 split = conjugate_pairs(fact.eigenvalues)
                 if split is None:
                     raise SolverError("reduced spectrum not conjugate-closed")
-                state, V, W = _run_iteration(state, backend, split, fact)
+                state, V, W = _run_iteration(state, factor, data, split, fact)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
         lam_new = _sorted_eigvals(state[1], state[0])
@@ -248,25 +266,6 @@ def _drive(backend, cfg):
     return state, trace, V, W
 
 
-def _symmetrized_mode1(Hm, r):
-    T = Hm.reshape(r, r, r)
-    return (0.5 * (T + np.transpose(T, (0, 2, 1)))).reshape(r, r * r)
-
-
-def _make_projector(E, A, H, N, B, C):
-    def project(V, W):
-        r = V.shape[1]
-        return (
-            W.T @ E @ V,
-            W.T @ A @ V,
-            _symmetrized_mode1(W.T @ hessian_congruence(H, 1, V, V), r),
-            tuple(W.T @ Nk @ V for Nk in N),
-            W.T @ B,
-            C @ V,
-        )
-    return project
-
-
 def tqb_irka_ode(sys, cfg):
     """Iterative truncated-H2 reduction of an unconstrained QB system.
 
@@ -274,13 +273,8 @@ def tqb_irka_ode(sys, cfg):
     reported through ``trace.converged``, not raised.
     """
     E, A = sys.E, sys.A
-    backend = {
-        "solve_v": lambda s, rhs: solve_shifted(E, A, s, rhs),
-        "solve_w": lambda s, rhs: solve_shifted(E.T, A.T, s, rhs),
-        "project": _make_projector(E, A, sys.H, sys.N, sys.B, sys.C),
-        "B": sys.B, "C": sys.C, "H": sys.H, "N": sys.N,
-    }
-    state, trace, V, W = _drive(backend, cfg)
+    state, trace, V, W = _drive(lambda s: solve_shifted(E, A, s, None),
+                                (E, A, sys.H, sys.N, sys.B, sys.C), cfg)
     Eh, Ah, Hh, Nh, Bh, Ch = state
     red = ReducedQbSystem(Ehat=Eh, Ahat=Ah, Hhat=Hh, Nhat=Nh, Bhat=Bh,
                           Chat=Ch, V=V, W=W)
@@ -294,6 +288,18 @@ def _finish_dae(state, trace, V, W, corr):
                           Chat=Ch, V=V, W=W,
                           CHhat=CHhat, CNhat=CNhat, Dhat=Dhat)
     return red, trace
+
+
+class _Lifted:
+    """Factorization in explicit projector coordinates, lifted to ``n_v``."""
+
+    def __init__(self, fact, theta_r, phi_l):
+        self.fact, self.theta_r, self.phi_l = fact, theta_r, phi_l
+
+    def solve(self, rhs, trans=False):
+        if trans:
+            return self.phi_l @ self.fact.solve(self.theta_r.T @ rhs, True)
+        return self.theta_r @ self.fact.solve(self.phi_l.T @ rhs)
 
 
 def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
@@ -310,15 +316,12 @@ def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
     corr = output_corr if output_corr is not None else output_realization(sys)
     Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
     Abar = proj.phi_l.T @ sys.A11 @ proj.theta_r
-    th_r, ph_l = proj.theta_r, proj.phi_l
 
-    backend = {
-        "solve_v": lambda s, rhs: th_r @ solve_shifted(Ebar, Abar, s, ph_l.T @ rhs),
-        "solve_w": lambda s, rhs: ph_l @ solve_shifted(Ebar.T, Abar.T, s, th_r.T @ rhs),
-        "project": _make_projector(sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C),
-        "B": sys.B1, "C": corr.C, "H": sys.H, "N": sys.N,
-    }
-    state, trace, V, W = _drive(backend, cfg)
+    def factor(s):
+        return _Lifted(solve_shifted(Ebar, Abar, s, None), proj.theta_r, proj.phi_l)
+
+    state, trace, V, W = _drive(
+        factor, (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg)
     return _finish_dae(state, trace, V, W, corr)
 
 
@@ -333,12 +336,7 @@ def tqb_irka_dae_saddle(sys, cfg, output_corr=None):
         raise ValueError("reduction requires B2 = 0; homogenize first")
     corr = output_corr if output_corr is not None else output_realization(sys)
     E11, A11, A12, A21 = sys.E11, sys.A11, sys.A12, sys.A21
-
-    backend = {
-        "solve_v": lambda s, rhs: solve_saddle(E11, A11, A12, A21, s, rhs)[0],
-        "solve_w": lambda s, rhs: solve_saddle_adjoint(E11, A11, A12, A21, s, rhs)[0],
-        "project": _make_projector(E11, A11, sys.H, sys.N, sys.B1, corr.C),
-        "B": sys.B1, "C": corr.C, "H": sys.H, "N": sys.N,
-    }
-    state, trace, V, W = _drive(backend, cfg)
+    state, trace, V, W = _drive(
+        lambda s: solve_saddle(E11, A11, A12, A21, s, None),
+        (E11, A11, sys.H, sys.N, sys.B1, corr.C), cfg)
     return _finish_dae(state, trace, V, W, corr)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbmor.dae_transform import build_projectors
-from qbmor.mmio import read_matrix, write_matrix
+from qbmor.mmio import atomic_open, read_matrix, write_json, write_matrix
 from qbmor.problems import (
     gen_burgers,
     gen_synthetic_dae,
@@ -251,3 +251,17 @@ def test_mm_dense_roundtrip_exact(tmp_path):
     path = tmp_path / "m.mtx"
     write_matrix(path, M)
     assert np.array_equal(read_matrix(path), M)
+
+
+def test_failed_atomic_write_leaves_no_partial_or_temp_file(tmp_path):
+    fresh = tmp_path / "fresh.json"
+    with pytest.raises(TypeError):
+        write_json(fresh, {"a": 1, "b": object()})   # fails after "a" is written
+    kept = tmp_path / "kept.txt"
+    kept.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(kept) as fh:
+            fh.write("partial")
+            raise RuntimeError("interrupted")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.txt"]
+    assert kept.read_text() == "old\n"

@@ -209,17 +209,6 @@ def test_congruence_errors():
         hessian_congruence(t, 1, np.eye(5), np.eye(4))
 
 
-def test_congruence_thread_cap_bit_identical(monkeypatch):
-    t = random_tensor(17, 9)
-    rng = np.random.default_rng(17)
-    L = rng.standard_normal((9, 4))
-    R = rng.standard_normal((9, 4))
-    seq = hessian_congruence(t, 1, L, R)
-    monkeypatch.setenv("QBMOR_THREADS", "4")
-    par = hessian_congruence(t, 1, L, R)
-    assert np.array_equal(seq, par)
-
-
 def test_quadratic_jacobian_matches_directional_derivative():
     rng = np.random.default_rng(4)
     t = symmetrize(random_tensor(40, 6))

@@ -1,13 +1,21 @@
 import json
+import os
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from qbmor.dae_transform import build_projectors, explicit_ode
-from qbmor.dense_solvers import pencil_eig
+from qbmor import dense_solvers
+from qbmor.dense_solvers import (
+    SolverError,
+    conjugate_pairs,
+    pencil_eig,
+    record_residuals,
+    solve_shifted,
+)
 from qbmor.problems import gen_burgers, gen_synthetic_dae
-from qbmor.system_model import QbOdeSystem
+from qbmor.system_model import QbOdeSystem, ReducedQbSystem
 from qbmor.tensor_kron import HessianTensor
 from qbmor.tqb_irka import (
     IrkaConfig,
@@ -203,3 +211,130 @@ def test_dae_output_corrections_attached():
                             with_c2=True)
     red, _ = tqb_irka_dae_saddle(sys, IrkaConfig(r=3, seed=1))
     assert red.CHhat.any() and red.Dhat.any()
+
+
+# -- one factorization per shift ----------------------------------------------
+
+
+def user_model(Ahat, m, p, seed=0):
+    """Linear initial model with reduced matrix ``Ahat`` and ``Ehat = I``."""
+    r = Ahat.shape[0]
+    rng = np.random.default_rng(seed)
+    return ReducedQbSystem(Ehat=np.eye(r), Ahat=Ahat, Hhat=np.zeros((r, r * r)),
+                           Nhat=tuple(np.zeros((r, r)) for _ in range(m)),
+                           Bhat=rng.standard_normal((r, m)),
+                           Chat=rng.standard_normal((p, r)),
+                           V=np.eye(r), W=np.eye(r))
+
+
+def count_full_order_factorizations(monkeypatch, n):
+    """Record every LU factorization of an ``n``-row matrix in dense_solvers."""
+    calls = []
+    lu_factor = dense_solvers.la.lu_factor
+
+    def counted(M, *args, **kwargs):
+        if M.shape[0] == n:
+            calls.append(M.shape)
+        return lu_factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(dense_solvers.la, "lu_factor", counted)
+    return calls
+
+
+# one conjugate pair and two real shifts: three distinct shift factorizations
+PAIR_AND_TWO_REAL = np.array([[-1.0, 2.0, 0.0, 0.0], [-2.0, -1.0, 0.0, 0.0],
+                              [0.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, -0.5]])
+
+
+def expected_factorizations(Ahat):
+    real_idx, pairs = conjugate_pairs(pencil_eig(np.eye(len(Ahat)), Ahat).eigenvalues)
+    return len(real_idx) + len(pairs)
+
+
+def test_one_factorization_per_shift_ode(monkeypatch):
+    sys = random_stable_ode(3, 14, m=2, p=2)
+    calls = count_full_order_factorizations(monkeypatch, 14)
+    cfg = IrkaConfig(r=4, init_mode="user", max_iters=1,
+                     initial_model=user_model(PAIR_AND_TWO_REAL, 2, 2))
+    _, trace = tqb_irka_ode(sys, cfg)
+    assert trace.iterations == 1
+    assert len(calls) == expected_factorizations(PAIR_AND_TWO_REAL) == 3
+
+
+def test_one_factorization_per_shift_saddle(monkeypatch):
+    sys = gen_synthetic_dae(18, 4, m=2, p=2, seed=4, quad_scale=0.1)
+    calls = count_full_order_factorizations(monkeypatch, 18 + 4)
+    cfg = IrkaConfig(r=4, init_mode="user", max_iters=1,
+                     initial_model=user_model(PAIR_AND_TWO_REAL, 2, 2))
+    _, trace = tqb_irka_dae_saddle(sys, cfg)
+    assert trace.iterations == 1
+    assert len(calls) == expected_factorizations(PAIR_AND_TWO_REAL) == 3
+
+
+def test_singular_shift_is_nudged_once(monkeypatch):
+    # reduced eigenvalue +1 makes -sigma E - A = diag(0, 1, ..., n-1) singular
+    n = 8
+    A = -np.diag(np.arange(1.0, n + 1))
+    rng = np.random.default_rng(2)
+    sys = QbOdeSystem(E=np.eye(n), A=A, H=HessianTensor.zero(n),
+                      N=(np.zeros((n, n)),), B=rng.standard_normal((n, 1)),
+                      C=rng.standard_normal((1, n)))
+    with pytest.raises(SolverError, match="collides"):
+        solve_shifted(sys.E, sys.A, 1.0, np.ones(n))
+    Ahat = np.diag([1.0, -2.5, -0.5])
+    calls = count_full_order_factorizations(monkeypatch, n)
+    cfg = IrkaConfig(r=3, init_mode="user", max_iters=1,
+                     initial_model=user_model(Ahat, 1, 1))
+    red, trace = tqb_irka_ode(sys, cfg)
+    assert trace.iterations == 1
+    assert np.all(np.isfinite(red.Ahat))
+    # three shifts, and the singular one refactored once at its nudge
+    assert len(calls) == 3 + 1
+
+
+def test_transposed_factor_solves_match_transposed_systems():
+    rng = np.random.default_rng(21)
+    sigma = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+    sys = random_stable_ode(21, 11)
+    rhs = rng.standard_normal((11, 2)) + 1j * rng.standard_normal((11, 2))
+    fact = solve_shifted(sys.E, sys.A, sigma, None)
+    oracle = solve_shifted(sys.E.T, sys.A.T, sigma, rhs)
+    got = fact.solve(rhs, trans=True)
+    assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    dae = gen_synthetic_dae(15, 3, m=2, p=2, seed=9, quad_scale=0.1)
+    blocks = (dae.E11, dae.A11, dae.A12, dae.A21)
+    g = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+    z = dense_solvers.solve_saddle(*blocks, sigma, None).solve(g, trans=True)
+    w_adj, xi_adj = dense_solvers.solve_saddle_adjoint(*blocks, sigma, g)
+    K_T = np.block([[(-sigma * dae.E11 - dae.A11).T, dae.A21.T],
+                    [dae.A12.T, np.zeros((3, 3))]])
+    oracle = la.solve(K_T, np.concatenate([g, np.zeros(3)]))
+    for w in (z, np.concatenate([w_adj, xi_adj])):
+        assert np.linalg.norm(w - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+# -- pencil refinement stays real ------------------------------------------------
+
+
+def test_pencil_refinement_keeps_conjugate_spectrum():
+    # a reduced Burgers pencil whose first eigenbasis misses the strict
+    # bound; refining in a complex basis split its conjugate pairs
+    path = os.path.join(os.path.dirname(__file__), "data", "burgers_sweep8_pencil.txt")
+    EA = np.loadtxt(path)
+    Ehat, Ahat = EA[:10], EA[10:]
+    with record_residuals() as log:
+        fact = pencil_eig(Ehat, Ahat)
+    lam = fact.eigenvalues
+    assert conjugate_pairs(lam) is not None
+    assert np.array_equal(np.lexsort((lam.imag, lam.real)), np.arange(10))
+    assert [tag for tag, _ in log] == ["pencil"]
+    assert np.linalg.norm(fact.X @ Ehat @ fact.Y - np.eye(10)) <= 1e-9
+
+
+def test_burgers_reproducer_converges():
+    sys = gen_burgers(150, 0.01)
+    cfg = IrkaConfig(r=10, tol=1e-5, max_iters=50, seed=1742692731)
+    red, trace = tqb_irka_ode(sys, cfg)
+    assert trace.converged
+    assert max(trace.max_residuals) <= 1e-9
