@@ -2,7 +2,8 @@
 
 Generalized pencil eigendecomposition, shifted and saddle-point solves
 (one factorization per shift serves plain and transposed solves),
-diagonal-shift Sylvester solves, and generalized Lyapunov solves.
+diagonal-shift Sylvester solves, and generalized Lyapunov solves
+(Bartels-Stewart on the pencil reduced by one LU of the mass matrix).
 Every solver computes the residual of its own output, raises
 :class:`ResidualError` when the stated bound is exceeded, and reports the
 value to any active :func:`record_residuals` context.
@@ -39,7 +40,6 @@ LYAPUNOV_TOL = 1e-9
 SADDLE_TOL = 1e-10
 PENCIL_TOL = 1e-10
 
-_KRON_LYAP_MAX = 60  # direct Kronecker solve up to this order
 _TINY = np.finfo(float).tiny
 
 
@@ -265,9 +265,13 @@ class _ShiftFactor:
     pivots are kept; residuals are formed from the blocks at each solve.
     ``solve(rhs, trans)`` solves with the matrix or its plain
     (unconjugated) transpose, zero-padding ``rhs`` over the constraint rows.
+    A shift with zero imaginary part is factored in real arithmetic; its
+    real LU factors also solve complex right-hand sides.
     """
 
     def __init__(self, E, A, sigma, A12=None, A21=None):
+        if sigma.imag == 0:
+            sigma = sigma.real
         self.E, self.A, self.sigma = np.asarray(E), np.asarray(A), sigma
         self.saddle = A12 is not None
         n = self.A.shape[0]
@@ -400,19 +404,13 @@ def solve_sylvester(E, A, lam, RHS, realify=True):
     return V
 
 
-def _stability_abscissa(A, E):
-    w = la.eigvals(A, E)
-    if not np.all(np.isfinite(w)):
-        return np.inf
-    return float(w.real.max())
-
-
 def solve_lyapunov(A, E, RHS):
     """Solve ``A P E^T + E P A^T + RHS = 0`` for symmetric ``RHS``.
 
-    A direct Kronecker-vectorized solve is used up to order 60; larger
-    problems go through diagonalization of the pencil ``(A, E)``.  The pencil
-    must be stable.
+    The pencil ``(A, E)`` must be stable.  One LU factorization of ``E``
+    gives ``F = E^{-1} A`` and ``G = E^{-1} RHS E^{-T}``, and the standard
+    equation ``F P + P F^T + G = 0`` is solved by the Bartels-Stewart
+    (Schur) method; no n^2-by-n^2 operator is formed.
     """
     A = np.asarray(A, dtype=float)
     E = np.asarray(E, dtype=float)
@@ -423,22 +421,15 @@ def solve_lyapunov(A, E, RHS):
     asym = _fro(RHS - RHS.T)
     if asym > 1e-10 * max(_fro(RHS), 1.0):
         raise ValueError(f"right-hand side not symmetric (|R - R^T| = {asym:.3e})")
-    abscissa = _stability_abscissa(A, E)
+    w = la.eigvals(A, E)
+    abscissa = float(w.real.max()) if np.all(np.isfinite(w)) else np.inf
     if abscissa >= 0.0:
         raise SolverError(
             f"unstable pencil: spectral abscissa {abscissa:.3e} >= 0"
         )
-    if n <= _KRON_LYAP_MAX:
-        K = np.kron(E, A) + np.kron(A, E)
-        p = la.solve(K, -RHS.ravel(order="F"))
-        P = p.reshape((n, n), order="F")
-    else:
-        w, Yv = la.eig(A, E)
-        EY = E @ Yv
-        M1 = la.solve(EY, RHS.astype(complex))
-        M2 = la.solve(EY, M1.T).T
-        G = -M2 / (w[:, None] + w[None, :])
-        P = (Yv @ G @ Yv.T).real
+    lu = la.lu_factor(E)
+    G = la.lu_solve(lu, la.lu_solve(lu, RHS).T).T
+    P = la.solve_continuous_lyapunov(la.lu_solve(lu, A), -G)
     P = 0.5 * (P + P.T)
     res = _fro(A @ P @ E.T + E @ P @ A.T + RHS) / max(_fro(RHS), _TINY)
     if res > LYAPUNOV_TOL:

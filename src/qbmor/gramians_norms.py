@@ -59,41 +59,45 @@ def _lyap_residual(A, E, P, RHS):
     return float(num / max(np.linalg.norm(RHS), np.finfo(float).tiny))
 
 
-def linear_gramians(sys):
-    """Gramians of the linear part: ``A P E^T + E P A^T + B B^T = 0`` and dual."""
-    P = solve_lyapunov(sys.A, sys.E, sys.B @ sys.B.T)
-    Q = solve_lyapunov(sys.A.T, sys.E.T, sys.C.T @ sys.C)
-    res = max(
-        _lyap_residual(sys.A, sys.E, P, sys.B @ sys.B.T),
-        _lyap_residual(sys.A.T, sys.E.T, Q, sys.C.T @ sys.C),
-    )
-    return GramianPair(P=P, Q=Q, kind="linear", residual=res)
-
-
-def _truncated_rhs(sys, P1, Q1):
-    HP = hessian_congruence(sys.H, 1, P1, P1) @ sys.H.mode1.T
-    rhs_p = sys.B @ sys.B.T + HP
-    H2 = sys.H.mode(2)
-    HQ = hessian_congruence(sys.H, 2, P1, Q1) @ H2.T
-    rhs_q = sys.C.T @ sys.C + HQ
-    for Nk in sys.N:
-        rhs_p = rhs_p + Nk @ P1 @ Nk.T
-        rhs_q = rhs_q + Nk.T @ Q1 @ Nk
-    # the quadratic additions are Gramian-like sums, symmetric up to roundoff
-    return 0.5 * (rhs_p + rhs_p.T), 0.5 * (rhs_q + rhs_q.T)
-
-
-def truncated_gramians(sys):
-    """Truncated Gramians via one cascade of linear Lyapunov solves."""
-    lin = linear_gramians(sys)
-    rhs_p, rhs_q = _truncated_rhs(sys, lin.P, lin.Q)
+def _gramian_pair(sys, rhs_p, rhs_q, kind):
+    """Solve ``A P E^T + E P A^T + rhs_p = 0`` and its dual with ``rhs_q``."""
     P = solve_lyapunov(sys.A, sys.E, rhs_p)
     Q = solve_lyapunov(sys.A.T, sys.E.T, rhs_q)
     res = max(
         _lyap_residual(sys.A, sys.E, P, rhs_p),
         _lyap_residual(sys.A.T, sys.E.T, Q, rhs_q),
     )
-    return GramianPair(P=P, Q=Q, kind="truncated", residual=res)
+    return GramianPair(P=P, Q=Q, kind=kind, residual=res)
+
+
+def linear_gramians(sys):
+    """Gramians of the linear part: ``A P E^T + E P A^T + B B^T = 0`` and dual."""
+    return _gramian_pair(sys, sys.B @ sys.B.T, sys.C.T @ sys.C, "linear")
+
+
+def _p_rhs(sys, P):
+    """``B B^T + H (P kron P) H^T + sum N_k P N_k^T``, symmetrized."""
+    rhs = sys.B @ sys.B.T + hessian_congruence(sys.H, 1, P, P) @ sys.H.mode1.T
+    for Nk in sys.N:
+        rhs = rhs + Nk @ P @ Nk.T
+    # the quadratic additions are Gramian-like sums, symmetric up to roundoff
+    return 0.5 * (rhs + rhs.T)
+
+
+def _q_rhs(sys, P, Q):
+    """``C^T C + H2 (P kron Q) H2^T + sum N_k^T Q N_k``, symmetrized."""
+    H2 = sys.H.mode(2)
+    rhs = sys.C.T @ sys.C + hessian_congruence(sys.H, 2, P, Q) @ H2.T
+    for Nk in sys.N:
+        rhs = rhs + Nk.T @ Q @ Nk
+    return 0.5 * (rhs + rhs.T)
+
+
+def truncated_gramians(sys):
+    """Truncated Gramians via one cascade of linear Lyapunov solves."""
+    lin = linear_gramians(sys)
+    return _gramian_pair(sys, _p_rhs(sys, lin.P), _q_rhs(sys, lin.P, lin.Q),
+                         "truncated")
 
 
 def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
@@ -109,13 +113,8 @@ def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        HP = hessian_congruence(sys.H, 1, P, P) @ sys.H.mode1.T
-        rhs = sys.B @ sys.B.T + HP
-        for Nk in sys.N:
-            rhs = rhs + Nk @ P @ Nk.T
-        rhs = 0.5 * (rhs + rhs.T)
         try:
-            P_new = solve_lyapunov(sys.A, sys.E, rhs)
+            P_new = solve_lyapunov(sys.A, sys.E, _p_rhs(sys, P))
         except SolverError as exc:
             raise SolverError(f"fixed point diverged: {exc}") from exc
         if np.linalg.norm(P_new) > guard:
@@ -127,22 +126,12 @@ def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
         if delta <= tol:
             converged = True
             break
-    res_p = _lyap_residual(
-        sys.A, sys.E, P,
-        sys.B @ sys.B.T
-        + hessian_congruence(sys.H, 1, P, P) @ sys.H.mode1.T
-        + sum((Nk @ P @ Nk.T for Nk in sys.N), np.zeros_like(P)),
-    )
+    res_p = _lyap_residual(sys.A, sys.E, P, _p_rhs(sys, P))
     # observability side with the converged P frozen in the cross term
-    H2 = sys.H.mode(2)
     Q = solve_lyapunov(sys.A.T, sys.E.T, sys.C.T @ sys.C)
     q_conv = False
     for _ in range(max_iters):
-        rhs_q = sys.C.T @ sys.C + hessian_congruence(sys.H, 2, P, Q) @ H2.T
-        for Nk in sys.N:
-            rhs_q = rhs_q + Nk.T @ Q @ Nk
-        rhs_q = 0.5 * (rhs_q + rhs_q.T)
-        Q_new = solve_lyapunov(sys.A.T, sys.E.T, rhs_q)
+        Q_new = solve_lyapunov(sys.A.T, sys.E.T, _q_rhs(sys, P, Q))
         if np.linalg.norm(Q_new) > guard * 1e6:
             raise SolverError("fixed point diverged on the observability side")
         dq = np.linalg.norm(Q_new - Q) / max(np.linalg.norm(Q), 1e-300)
@@ -190,17 +179,14 @@ def _augmented_error_system(full, red):
     A = np.zeros((nr, nr))
     A[:n, :n] = full.A
     A[n:, n:] = red.Ahat
-    i = list(full.H._i)
-    j = list(full.H._j)
-    k = list(full.H._k)
-    v = list(full.H._v)
-    Tr = red.Hhat.reshape(r, r, r)
-    ri, rj, rk = np.nonzero(Tr)
-    i += list(ri + n)
-    j += list(rj + n)
-    k += list(rk + n)
-    v += list(Tr[ri, rj, rk])
-    H = HessianTensor(nr, i, j, k, v)
+    Hf, Hr = full.H, HessianTensor.from_mode1(red.Hhat)
+    H = HessianTensor(
+        nr,
+        np.concatenate([Hf._i, Hr._i + n]),
+        np.concatenate([Hf._j, Hr._j + n]),
+        np.concatenate([Hf._k, Hr._k + n]),
+        np.concatenate([Hf._v, Hr._v]),
+    )
     N = tuple(
         np.block([
             [full.N[q], np.zeros((n, r))],

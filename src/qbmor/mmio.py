@@ -39,25 +39,21 @@ def read_matrix(path):
         raise ValueError(f"{path}: unsupported symmetry {symmetry!r} (need general)")
     if fmt not in ("coordinate", "array"):
         raise ValueError(f"{path}: unsupported format {fmt!r}")
-    body = [ln for ln in lines[1:] if ln.strip() and not ln.startswith("%")]
-    if not body:
+    data = (no for no, ln in enumerate(lines)
+            if no and ln.strip() and not ln.startswith("%"))
+    size = next(data, None)
+    if size is None:
         raise ValueError(f"{path}: missing size line")
-    size = body[0].split()
+    head = lines[:size + 1]
     if fmt == "coordinate":
-        if len(size) != 3:
-            raise ValueError(f"{path}: coordinate size line must have 3 entries")
-        rows, cols, nnz = (int(x) for x in size)
-        entries = body[1:]
-        if len(entries) != nnz:
-            raise ValueError(
-                f"{path}: header promises {nnz} entries, file has {len(entries)}"
-            )
-        if nnz == 0:
+        rows, cols, nnz = (int(c[0]) for c in _columns(path, head, size, (np.int64,) * 3))
+        if nnz == 0 and next(data, None) is None:
             return sp.csr_matrix((rows, cols))
-        data = np.array([ln.split() for ln in entries], dtype=object)
-        I = data[:, 0].astype(np.int64)
-        J = data[:, 1].astype(np.int64)
-        vals = data[:, 2].astype(np.float64)
+        I, J, vals = _columns(path, lines, size + 1, (np.int64, np.int64, np.float64))
+        if I.size != nnz:
+            raise ValueError(
+                f"{path}: header promises {nnz} entries, file has {I.size}"
+            )
         if I.min() < 1 or J.min() < 1:
             raise ValueError(
                 f"{path}: 0-based indices detected (Matrix Market is 1-based)"
@@ -66,15 +62,39 @@ def read_matrix(path):
             raise ValueError(f"{path}: index exceeds declared shape ({rows}, {cols})")
         return sp.csr_matrix((vals, (I - 1, J - 1)), shape=(rows, cols))
     # array format, column-major
-    if len(size) != 2:
-        raise ValueError(f"{path}: array size line must have 2 entries")
-    rows, cols = (int(x) for x in size)
-    vals = np.array([float(ln) for ln in body[1:]])
+    rows, cols = (int(c[0]) for c in _columns(path, head, size, (np.int64,) * 2))
+    (vals,) = _columns(path, lines, size + 1, (np.float64,))
     if vals.size != rows * cols:
         raise ValueError(
             f"{path}: array body has {vals.size} values, expected {rows * cols}"
         )
     return vals.reshape((rows, cols), order="F")
+
+
+def _columns(path, lines, start, kinds):
+    """Columns of the numbers on ``lines[start:]``, one per type in ``kinds``.
+
+    Blank and ``%`` comment lines are skipped; a malformed line raises
+    ``ValueError`` naming the file and the line.
+    """
+    dtype = [(str(c), kind) for c, kind in enumerate(kinds)]
+    try:
+        table = np.loadtxt(lines[start:], dtype=dtype, comments="%", ndmin=1)
+    except ValueError as exc:
+        for no, text in enumerate(lines[start:], start=start + 1):
+            fields = text.split("%")[0].split()
+            try:
+                if fields and len(fields) != len(kinds):
+                    raise ValueError
+                for kind, x in zip(kinds, fields):
+                    kind(x)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {no}: expected {len(kinds)} numeric fields, "
+                    f"got {text!r}"
+                ) from None
+        raise ValueError(f"{path}: {exc}") from None
+    return [table[name] for name, _ in dtype]
 
 
 @contextmanager

@@ -302,6 +302,12 @@ def load_system(manifest_path):
     dims = manifest.get("dims", {})
     matrices = manifest.get("matrices", {})
 
+    def need(*keys):
+        missing = ", ".join(repr(key) for key in keys if key not in dims)
+        if missing:
+            raise ValueError(f"{manifest_path}: manifest is missing dims {missing}")
+        return (dims[key] for key in keys)
+
     def n_files(count, shape):
         files = matrices.get("N", [])
         out = []
@@ -318,7 +324,7 @@ def load_system(manifest_path):
         return tuple(out)
 
     if kind == "ode":
-        n, m, p = dims["n"], dims["m"], dims["p"]
+        n, m, p = need("n", "m", "p")
         E = _load_entry(base, matrices, "E", (n, n))
         if not matrices.get("E"):
             E = np.eye(n)
@@ -329,8 +335,7 @@ def load_system(manifest_path):
         return QbOdeSystem(E=_dense(E), A=A, H=HessianTensor.from_mode1(H),
                            N=n_files(m, (n, n)), B=B, C=C)
     if kind == "dae":
-        n_v, n_p = dims["n_v"], dims["n_p"]
-        m, p = dims["m"], dims["p"]
+        n_v, n_p, m, p = need("n_v", "n_p", "m", "p")
         E11 = _dense(_load_entry(base, matrices, "E11", (n_v, n_v), required=True))
         A11 = _dense(_load_entry(base, matrices, "A11", (n_v, n_v), required=True))
         A12 = _dense(_load_entry(base, matrices, "A12", (n_v, n_p), required=True))
@@ -351,7 +356,7 @@ def load_system(manifest_path):
                            H=HessianTensor.from_mode1(H), N=n_files(m, (n_v, n_v)),
                            B1=B1, B2=B2, C1=C1, C2=C2, v0=v0)
     if kind == "reduced":
-        r, m, p = dims["r"], dims["m"], dims["p"]
+        r, m, p = need("r", "m", "p")
         n_full = dims.get("n_full", r)
         E = _dense(_load_entry(base, matrices, "E", (r, r), required=True))
         A = _dense(_load_entry(base, matrices, "A", (r, r), required=True))

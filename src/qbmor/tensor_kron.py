@@ -88,22 +88,12 @@ class HessianTensor:
     @classmethod
     def from_mode1(cls, M, symmetric=False):
         """Build from an n-by-n^2 mode-1 unfolding (dense or sparse)."""
-        if sp.issparse(M):
-            M = M.tocoo()
-            n = M.shape[0]
-            if M.shape[1] != n * n:
-                raise ValueError(
-                    f"mode-1 unfolding must be n-by-n^2, got {M.shape}"
-                )
-            j, k = np.divmod(M.col, n)
-            return cls(n, M.row, j, k, M.data, symmetric=symmetric)
-        M = np.asarray(M, dtype=np.float64)
+        M = sp.coo_matrix(M)
         n = M.shape[0]
-        if M.ndim != 2 or M.shape[1] != n * n:
+        if M.shape[1] != n * n:
             raise ValueError(f"mode-1 unfolding must be n-by-n^2, got {M.shape}")
-        rows, cols = np.nonzero(M)
-        j, k = np.divmod(cols, n)
-        return cls(n, rows, j, k, M[rows, cols], symmetric=symmetric)
+        j, k = np.divmod(M.col, n)
+        return cls(n, M.row, j, k, M.data, symmetric=symmetric)
 
     @classmethod
     def from_dense(cls, T, symmetric=False):
@@ -212,12 +202,15 @@ def apply_hessian(t, a, b):
 
 
 def apply_unfolded(M, L, R):
-    """Compute ``M (L kron R)`` column-block-wise without forming ``L kron R``.
+    """Compute ``M (L kron R)`` from the stored entries of ``M``.
 
     ``M`` is any (q, n^2) matrix (sparse or dense) whose columns are ordered
     like ``L kron R`` rows, i.e. index ``s*n + f`` pairs row ``s`` of ``L``
     with row ``f`` of ``R``.  Column ``a*rR + b`` of the result equals
-    ``M @ kron(L[:, a], R[:, b])``.
+    ``M @ kron(L[:, a], R[:, b])``.  Each stored entry ``M[i, s*n + f]``
+    contributes ``M[i, s*n + f] L[s, a] R[f, :]`` to row ``i``; the terms are
+    summed over the row segments of the CSR form, so work and memory are
+    O(nnz(M) rL rR) and O(nnz(M) rR), and nothing of size n^2 is formed.
     """
     L = np.asarray(L)
     R = np.asarray(R)
@@ -230,12 +223,15 @@ def apply_unfolded(M, L, R):
             f"R has {R.shape[0]} rows"
         )
     rL, rR = L.shape[1], R.shape[1]
-    dtype = np.result_type(M.dtype, L.dtype, R.dtype)
-    out = np.empty((M.shape[0], rL * rR), dtype=dtype)
-
+    M = sp.csr_matrix(M)
+    out = np.zeros((M.shape[0], rL * rR),
+                   dtype=np.result_type(M.dtype, L.dtype, R.dtype))
+    rows = np.flatnonzero(np.diff(M.indptr))
+    s, f = np.divmod(M.indices, n)
+    MR = M.data[:, None] * R[f]
     for a in range(rL):
-        # one expression, so each (n^2 x rR) block is freed before the next
-        out[:, a * rR:(a + 1) * rR] = M @ np.multiply.outer(L[:, a], R).reshape(n * n, rR)
+        out[rows, a * rR:(a + 1) * rR] = np.add.reduceat(
+            L[s, a, None] * MR, M.indptr[rows], axis=0)
     return out
 
 

@@ -252,3 +252,19 @@ def test_simulate_reduced_model_roundtrip(tmp_path):
                 "--out", str(rep)]) == 0
     report = json.loads(rep.read_text())
     assert report["aggregate_relative_l2"] < 0.05
+
+
+def test_malformed_matrix_entry_is_a_clean_error(tmp_path, capsys):
+    sysdir = tmp_path / "sys"
+    save_system(gen_burgers(8, 0.1), sysdir)
+    hfile = sysdir / "H.mtx"
+    lines = hfile.read_text().splitlines()
+    lines[2] = "1 2"                      # first entry loses its value
+    hfile.write_text("\n".join(lines) + "\n")
+    code = run(["simulate", "--system", str(sysdir / "manifest.json"),
+                "--t-final", "1", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("qbmor: error:")
+    assert "H.mtx" in err and "line 3" in err
+    assert "Traceback" not in err

@@ -4,6 +4,7 @@ import scipy.linalg as la
 
 from qbmor.dae_transform import build_projectors
 from qbmor.dense_solvers import (
+    LYAPUNOV_TOL,
     SolverError,
     conjugate_pairs,
     pencil_eig,
@@ -93,6 +94,20 @@ def test_solve_shifted_residual_seeded():
     res = np.linalg.norm((-(0.5 - 1.3j) * E - A) @ Z - rhs)
     assert res <= 1e-10 * np.linalg.norm(rhs)
     assert log and all(v <= 1e-10 for _, v in log)
+
+
+@pytest.mark.parametrize("sigma", [-0.5 + 0j, -0.5 + 0.75j])
+def test_shift_factor_real_arithmetic_for_real_shift(sigma):
+    E, A = stable_pencil(31, 6)
+    rng = np.random.default_rng(31)
+    fact = solve_shifted(E, A, np.complex128(sigma), None)
+    assert fact.lu[0].dtype == (np.complex128 if sigma.imag else np.float64)
+    rhs = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    M = -complex(sigma) * E - A
+    for trans, oracle in ((False, M), (True, M.T)):
+        expect = la.solve(oracle, rhs)
+        got = fact.solve(rhs, trans)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def test_solve_shifted_collision():
@@ -185,7 +200,7 @@ def test_solve_lyapunov_zero_rhs():
 
 @pytest.mark.parametrize("n", [10, 70])
 def test_solve_lyapunov_residual(n):
-    # n=10 exercises the Kronecker branch, n=70 the diagonalization branch
+    # a small and a mid-size order through the same Schur-based solve
     rng = np.random.default_rng(n)
     E, A = stable_pencil(n, n)
     B = rng.standard_normal((n, 2))
@@ -194,6 +209,34 @@ def test_solve_lyapunov_residual(n):
     res = np.linalg.norm(A @ P @ E.T + E @ P @ A.T + RHS)
     assert res <= 1e-9 * np.linalg.norm(RHS)
     assert np.allclose(P, P.T, rtol=0, atol=1e-12 * np.linalg.norm(P))
+
+
+def test_solve_lyapunov_general_mass_matrix():
+    n = 80
+    rng = np.random.default_rng(80)
+    _, A = stable_pencil(80, n)
+    G = rng.standard_normal((n, n))
+    E = np.diag(np.linspace(0.5, 3.0, n)) + (G @ G.T) / n   # SPD, far from I
+    B = rng.standard_normal((n, 3))
+    RHS = B @ B.T
+    P = solve_lyapunov(A, E, RHS)
+    res = np.linalg.norm(A @ P @ E.T + E @ P @ A.T + RHS)
+    assert res <= LYAPUNOV_TOL * np.linalg.norm(RHS)
+
+
+def test_solve_lyapunov_memory_without_kronecker_operator():
+    # the n^2-by-n^2 Kronecker operator alone would take 104 MB at n = 60
+    import tracemalloc
+    n = 60
+    E, A = stable_pencil(60, n)
+    B = np.random.default_rng(60).standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        solve_lyapunov(A, E, B @ B.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_solve_lyapunov_unstable():

@@ -217,6 +217,27 @@ def test_manifest_dimension_clash(tmp_path):
         load_system(manifest)
 
 
+def test_manifest_missing_dimension_is_named(tmp_path):
+    import json
+    manifest = save_system(gen_burgers(8, 0.1), tmp_path / "sys")
+    data = json.loads(open(manifest).read())
+    del data["dims"]["n"]
+    open(manifest, "w").write(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        load_system(manifest)
+    assert str(manifest) in str(info.value)
+    assert "'n'" in str(info.value)
+
+
+@pytest.mark.parametrize("entry", ["1 2", "1 1 1.0 2.0", "1 x 1.0"])
+def test_mm_malformed_entry_names_file_and_line(tmp_path, entry):
+    path = tmp_path / "bad.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    f"% comment\n2 2 2\n1 1 1.0\n{entry}\n")
+    with pytest.raises(ValueError, match=r"bad\.mtx: line 5"):
+        read_matrix(path)
+
+
 def test_mm_complex_field_rejected(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate complex general\n"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qbmor.tensor_kron import (
     HessianTensor,
     apply_hessian,
+    apply_unfolded,
     hessian_congruence,
     kron,
     matricize,
@@ -217,3 +219,55 @@ def test_quadratic_jacobian_matches_directional_derivative():
     y = rng.standard_normal(6)
     expect = apply_hessian(t, x, y) + apply_hessian(t, y, x)
     assert np.allclose(J @ y, expect, rtol=1e-13, atol=1e-14)
+
+
+def test_congruence_memory_stays_below_n_squared():
+    # one dense (n^2 x 4) block of L kron L would take 128 MB at n = 2000
+    import tracemalloc
+    rng = np.random.default_rng(17)
+    n, nnz = 2000, 8000
+    t = HessianTensor(n, *rng.integers(0, n, (3, nnz)), rng.standard_normal(nnz))
+    L = rng.standard_normal((n, 4))
+    tracemalloc.start()
+    try:
+        got = hessian_congruence(t, 1, L, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    cols = [0, 5, 15]
+    a, b = np.divmod(cols, 4)
+    expect = np.stack([apply_hessian(t, L[:, p], L[:, q]) for p, q in zip(a, b)], 1)
+    assert np.allclose(got[:, cols], expect, rtol=1e-12, atol=1e-12)
+
+
+def _unfolded_case(name, rng):
+    n = 5
+    if name == "sparse-wide-empty-rows":
+        # p != n rows, two of them empty
+        D = rng.standard_normal((7, n * n)) * (rng.random((7, n * n)) < 0.3)
+        D[[1, 4]] = 0.0
+        M = sp.csr_matrix(D)
+    elif name == "dense":
+        M = rng.standard_normal((3, n * n))
+    elif name == "zero-tensor":
+        M = HessianTensor.zero(n).mode1
+    else:
+        M = random_tensor(8, n).mode(2)
+    L = rng.standard_normal((n, 3))
+    R = rng.standard_normal((n, 2))
+    if name == "complex":
+        L = L + 1j * rng.standard_normal((n, 3))
+        R = R - 2j * rng.standard_normal((n, 2))
+    return M, L, R
+
+
+@pytest.mark.parametrize(
+    "name", ["sparse-wide-empty-rows", "dense", "zero-tensor", "complex"])
+def test_apply_unfolded_dense_oracle(name):
+    M, L, R = _unfolded_case(name, np.random.default_rng(23))
+    got = apply_unfolded(M, L, R)
+    dense = (M.toarray() if sp.issparse(M) else M) @ np.kron(L, R)
+    assert got.shape == dense.shape
+    assert got.dtype == np.result_type(M.dtype, L.dtype, R.dtype)
+    assert np.linalg.norm(got - dense) <= 1e-12 * max(np.linalg.norm(dense), 1.0)
