@@ -408,9 +408,11 @@ def solve_lyapunov(A, E, RHS):
     """Solve ``A P E^T + E P A^T + RHS = 0`` for symmetric ``RHS``.
 
     The pencil ``(A, E)`` must be stable.  One LU factorization of ``E``
-    gives ``F = E^{-1} A`` and ``G = E^{-1} RHS E^{-T}``, and the standard
-    equation ``F P + P F^T + G = 0`` is solved by the Bartels-Stewart
-    (Schur) method; no n^2-by-n^2 operator is formed.
+    gives ``F = E^{-1} A`` and ``G = E^{-1} RHS E^{-T}``; the standard
+    equation ``F P + P F^T + G = 0`` is solved by Bartels-Stewart: one real
+    Schur form ``F = Z T Z^T``, whose diagonal carries the real parts of the
+    eigenvalues (the stability check), then ``trsyl`` on ``T``.  No
+    n^2-by-n^2 operator is formed.
     """
     A = np.asarray(A, dtype=float)
     E = np.asarray(E, dtype=float)
@@ -421,15 +423,23 @@ def solve_lyapunov(A, E, RHS):
     asym = _fro(RHS - RHS.T)
     if asym > 1e-10 * max(_fro(RHS), 1.0):
         raise ValueError(f"right-hand side not symmetric (|R - R^T| = {asym:.3e})")
-    w = la.eigvals(A, E)
-    abscissa = float(w.real.max()) if np.all(np.isfinite(w)) else np.inf
+    with _quiet_singular():
+        lu = la.lu_factor(E)
+        F = la.lu_solve(lu, A)
+    abscissa = np.inf
+    if np.all(np.isfinite(F)):
+        # standardized 2x2 blocks have the pair's real part on the diagonal
+        T, Z = la.schur(F, output="real")
+        abscissa = float(np.diag(T).max())
     if abscissa >= 0.0:
         raise SolverError(
             f"unstable pencil: spectral abscissa {abscissa:.3e} >= 0"
         )
-    lu = la.lu_factor(E)
     G = la.lu_solve(lu, la.lu_solve(lu, RHS).T).T
-    P = la.solve_continuous_lyapunov(la.lu_solve(lu, A), -G)
+    # trsyl solves T Y + Y T^T = scale * C, scale <= 1 guarding overflow;
+    # info = 1 (eigenvalues perturbed) is left to the residual gate below
+    Y, scale, _ = la.lapack.dtrsyl(T, T, Z.T @ (-G @ Z), tranb="T")
+    P = Z @ (Y / scale) @ Z.T
     P = 0.5 * (P + P.T)
     res = _fro(A @ P @ E.T + E @ P @ A.T + RHS) / max(_fro(RHS), _TINY)
     if res > LYAPUNOV_TOL:

@@ -8,12 +8,14 @@ keep runs reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
+from scipy.linalg.lapack import dgesv
 
 from .dae_transform import recover_pressure
+from .dense_solvers import SolverError
 from .mmio import atomic_open
 from .system_model import ReducedQbSystem
 from .tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
@@ -47,6 +49,11 @@ class InputSignal:
         return np.broadcast_to(
             np.asarray(self._sample(t), dtype=float), (self.m,)
         ).copy()
+
+    def on_grid(self, t):
+        """Samples at the times ``t`` as the rows of a (len(t), m) array."""
+        t = np.asarray(t, dtype=float)
+        return np.array([self.sample(tk) for tk in t]).reshape(t.size, self.m)
 
     def derivative(self, t):
         return np.broadcast_to(
@@ -118,13 +125,20 @@ class InputSignal:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniform-grid trajectory with inputs, states and outputs per step."""
+    """Uniform-grid trajectory with inputs, states and outputs per step.
+
+    ``newton_iters[k]`` and ``newton_residuals[k]`` are the Newton
+    iterations (linear solves) and the final residual norm of the step that
+    reached ``t[k]``; entry 0 is zero.  Neither is written to CSV.
+    """
 
     t: np.ndarray
     states: np.ndarray
     outputs: np.ndarray
     inputs: np.ndarray
     constraint_residual: np.ndarray = None
+    newton_iters: np.ndarray = None
+    newton_residuals: np.ndarray = None
 
     @property
     def dt(self):
@@ -170,44 +184,76 @@ def _grid(t_final, dt):
     return dt * np.arange(steps + 1), steps
 
 
-class _OdeForm:
-    """Uniform access to full and reduced realizations for the integrator."""
+class _NewtonStep:
+    """Preassembled implicit-Euler Newton step shared by both integrators.
 
-    def __init__(self, sys):
-        if isinstance(sys, ReducedQbSystem):
-            self.E, self.A = sys.Ehat, sys.Ahat
-            self.H = HessianTensor.from_mode1(sys.Hhat)
-            self.N, self.B = sys.Nhat, sys.Bhat
-            self._C = sys.Chat
-            self._corr = sys if sys.has_output_corrections() else None
-        else:
-            self.E, self.A = sys.E, sys.A
-            self.H, self.N, self.B = sys.H, sys.N, sys.B
-            self._C = sys.C
-            self._corr = None
-        self.n = self.A.shape[0]
-        self.m = self.B.shape[1]
+    The unknown ``z = (x, p)`` stacks the state and, for descriptor systems,
+    the multiplier.  The step under input ``u`` solves
 
-    def rhs(self, x, u):
-        f = self.A @ x + apply_hessian(self.H, x, x) + self.B @ u
-        for k, Nk in enumerate(self.N):
-            f = f + (Nk @ x) * u[k]
-        return f
+        K(u) z - dt [H (x kron x); 0] = [E x_old + dt B u; -B2 u],
+        K(u) = [[E - dt A - dt sum_k u_k N_k, -dt A12], [A21, 0]],
 
-    def jac(self, x, u):
-        J = self.A + quadratic_jacobian(self.H, x)
-        for k, Nk in enumerate(self.N):
-            J = J + Nk * u[k]
-        return J
+    by Newton.  An ODE has no multiplier block.  ``E - dt A`` and the
+    constraint blocks are written once per simulation, the bilinear term once
+    per step, and each iteration evaluates ``quadratic_jacobian`` once,
+    subtracts it from the velocity block of a copy of ``K(u)`` and solves
+    with one LAPACK ``gesv``.
+    """
 
-    def output(self, x, u):
-        y = self._C @ x
-        red = self._corr
-        if red is not None:
-            y = y + red.CHhat @ np.kron(x, x) + red.Dhat @ u
-            for k, Mk in enumerate(red.CNhat):
-                y = y + (Mk @ x) * u[k]
-        return y
+    def __init__(self, E, A, H, N, B, dt, A12=None, A21=None, B2=None):
+        n = A.shape[0]
+        n_c = 0 if A12 is None else A12.shape[1]
+        self.n, self.dt, self.H, self.E, self.B = n, dt, H, E, B
+        self._S = np.asfortranarray(E - dt * A)
+        self._N = tuple(np.asfortranarray(Nk) for Nk in N)
+        self._mB2 = np.zeros((0, B.shape[1])) if B2 is None else -B2
+        self._K = np.zeros((n + n_c, n + n_c), order="F")
+        if n_c:
+            self._K[:n, n:] = -dt * A12
+            self._K[n:, :n] = A21
+        self._J = np.empty_like(self._K)
+
+    def run(self, z0, U, t):
+        """States at every grid time with per-step Newton counts and residuals."""
+        Z = np.empty((t.size, z0.size))
+        iters = np.zeros(t.size, dtype=int)
+        resid = np.zeros(t.size)
+        Z[0] = z0
+        for k in range(1, t.size):
+            Z[k], iters[k], resid[k] = self._newton(Z[k - 1], U[k], k, t[k])
+        return Z, iters, resid
+
+    def _newton(self, z_old, u, k, tk):
+        n, dt, H, K, J = self.n, self.dt, self.H, self._K, self._J
+        Kv = K[:n, :n]
+        np.copyto(Kv, self._S)
+        for uq, Nq in zip(u, self._N):
+            Kv -= (dt * uq) * Nq
+        x_old = z_old[:n]
+        c = np.concatenate([self.E @ x_old + dt * (self.B @ u), self._mB2 @ u])
+        tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(x_old)))
+        z = z_old.copy()
+        for it in range(NEWTON_MAX + 1):
+            x = z[:n]
+            res = K @ z - c
+            res[:n] -= dt * apply_hessian(H, x, x)
+            norm = math.sqrt(res @ res)
+            if norm <= tol:
+                return z, it, norm
+            if it == NEWTON_MAX:
+                raise RuntimeError(
+                    f"Newton failed to converge at step {k} "
+                    f"(t={tk:.6g}, residual={norm:.3e})"
+                )
+            np.copyto(J, K)
+            J[:n, :n] -= dt * quadratic_jacobian(H, x)
+            _, _, dz, info = dgesv(J, res, overwrite_a=True, overwrite_b=True)
+            if info:
+                raise SolverError(
+                    f"singular Newton matrix at step {k} (t={tk:.6g}): "
+                    f"zero pivot {info} in the LU factorization"
+                )
+            z -= dz
 
 
 def simulate_ode(sys, u, t_final, dt):
@@ -215,38 +261,29 @@ def simulate_ode(sys, u, t_final, dt):
 
     Each step solves ``E (x_new - x_old) = dt * f(x_new, t_new)`` by Newton
     with the analytic Jacobian; outputs include the nonlinear corrections
-    when the system carries them.
+    when the system carries them.  Full and reduced realizations take the
+    same path.
     """
-    form = _OdeForm(sys)
-    if u.m != form.m:
-        raise ValueError(f"input has {u.m} channels, system expects {form.m}")
-    t, steps = _grid(t_final, dt)
-    X = np.zeros((steps + 1, form.n))
-    U = np.zeros((steps + 1, form.m))
-    Y = np.zeros((steps + 1, len(form.output(X[0], u.sample(0.0)))))
-    U[0] = u.sample(0.0)
-    Y[0] = form.output(X[0], U[0])
-    x = X[0].copy()
-    for k in range(steps):
-        tk1 = t[k + 1]
-        uk1 = u.sample(tk1)
-        x_new = x.copy()
-        tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(x)))
-        for it in range(NEWTON_MAX + 1):
-            res = form.E @ (x_new - x) - dt * form.rhs(x_new, uk1)
-            if np.linalg.norm(res) <= tol:
-                break
-            if it == NEWTON_MAX:
-                raise RuntimeError(
-                    f"Newton failed to converge at step {k + 1} "
-                    f"(t={tk1:.6g}, residual={np.linalg.norm(res):.3e})"
-                )
-            J = form.E - dt * form.jac(x_new, uk1)
-            x_new = x_new + la.solve(J, -res)
-        x = x_new
-        X[k + 1], U[k + 1] = x, uk1
-        Y[k + 1] = form.output(x, uk1)
-    return Trajectory(t=t, states=X, outputs=Y, inputs=U)
+    red = sys if isinstance(sys, ReducedQbSystem) else None
+    if red is not None:
+        E, A, N, B, C = red.Ehat, red.Ahat, red.Nhat, red.Bhat, red.Chat
+        H = HessianTensor.from_mode1(red.Hhat)
+    else:
+        E, A, H, N, B, C = sys.E, sys.A, sys.H, sys.N, sys.B, sys.C
+    if u.m != B.shape[1]:
+        raise ValueError(f"input has {u.m} channels, system expects {B.shape[1]}")
+    t, _ = _grid(t_final, dt)
+    U = u.on_grid(t)
+    X, iters, resid = _NewtonStep(E, A, H, N, B, dt).run(np.zeros(A.shape[0]), U, t)
+    Y = X @ C.T
+    if red is not None and red.has_output_corrections():
+        r = red.r
+        Y += (X[:, :, None] * X[:, None, :]).reshape(t.size, r * r) @ red.CHhat.T
+        Y += U @ red.Dhat.T
+        for q, Mq in enumerate(red.CNhat):
+            Y += (X @ Mq.T) * U[:, q, None]
+    return Trajectory(t=t, states=X, outputs=Y, inputs=U,
+                      newton_iters=iters, newton_residuals=resid)
 
 
 def simulate_dae(sys, u, t_final, dt, v0=None):
@@ -258,63 +295,23 @@ def simulate_dae(sys, u, t_final, dt, v0=None):
     """
     if u.m != sys.m:
         raise ValueError(f"input has {u.m} channels, system expects {sys.m}")
-    n_v, n_p = sys.n_v, sys.n_p
+    n_v = sys.n_v
     v = (sys.v0 if v0 is None else np.asarray(v0, dtype=float).ravel()).copy()
     u0 = u.sample(0.0)
     c0 = np.linalg.norm(sys.A21 @ v + sys.B2 @ u0)
     if c0 > 1e-8 * (1.0 + np.linalg.norm(v)):
         raise ValueError(f"inconsistent initial velocity: |A21 v0 + B2 u(0)| = {c0:.3e}")
-    t, steps = _grid(t_final, dt)
-    V = np.zeros((steps + 1, n_v))
-    P = np.zeros((steps + 1, n_p))
-    U = np.zeros((steps + 1, sys.m))
-    Y = np.zeros((steps + 1, sys.p))
-    CR = np.zeros(steps + 1)
-    V[0], U[0] = v, u0
-    P[0] = recover_pressure(sys, v, u0, udot=u.derivative(0.0) if sys.B2.any() else None)
-    Y[0] = sys.C1 @ v + sys.C2 @ P[0]
-    CR[0] = c0
-    p = P[0].copy()
-
-    def step_residual(vn, pn, vk, uk):
-        rv = sys.E11 @ (vn - vk) - dt * (
-            sys.A11 @ vn + sys.A12 @ pn + apply_hessian(sys.H, vn, vn)
-            + sum((Nk @ vn) * uk[q] for q, Nk in enumerate(sys.N))
-            + sys.B1 @ uk
-        )
-        rc = sys.A21 @ vn + sys.B2 @ uk
-        return np.concatenate([rv, rc])
-
-    for k in range(steps):
-        uk1 = u.sample(t[k + 1])
-        vn, pn = v.copy(), p.copy()
-        tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(v)))
-        for it in range(NEWTON_MAX + 1):
-            res = step_residual(vn, pn, v, uk1)
-            if np.linalg.norm(res) <= tol:
-                break
-            if it == NEWTON_MAX:
-                raise RuntimeError(
-                    f"Newton failed to converge at step {k + 1} "
-                    f"(t={t[k + 1]:.6g}, residual={np.linalg.norm(res):.3e})"
-                )
-            Jv = sys.A11 + quadratic_jacobian(sys.H, vn)
-            for q, Nk in enumerate(sys.N):
-                Jv = Jv + Nk * uk1[q]
-            J = np.zeros((n_v + n_p, n_v + n_p))
-            J[:n_v, :n_v] = sys.E11 - dt * Jv
-            J[:n_v, n_v:] = -dt * sys.A12
-            J[n_v:, :n_v] = sys.A21
-            dz = la.solve(J, -res)
-            vn = vn + dz[:n_v]
-            pn = pn + dz[n_v:]
-        v, p = vn, pn
-        V[k + 1], P[k + 1], U[k + 1] = v, p, uk1
-        Y[k + 1] = sys.C1 @ v + sys.C2 @ p
-        CR[k + 1] = np.linalg.norm(sys.A21 @ v + sys.B2 @ uk1)
-    states = np.hstack([V, P])
-    return Trajectory(t=t, states=states, outputs=Y, inputs=U,
-                      constraint_residual=CR)
+    t, _ = _grid(t_final, dt)
+    U = u.on_grid(t)
+    p0 = recover_pressure(sys, v, u0, udot=u.derivative(0.0) if sys.B2.any() else None)
+    step = _NewtonStep(sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt,
+                       sys.A12, sys.A21, sys.B2)
+    Z, iters, resid = step.run(np.concatenate([v, p0]), U, t)
+    V, P = Z[:, :n_v], Z[:, n_v:]
+    CR = np.linalg.norm(V @ sys.A21.T + U @ sys.B2.T, axis=1)
+    return Trajectory(t=t, states=Z, outputs=V @ sys.C1.T + P @ sys.C2.T,
+                      inputs=U, constraint_residual=CR,
+                      newton_iters=iters, newton_residuals=resid)
 
 
 def compare(full, red):

@@ -44,7 +44,7 @@ class HessianTensor:
     averaging step, see :func:`symmetrize`).
     """
 
-    __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes")
+    __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_jac")
 
     def __init__(self, n, i, j, k, v, symmetric=False):
         n = int(n)
@@ -78,6 +78,7 @@ class HessianTensor:
         self.symmetric = bool(symmetric)
         self._i, self._j, self._k, self._v = i, j, k, v
         self._modes = {}
+        self._jac = None
 
     # -- constructors ------------------------------------------------------
 
@@ -133,6 +134,20 @@ class HessianTensor:
         )
         self._modes[mode] = M
         return M
+
+    def _jacobian_pattern(self):
+        """``(flat, operand, values)`` of the two Jacobian terms of every entry.
+
+        Entry ``(i, j, k, v)`` adds ``v x[k]`` at ``(i, j)`` and ``v x[j]`` at
+        ``(i, k)``; ``flat`` holds those positions in column-major order
+        (``col*n + row``), all first terms before all second terms.
+        """
+        if self._jac is None:
+            i, j, k, n = self._i, self._j, self._k, self.n
+            self._jac = (np.concatenate([j * n + i, k * n + i]),
+                         np.concatenate([k, j]),
+                         np.concatenate([self._v, self._v]))
+        return self._jac
 
     def to_dense(self):
         T = np.zeros((self.n, self.n, self.n))
@@ -195,10 +210,7 @@ def apply_hessian(t, a, b):
             f"operand shapes {a.shape}, {b.shape} do not match tensor "
             f"dimension {t.n}"
         )
-    dtype = np.result_type(t._v, a, b)
-    out = np.zeros(t.n, dtype=dtype)
-    np.add.at(out, t._i, t._v * a[t._j] * b[t._k])
-    return out
+    return _scatter_sum(t._i, t._v * a[t._j] * b[t._k], t.n)
 
 
 def apply_unfolded(M, L, R):
@@ -252,13 +264,23 @@ def quadratic_jacobian(t, x):
     """Matrix of ``y -> H (x kron y) + H (y kron x)``.
 
     This is the Jacobian of ``x -> H (x kron x)`` and equals
-    ``H (x kron I + I kron x)`` as an n-by-n matrix.
+    ``H (x kron I + I kron x)`` as an n-by-n matrix, returned in Fortran
+    (column-major) order, the layout LAPACK factors in place.
     """
     x = np.asarray(x)
     if x.shape != (t.n,):
         raise ValueError(f"operand shape {x.shape} does not match n={t.n}")
-    dtype = np.result_type(t._v, x)
-    out = np.zeros((t.n, t.n), dtype=dtype)
-    np.add.at(out, (t._i, t._j), t._v * x[t._k])
-    np.add.at(out, (t._i, t._k), t._v * x[t._j])
+    flat, operand, values = t._jacobian_pattern()
+    return _scatter_sum(flat, values * x[operand], t.n * t.n).reshape(
+        t.n, t.n, order="F")
+
+
+def _scatter_sum(index, weights, size):
+    """``out[index[e]] += weights[e]`` in entry order, for real or complex weights."""
+    if weights.dtype.kind != "c":
+        # bincount returns integers when there are no entries at all
+        return np.bincount(index, weights, size).astype(weights.dtype, copy=False)
+    out = np.empty(size, dtype=np.result_type(weights, np.complex128))
+    out.real = np.bincount(index, weights.real, size)
+    out.imag = np.bincount(index, weights.imag, size)
     return out

@@ -1,10 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+import qbmor.simulate as simulate
+from qbmor.dae_transform import recover_pressure
+from qbmor.dense_solvers import SolverError
 from qbmor.problems import gen_burgers, gen_synthetic_dae
-from qbmor.simulate import InputSignal, Trajectory, compare, simulate_dae, simulate_ode
+from qbmor.simulate import (
+    NEWTON_MAX,
+    NEWTON_TOL,
+    InputSignal,
+    Trajectory,
+    compare,
+    simulate_dae,
+    simulate_ode,
+)
 from qbmor.system_model import QbOdeSystem, project_ode
-from qbmor.tensor_kron import HessianTensor
+from qbmor.tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
+
+from helpers import random_stable_ode
 
 
 def test_zero_input_zero_trajectory():
@@ -60,6 +76,105 @@ def test_reduced_identity_projection_bit_identical():
     b = simulate_ode(red, u, 1.0, 0.01)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.outputs, b.outputs)
+
+
+@pytest.mark.parametrize("kind", ["ode", "dae"])
+def test_newton_counts_match_jacobian_calls(kind, monkeypatch):
+    calls = []
+    kernel = simulate.quadratic_jacobian
+
+    def counted(t, x):
+        calls.append(1)
+        return kernel(t, x)
+
+    monkeypatch.setattr(simulate, "quadratic_jacobian", counted)
+    if kind == "ode":
+        traj = simulate_ode(gen_burgers(10, 0.1), InputSignal.preset_cavity(1), 1.0, 0.01)
+        x = traj.states
+    else:
+        sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=4, quad_scale=0.1)
+        traj = simulate_dae(sys, InputSignal.preset_cavity(2), 1.0, 0.01)
+        x = traj.states[:, :12]
+    assert traj.newton_iters.shape == traj.newton_residuals.shape == traj.t.shape
+    assert traj.newton_iters[0] == 0
+    assert len(calls) == traj.newton_iters.sum()
+    tol = NEWTON_TOL * np.maximum(1.0, np.linalg.norm(x[:-1], axis=1))
+    assert np.all(traj.newton_residuals[1:] <= tol)
+
+
+def test_singular_newton_matrix_names_step_and_time():
+    # E - dt A = diag(1.5, 0) at dt = 0.5, and H = 0 keeps it singular
+    sys = QbOdeSystem(E=np.eye(2), A=np.diag([-1.0, 2.0]), H=HessianTensor.zero(2),
+                      N=(np.zeros((2, 2)),), B=np.ones((2, 1)), C=np.ones((1, 2)))
+    u = InputSignal(1, lambda t: 1.0, lambda t: 0.0)
+    with pytest.raises(SolverError, match=r"singular Newton matrix at step 1 \(t=0\.5\)"):
+        simulate_ode(sys, u, 1.0, 0.5)
+
+
+def test_non_finite_input_fails_newton():
+    u = InputSignal(1, lambda t: np.nan if t > 0.25 else 0.0, lambda t: 0.0)
+    with pytest.raises(RuntimeError, match=r"Newton failed to converge at step 3 \(t=0\.3,"):
+        simulate_ode(gen_burgers(8, 0.5), u, 1.0, 0.1)
+
+
+def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2):
+    """Implicit Euler written from the definition, one dense Newton solve at a time."""
+    n, n_c = A.shape[0], A12.shape[1]
+    Z = [z0]
+    for u in U[1:]:
+        x_old, z = Z[-1][:n], Z[-1].copy()
+        for _ in range(NEWTON_MAX):
+            x, p = z[:n], z[n:]
+            f = (A @ x + A12 @ p + apply_hessian(H, x, x) + B @ u
+                 + sum((Nq @ x) * uq for uq, Nq in zip(u, N)))
+            res = np.concatenate([E @ (x - x_old) - dt * f, A21 @ x + B2 @ u])
+            if np.linalg.norm(res) <= NEWTON_TOL * max(1.0, np.linalg.norm(x_old)):
+                break
+            Jv = A + quadratic_jacobian(H, x) + sum(Nq * uq for uq, Nq in zip(u, N))
+            J = np.block([[E - dt * Jv, -dt * A12], [A21, np.zeros((n_c, n_c))]])
+            z = z - la.solve(J, res)
+        Z.append(z)
+    return np.array(Z)
+
+
+@pytest.mark.parametrize("kind", ["ode", "dae", "reduced"])
+def test_newton_step_matches_reference(kind):
+    dt, u = 0.01, InputSignal.preset_cavity(2)
+    if kind == "dae":
+        sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1,
+                                with_b2=True, with_c2=True)
+        traj = simulate_dae(sys, u, 1.0, dt)
+        z0 = np.concatenate([sys.v0, recover_pressure(sys, sys.v0, u.sample(0.0),
+                                                      udot=u.derivative(0.0))])
+        Z = reference_euler(sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt, traj.inputs,
+                            z0, sys.A12, sys.A21, sys.B2)
+        V, P = Z[:, :12], Z[:, 12:]
+        Y = V @ sys.C1.T + P @ sys.C2.T
+        cres = np.linalg.norm(V @ sys.A21.T + traj.inputs @ sys.B2.T, axis=1)
+        assert np.all(np.abs(traj.constraint_residual - cres) <= 1e-12 * np.abs(V).max())
+    else:
+        sys = random_stable_ode(3, 7, m=2, p=2)
+        E, A, H, N, B, C = sys.E, sys.A, sys.H, sys.N, sys.B, sys.C
+        if kind == "reduced":
+            rng = np.random.default_rng(3)
+            Q = la.qr(rng.standard_normal((7, 4)), mode="economic")[0]
+            sys = dataclasses.replace(
+                project_ode(sys, Q, Q), CHhat=rng.standard_normal((2, 16)),
+                CNhat=tuple(rng.standard_normal((2, 4)) for _ in range(2)),
+                Dhat=rng.standard_normal((2, 2)))
+            E, A, N, B, C = sys.Ehat, sys.Ahat, sys.Nhat, sys.Bhat, sys.Chat
+            H = HessianTensor.from_mode1(sys.Hhat)
+        traj = simulate_ode(sys, u, 1.0, dt)
+        Z = reference_euler(E, A, H, N, B, dt, traj.inputs, np.zeros(A.shape[0]),
+                            np.zeros((A.shape[0], 0)), np.zeros((0, A.shape[0])),
+                            np.zeros((0, 2)))
+        Y = Z @ C.T
+        if kind == "reduced":
+            Y = Y + np.array([sys.CHhat @ np.kron(x, x) + sys.Dhat @ uk
+                              + sum((M @ x) * uq for uq, M in zip(uk, sys.CNhat))
+                              for x, uk in zip(Z, traj.inputs)])
+    assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
+    assert np.linalg.norm(traj.outputs - Y) <= 1e-12 * np.linalg.norm(Y)
 
 
 def test_input_channel_mismatch():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qbmor.tensor_kron import (
     HessianTensor,
@@ -219,6 +221,45 @@ def test_quadratic_jacobian_matches_directional_derivative():
     y = rng.standard_normal(6)
     expect = apply_hessian(t, x, y) + apply_hessian(t, y, x)
     assert np.allclose(J @ y, expect, rtol=1e-13, atol=1e-14)
+
+
+_VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False,
+                    allow_subnormal=False)
+
+
+@st.composite
+def tensor_and_operands(draw):
+    """A random sparse tensor (possibly empty) and two real or complex operands."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, index, _VALUES), max_size=2 * n ** 3))
+    t = HessianTensor(n, *zip(*entries)) if entries else HessianTensor.zero(n)
+    vector = st.lists(_VALUES, min_size=n, max_size=n).map(np.array)
+    if draw(st.booleans()):
+        return t, draw(vector) + 1j * draw(vector), draw(vector) + 1j * draw(vector)
+    return t, draw(vector), draw(vector)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_and_operands())
+@example((HessianTensor.zero(3), np.ones(3), np.ones(3)))
+@example((HessianTensor(1, [0], [0], [0], [2.5]), np.array([1.0 + 2.0j]),
+          np.array([3.0 - 1.0j])))
+def test_kernels_match_dense_oracle(case):
+    t, a, b = case
+    T = t.to_dense()
+    dtype = np.result_type(T, a, b)
+    got = apply_hessian(t, a, b)
+    expect = np.einsum("ijk,j,k->i", T, a, b)
+    bound = 1e-13 * np.einsum("ijk,j,k->i", np.abs(T), np.abs(a), np.abs(b))
+    assert got.dtype == dtype and got.shape == (t.n,)
+    assert np.all(np.abs(got - expect) <= bound)
+    J = quadratic_jacobian(t, a)
+    expect = np.einsum("ijk,k->ij", T, a) + np.einsum("ijk,j->ik", T, a)
+    bound = 1e-13 * (np.einsum("ijk,k->ij", np.abs(T), np.abs(a))
+                     + np.einsum("ijk,j->ik", np.abs(T), np.abs(a)))
+    assert J.dtype == np.result_type(T, a) and J.shape == (t.n, t.n)
+    assert np.all(np.abs(J - expect) <= bound)
 
 
 def test_congruence_memory_stays_below_n_squared():
