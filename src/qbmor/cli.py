@@ -21,7 +21,7 @@ from .dae_transform import (
 )
 from .dense_solvers import SolverError
 from .gramians_norms import truncated_h2_norm
-from .mmio import write_json
+from .mmio import _read_table, write_json
 from .problems import gen_burgers, gen_synthetic_dae, load_system, save_reduced, save_system
 from .simulate import InputSignal, Trajectory, compare, simulate_dae, simulate_ode
 from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
@@ -44,10 +44,7 @@ def _make_input(text, m):
         return InputSignal.preset_cavity(m)
     if text.startswith("csv:"):
         path = text[4:]
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            body = np.array([[float(x) for x in line.split(",")]
-                             for line in fh if line.strip()])
+        header, body = _read_table(path)
         if header[0] != "t":
             raise ValueError(f"{path}: input table must start with a 't' column")
         return InputSignal.from_table(body[:, 0], body[:, 1:m + 1])

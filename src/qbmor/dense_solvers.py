@@ -161,9 +161,11 @@ def realify_paired_columns(lam, M):
 
 
 def _canonical_eigenbasis(w, Y):
-    """Sort by (real, imag), enforce exact conjugate pairing, fix phases."""
-    order = np.lexsort((w.imag, w.real))
-    w, Y = w[order].copy(), Y[:, order].copy()
+    """Enforce exact conjugate pairing, fix phases, then sort by (real, imag).
+
+    Sorting after the snap keeps pair members, whose computed real parts can
+    differ by roundoff, adjacent and in order.
+    """
     split = conjugate_pairs(w)
     if split is None:
         raise SolverError("real pencil produced a non-conjugate spectrum")
@@ -174,7 +176,7 @@ def _canonical_eigenbasis(w, Y):
         y = y / pivot
         return y / np.linalg.norm(y)
 
-    Y = Y.astype(complex)
+    w, Y = w.astype(complex), Y.astype(complex)
     for idx in real_idx:
         w[idx] = w[idx].real
         Y[:, idx] = normalized(Y[:, idx].real).astype(complex)
@@ -183,7 +185,8 @@ def _canonical_eigenbasis(w, Y):
         w[pos] = w[neg].conjugate()
         Y[:, neg] = normalized(Y[:, neg])
         Y[:, pos] = Y[:, neg].conjugate()
-    return w, Y
+    order = np.lexsort((w.imag, w.real))
+    return w[order], Y[:, order]
 
 
 def _left_inverse(EY):
@@ -347,6 +350,23 @@ def solve_shifted(E, A, sigma, rhs):
     return fact if rhs is None else fact.solve(rhs)
 
 
+def _solve_family(solve, RHS, split, trans=False):
+    """One column per shift via ``solve(idx, rhs, trans)``, mirroring pairs.
+
+    ``split`` is ``(real_indices, pairs)`` from :func:`conjugate_pairs`; of
+    each pair only the negative-imaginary column is solved and its partner
+    is the conjugate, exact for conjugate-paired right-hand-side columns.
+    """
+    V = np.zeros(RHS.shape, dtype=complex)
+    real_idx, pairs = split
+    for idx in real_idx:
+        V[:, idx] = solve(idx, RHS[:, idx], trans)
+    for neg, pos in pairs:
+        V[:, neg] = solve(neg, RHS[:, neg], trans)
+        V[:, pos] = V[:, neg].conjugate()
+    return V
+
+
 def solve_sylvester(E, A, lam, RHS, realify=True):
     """Solve ``-E V diag(lam) - A V = RHS`` column-wise.
 
@@ -363,7 +383,6 @@ def solve_sylvester(E, A, lam, RHS, realify=True):
             f"RHS must have one column per shift, got {RHS.shape} for "
             f"{lam.size} shifts"
         )
-    n = RHS.shape[0]
     split = conjugate_pairs(lam)
     paired_rhs = False
     if split is not None and split[1]:
@@ -372,34 +391,25 @@ def solve_sylvester(E, A, lam, RHS, realify=True):
             <= 1e-10 * (_fro(RHS[:, neg]) + _TINY)
             for neg, pos in split[1]
         )
-    complex_data = np.iscomplexobj(RHS) or np.iscomplexobj(lam)
-    V = np.zeros((n, lam.size), dtype=complex if complex_data else float)
-    done = np.zeros(lam.size, dtype=bool)
 
-    def column(idx):
+    def column(idx, rhs, trans):
         try:
-            return solve_shifted(E, A, lam[idx], RHS[:, idx])
+            return solve_shifted(E, A, lam[idx], rhs)
         except SolverError as exc:
             raise SolverError(f"column {idx}: {exc}") from exc
 
-    if split is not None and paired_rhs:
-        real_idx, pairs = split
-        for idx in real_idx:
-            V[:, idx] = column(idx)
-            done[idx] = True
-        for neg, pos in pairs:
-            V[:, neg] = column(neg)
-            V[:, pos] = V[:, neg].conjugate()
-            done[neg] = done[pos] = True
-    for idx in np.flatnonzero(~done):
-        V[:, idx] = column(idx)
+    # without paired data every column is solved on its own
+    V = _solve_family(column, RHS, split if paired_rhs else (range(lam.size), []))
+    complex_data = np.iscomplexobj(RHS) or np.iscomplexobj(lam)
+    if not complex_data:
+        V = V.real.copy()
     res = _fro(-(E @ (V * lam[None, :])) - A @ V - RHS) / max(_fro(RHS), _TINY)
     if res > SYLVESTER_TOL:
         raise ResidualError(
             f"sylvester solve residual {res:.3e} exceeds {SYLVESTER_TOL:.0e}"
         )
     _note("sylvester", res)
-    if realify and complex_data and split is not None and paired_rhs:
+    if realify and complex_data and paired_rhs:
         return realify_paired_columns(lam, V)
     return V
 

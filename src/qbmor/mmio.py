@@ -1,4 +1,5 @@
-"""Matrix Market read/write with strict validation, and atomic file output.
+"""Matrix Market read/write with strict validation, atomic file output, and
+the reader of the comma-separated tables used for inputs and trajectories.
 
 Supports ``coordinate real general`` (1-based indices) and
 ``array real general`` (column-major).  Values are written with 17
@@ -95,6 +96,23 @@ def _columns(path, lines, start, kinds):
                 ) from None
         raise ValueError(f"{path}: {exc}") from None
     return [table[name] for name, _ in dtype]
+
+
+def _read_table(path):
+    """``(header, body)`` of a CSV table: one header line, then rows of floats."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = [line.split(",") for line in map(str.strip, fh) if line]
+    if not rows:
+        raise ValueError(f"{path}: table has no data rows")
+    for no, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: data row {no} has {len(row)} columns, "
+                             f"the header has {len(header)}")
+    try:
+        return header, np.array([[float(x) for x in row] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: non-numeric table entry ({exc})") from None
 
 
 @contextmanager

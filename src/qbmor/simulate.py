@@ -16,7 +16,7 @@ from scipy.linalg.lapack import dgesv
 
 from .dae_transform import recover_pressure
 from .dense_solvers import SolverError
-from .mmio import atomic_open
+from .mmio import _read_table, atomic_open
 from .system_model import ReducedQbSystem
 from .tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
 
@@ -162,12 +162,8 @@ class Trajectory:
     @staticmethod
     def read_csv(path):
         """Load ``(t, inputs, outputs, constraint_residual)`` from a trajectory CSV."""
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            body = np.array(
-                [[float(x) for x in line.split(",")] for line in fh if line.strip()]
-            )
-        if not header or header[0] != "t":
+        header, body = _read_table(path)
+        if header[0] != "t":
             raise ValueError(f"{path}: not a trajectory CSV (header {header[:3]}...)")
         u_cols = [i for i, c in enumerate(header) if c.startswith("u_")]
         y_cols = [i for i, c in enumerate(header) if c.startswith("y_")]

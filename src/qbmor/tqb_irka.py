@@ -1,10 +1,10 @@
 """Truncated-H2 iterative rational Krylov drivers for QB systems.
 
-One iteration diagonalizes the current reduced pencil, transforms the
-reduced data into interpolation form, solves two families of shifted linear
-systems per side (a linear family and a quadratic/bilinear correction
-family), sums and orthonormalizes the results, and projects the full-order
-matrices.  Every distinct shift of a sweep is factored once, and that one
+One iteration brings the reduced data into interpolation form with the
+diagonalization of the current reduced pencil, solves two families of
+shifted linear systems per side (a linear family and a quadratic/bilinear
+correction family), sums and orthonormalizes the results, and projects the
+full-order matrices.  Every distinct shift of a sweep is factored once, and that one
 factorization serves all four families: plain solves for ``V`` and
 transposed solves for ``W``.  The three entry points share this core and
 differ only in the shift factorization they pass:
@@ -16,8 +16,10 @@ differ only in the shift factorization they pass:
   sparse blocks, whose transpose is the adjoint saddle matrix (production
   path).
 
-Convergence is declared when the sorted reduced-pencil eigenvalues change by
-less than ``tol`` (relative, 2-norm) between sweeps.
+Each reduced pencil is diagonalized once, by :func:`pencil_eig`: its sorted
+spectrum is both the convergence spectrum of the sweep that produced it and
+the source of the next sweep's shifts.  Convergence is declared when that
+spectrum changes by less than ``tol`` (relative, 2-norm) between sweeps.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from .dae_transform import build_projectors, output_realization
 from .dense_solvers import (
     SolverError,
+    _solve_family,
     conjugate_pairs,
     pencil_eig,
     realify_paired_columns,
@@ -54,17 +56,17 @@ __all__ = [
 class IrkaConfig:
     """Iteration parameters.
 
-    ``init_mode`` is ``"random-linear"`` (seeded stable diagonal linear
-    start, zero quadratic part) or ``"user"`` with ``initial_model`` set to a
-    :class:`ReducedQbSystem` supplying the starting realization.
-    ``record_bases`` stores the per-iteration projection bases in the trace.
+    The iteration starts from ``initial_model``, a :class:`ReducedQbSystem`
+    of order ``r``, when it is set, and otherwise from a linear model drawn
+    from ``seed`` (stable diagonal ``Ahat``, zero quadratic and bilinear
+    parts).  ``record_bases`` stores the per-iteration projection bases in
+    the trace.
     """
 
     r: int
     tol: float = 1e-5
     max_iters: int = 50
     seed: int = 0
-    init_mode: str = "random-linear"
     initial_model: object = None
     record_bases: bool = False
 
@@ -75,10 +77,6 @@ class IrkaConfig:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.init_mode not in ("random-linear", "user"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
-        if self.init_mode == "user" and self.initial_model is None:
-            raise ValueError("init_mode='user' needs initial_model")
 
 
 @dataclass
@@ -105,37 +103,15 @@ class IrkaTrace:
         }
 
 
-def _sorted_eigvals(Ahat, Ehat):
-    """Spectrum sorted by (real, imag) with conjugate pairs made exact.
-
-    Pair members as computed can differ in their real parts by roundoff,
-    which would make the sort order (and hence the eigenvalue-change metric)
-    noise-driven; snapping each pair to exact conjugates first keeps the
-    ordering deterministic.
-    """
-    w = la.eigvals(Ahat, Ehat)
-    split = conjugate_pairs(w)
-    if split is not None:
-        w = w.copy()
-        for neg, pos in split[1]:
-            mid = 0.5 * (w[neg] + w[pos].conjugate())
-            w[neg] = complex(mid.real, -abs(mid.imag))
-            w[pos] = w[neg].conjugate()
-        for idx in split[0]:
-            w[idx] = complex(w[idx].real, 0.0)
-    return w[np.lexsort((w.imag, w.real))]
-
-
 def _initial_model(cfg, m, p):
-    if cfg.init_mode == "user":
-        g = cfg.initial_model
-        if g.m != m or g.p != p:
+    g = cfg.initial_model
+    if g is not None:
+        if (g.m, g.p, g.r) != (m, p, cfg.r):
             raise ValueError(
-                f"initial model has ({g.m}, {g.p}) inputs/outputs, "
-                f"expected ({m}, {p})"
+                f"initial model has (inputs, outputs, order) = ({g.m}, {g.p}, "
+                f"{g.r}), expected ({m}, {p}, {cfg.r})"
             )
-        return (g.Ehat.copy(), g.Ahat.copy(), g.Hhat.copy(),
-                tuple(Nk.copy() for Nk in g.Nhat), g.Bhat.copy(), g.Chat.copy())
+        return g.Ehat, g.Ahat, g.Hhat, g.Nhat, g.Bhat, g.Chat
     r = cfg.r
     rng = np.random.default_rng(cfg.seed)
     Eh = np.eye(r)
@@ -148,11 +124,6 @@ def _initial_model(cfg, m, p):
     Bh = rng.standard_normal((r, m))
     Ch = rng.standard_normal((p, r))
     return Eh, Ah, Hh, Nh, Bh, Ch
-
-
-def _dense_mode2(Hm, r):
-    T = Hm.reshape(r, r, r)
-    return np.transpose(T, (1, 2, 0)).reshape(r, r * r)
 
 
 def _shift_solver(factor, lam, n):
@@ -180,19 +151,7 @@ def _shift_solver(factor, lam, n):
     return solve
 
 
-def _solve_family(solve, RHS, pairs_split, trans=False):
-    """One column per shift, mirroring exact conjugate shift pairs."""
-    V = np.zeros(RHS.shape, dtype=complex)
-    real_idx, pairs = pairs_split
-    for idx in real_idx:
-        V[:, idx] = solve(idx, RHS[:, idx], trans)
-    for neg, pos in pairs:
-        V[:, neg] = solve(neg, RHS[:, neg], trans)
-        V[:, pos] = V[:, neg].conjugate()
-    return V
-
-
-def _run_iteration(state, factor, data, lam_split, fact):
+def _run_iteration(state, factor, data, fact):
     """One sweep: interpolation data, four solve families, projection."""
     Eh, Ah, Hh, Nh, Bh, Ch = state
     E, A, H, N, B, C = data
@@ -202,8 +161,9 @@ def _run_iteration(state, factor, data, lam_split, fact):
     Ct = Ch @ Y                              # p x r
     Nt = [X @ Nk @ Y for Nk in Nh]
     Ht = X @ apply_unfolded(Hh, Y, Y)        # r x r^2, complex
-    Ht2 = _dense_mode2(Ht, r)
+    Ht2 = np.transpose(Ht.reshape(r, r, r), (1, 2, 0)).reshape(r, r * r)  # mode 2
     solve = _shift_solver(factor, lam, B.shape[0])
+    lam_split = conjugate_pairs(lam)
 
     V1 = _solve_family(solve, (B @ Bt.T).astype(complex), lam_split)
     rhs_v2 = hessian_congruence(H, 1, V1, V1) @ Ht.T
@@ -229,7 +189,9 @@ def _drive(factor, data, cfg):
 
     ``data`` is the realization ``(E, A, H, N, B, C)`` that every sweep
     projects; ``factor(sigma).solve(rhs, trans)`` must return a solution
-    whose first ``n`` rows are the state block.
+    whose first ``n`` rows are the state block.  Each reduced model, the
+    initial one included, is diagonalized once; its spectrum ends one sweep's
+    convergence test and gives the next sweep's shifts.
     """
     B, C = data[4], data[5]
     n, m = B.shape
@@ -237,20 +199,17 @@ def _drive(factor, data, cfg):
     if cfg.r > n:
         raise ValueError(f"reduced order {cfg.r} exceeds state dimension {n}")
     state = _initial_model(cfg, m, p)
-    lam_prev = _sorted_eigvals(state[1], state[0])
+    fact = pencil_eig(state[0], state[1])
     trace = IrkaTrace()
-    V = W = None
     for it in range(1, cfg.max_iters + 1):
+        lam_prev = fact.eigenvalues
         try:
             with record_residuals() as rlog:
+                state, V, W = _run_iteration(state, factor, data, fact)
                 fact = pencil_eig(state[0], state[1])
-                split = conjugate_pairs(fact.eigenvalues)
-                if split is None:
-                    raise SolverError("reduced spectrum not conjugate-closed")
-                state, V, W = _run_iteration(state, factor, data, split, fact)
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
-        lam_new = _sorted_eigvals(state[1], state[0])
+        lam_new = fact.eigenvalues
         change = float(np.linalg.norm(lam_new - lam_prev)
                        / max(np.linalg.norm(lam_prev), np.finfo(float).tiny))
         trace.iterations = it
@@ -259,7 +218,6 @@ def _drive(factor, data, cfg):
         trace.max_residuals.append(max((v for _, v in rlog), default=0.0))
         if cfg.record_bases:
             trace.bases.append((V.copy(), W.copy()))
-        lam_prev = lam_new
         if change < cfg.tol:
             trace.converged = True
             break
@@ -275,19 +233,7 @@ def tqb_irka_ode(sys, cfg):
     E, A = sys.E, sys.A
     state, trace, V, W = _drive(lambda s: solve_shifted(E, A, s, None),
                                 (E, A, sys.H, sys.N, sys.B, sys.C), cfg)
-    Eh, Ah, Hh, Nh, Bh, Ch = state
-    red = ReducedQbSystem(Ehat=Eh, Ahat=Ah, Hhat=Hh, Nhat=Nh, Bhat=Bh,
-                          Chat=Ch, V=V, W=W)
-    return red, trace
-
-
-def _finish_dae(state, trace, V, W, corr):
-    Eh, Ah, Hh, Nh, Bh, Ch = state
-    CHhat, CNhat, Dhat = project_dae_outputs(corr, V)
-    red = ReducedQbSystem(Ehat=Eh, Ahat=Ah, Hhat=Hh, Nhat=Nh, Bhat=Bh,
-                          Chat=Ch, V=V, W=W,
-                          CHhat=CHhat, CNhat=CNhat, Dhat=Dhat)
-    return red, trace
+    return ReducedQbSystem(*state, V=V, W=W), trace
 
 
 class _Lifted:
@@ -322,7 +268,7 @@ def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
 
     state, trace, V, W = _drive(
         factor, (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg)
-    return _finish_dae(state, trace, V, W, corr)
+    return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace
 
 
 def tqb_irka_dae_saddle(sys, cfg, output_corr=None):
@@ -339,4 +285,4 @@ def tqb_irka_dae_saddle(sys, cfg, output_corr=None):
     state, trace, V, W = _drive(
         lambda s: solve_saddle(E11, A11, A12, A21, s, None),
         (E11, A11, sys.H, sys.N, sys.B1, corr.C), cfg)
-    return _finish_dae(state, trace, V, W, corr)
+    return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace

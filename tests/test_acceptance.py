@@ -178,8 +178,7 @@ def test_criterion_06_fixed_point_certificate():
     cfg = IrkaConfig(r=6, seed=42, tol=1e-5, max_iters=50)
     red, trace = tqb_irka_ode(sys, cfg)
     assert trace.converged and trace.iterations <= 50
-    _, extra = tqb_irka_ode(sys, IrkaConfig(r=6, init_mode="user",
-                                            initial_model=red, max_iters=1))
+    _, extra = tqb_irka_ode(sys, IrkaConfig(r=6, initial_model=red, max_iters=1))
     assert extra.relative_changes[-1] < 1e-5
     report(6, "fixed-point certificate",
            f"converged in {trace.iterations} iterations, extra sweep "

@@ -142,6 +142,30 @@ def test_compare_identical_files(tmp_path):
     assert report["aggregate_relative_l2"] == 0.0
 
 
+def test_header_only_tables_fail_cleanly(tmp_path, capsys):
+    sysdir = tmp_path / "sys"
+    save_system(gen_burgers(12, 0.1), sysdir)
+    traj = tmp_path / "traj.csv"
+    assert run(["simulate", "--system", str(sysdir / "manifest.json"),
+                "--t-final", "1", "--dt", "0.1", "--out", str(traj)]) == 0
+    empty_input = tmp_path / "input.csv"
+    empty_input.write_text("t,u_1\n")
+    empty_traj = tmp_path / "empty.csv"
+    empty_traj.write_text("t,u_1,y_1\n")
+    capsys.readouterr()
+    for args, bad in (
+        (["simulate", "--system", str(sysdir / "manifest.json"),
+          "--input", f"csv:{empty_input}", "--t-final", "1", "--dt", "0.1",
+          "--out", str(tmp_path / "out.csv")], empty_input),
+        (["compare", "--full", str(traj), "--reduced", str(empty_traj),
+          "--out", str(tmp_path / "r.json")], empty_traj),
+    ):
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qbmor: error: ")
+        assert f"{bad}: table has no data rows" in err
+
+
 def test_compare_grid_mismatch(tmp_path):
     sysdir = tmp_path / "sys"
     save_system(gen_burgers(12, 0.1), sysdir)

@@ -65,6 +65,16 @@ def test_pencil_eig_conjugate_closed():
         assert np.array_equal(fact.Y[:, pos], fact.Y[:, neg].conjugate())
 
 
+@pytest.mark.parametrize("seed", [14, 26, 41])
+def test_pencil_eig_sorts_after_pairing(seed):
+    # pair members whose computed real parts differ by roundoff end up
+    # out of (real, imag) order unless the pairs are snapped before sorting
+    A = np.random.default_rng(seed).standard_normal((4, 4))
+    lam = pencil_eig(np.eye(4), A).eigenvalues
+    assert conjugate_pairs(lam) is not None
+    assert np.array_equal(np.lexsort((lam.imag, lam.real)), np.arange(4))
+
+
 def test_pencil_eig_singular_mass():
     with pytest.raises(SolverError, match="singular"):
         pencil_eig(np.zeros((2, 2)), np.eye(2))

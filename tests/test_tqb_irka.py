@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg as la
 
 from qbmor.dae_transform import build_projectors, explicit_ode
-from qbmor import dense_solvers
+from qbmor import dense_solvers, tqb_irka
 from qbmor.dense_solvers import (
     SolverError,
     conjugate_pairs,
@@ -41,8 +41,9 @@ def test_config_validation():
         IrkaConfig(r=0)
     with pytest.raises(ValueError):
         IrkaConfig(r=2, tol=0.0)
-    with pytest.raises(ValueError):
-        IrkaConfig(r=2, init_mode="user")
+    with pytest.raises(ValueError, match=r"\(1, 1, 4\), expected \(1, 1, 3\)"):
+        tqb_irka_ode(linear_siso(), IrkaConfig(
+            r=3, initial_model=user_model(np.diag([-1.0, -2.0, -3.0, -4.0]), 1, 1)))
 
 
 def test_linear_fixed_point():
@@ -54,8 +55,7 @@ def test_linear_fixed_point():
     res = np.linalg.norm(fact.X @ red.Ahat @ fact.Y - np.diag(fact.eigenvalues))
     assert res <= 1e-10 * np.linalg.norm(red.Ahat)
     # one further sweep moves the eigenvalues by less than tol
-    _, again = tqb_irka_ode(sys, IrkaConfig(r=2, init_mode="user",
-                                            initial_model=red, max_iters=1))
+    _, again = tqb_irka_ode(sys, IrkaConfig(r=2, initial_model=red, max_iters=1))
     assert again.relative_changes[-1] < 1e-5
 
 
@@ -84,8 +84,7 @@ def test_linear_dae_fixed_point():
     sys = gen_synthetic_dae(16, 4, m=2, p=2, seed=7, quad_scale=0.0)
     red, trace = tqb_irka_dae_saddle(sys, IrkaConfig(r=3, seed=1))
     assert trace.converged
-    _, again = tqb_irka_dae_saddle(sys, IrkaConfig(r=3, init_mode="user",
-                                                   initial_model=red,
+    _, again = tqb_irka_dae_saddle(sys, IrkaConfig(r=3, initial_model=red,
                                                    max_iters=1))
     assert again.relative_changes[-1] < 1e-5
 
@@ -101,10 +100,30 @@ def test_exact_reduction_r_equals_n():
     red, trace = tqb_irka_ode(sys, IrkaConfig(r=n, seed=1, max_iters=5))
     assert trace.converged and trace.iterations == 2
     assert trace.relative_changes[-1] <= 1e-12
-    from qbmor.tqb_irka import _sorted_eigvals
-    lam_full = _sorted_eigvals(A, np.eye(n))
-    lam_red = _sorted_eigvals(red.Ahat, red.Ehat)
+    lam_full = pencil_eig(np.eye(n), A).eigenvalues
+    lam_red = pencil_eig(red.Ehat, red.Ahat).eigenvalues
     assert np.linalg.norm(lam_red - lam_full) <= 1e-8 * np.linalg.norm(lam_full)
+
+
+def test_one_pencil_decomposition_per_sweep(monkeypatch):
+    pencils, eigvals = [], []
+    pencil_eig_, eigvals_ = tqb_irka.pencil_eig, la.eigvals
+
+    def counted_pencil_eig(Ehat, Ahat):
+        pencils.append(Ahat.shape)
+        return pencil_eig_(Ehat, Ahat)
+
+    def counted_eigvals(a, *args, **kwargs):
+        eigvals.append(np.shape(a))
+        return eigvals_(a, *args, **kwargs)
+
+    monkeypatch.setattr(tqb_irka, "pencil_eig", counted_pencil_eig)
+    monkeypatch.setattr(la, "eigvals", counted_eigvals)
+    sys = gen_burgers(24, 0.05)
+    _, trace = tqb_irka_ode(sys, IrkaConfig(r=4, seed=7, max_iters=3, tol=1e-14))
+    assert trace.iterations == 3
+    assert pencils == [(4, 4)] * (trace.iterations + 1)
+    assert (4, 4) not in eigvals
 
 
 def test_order_exceeding_dimension_rejected():
@@ -254,7 +273,7 @@ def expected_factorizations(Ahat):
 def test_one_factorization_per_shift_ode(monkeypatch):
     sys = random_stable_ode(3, 14, m=2, p=2)
     calls = count_full_order_factorizations(monkeypatch, 14)
-    cfg = IrkaConfig(r=4, init_mode="user", max_iters=1,
+    cfg = IrkaConfig(r=4, max_iters=1,
                      initial_model=user_model(PAIR_AND_TWO_REAL, 2, 2))
     _, trace = tqb_irka_ode(sys, cfg)
     assert trace.iterations == 1
@@ -264,7 +283,7 @@ def test_one_factorization_per_shift_ode(monkeypatch):
 def test_one_factorization_per_shift_saddle(monkeypatch):
     sys = gen_synthetic_dae(18, 4, m=2, p=2, seed=4, quad_scale=0.1)
     calls = count_full_order_factorizations(monkeypatch, 18 + 4)
-    cfg = IrkaConfig(r=4, init_mode="user", max_iters=1,
+    cfg = IrkaConfig(r=4, max_iters=1,
                      initial_model=user_model(PAIR_AND_TWO_REAL, 2, 2))
     _, trace = tqb_irka_dae_saddle(sys, cfg)
     assert trace.iterations == 1
@@ -283,7 +302,7 @@ def test_singular_shift_is_nudged_once(monkeypatch):
         solve_shifted(sys.E, sys.A, 1.0, np.ones(n))
     Ahat = np.diag([1.0, -2.5, -0.5])
     calls = count_full_order_factorizations(monkeypatch, n)
-    cfg = IrkaConfig(r=3, init_mode="user", max_iters=1,
+    cfg = IrkaConfig(r=3, max_iters=1,
                      initial_model=user_model(Ahat, 1, 1))
     red, trace = tqb_irka_ode(sys, cfg)
     assert trace.iterations == 1
