@@ -414,6 +414,68 @@ def solve_sylvester(E, A, lam, RHS, realify=True):
     return V
 
 
+class _LyapunovFactor:
+    """One LU of ``E`` and one real Schur form ``E^{-1} A = Z T Z^T``.
+
+    Built only for a stable pencil: the diagonal of ``T`` carries the real
+    parts of the eigenvalues (standardized 2x2 blocks have the pair's real
+    part on the diagonal).  ``solve(RHS, trans)`` reuses both factors for
+    ``A P E^T + E P A^T + RHS = 0`` or, with ``trans``, for the dual
+    ``A^T Q E + E^T Q A + RHS = 0``.
+    """
+
+    def __init__(self, A, E):
+        self.A = np.asarray(A, dtype=float)
+        self.E = np.asarray(E, dtype=float)
+        n = self.A.shape[0]
+        if self.A.shape != (n, n) or self.E.shape != (n, n):
+            raise ValueError("lyapunov operands must be square and matching")
+        with _quiet_singular():
+            self.lu = la.lu_factor(self.E)
+            F = la.lu_solve(self.lu, self.A)
+        abscissa = np.inf
+        if np.all(np.isfinite(F)):
+            self.T, self.Z = la.schur(F, output="real")
+            abscissa = float(np.diag(self.T).max())
+        if abscissa >= 0.0:
+            raise SolverError(
+                f"unstable pencil: spectral abscissa {abscissa:.3e} >= 0"
+            )
+
+    def solve(self, RHS, trans=False):
+        """Symmetric solution for symmetric ``RHS``, gated on its residual."""
+        RHS = np.asarray(RHS, dtype=float)
+        if RHS.shape != self.A.shape:
+            raise ValueError("lyapunov operands must be square and matching")
+        asym = _fro(RHS - RHS.T)
+        if asym > 1e-10 * max(_fro(RHS), 1.0):
+            raise ValueError(f"right-hand side not symmetric (|R - R^T| = {asym:.3e})")
+        lu, T, Z = self.lu, self.T, self.Z
+        # trsyl solves op(T) Y + Y op(T) = scale * C, scale <= 1 guarding
+        # overflow; info = 1 (eigenvalues perturbed) is left to the residual
+        # gate below
+        if trans:
+            # W = E^T Q E solves F^T W + W F + RHS = 0 with F = E^{-1} A
+            Y, scale, _ = la.lapack.dtrsyl(T, T, Z.T @ (-RHS @ Z), trana="T")
+            W = Z @ (Y / scale) @ Z.T
+            X = la.lu_solve(lu, la.lu_solve(lu, W, trans=1).T, trans=1).T
+            A, E = self.A.T, self.E.T
+        else:
+            # F P + P F^T + G = 0 with G = E^{-1} RHS E^{-T}
+            G = la.lu_solve(lu, la.lu_solve(lu, RHS).T).T
+            Y, scale, _ = la.lapack.dtrsyl(T, T, Z.T @ (-G @ Z), tranb="T")
+            X = Z @ (Y / scale) @ Z.T
+            A, E = self.A, self.E
+        X = 0.5 * (X + X.T)
+        res = _fro(A @ X @ E.T + E @ X @ A.T + RHS) / max(_fro(RHS), _TINY)
+        if res > LYAPUNOV_TOL:
+            raise ResidualError(
+                f"lyapunov solve residual {res:.3e} exceeds {LYAPUNOV_TOL:.0e}"
+            )
+        _note("lyapunov", res)
+        return X
+
+
 def solve_lyapunov(A, E, RHS):
     """Solve ``A P E^T + E P A^T + RHS = 0`` for symmetric ``RHS``.
 
@@ -423,41 +485,14 @@ def solve_lyapunov(A, E, RHS):
     Schur form ``F = Z T Z^T``, whose diagonal carries the real parts of the
     eigenvalues (the stability check), then ``trsyl`` on ``T``.  No
     n^2-by-n^2 operator is formed.
+
+    With ``RHS=None`` the factorization is returned instead, as in
+    :func:`solve_shifted`: an object whose ``solve(RHS, trans=False)``
+    reuses the LU and the Schur form, with ``trans`` for the dual equation
+    ``A^T Q E + E^T Q A + RHS = 0``.
     """
-    A = np.asarray(A, dtype=float)
-    E = np.asarray(E, dtype=float)
-    RHS = np.asarray(RHS, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n) or E.shape != (n, n) or RHS.shape != (n, n):
-        raise ValueError("lyapunov operands must be square and matching")
-    asym = _fro(RHS - RHS.T)
-    if asym > 1e-10 * max(_fro(RHS), 1.0):
-        raise ValueError(f"right-hand side not symmetric (|R - R^T| = {asym:.3e})")
-    with _quiet_singular():
-        lu = la.lu_factor(E)
-        F = la.lu_solve(lu, A)
-    abscissa = np.inf
-    if np.all(np.isfinite(F)):
-        # standardized 2x2 blocks have the pair's real part on the diagonal
-        T, Z = la.schur(F, output="real")
-        abscissa = float(np.diag(T).max())
-    if abscissa >= 0.0:
-        raise SolverError(
-            f"unstable pencil: spectral abscissa {abscissa:.3e} >= 0"
-        )
-    G = la.lu_solve(lu, la.lu_solve(lu, RHS).T).T
-    # trsyl solves T Y + Y T^T = scale * C, scale <= 1 guarding overflow;
-    # info = 1 (eigenvalues perturbed) is left to the residual gate below
-    Y, scale, _ = la.lapack.dtrsyl(T, T, Z.T @ (-G @ Z), tranb="T")
-    P = Z @ (Y / scale) @ Z.T
-    P = 0.5 * (P + P.T)
-    res = _fro(A @ P @ E.T + E @ P @ A.T + RHS) / max(_fro(RHS), _TINY)
-    if res > LYAPUNOV_TOL:
-        raise ResidualError(
-            f"lyapunov solve residual {res:.3e} exceeds {LYAPUNOV_TOL:.0e}"
-        )
-    _note("lyapunov", res)
-    return P
+    fact = _LyapunovFactor(A, E)
+    return fact if RHS is None else fact.solve(RHS)
 
 
 def solve_saddle(E11, A11, A12, A21, sigma, f):

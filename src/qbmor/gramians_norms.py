@@ -7,8 +7,12 @@ Gramians:
     ``A P_T E^T + E P_T A^T = -B B^T - H (P1 kron P1) H^T - sum N_k P1 N_k^T``
     ``A^T Q_T E + E^T Q_T A = -C^T C - H2 (P1 kron Q1) H2^T - sum N_k^T Q1 N_k``
 
-with ``H2`` the mode-2 unfolding.  The truncated H2 norm is
-``sqrt(trace(C P_T C^T))`` and must agree with ``sqrt(trace(B^T Q_T B))``.
+with ``H2`` the mode-2 unfolding.  The quadratic terms come from
+:func:`~qbmor.tensor_kron.hessian_gram`, which forms no n-by-n^2 array, and
+all Lyapunov equations of one system are solved on one factorization of its
+pencil (``solve_lyapunov(A, E, None)``), the dual ones with ``trans=True``.
+The truncated H2 norm is ``sqrt(trace(C P_T C^T))`` and must agree with
+``sqrt(trace(B^T Q_T B))``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,12 @@ import numpy as np
 
 from .dense_solvers import SolverError, solve_lyapunov
 from .system_model import QbOdeSystem
-from .tensor_kron import HessianTensor, hessian_congruence, symmetrize
+from .tensor_kron import (
+    HessianTensor,
+    hessian_congruence,  # noqa: F401  (bench/tracer.py wraps it by this name)
+    hessian_gram,
+    symmetrize,
+)
 
 __all__ = [
     "GramianPair",
@@ -59,10 +68,13 @@ def _lyap_residual(A, E, P, RHS):
     return float(num / max(np.linalg.norm(RHS), np.finfo(float).tiny))
 
 
-def _gramian_pair(sys, rhs_p, rhs_q, kind):
-    """Solve ``A P E^T + E P A^T + rhs_p = 0`` and its dual with ``rhs_q``."""
-    P = solve_lyapunov(sys.A, sys.E, rhs_p)
-    Q = solve_lyapunov(sys.A.T, sys.E.T, rhs_q)
+def _gramian_pair(lyap, sys, rhs_p, rhs_q, kind):
+    """Solve ``A P E^T + E P A^T + rhs_p = 0`` and its dual with ``rhs_q``.
+
+    ``lyap`` is the factorization of the pencil ``(sys.A, sys.E)``.
+    """
+    P = lyap.solve(rhs_p)
+    Q = lyap.solve(rhs_q, trans=True)
     res = max(
         _lyap_residual(sys.A, sys.E, P, rhs_p),
         _lyap_residual(sys.A.T, sys.E.T, Q, rhs_q),
@@ -70,14 +82,18 @@ def _gramian_pair(sys, rhs_p, rhs_q, kind):
     return GramianPair(P=P, Q=Q, kind=kind, residual=res)
 
 
+def _linear_pair(lyap, sys):
+    return _gramian_pair(lyap, sys, sys.B @ sys.B.T, sys.C.T @ sys.C, "linear")
+
+
 def linear_gramians(sys):
     """Gramians of the linear part: ``A P E^T + E P A^T + B B^T = 0`` and dual."""
-    return _gramian_pair(sys, sys.B @ sys.B.T, sys.C.T @ sys.C, "linear")
+    return _linear_pair(solve_lyapunov(sys.A, sys.E, None), sys)
 
 
 def _p_rhs(sys, P):
     """``B B^T + H (P kron P) H^T + sum N_k P N_k^T``, symmetrized."""
-    rhs = sys.B @ sys.B.T + hessian_congruence(sys.H, 1, P, P) @ sys.H.mode1.T
+    rhs = sys.B @ sys.B.T + hessian_gram(sys.H, 1, P, P)
     for Nk in sys.N:
         rhs = rhs + Nk @ P @ Nk.T
     # the quadratic additions are Gramian-like sums, symmetric up to roundoff
@@ -86,17 +102,17 @@ def _p_rhs(sys, P):
 
 def _q_rhs(sys, P, Q):
     """``C^T C + H2 (P kron Q) H2^T + sum N_k^T Q N_k``, symmetrized."""
-    H2 = sys.H.mode(2)
-    rhs = sys.C.T @ sys.C + hessian_congruence(sys.H, 2, P, Q) @ H2.T
+    rhs = sys.C.T @ sys.C + hessian_gram(sys.H, 2, P, Q)
     for Nk in sys.N:
         rhs = rhs + Nk.T @ Q @ Nk
     return 0.5 * (rhs + rhs.T)
 
 
 def truncated_gramians(sys):
-    """Truncated Gramians via one cascade of linear Lyapunov solves."""
-    lin = linear_gramians(sys)
-    return _gramian_pair(sys, _p_rhs(sys, lin.P), _q_rhs(sys, lin.P, lin.Q),
+    """Truncated Gramians: four Lyapunov solves on one factorization of the pencil."""
+    lyap = solve_lyapunov(sys.A, sys.E, None)
+    lin = _linear_pair(lyap, sys)
+    return _gramian_pair(lyap, sys, _p_rhs(sys, lin.P), _q_rhs(sys, lin.P, lin.Q),
                          "truncated")
 
 
@@ -104,17 +120,19 @@ def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
     """Fixed-point iteration for the full quadratic Lyapunov equations.
 
     Each sweep refreezes the quadratic and bilinear terms at the previous
-    iterate and solves the resulting linear equation.  Convergence requires
-    the quadratic terms to be contractive; the iterate norm growing by more
-    than 1e6 over its start is treated as divergence.
+    iterate and solves the resulting linear equation; all solves share one
+    factorization of the pencil.  Convergence requires the quadratic terms
+    to be contractive; the iterate norm growing by more than 1e6 over its
+    start is treated as divergence.
     """
-    P = solve_lyapunov(sys.A, sys.E, sys.B @ sys.B.T)
+    lyap = solve_lyapunov(sys.A, sys.E, None)
+    P = lyap.solve(sys.B @ sys.B.T)
     guard = 1e6 * max(np.linalg.norm(P), 1.0)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
         try:
-            P_new = solve_lyapunov(sys.A, sys.E, _p_rhs(sys, P))
+            P_new = lyap.solve(_p_rhs(sys, P))
         except SolverError as exc:
             raise SolverError(f"fixed point diverged: {exc}") from exc
         if np.linalg.norm(P_new) > guard:
@@ -128,10 +146,10 @@ def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
             break
     res_p = _lyap_residual(sys.A, sys.E, P, _p_rhs(sys, P))
     # observability side with the converged P frozen in the cross term
-    Q = solve_lyapunov(sys.A.T, sys.E.T, sys.C.T @ sys.C)
+    Q = lyap.solve(sys.C.T @ sys.C, trans=True)
     q_conv = False
     for _ in range(max_iters):
-        Q_new = solve_lyapunov(sys.A.T, sys.E.T, _q_rhs(sys, P, Q))
+        Q_new = lyap.solve(_q_rhs(sys, P, Q), trans=True)
         if np.linalg.norm(Q_new) > guard * 1e6:
             raise SolverError("fixed point diverged on the observability side")
         dq = np.linalg.norm(Q_new - Q) / max(np.linalg.norm(Q), 1e-300)

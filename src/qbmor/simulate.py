@@ -89,7 +89,10 @@ class InputSignal:
             U = U.T
         if U.shape[0] != t.size:
             raise ValueError("table rows must match the time samples")
-        if t.size < 2 or np.any(np.diff(t) <= 0):
+        if t.size < 2:
+            raise ValueError(
+                f"input table needs at least two samples, got {t.size}")
+        if np.any(np.diff(t) <= 0):
             raise ValueError("table times must be strictly increasing")
         dU = np.gradient(U, t, axis=0)
         m = U.shape[1]
@@ -167,6 +170,8 @@ class Trajectory:
             raise ValueError(f"{path}: not a trajectory CSV (header {header[:3]}...)")
         u_cols = [i for i, c in enumerate(header) if c.startswith("u_")]
         y_cols = [i for i, c in enumerate(header) if c.startswith("y_")]
+        if not y_cols:
+            raise ValueError(f"{path}: trajectory CSV has no output (y_*) columns")
         cres = None
         if header[-1] == "constraint_residual":
             cres = body[:, -1]

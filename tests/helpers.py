@@ -4,7 +4,8 @@ import numpy as np
 import scipy.linalg as la
 
 from qbmor import HessianTensor, QbOdeSystem, symmetrize
-from qbmor.tensor_kron import apply_hessian, quadratic_jacobian
+from qbmor.dense_solvers import solve_lyapunov
+from qbmor.tensor_kron import apply_hessian, hessian_congruence, quadratic_jacobian
 
 
 def random_stable_ode(seed, n, m=1, p=1, quad_scale=0.05, bilinear_scale=0.1,
@@ -31,6 +32,27 @@ def random_tensor(seed, n, symmetric=False):
     T = rng.standard_normal((n, n, n))
     t = HessianTensor.from_dense(T)
     return symmetrize(t) if symmetric else t
+
+
+def congruence_truncated_gramians(sys):
+    """Truncated Gramians ``(P, Q)`` by the dense n x n^2 congruence route.
+
+    Each quadratic term is ``hessian_congruence(...) @ unfolding.T`` and each
+    of the four Lyapunov equations gets its own solve, the dual ones on the
+    transposed pencil.
+    """
+    def lyap(A, E, rhs):
+        return solve_lyapunov(A, E, 0.5 * (rhs + rhs.T))
+
+    A, E, B, C, H = sys.A, sys.E, sys.B, sys.C, sys.H
+    P1 = lyap(A, E, B @ B.T)
+    Q1 = lyap(A.T, E.T, C.T @ C)
+    rhs_p = B @ B.T + hessian_congruence(H, 1, P1, P1) @ H.mode(1).T
+    rhs_q = C.T @ C + hessian_congruence(H, 2, P1, Q1) @ H.mode(2).T
+    for Nk in sys.N:
+        rhs_p = rhs_p + Nk @ P1 @ Nk.T
+        rhs_q = rhs_q + Nk.T @ Q1 @ Nk
+    return lyap(A, E, rhs_p), lyap(A.T, E.T, rhs_q)
 
 
 def dae_steady_state(sys, u_const, v_guess=None, tol=1e-12, max_iters=50):

@@ -166,6 +166,17 @@ def test_header_only_tables_fail_cleanly(tmp_path, capsys):
         assert f"{bad}: table has no data rows" in err
 
 
+def test_compare_without_outputs_names_the_file(tmp_path, capsys):
+    table = tmp_path / "no_outputs.csv"
+    table.write_text("t,a,b\n0,1,2\n1,3,4\n")
+    capsys.readouterr()
+    assert run(["compare", "--full", str(table), "--reduced", str(table),
+                "--out", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qbmor: error: ")
+    assert f"{table}: trajectory CSV has no output (y_*) columns" in err
+
+
 def test_compare_grid_mismatch(tmp_path):
     sysdir = tmp_path / "sys"
     save_system(gen_burgers(12, 0.1), sysdir)

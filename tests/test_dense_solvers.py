@@ -254,6 +254,26 @@ def test_solve_lyapunov_unstable():
         solve_lyapunov(np.eye(2), np.eye(2), np.eye(2))
 
 
+def test_solve_lyapunov_unstable_fails_at_factor_time():
+    with pytest.raises(SolverError, match="unstable pencil: spectral abscissa"):
+        solve_lyapunov(np.eye(2), np.eye(2), None)
+
+
+def test_lyapunov_factor_dual_solve_matches_transposed_pencil():
+    n = 12
+    rng = np.random.default_rng(12)
+    _, A = stable_pencil(12, n)
+    E = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    assert np.linalg.norm(E - E.T) > 0.1
+    C = rng.standard_normal((2, n))
+    fact = solve_lyapunov(A, E, None)
+    with record_residuals() as log:
+        got = fact.solve(C.T @ C, trans=True)
+    expect = solve_lyapunov(A.T, E.T, C.T @ C)
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert [tag for tag, _ in log] == ["lyapunov"]
+
+
 # -- saddle solves -----------------------------------------------------------
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from qbmor.dense_solvers import SolverError
+from qbmor.dense_solvers import SolverError, record_residuals
 from qbmor.gramians_norms import (
+    _augmented_error_system,
     error_system_norm,
     full_gramians_fixed_point,
     linear_gramians,
@@ -13,7 +14,7 @@ from qbmor.gramians_norms import (
 from qbmor.system_model import QbOdeSystem, project_ode
 from qbmor.tensor_kron import HessianTensor
 
-from helpers import random_stable_ode
+from helpers import congruence_truncated_gramians, random_stable_ode
 
 
 def scalar_system():
@@ -77,6 +78,54 @@ def test_truncated_dominates_linear_in_psd_order():
     tg = truncated_gramians(sys)
     lo = np.linalg.eigvalsh(tg.P - lin.P).min()
     assert lo >= -1e-10 * max(np.linalg.norm(tg.P), 1.0)
+
+
+def counted_schur(monkeypatch):
+    calls = []
+    schur = la.schur
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(la, "schur", counting)
+    return calls
+
+
+def test_truncated_gramians_factor_the_pencil_once(monkeypatch):
+    sys = random_stable_ode(13, 9, m=2, p=2, quad_scale=0.08)
+    calls = counted_schur(monkeypatch)
+    with record_residuals() as log:
+        truncated_gramians(sys)
+    assert calls == [(9, 9)]
+    assert [tag for tag, _ in log] == ["lyapunov"] * 4
+
+
+def test_fixed_point_factors_the_pencil_once(monkeypatch):
+    sys = random_stable_ode(7, 8, m=1, p=1, quad_scale=1e-3)
+    calls = counted_schur(monkeypatch)
+    fp = full_gramians_fixed_point(sys, max_iters=200, tol=1e-12)
+    assert fp.converged and fp.iterations > 1
+    assert calls == [(8, 8)]
+
+
+def test_truncated_gramians_match_congruence_oracle_on_burgers():
+    from qbmor.problems import gen_burgers
+    from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
+
+    full = gen_burgers(100, 0.01)
+    red, trace = tqb_irka_ode(full, IrkaConfig(r=10, seed=1, tol=1e-5, max_iters=50))
+    assert trace.converged
+    err = _augmented_error_system(full, red)
+    P, Q = congruence_truncated_gramians(err)
+    tg = truncated_gramians(err)
+    assert np.linalg.norm(tg.P - P) <= 1e-11 * np.linalg.norm(P)
+    assert np.linalg.norm(tg.Q - Q) <= 1e-11 * np.linalg.norm(Q)
+    # the squared error norm cancels ||full||^2 down to ||full - red||^2, so
+    # it is compared on the scale of the former
+    oracle_sq = np.trace(err.C @ P @ err.C.T)
+    assert abs(error_system_norm(full, red) ** 2 - oracle_sq) <= (
+        1e-10 * truncated_h2_norm(full) ** 2)
 
 
 def test_fixed_point_linear_converges_immediately():

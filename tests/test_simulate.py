@@ -259,3 +259,13 @@ def test_table_input_interpolation_and_derivative():
     u = InputSignal.from_table(t, U)
     assert u.sample(0.505)[0] == pytest.approx(np.sin(0.505), abs=1e-4)
     assert u.derivative(1.0)[0] == pytest.approx(np.cos(1.0), abs=1e-3)
+
+
+def test_table_input_single_row_needs_two_samples():
+    with pytest.raises(ValueError, match="at least two samples, got 1"):
+        InputSignal.from_table([0.0], [[1.0]])
+
+
+def test_table_input_times_must_increase():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        InputSignal.from_table([0.0, 1.0, 1.0], [[1.0], [2.0], [3.0]])

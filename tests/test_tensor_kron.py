@@ -9,6 +9,7 @@ from qbmor.tensor_kron import (
     apply_hessian,
     apply_unfolded,
     hessian_congruence,
+    hessian_gram,
     kron,
     matricize,
     quadratic_jacobian,
@@ -280,6 +281,89 @@ def test_congruence_memory_stays_below_n_squared():
     a, b = np.divmod(cols, 4)
     expect = np.stack([apply_hessian(t, L[:, p], L[:, q]) for p, q in zip(a, b)], 1)
     assert np.allclose(got[:, cols], expect, rtol=1e-12, atol=1e-12)
+
+
+@st.composite
+def tensor_and_gram_operands(draw):
+    """A random sparse tensor (possibly empty), a mode and unsymmetric L != R."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(index, index, index, _VALUES), max_size=2 * n ** 3))
+    t = HessianTensor(n, *zip(*entries)) if entries else HessianTensor.zero(n)
+    square = st.lists(_VALUES, min_size=n * n, max_size=n * n).map(
+        lambda v: np.reshape(v, (n, n)))
+    return t, draw(st.sampled_from([1, 2])), draw(square), draw(square)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tensor_and_gram_operands())
+@example((HessianTensor.zero(3), 1, np.eye(3), np.ones((3, 3))))
+@example((HessianTensor.zero(1), 2, np.ones((1, 1)), np.ones((1, 1))))
+@example((HessianTensor(1, [0], [0], [0], [2.5]), 2, np.array([[-1.5]]),
+          np.array([[3.0]])))
+def test_hessian_gram_matches_congruence_route(case):
+    t, mode, L, R = case
+    M = t.mode(mode)
+    got = hessian_gram(t, mode, L, R)
+    expect = hessian_congruence(t, mode, L, R) @ M.T
+    # entry-wise bound from the same sums taken over absolute values; the
+    # floor covers products that underflow to subnormals
+    absM = abs(M)
+    bound = (1e-12 * (apply_unfolded(absM, np.abs(L), np.abs(R)) @ absM.T)
+             + np.finfo(float).tiny)
+    assert got.shape == (t.n, t.n) and got.dtype == expect.dtype
+    assert np.all(np.abs(got - expect) <= bound)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+@pytest.mark.parametrize("n, nnz", [(150, 1500), (30, None)])
+def test_hessian_gram_across_column_windows(n, nnz, mode):
+    # sizes past _GRAM_BLOCK: several gathers of R (n = 150), segments cut
+    # at window edges, and full contiguous groups (dense n = 30)
+    rng = np.random.default_rng(n)
+    if nnz is None:
+        t = random_tensor(n, n, symmetric=True)
+    else:
+        t = HessianTensor(n, *rng.integers(0, n, (3, nnz)), rng.standard_normal(nnz))
+    L = rng.standard_normal((n, n))
+    R = rng.standard_normal((n, n))
+    got = hessian_gram(t, mode, L, R)
+    expect = hessian_congruence(t, mode, L, R) @ t.mode(mode).T
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+def test_hessian_gram_errors():
+    t = random_tensor(1, 4)
+    with pytest.raises(ValueError):
+        hessian_gram(t, 3, np.eye(4), np.eye(4))
+    with pytest.raises(ValueError):
+        hessian_gram(t, 1, np.eye(5), np.eye(4))
+    with pytest.raises(ValueError):
+        hessian_gram(t, 2, np.eye(4), np.ones((4, 3)))
+
+
+def test_hessian_gram_memory_stays_below_n_cubed():
+    # the congruence route's dense n x n^2 block would take 1.7 GB here
+    import tracemalloc
+    rng = np.random.default_rng(600)
+    n, nnz = 600, 2400
+    t = HessianTensor(n, *rng.integers(0, n, (3, nnz)), rng.standard_normal(nnz))
+    L = rng.standard_normal((n, n))
+    R = rng.standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        got = hessian_gram(t, 2, L, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # spot-check three entries against the definition sum over stored entries
+    M = t.mode(2).tocoo()
+    a, b = np.divmod(M.col, n)
+    for i, j in ((0, 0), (17, 403), (599, 1)):
+        ri, rj = M.row == i, M.row == j
+        left = M.data[ri][:, None] * L[a[ri]][:, a[rj]] * R[b[ri]][:, b[rj]]
+        assert np.isclose(got[i, j], (left @ M.data[rj]).sum(), rtol=1e-12, atol=1e-12)
 
 
 def _unfolded_case(name, rng):
