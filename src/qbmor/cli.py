@@ -37,6 +37,18 @@ def _fail(msg, code=RUNTIME_ERROR):
     return code
 
 
+def _positive(kind):
+    """Argparse type: ``kind(text)``, rejected unless it is ``> 0`` (NaN too)."""
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    # argparse names the type by it when kind(text) itself fails
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _make_input(text, m):
     if text == "zero":
         return InputSignal.zero(m)
@@ -67,12 +79,6 @@ def _cmd_gen(args):
 
 
 def _cmd_reduce(args):
-    if args.tol <= 0:
-        print("qbmor reduce: error: --tol must be positive", file=sys.stderr)
-        return USAGE_ERROR
-    if args.order < 1:
-        print("qbmor reduce: error: --order must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     system = load_system(args.system)
     if isinstance(system, ReducedQbSystem):
         return _fail("cannot reduce an already-reduced model")
@@ -172,9 +178,9 @@ def _build_parser():
 
     red = sub.add_parser("reduce", help="run the reduction iteration")
     red.add_argument("--system", required=True)
-    red.add_argument("--order", type=int, required=True)
-    red.add_argument("--tol", type=float, default=1e-5)
-    red.add_argument("--max-iters", type=int, default=50)
+    red.add_argument("--order", type=_positive(int), required=True)
+    red.add_argument("--tol", type=_positive(float), default=1e-5)
+    red.add_argument("--max-iters", type=_positive(int), default=50)
     red.add_argument("--seed", type=int, default=0)
     red.add_argument("--out", required=True)
     red.set_defaults(func=_cmd_reduce)
@@ -182,8 +188,8 @@ def _build_parser():
     sim = sub.add_parser("simulate", help="integrate a system")
     sim.add_argument("--system", required=True)
     sim.add_argument("--input", default="preset:cavity")
-    sim.add_argument("--t-final", type=float, required=True)
-    sim.add_argument("--dt", type=float, required=True)
+    sim.add_argument("--t-final", type=_positive(float), required=True)
+    sim.add_argument("--dt", type=_positive(float), required=True)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 

@@ -23,14 +23,8 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .system_model import QbDaeSystem, QbOdeSystem
-from .tensor_kron import (
-    HessianTensor,
-    apply_hessian,
-    hessian_congruence,
-    quadratic_jacobian,
-    symmetrize,
-)
+from .system_model import QbDaeSystem, QbOdeSystem, project_realization
+from .tensor_kron import apply_hessian, hessian_congruence, quadratic_jacobian
 
 __all__ = [
     "ProjectorRealization",
@@ -192,26 +186,18 @@ def recover_pressure(sys, v, u, udot=None):
 def explicit_ode(sys, proj):
     """Equivalent unconstrained ODE built from the projector factors.
 
-    Returns ``(ode, lift)`` where the ODE realization is
-    ``(phi_l^T E11 theta_r, phi_l^T A11 theta_r, phi_l^T H (theta_r kron
-    theta_r), phi_l^T N_k theta_r, phi_l^T B1, C theta_r)`` with ``C`` from
+    Returns ``(ode, lift)`` where the ODE realization is the
+    :func:`~qbmor.system_model.project_realization` of ``(E11, A11, H, N,
+    B1, C)`` with ``V = theta_r`` and ``W = phi_l``, ``C`` from
     :func:`output_realization`, and ``lift = theta_r`` maps the ODE state
     back to velocity space (``v ~= lift @ vtilde``).  Requires ``B2 = 0``.
     """
     if sys.B2.any():
         raise ValueError("explicit ODE form requires B2 = 0; homogenize first")
-    th_r, ph_l = proj.theta_r, proj.phi_l
-    out = output_realization(sys)
-    Hbar = ph_l.T @ hessian_congruence(sys.H, 1, th_r, th_r)
-    ode = QbOdeSystem(
-        E=ph_l.T @ sys.E11 @ th_r,
-        A=ph_l.T @ sys.A11 @ th_r,
-        H=symmetrize(HessianTensor.from_mode1(Hbar)),
-        N=tuple(ph_l.T @ Nk @ th_r for Nk in sys.N),
-        B=ph_l.T @ sys.B1,
-        C=out.C @ th_r,
-    )
-    return ode, th_r
+    C = output_realization(sys).C
+    ode = QbOdeSystem(*project_realization(
+        sys.E11, sys.A11, sys.H, sys.N, sys.B1, C, proj.theta_r, proj.phi_l))
+    return ode, proj.theta_r
 
 
 def homogenize_b2(sys):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_solvers import SolverError, solve_lyapunov
+from .dense_solvers import SolverError, record_residuals, solve_lyapunov
 from .system_model import QbOdeSystem
 from .tensor_kron import (
     HessianTensor,
@@ -68,22 +68,20 @@ def _lyap_residual(A, E, P, RHS):
     return float(num / max(np.linalg.norm(RHS), np.finfo(float).tiny))
 
 
-def _gramian_pair(lyap, sys, rhs_p, rhs_q, kind):
+def _gramian_pair(lyap, rhs_p, rhs_q, kind):
     """Solve ``A P E^T + E P A^T + rhs_p = 0`` and its dual with ``rhs_q``.
 
-    ``lyap`` is the factorization of the pencil ``(sys.A, sys.E)``.
+    ``lyap`` is the factorization of the system's pencil; the pair's
+    residual is the larger of the two that its solves computed and gated.
     """
-    P = lyap.solve(rhs_p)
-    Q = lyap.solve(rhs_q, trans=True)
-    res = max(
-        _lyap_residual(sys.A, sys.E, P, rhs_p),
-        _lyap_residual(sys.A.T, sys.E.T, Q, rhs_q),
-    )
-    return GramianPair(P=P, Q=Q, kind=kind, residual=res)
+    with record_residuals() as log:
+        P = lyap.solve(rhs_p)
+        Q = lyap.solve(rhs_q, trans=True)
+    return GramianPair(P=P, Q=Q, kind=kind, residual=max(res for _, res in log))
 
 
 def _linear_pair(lyap, sys):
-    return _gramian_pair(lyap, sys, sys.B @ sys.B.T, sys.C.T @ sys.C, "linear")
+    return _gramian_pair(lyap, sys.B @ sys.B.T, sys.C.T @ sys.C, "linear")
 
 
 def linear_gramians(sys):
@@ -112,7 +110,7 @@ def truncated_gramians(sys):
     """Truncated Gramians: four Lyapunov solves on one factorization of the pencil."""
     lyap = solve_lyapunov(sys.A, sys.E, None)
     lin = _linear_pair(lyap, sys)
-    return _gramian_pair(lyap, sys, _p_rhs(sys, lin.P), _q_rhs(sys, lin.P, lin.Q),
+    return _gramian_pair(lyap, _p_rhs(sys, lin.P), _q_rhs(sys, lin.P, lin.Q),
                          "truncated")
 
 

@@ -179,7 +179,7 @@ class Trajectory:
 
 
 def _grid(t_final, dt):
-    if dt <= 0 or t_final <= 0:
+    if not (t_final > 0 and dt > 0):
         raise ValueError(f"need t_final > 0 and dt > 0, got {t_final}, {dt}")
     steps = int(round(t_final / dt))
     return dt * np.arange(steps + 1), steps

@@ -35,9 +35,8 @@ __all__ = [
     "quadratic_jacobian",
 ]
 
-# hessian_gram gathers R at the stored entries this many columns at a time
-# and forms H (L kron R) in windows of this many columns, so its scratch
-# stays O(nnz * _GRAM_BLOCK + n^2)
+# hessian_gram forms its Z = (L kron R) at the stored columns this many
+# columns at a time, so its scratch stays O(|stored columns| * _GRAM_BLOCK + n^2)
 _GRAM_BLOCK = 128
 
 
@@ -269,12 +268,12 @@ def hessian_congruence(t, mode, L, R):
 def hessian_gram(t, mode, L, R):
     """Evaluate ``H^(mode) (L kron R) H^(mode)^T`` for ``mode`` in {1, 2}.
 
-    ``L`` and ``R`` are n-by-n; the result is dense n-by-n.  Row ``a*n + b``
-    of ``H^T`` is zero unless ``a*n + b`` is a stored column of the
-    unfolding, so only those columns of ``H (L kron R)`` are formed, each
-    from the stored entries as in :func:`apply_unfolded`.  Work is
-    O(nnz * |stored columns|), scratch O(nnz * _GRAM_BLOCK + n^2), and no
-    n-by-n^2 array is formed.
+    ``L`` and ``R`` are n-by-n; the result is dense n-by-n.  Only the stored
+    columns ``c = a*n + b`` of the unfolding ``H`` contribute, so with ``Hc``
+    the unfolding restricted to them the result is the sparse congruence
+    ``Hc Z Hc^T``, ``Z[c, c'] = L[a_c, a_c'] R[b_c, b_c']``.  ``Z`` is formed
+    ``_GRAM_BLOCK`` columns at a time, so scratch is
+    O(|stored columns| * _GRAM_BLOCK + n^2) and no n-by-n^2 array is formed.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
@@ -287,41 +286,13 @@ def hessian_gram(t, mode, L, R):
             f"L and R must be {n}-by-{n}, got {L.shape} and {R.shape}")
     cols, pos = np.unique(M.indices, return_inverse=True)
     a, b = np.divmod(cols, n)
-    # visit the stored columns (a, b) by block of b, so that R is gathered at
-    # the entries once per block, and within a block by a, as apply_unfolded
-    # goes by column of L
-    group = b // _GRAM_BLOCK * n + a
-    order = np.lexsort((b, group))
-    a, b = a[order], b[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    # H with its stored columns renumbered to the visiting order
-    Hv = sp.csr_matrix((M.data, rank[pos], M.indptr), shape=(n, cols.size)).tocsc()
-    # one segment per group, also cut at every _GRAM_BLOCK visited columns:
-    # each such window of H (L kron R) is formed, then multiplied out
-    starts = np.union1d(np.flatnonzero(np.diff(group[order], prepend=-1)),
-                        np.arange(0, cols.size, _GRAM_BLOCK))
-    rows = np.flatnonzero(np.diff(M.indptr))
-    s, f = np.divmod(M.indices, n)
-    dtype = np.result_type(M.dtype, L.dtype, R.dtype)
-    out = np.zeros((n, n), dtype=dtype)
-    HL = np.zeros((n, _GRAM_BLOCK), dtype=dtype)
-    gathered = -1
-    for lo, hi in zip(starts, np.append(starts[1:], cols.size)):
-        base = b[lo] - b[lo] % _GRAM_BLOCK
-        if base != gathered:
-            MR, gathered = M.data[:, None] * R[f, base:base + _GRAM_BLOCK], base
-        sel = b[lo:hi] - base
-        # a run of consecutive columns (every group of a dense Hessian) is
-        # a view of MR; other groups are gathered
-        if sel[-1] - sel[0] + 1 == sel.size:
-            sel = slice(sel[0], sel[-1] + 1)
-        w0 = lo - lo % _GRAM_BLOCK
-        HL[rows, lo - w0:hi - w0] = np.add.reduceat(
-            L[s, a[lo], None] * MR[:, sel], M.indptr[rows], axis=0)
-        if hi - w0 == _GRAM_BLOCK or hi == cols.size:
-            out += Hv[:, w0:hi] @ HL[:, :hi - w0].T
-    return out.T
+    Hc = sp.csr_matrix((M.data, pos, M.indptr), shape=(n, cols.size))
+    HcT = Hc.T.tocsr()
+    out = np.zeros((n, n), dtype=np.result_type(M.dtype, L.dtype, R.dtype))
+    for lo in range(0, cols.size, _GRAM_BLOCK):
+        w = slice(lo, lo + _GRAM_BLOCK)
+        out += (Hc @ (L[np.ix_(a, a[w])] * R[np.ix_(b, b[w])])) @ HcT[w]
+    return out
 
 
 def quadratic_jacobian(t, x):

@@ -73,7 +73,7 @@ class IrkaConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"reduced order must be >= 1, got {self.r}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")

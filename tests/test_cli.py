@@ -70,6 +70,26 @@ def test_reduce_nonpositive_tol(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("reduce", "--order", "0"), ("reduce", "--tol", "nan"),
+    ("reduce", "--max-iters", "0"), ("reduce", "--max-iters", "-2"),
+    ("simulate", "--t-final", "-1"), ("simulate", "--dt", "nan"),
+])
+def test_nonpositive_numeric_argument_is_usage_error(tmp_path, capsys, command,
+                                                     flag, value):
+    sysdir = tmp_path / "sys"
+    save_system(gen_burgers(8, 0.1), sysdir)
+    args = {"reduce": {"--order": "2", "--tol": "1e-5", "--max-iters": "5"},
+            "simulate": {"--t-final": "1", "--dt": "0.1"}}[command]
+    args[flag] = value
+    code = run([command, "--system", str(sysdir / "manifest.json"),
+                *(x for kv in args.items() for x in kv),
+                "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"argument {flag}: must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduce_nonconvergence_exit_code(tmp_path):
     sysdir = tmp_path / "sys"
     save_system(gen_burgers(12, 0.1), sysdir)

@@ -5,6 +5,8 @@ import scipy.linalg as la
 from qbmor.dense_solvers import SolverError, record_residuals
 from qbmor.gramians_norms import (
     _augmented_error_system,
+    _p_rhs,
+    _q_rhs,
     error_system_norm,
     full_gramians_fixed_point,
     linear_gramians,
@@ -46,6 +48,23 @@ def test_linear_gramian_residual_seeded():
     res = np.linalg.norm(sys.A @ g.P @ sys.E.T + sys.E @ g.P @ sys.A.T
                          + sys.B @ sys.B.T)
     assert res <= 1e-9 * np.linalg.norm(sys.B @ sys.B.T)
+
+
+def test_gramian_pair_residual_is_the_solves_residual():
+    sys = random_stable_ode(6, 10, m=2, p=2, quad_scale=0.08)
+    lin = linear_gramians(sys)
+    tg = truncated_gramians(sys)
+
+    def residual(A, E, X, RHS):
+        return float(np.linalg.norm(A @ X @ E.T + E @ X @ A.T + RHS)
+                     / np.linalg.norm(RHS))
+
+    for pair, rhs_p, rhs_q in (
+        (lin, sys.B @ sys.B.T, sys.C.T @ sys.C),
+        (tg, _p_rhs(sys, lin.P), _q_rhs(sys, lin.P, lin.Q)),
+    ):
+        assert pair.residual == max(residual(sys.A, sys.E, pair.P, rhs_p),
+                                    residual(sys.A.T, sys.E.T, pair.Q, rhs_q))
 
 
 def test_truncated_reduces_to_linear():

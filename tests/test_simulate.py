@@ -183,6 +183,14 @@ def test_input_channel_mismatch():
         simulate_ode(sys, InputSignal.zero(2), 1.0, 0.01)
 
 
+@pytest.mark.parametrize("t_final, dt", [(1.0, float("nan")), (float("nan"), 0.1),
+                                         (1.0, 0.0), (-1.0, 0.1)])
+def test_bad_time_grid_is_rejected(t_final, dt):
+    sys = gen_burgers(8, 0.5)
+    with pytest.raises(ValueError, match="need t_final > 0 and dt > 0"):
+        simulate_ode(sys, InputSignal.zero(1), t_final, dt)
+
+
 def test_dae_zero_input():
     sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=0, quad_scale=0.1)
     traj = simulate_dae(sys, InputSignal.zero(2), 1.0, 0.01)

@@ -4,6 +4,7 @@ import pytest
 from qbmor.dae_transform import output_realization
 from qbmor.problems import gen_synthetic_dae
 from qbmor.system_model import (
+    QbDaeSystem,
     QbOdeSystem,
     ReducedQbSystem,
     project_dae_outputs,
@@ -30,6 +31,31 @@ def test_singular_mass_matrix_rejected_at_construction():
     with pytest.raises(ValueError, match="singular"):
         QbOdeSystem(E=np.zeros((1, 1)), A=-np.eye(1), H=HessianTensor.zero(1),
                     N=(np.zeros((1, 1)),), B=np.ones((1, 1)), C=np.ones((1, 1)))
+
+
+def dae_blocks():
+    """A valid descriptor system, n_v = 3 and n_p = 1: E11 = I, A12 = e1, A21 = e1^T."""
+    n_v = 3
+    e1 = np.eye(n_v)[:, :1]
+    return dict(E11=np.eye(n_v), A11=-np.eye(n_v), A12=e1, A21=e1.T,
+                H=HessianTensor.zero(n_v), N=(np.zeros((n_v, n_v)),),
+                B1=np.ones((n_v, 1)), B2=None, C1=np.ones((1, n_v)), C2=None)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(E11=np.zeros((3, 3))), "E11 numerically singular"),
+    (dict(A12=np.zeros((3, 1))), "A12 is rank deficient"),
+    (dict(A21=np.zeros((1, 3))), "A21 is rank deficient"),
+    # A21 E11^-1 A12 = e2^T e1 = 0
+    (dict(A21=np.eye(3)[1:2]),
+     r"Schur complement A21 E11\^-1 A12 numerically singular"),
+    (dict(A12=np.eye(3), A21=np.eye(3)), r"need 0 < n_p < n_v, got n_p=3, n_v=3"),
+    (dict(v0=np.eye(3)[0]), "initial velocity violates the constraint"),
+])
+def test_dae_construction_rejections(change, message):
+    QbDaeSystem(**dae_blocks())
+    with pytest.raises(ValueError, match=message):
+        QbDaeSystem(**{**dae_blocks(), **change})
 
 
 def test_validate_ode_unstable_is_warning_not_error():

@@ -318,8 +318,8 @@ def test_hessian_gram_matches_congruence_route(case):
 @pytest.mark.parametrize("mode", [1, 2])
 @pytest.mark.parametrize("n, nnz", [(150, 1500), (30, None)])
 def test_hessian_gram_across_column_windows(n, nnz, mode):
-    # sizes past _GRAM_BLOCK: several gathers of R (n = 150), segments cut
-    # at window edges, and full contiguous groups (dense n = 30)
+    # more stored columns than _GRAM_BLOCK, so Z is formed in several
+    # windows, the last one partial (sparse n = 150, dense n = 30)
     rng = np.random.default_rng(n)
     if nnz is None:
         t = random_tensor(n, n, symmetric=True)

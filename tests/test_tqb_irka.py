@@ -41,6 +41,8 @@ def test_config_validation():
         IrkaConfig(r=0)
     with pytest.raises(ValueError):
         IrkaConfig(r=2, tol=0.0)
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        IrkaConfig(r=2, tol=float("nan"))
     with pytest.raises(ValueError, match=r"\(1, 1, 4\), expected \(1, 1, 3\)"):
         tqb_irka_ode(linear_siso(), IrkaConfig(
             r=3, initial_model=user_model(np.diag([-1.0, -2.0, -3.0, -4.0]), 1, 1)))
