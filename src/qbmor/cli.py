@@ -38,11 +38,11 @@ def _fail(msg, code=RUNTIME_ERROR):
 
 
 def _positive(kind):
-    """Argparse type: ``kind(text)``, rejected unless it is ``> 0`` (NaN too)."""
+    """Argparse type: ``kind(text)``, rejected unless it is finite and ``> 0``."""
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
         return value
     # argparse names the type by it when kind(text) itself fails
     parse.__name__ = kind.__name__
@@ -114,12 +114,8 @@ def _cmd_reduce(args):
 
 def _cmd_simulate(args):
     system = load_system(args.system)
-    if isinstance(system, QbDaeSystem):
-        u = _make_input(args.input, system.m)
-        traj = simulate_dae(system, u, args.t_final, args.dt)
-    else:
-        u = _make_input(args.input, system.m)
-        traj = simulate_ode(system, u, args.t_final, args.dt)
+    simulate = simulate_dae if isinstance(system, QbDaeSystem) else simulate_ode
+    traj = simulate(system, _make_input(args.input, system.m), args.t_final, args.dt)
     traj.to_csv(args.out)
     print(args.out)
     return 0

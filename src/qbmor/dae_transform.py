@@ -13,16 +13,22 @@ Rank factorizations ``Pi_l = theta_l phi_l^T`` and ``Pi_r = theta_r phi_r^T``
 turn the constrained system into an equivalent unconstrained ODE; this module
 provides both the explicit factor path (small-scale oracle) and the algebraic
 ingredients the projector-free iteration needs.
+
+Neither ``E11^{-1}`` nor ``S`` is solved with: each eliminated quantity is a
+block of a solve with the mass saddle matrix ``M0 = [[E11, A12], [A21, 0]]``
+(:func:`~qbmor.dense_solvers.solve_saddle` of the pencil ``(E11, -E11)`` at
+shift 0), factored once per call and residual-gated like every saddle solve.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from .dense_solvers import solve_saddle
 from .system_model import QbDaeSystem, QbOdeSystem, project_realization
 from .tensor_kron import apply_hessian, hessian_congruence, quadratic_jacobian
 
@@ -107,52 +113,47 @@ def _rank_factor(Pi, rank):
     return theta, phi
 
 
+def _mass_saddle(sys):
+    """Factored ``M0 = [[E11, A12], [A21, 0]]``, the saddle matrix of ``(E11, -E11)`` at 0."""
+    return solve_saddle(sys.E11, -sys.E11, sys.A12, sys.A21, 0.0, None)
+
+
 def build_projectors(sys, size_cap=EXPLICIT_SIZE_CAP):
     """Form the dense projectors and their thin rank factorizations.
 
-    The factors come from a singular value decomposition truncated to the
-    structurally known rank ``n_v - n_p``; for any full-rank factorization of
-    an idempotent matrix the biorthogonality ``theta^T phi = I`` follows
-    automatically.
+    ``Pi_r`` and ``Pi_l^T`` are the top blocks of ``M0^{-1} [E11; 0]`` and
+    ``M0^{-T} [E11^T; 0]``.  The factors come from a singular value
+    decomposition truncated to the structurally known rank ``n_v - n_p``; for
+    any full-rank factorization of an idempotent matrix the biorthogonality
+    ``theta^T phi = I`` follows automatically.
     """
-    n_v, n_p = sys.n_v, sys.n_p
+    n_v, rank = sys.n_v, sys.n_v - sys.n_p
     if n_v > size_cap:
-        raise ValueError(
-            f"explicit projector path capped at n_v={size_cap}, got {n_v}"
-        )
-    Ei_A12 = la.solve(sys.E11, sys.A12)             # E11^-1 A12
-    S = sys.A21 @ Ei_A12
-    rc = la.svdvals(S)
-    if rc[-1] <= 1e-12 * max(rc[0], 1.0):
-        raise ValueError("Schur complement numerically singular")
-    A21_Ei = la.solve(sys.E11.T, sys.A21.T).T       # A21 E11^-1
-    Si_A21Ei = la.solve(S, A21_Ei)                  # S^-1 A21 E11^-1
-    eye = np.eye(n_v)
-    Pi_l = eye - sys.A12 @ Si_A21Ei
-    Pi_r = eye - Ei_A12 @ la.solve(S, sys.A21)
-    rank = n_v - n_p
-    theta_l, phi_l = _rank_factor(Pi_l, rank)
-    theta_r, phi_r = _rank_factor(Pi_r, rank)
-    return ProjectorRealization(
-        theta_l=theta_l, phi_l=phi_l,
-        theta_r=theta_r, phi_r=phi_r,
-        Pi_l=Pi_l, Pi_r=Pi_r,
-    )
+        raise ValueError(f"explicit projector path capped at n_v={size_cap}, got {n_v}")
+    M0 = _mass_saddle(sys)
+    Pi_r = M0.solve(sys.E11)[:n_v]
+    Pi_l = M0.solve(sys.E11.T, trans=True)[:n_v].T
+    return ProjectorRealization(*_rank_factor(Pi_l, rank), *_rank_factor(Pi_r, rank),
+                                Pi_l=Pi_l, Pi_r=Pi_r)
 
 
 def output_realization(sys):
     """Output map after eliminating the multiplier from ``y = C1 v + C2 p``.
 
-    Uses linear solves against ``E11`` and ``S`` (never explicit inverses):
-    with ``G = S^{-1} A21 E11^{-1}``,
+    With ``G = S^{-1} A21 E11^{-1}``,
 
         ``C = C1 - C2 G A11``, ``CH = -C2 G H``,
-        ``CN_k = -C2 G N_k``,  ``D = -C2 G B1``.
+        ``CN_k = -C2 G N_k``,  ``D = -C2 G B1``,
+
+    where ``(C2 G)^T`` is the top block of ``M0^{-T} [0; C2^T]``: ``p``
+    transposed saddle solves, with neither ``G`` nor ``S`` formed.  A
+    velocity-only output (``C2 = 0``) needs no solve.
     """
-    A21_Ei = la.solve(sys.E11.T, sys.A21.T).T
-    S = sys.A21 @ la.solve(sys.E11, sys.A12)
-    G = la.solve(S, A21_Ei)
-    T_row = sys.C2 @ G                              # p x n_v
+    n_v = sys.n_v
+    T_row = np.zeros((sys.p, n_v))                  # C2 G
+    if sys.C2.any():
+        rhs = np.vstack([np.zeros((n_v, sys.p)), sys.C2.T])
+        T_row = _mass_saddle(sys).solve(rhs, trans=True)[:n_v].T
     C = sys.C1 - T_row @ sys.A11
     CH = (sp.csr_matrix(-T_row) @ sys.H.mode1).tocsr()
     CH.eliminate_zeros()
@@ -164,23 +165,22 @@ def output_realization(sys):
 def recover_pressure(sys, v, u, udot=None):
     """Explicit multiplier from the differentiated constraint.
 
-    For ``B2 = 0``:
-    ``p = -S^{-1} A21 E11^{-1} (A11 v + H (v kron v) + sum_k N_k v u_k + B1 u)``.
-    With ``B2 != 0`` the constraint contributes ``-S^{-1} B2 u'``, so ``udot``
-    must be supplied.
+    With ``f = A11 v + H (v kron v) + sum_k N_k v u_k + B1 u``,
+    ``p = -S^{-1} (A21 E11^{-1} f + B2 u')``, computed as minus the bottom
+    block of one saddle solve ``M0^{-1} [f; -B2 u']``.  With ``B2 != 0``
+    ``udot`` must be supplied.
     """
     v = np.asarray(v, dtype=float).ravel()
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    rhs = sys.A11 @ v + apply_hessian(sys.H, v, v) + sys.B1 @ u
-    for k, Nk in enumerate(sys.N):
-        rhs = rhs + (Nk @ v) * u[k]
-    S = sys.A21 @ la.solve(sys.E11, sys.A12)
-    top = sys.A21 @ la.solve(sys.E11, rhs)
+    g = np.zeros(sys.n_p)
     if sys.B2.any():
         if udot is None:
             raise ValueError("pressure recovery with B2 != 0 needs the input derivative")
-        top = top + sys.B2 @ np.atleast_1d(np.asarray(udot, dtype=float))
-    return -la.solve(S, top)
+        g = -sys.B2 @ np.atleast_1d(np.asarray(udot, dtype=float))
+    rhs = sys.A11 @ v + apply_hessian(sys.H, v, v) + sys.B1 @ u
+    for k, Nk in enumerate(sys.N):
+        rhs = rhs + (Nk @ v) * u[k]
+    return -_mass_saddle(sys).solve(np.concatenate([rhs, g]))[sys.n_v:]
 
 
 def explicit_ode(sys, proj):
@@ -211,6 +211,8 @@ def homogenize_b2(sys):
     input-derivative column block ``-E11 Omega``; the three channels
     ``(u, u kron u, u')`` are appended as formally independent inputs.  The
     eliminated multiplier feeds the output through ``-C2 S^{-1} B2 u'``.
+    Both come from one saddle solve ``M0 [x; y] = [0; B2]``:
+    ``Omega = -x`` and ``-C2 S^{-1} B2 = C2 y``.
 
     The initial state carries over unchanged, which assumes ``u(0) = 0``
     (otherwise ``v_m(0) = v0 - Omega u(0)`` would violate the homogeneous
@@ -218,28 +220,19 @@ def homogenize_b2(sys):
     """
     if not sys.B2.any():
         raise ValueError("already homogeneous (B2 = 0)")
-    m = sys.m
-    Ei_A12 = la.solve(sys.E11, sys.A12)
-    S = sys.A21 @ Ei_A12
-    Omega = -Ei_A12 @ la.solve(S, sys.B2)           # n_v x m
-    Ncal = tuple(
-        sys.N[k] + quadratic_jacobian(sys.H, Omega[:, k]) for k in range(m)
-    )
+    m, n_v = sys.m, sys.n_v
+    z = _mass_saddle(sys).solve(np.vstack([np.zeros((n_v, m)), sys.B2]))
+    Omega = -z[:n_v]                                # n_v x m
+    Ncal = tuple(Nk + quadratic_jacobian(sys.H, w) for Nk, w in zip(sys.N, Omega.T))
     Bcal1 = sys.B1 + sys.A11 @ Omega
-    Bu = hessian_congruence(sys.H, 1, Omega, Omega)
-    Bu = Bu + np.hstack([Nk @ Omega for Nk in sys.N])
+    Bu = hessian_congruence(sys.H, 1, Omega, Omega) + np.hstack([Nk @ Omega for Nk in sys.N])
     Bdot = -sys.E11 @ Omega
     B1_aug = np.hstack([Bcal1, Bu, Bdot])
-    N_aug = Ncal + tuple(np.zeros((sys.n_v, sys.n_v)) for _ in range(m * m + m))
-    dae = QbDaeSystem(
-        E11=sys.E11, A11=sys.A11, A12=sys.A12, A21=sys.A21,
-        H=sys.H, N=N_aug, B1=B1_aug, B2=np.zeros((sys.n_p, B1_aug.shape[1])),
-        C1=sys.C1, C2=sys.C2, v0=sys.v0,
-    )
-    du_feedthrough = -sys.C2 @ la.solve(S, sys.B2)
+    N_aug = Ncal + tuple(np.zeros((n_v, n_v)) for _ in range(m * m + m))
+    dae = replace(sys, N=N_aug, B1=B1_aug, B2=np.zeros((sys.n_p, B1_aug.shape[1])))
     return HomogenizedDae(
         dae=dae, Omega=Omega, Ncal=Ncal, Bcal1=Bcal1, Bu=Bu,
-        du_feedthrough=du_feedthrough, m_original=m,
+        du_feedthrough=sys.C2 @ z[n_v:], m_original=m,
     )
 
 

@@ -265,9 +265,11 @@ class _ShiftFactor:
 
     The matrix is ``-sigma E - A`` or, with constraint blocks, the saddle
     matrix ``[[-sigma E - A, A12], [A21, 0]]``.  Only the LU factors and
-    pivots are kept; residuals are formed from the blocks at each solve.
-    ``solve(rhs, trans)`` solves with the matrix or its plain
-    (unconjugated) transpose, zero-padding ``rhs`` over the constraint rows.
+    pivots are kept; each solve is gated on its residual over the whole
+    right-hand side, formed from the blocks.
+    ``solve(rhs, trans)`` solves with the matrix or its plain (unconjugated)
+    transpose; ``rhs`` has ``n + n_p`` rows or ``n``, zero-padded over the
+    constraint rows.
     A shift with zero imaginary part is factored in real arithmetic; its
     real LU factors also solve complex right-hand sides.
     """
@@ -297,11 +299,12 @@ class _ShiftFactor:
         return f"shift collides with spectrum (sigma={self.sigma})"
 
     def solve(self, rhs, trans=False):
-        """Solution of ``M z = [rhs; 0]`` (``M^T`` with ``trans``), refined once."""
-        rhs = np.asarray(rhs)
-        n = rhs.shape[0]
-        full = np.concatenate(
-            [rhs, np.zeros((self.A12.shape[1],) + rhs.shape[1:], dtype=rhs.dtype)])
+        """Solution of ``M z = rhs`` (``M^T`` with ``trans``), refined once."""
+        full = np.asarray(rhs)
+        n, n_p = self.A.shape[0], self.A12.shape[1]
+        if full.shape[0] != n + n_p:
+            full = np.concatenate(
+                [full, np.zeros((n_p,) + full.shape[1:], dtype=full.dtype)])
         # the shifted block is re-formed per call rather than stored per shift
         M = -self.sigma * self.E - self.A
         M, B12, B21 = ((M.T, self.A21.T, self.A12.T) if trans
@@ -319,8 +322,8 @@ class _ShiftFactor:
             raise SolverError(f"{self._failure()}: {exc}") from exc
         if not np.all(np.isfinite(z)):
             raise SolverError(self._failure())
-        top, bottom = apply(z)
-        res = _fro(np.concatenate([rhs - top, bottom])) / max(_fro(rhs), _TINY)
+        r = full - np.concatenate(apply(z))
+        res = _fro(r) / max(_fro(full), _TINY)
         if self.saddle and res > SADDLE_TOL:
             raise ResidualError(
                 f"saddle solve residual {res:.3e} exceeds {SADDLE_TOL:.0e} "
@@ -331,7 +334,8 @@ class _ShiftFactor:
                 f"{self._failure()}: relative residual {res:.3e} exceeds "
                 f"{SHIFTED_TOL:.0e}"
             )
-        cres = _fro(bottom) / max(_fro(z[:n]), _TINY)
+        # the constraint rows on their own, relative to z's top block or their rhs
+        cres = _fro(r[n:]) / max(_fro(z[:n]), _fro(full[n:]), _TINY)
         if cres > SADDLE_TOL:
             raise ResidualError(
                 f"saddle constraint residual {cres:.3e} exceeds {SADDLE_TOL:.0e}"
@@ -500,8 +504,9 @@ def solve_saddle(E11, A11, A12, A21, sigma, f):
 
     The solution block ``v`` lies in the kernel of ``A21`` and equals the
     obliquely projected shifted solve used by the projector-free reduction
-    iteration.  With ``f=None`` the saddle factorization is returned, as in
-    :func:`solve_shifted`.
+    iteration.  An ``f`` of ``n_v + n_p`` rows is the whole right-hand side
+    ``[f_v; g]``, solving ``A21 v = g`` instead.  With ``f=None`` the saddle
+    factorization is returned, as in :func:`solve_shifted`.
     """
     fact = _ShiftFactor(E11, A11, sigma, A12, A21)
     if f is None:
@@ -516,7 +521,8 @@ def solve_saddle_adjoint(E11, A11, A12, A21, sigma, g):
 
     This is the plain transpose (not conjugated) of the :func:`solve_saddle`
     matrix, matching the transposed Sylvester operator; the solution block
-    ``w`` lies in the kernel of ``A12^T``.
+    ``w`` lies in the kernel of ``A12^T``.  A ``g`` of ``n_v + n_p`` rows is
+    the whole right-hand side, as in :func:`solve_saddle`.
     """
     n_v = np.shape(A12)[0]
     z = _ShiftFactor(E11, A11, sigma, A12, A21).solve(g, trans=True)

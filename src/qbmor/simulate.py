@@ -179,8 +179,11 @@ class Trajectory:
 
 
 def _grid(t_final, dt):
-    if not (t_final > 0 and dt > 0):
-        raise ValueError(f"need t_final > 0 and dt > 0, got {t_final}, {dt}")
+    if not (0 < t_final < np.inf and 0 < dt < np.inf):
+        raise ValueError(f"need t_final > 0 and dt > 0, both finite, got {t_final}, {dt}")
+    # at least one step (t_final / dt up to 0.5 rounds to 0) and finitely many
+    if not 0.5 < t_final / dt < np.inf:
+        raise ValueError(f"need 1 <= round(t_final / dt) < inf, got {t_final / dt:.3g}")
     steps = int(round(t_final / dt))
     return dt * np.arange(steps + 1), steps
 

@@ -74,6 +74,7 @@ def test_reduce_nonpositive_tol(tmp_path):
     ("reduce", "--order", "0"), ("reduce", "--tol", "nan"),
     ("reduce", "--max-iters", "0"), ("reduce", "--max-iters", "-2"),
     ("simulate", "--t-final", "-1"), ("simulate", "--dt", "nan"),
+    ("simulate", "--t-final", "inf"), ("simulate", "--dt", "inf"),
 ])
 def test_nonpositive_numeric_argument_is_usage_error(tmp_path, capsys, command,
                                                      flag, value):
@@ -323,3 +324,18 @@ def test_malformed_matrix_entry_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("qbmor: error:")
     assert "H.mtx" in err and "line 3" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("t_final, dt, ratio", [("1e300", "1e-300", "inf"),
+                                                ("1", "3", "0.333")])
+def test_simulate_grid_without_finite_steps_is_a_clean_error(tmp_path, capsys, t_final, dt,
+                                                            ratio):
+    sysdir = tmp_path / "sys"
+    save_system(gen_burgers(8, 0.1), sysdir)
+    code = run(["simulate", "--system", str(sysdir / "manifest.json"),
+                "--t-final", t_final, "--dt", dt, "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("qbmor: error:")
+    assert f"need 1 <= round(t_final / dt) < inf, got {ratio}" in err
+    assert not (tmp_path / "t.csv").exists()

@@ -1,7 +1,10 @@
+import sys as _sys
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
+from qbmor import dae_transform, dense_solvers
 from qbmor.dae_transform import (
     build_projectors,
     explicit_ode,
@@ -61,6 +64,21 @@ def test_projector_invariants_seeded():
     proj = build_projectors(sys)
     for name, v in projector_invariant_violations(sys, proj).items():
         assert v <= 1e-10, f"{name}: {v:.3e}"
+
+
+def rel_err(x, oracle):
+    return np.linalg.norm(x - oracle) / np.linalg.norm(oracle)
+
+
+def test_projectors_nonsymmetric_inverse_oracle():
+    sys = gen_synthetic_dae(20, 5, m=2, p=2, seed=3, quad_scale=0.1)
+    assert np.linalg.norm(sys.A12 - sys.A21.T) > 1e-3   # so Pi_l != Pi_r^T
+    proj = build_projectors(sys)
+    E11i = la.inv(sys.E11)
+    Si = la.inv(sys.A21 @ E11i @ sys.A12)
+    eye = np.eye(20)
+    assert rel_err(proj.Pi_l, eye - sys.A12 @ Si @ sys.A21 @ E11i) <= 1e-12
+    assert rel_err(proj.Pi_r, eye - E11i @ sys.A12 @ Si @ sys.A21) <= 1e-12
 
 
 def test_projector_size_cap():
@@ -135,6 +153,21 @@ def test_recover_pressure_linear_formula():
     S = sys.A21 @ E11i @ sys.A12
     oracle = -la.inv(S) @ sys.A21 @ E11i @ sys.B1 @ u
     assert np.allclose(p, oracle, rtol=1e-10, atol=1e-12)
+
+
+def test_recover_pressure_with_b2_inverse_oracle():
+    rng = np.random.default_rng(4)
+    sys = gen_synthetic_dae(14, 3, m=2, p=2, seed=9, quad_scale=0.2,
+                            with_b2=True, with_c2=True)
+    v, u, udot = rng.standard_normal(14), rng.standard_normal(2), rng.standard_normal(2)
+    p = recover_pressure(sys, v, u, udot)
+    f = (sys.A11 @ v + apply_hessian(sys.H, v, v) + sys.B1 @ u
+         + sum((Nk @ v) * u[q] for q, Nk in enumerate(sys.N)))
+    E11i = la.inv(sys.E11)
+    S = sys.A21 @ E11i @ sys.A12
+    assert rel_err(p, -la.inv(S) @ (sys.A21 @ E11i @ f + sys.B2 @ udot)) <= 1e-12
+    with pytest.raises(ValueError, match="input derivative"):
+        recover_pressure(sys, v, u)
 
 
 def test_recover_pressure_consistency_on_manifold():
@@ -233,6 +266,16 @@ def test_homogenize_linear_case():
     assert np.allclose(sys.A21 @ hom.Omega, -sys.B2, atol=1e-12)
 
 
+def test_homogenize_inverse_oracle():
+    sys = gen_synthetic_dae(14, 3, m=2, p=2, seed=9, quad_scale=0.1,
+                            with_b2=True, with_c2=True)
+    hom = homogenize_b2(sys)
+    E11i = la.inv(sys.E11)
+    Si_B2 = la.inv(sys.A21 @ E11i @ sys.A12) @ sys.B2
+    assert rel_err(hom.Omega, -E11i @ sys.A12 @ Si_B2) <= 1e-12
+    assert rel_err(hom.du_feedthrough, -sys.C2 @ Si_B2) <= 1e-12
+
+
 def test_homogenize_simulation_equivalence():
     sys = gen_synthetic_dae(14, 3, m=2, p=2, seed=9, quad_scale=0.1,
                             with_b2=True, with_c2=True)
@@ -295,3 +338,34 @@ def test_homogenized_output_realization_feedthrough():
     # the recorded input-derivative output coefficient
     S = sys.A21 @ la.solve(sys.E11, sys.A12)
     assert np.allclose(hom.du_feedthrough, -sys.C2 @ la.solve(S, sys.B2))
+
+
+# -- one saddle factorization per elimination ---------------------------------
+
+
+@pytest.mark.parametrize("name", ["build_projectors", "output_realization",
+                                  "recover_pressure", "homogenize_b2"])
+def test_elimination_factors_one_saddle_matrix_and_never_calls_solve(name, monkeypatch):
+    sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=9, quad_scale=0.1,
+                            with_b2=True, with_c2=True)
+    args = {"recover_pressure": (np.ones(12), np.ones(2), np.ones(2))}.get(name, ())
+    factors, solve_callers = [], []
+
+    class CountedFactor(dense_solvers._ShiftFactor):
+        def __init__(self, *a, **kw):
+            factors.append(a[2])                # the shift
+            super().__init__(*a, **kw)
+
+    solve = la.solve
+
+    def recorded_solve(*a, **kw):
+        solve_callers.append(_sys._getframe(1).f_globals["__name__"])
+        return solve(*a, **kw)
+
+    monkeypatch.setattr(dense_solvers, "_ShiftFactor", CountedFactor)
+    monkeypatch.setattr(la, "solve", recorded_solve)
+    getattr(dae_transform, name)(sys, *args)
+    assert factors == [0.0]
+    # QbDaeSystem validation (run by homogenize_b2's result) may solve;
+    # the elimination itself never does
+    assert "qbmor.dae_transform" not in solve_callers

@@ -5,6 +5,7 @@ import scipy.linalg as la
 from qbmor.dae_transform import build_projectors
 from qbmor.dense_solvers import (
     LYAPUNOV_TOL,
+    SADDLE_TOL,
     SolverError,
     conjugate_pairs,
     pencil_eig,
@@ -305,6 +306,25 @@ def test_solve_saddle_explicit_projector_oracle():
         oracle = proj.theta_r @ la.solve(Xs, proj.phi_l.T @ f)
         assert np.linalg.norm(vbar - oracle) <= 1e-8 * np.linalg.norm(oracle)
         assert np.linalg.norm(sys.A21 @ vbar) <= 1e-10 * np.linalg.norm(vbar)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.7 + 2.2j])
+def test_saddle_solves_whole_right_hand_side(sigma):
+    # a right-hand side of n_v + n_p rows carries the constraint rows too
+    rng = np.random.default_rng(16)
+    sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=5, quad_scale=0.1)
+    K = np.block([[-sigma * sys.E11 - sys.A11, sys.A12],
+                   [sys.A21, np.zeros((3, 3))]])
+    rhs = rng.standard_normal((15, 2))
+    with record_residuals() as log:
+        vbar, xi = solve_saddle(sys.E11, sys.A11, sys.A12, sys.A21, sigma, rhs)
+        wbar, eta = solve_saddle_adjoint(sys.E11, sys.A11, sys.A12, sys.A21,
+                                         sigma, rhs)
+    for z, M in ((np.vstack([vbar, xi]), K), (np.vstack([wbar, eta]), K.T)):
+        oracle = la.solve(M, rhs)
+        assert np.linalg.norm(z - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    assert [tag for tag, _ in log] == ["saddle", "saddle"]
+    assert all(v <= SADDLE_TOL for _, v in log)
 
 
 def test_solve_saddle_adjoint_zero_rhs():

@@ -184,10 +184,18 @@ def test_input_channel_mismatch():
 
 
 @pytest.mark.parametrize("t_final, dt", [(1.0, float("nan")), (float("nan"), 0.1),
-                                         (1.0, 0.0), (-1.0, 0.1)])
+                                         (1.0, 0.0), (-1.0, 0.1),
+                                         (float("inf"), 0.1), (1.0, float("inf"))])
 def test_bad_time_grid_is_rejected(t_final, dt):
     sys = gen_burgers(8, 0.5)
     with pytest.raises(ValueError, match="need t_final > 0 and dt > 0"):
+        simulate_ode(sys, InputSignal.zero(1), t_final, dt)
+
+
+@pytest.mark.parametrize("t_final, dt, ratio", [(1e300, 1e-300, "inf"), (1.0, 3.0, "0.333")])
+def test_time_grid_needs_a_finite_number_of_steps(t_final, dt, ratio):
+    sys = gen_burgers(8, 0.5)
+    with pytest.raises(ValueError, match=rf"round\(t_final / dt\) < inf, got {ratio}"):
         simulate_ode(sys, InputSignal.zero(1), t_final, dt)
 
 
