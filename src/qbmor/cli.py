@@ -212,6 +212,8 @@ def main(argv=None):
         return args.func(args)
     except (SolverError, RuntimeError) as exc:
         return _fail(str(exc))
+    except MemoryError as exc:
+        return _fail(f"out of memory: {exc}")
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         return _fail(str(exc))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as la
 
 from .dense_solvers import SolverError, record_residuals, solve_lyapunov
 from .system_model import QbOdeSystem
@@ -187,29 +188,18 @@ def truncated_h2_norm(sys):
 
 
 def _augmented_error_system(full, red):
-    n, r = full.n, red.r
-    nr = n + r
-    E = np.zeros((nr, nr))
-    E[:n, :n] = full.E
-    E[n:, n:] = red.Ehat
-    A = np.zeros((nr, nr))
-    A[:n, :n] = full.A
-    A[n:, n:] = red.Ahat
+    n = full.n
     Hf, Hr = full.H, HessianTensor.from_mode1(red.Hhat)
     H = HessianTensor(
-        nr,
+        n + red.r,
         np.concatenate([Hf._i, Hr._i + n]),
         np.concatenate([Hf._j, Hr._j + n]),
         np.concatenate([Hf._k, Hr._k + n]),
         np.concatenate([Hf._v, Hr._v]),
     )
-    N = tuple(
-        np.block([
-            [full.N[q], np.zeros((n, r))],
-            [np.zeros((r, n)), red.Nhat[q]],
-        ])
-        for q in range(full.m)
-    )
+    E = la.block_diag(full.E, red.Ehat)
+    A = la.block_diag(full.A, red.Ahat)
+    N = tuple(la.block_diag(Nk, Nhat_k) for Nk, Nhat_k in zip(full.N, red.Nhat))
     B = np.vstack([full.B, red.Bhat])
     C = np.hstack([full.C, -red.Chat])
     return QbOdeSystem(E=E, A=A, H=symmetrize(H), N=N, B=B, C=C)

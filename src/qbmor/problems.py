@@ -308,14 +308,17 @@ def load_system(manifest_path):
             raise ValueError(f"{manifest_path}: manifest is missing dims {missing}")
         return (dims[key] for key in keys)
 
-    def n_files(count, shape):
-        files = matrices.get("N", [])
+    def n_files(key, count, shape):
+        files = matrices.get(key, [])
+        if len(files) > count:
+            raise ValueError(f"{manifest_path}: manifest lists {len(files)} {key} "
+                             f"files for {count} inputs")
         out = []
         for f in files:
             M = read_matrix(os.path.join(base, f))
             if M.shape != shape:
                 raise ValueError(
-                    f"dimension clash for N entry {f!r}: expected {shape}, "
+                    f"dimension clash for {key} entry {f!r}: expected {shape}, "
                     f"got {M.shape}"
                 )
             out.append(_dense(M))
@@ -333,7 +336,7 @@ def load_system(manifest_path):
         B = _dense(_load_entry(base, matrices, "B", (n, m), required=True))
         C = _dense(_load_entry(base, matrices, "C", (p, n), required=True))
         return QbOdeSystem(E=_dense(E), A=A, H=HessianTensor.from_mode1(H),
-                           N=n_files(m, (n, n)), B=B, C=C)
+                           N=n_files("N", m, (n, n)), B=B, C=C)
     if kind == "dae":
         n_v, n_p, m, p = need("n_v", "n_p", "m", "p")
         E11 = _dense(_load_entry(base, matrices, "E11", (n_v, n_v), required=True))
@@ -353,7 +356,7 @@ def load_system(manifest_path):
                     f"dimension clash for v0: expected length {n_v}, got {v0.size}"
                 )
         return QbDaeSystem(E11=E11, A11=A11, A12=A12, A21=A21,
-                           H=HessianTensor.from_mode1(H), N=n_files(m, (n_v, n_v)),
+                           H=HessianTensor.from_mode1(H), N=n_files("N", m, (n_v, n_v)),
                            B1=B1, B2=B2, C1=C1, C2=C2, v0=v0)
     if kind == "reduced":
         r, m, p = need("r", "m", "p")
@@ -367,14 +370,8 @@ def load_system(manifest_path):
         W = _dense(_load_entry(base, matrices, "W", (n_full, r), required=True))
         CH = _dense(_load_entry(base, matrices, "CH", (p, r * r)))
         D = _dense(_load_entry(base, matrices, "D", (p, m)))
-        cn_files = matrices.get("CN", [])
-        CN = [
-            _dense(read_matrix(os.path.join(base, f))) for f in cn_files
-        ]
-        while len(CN) < m:
-            CN.append(np.zeros((p, r)))
         return ReducedQbSystem(
-            Ehat=E, Ahat=A, Hhat=H, Nhat=n_files(m, (r, r)), Bhat=B, Chat=C,
-            V=V, W=W, CHhat=CH, CNhat=tuple(CN), Dhat=D,
+            Ehat=E, Ahat=A, Hhat=H, Nhat=n_files("N", m, (r, r)), Bhat=B, Chat=C,
+            V=V, W=W, CHhat=CH, CNhat=n_files("CN", m, (p, r)), Dhat=D,
         )
     raise ValueError(f"unknown system type {kind!r} in {manifest_path}")

@@ -185,7 +185,12 @@ def _grid(t_final, dt):
     if not 0.5 < t_final / dt < np.inf:
         raise ValueError(f"need 1 <= round(t_final / dt) < inf, got {t_final / dt:.3g}")
     steps = int(round(t_final / dt))
-    return dt * np.arange(steps + 1), steps
+    try:
+        return dt * np.arange(steps + 1), steps
+    except (ValueError, MemoryError):
+        # numpy refuses a size past its limit or fails to allocate it
+        raise ValueError(f"cannot allocate a time grid of {steps} steps "
+                         f"(t_final {t_final:g}, dt {dt:g})") from None
 
 
 class _NewtonStep:

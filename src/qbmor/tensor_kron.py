@@ -72,8 +72,7 @@ class HessianTensor:
             i, j, k, v = i[order], j[order], k[order], v[order]
             flat = (i * n + j) * n + k
             uniq, inv = np.unique(flat, return_inverse=True)
-            vals = np.zeros(uniq.size, dtype=np.float64)
-            np.add.at(vals, inv, v)
+            vals = _scatter_sum(inv, v, uniq.size)
             keep = vals != 0.0
             uniq, vals = uniq[keep], vals[keep]
             i, rem = np.divmod(uniq, n * n)
@@ -219,15 +218,15 @@ def apply_hessian(t, a, b):
 
 
 def apply_unfolded(M, L, R):
-    """Compute ``M (L kron R)`` from the stored entries of ``M``.
+    """Compute ``M (L kron R)`` from the stored columns of ``M``.
 
     ``M`` is any (q, n^2) matrix (sparse or dense) whose columns are ordered
-    like ``L kron R`` rows, i.e. index ``s*n + f`` pairs row ``s`` of ``L``
-    with row ``f`` of ``R``.  Column ``a*rR + b`` of the result equals
-    ``M @ kron(L[:, a], R[:, b])``.  Each stored entry ``M[i, s*n + f]``
-    contributes ``M[i, s*n + f] L[s, a] R[f, :]`` to row ``i``; the terms are
-    summed over the row segments of the CSR form, so work and memory are
-    O(nnz(M) rL rR) and O(nnz(M) rR), and nothing of size n^2 is formed.
+    like ``L kron R`` rows, i.e. index ``a*n + b`` pairs row ``a`` of ``L``
+    with row ``b`` of ``R``.  Column ``p*rR + s`` of the result equals
+    ``M @ kron(L[:, p], R[:, s])``.  With ``Hc`` the restriction of ``M`` to
+    its stored columns ``c = a*n + b``, shared with :func:`hessian_gram`, the
+    result is the one sparse product ``Hc @ (L kron R)[c]``, so scratch is
+    O(|stored columns| rL rR) and nothing of size n^2 is formed.
     """
     L = np.asarray(L)
     R = np.asarray(R)
@@ -239,17 +238,8 @@ def apply_unfolded(M, L, R):
             f"shape mismatch: M is {M.shape}, L has {L.shape[0]} rows, "
             f"R has {R.shape[0]} rows"
         )
-    rL, rR = L.shape[1], R.shape[1]
-    M = sp.csr_matrix(M)
-    out = np.zeros((M.shape[0], rL * rR),
-                   dtype=np.result_type(M.dtype, L.dtype, R.dtype))
-    rows = np.flatnonzero(np.diff(M.indptr))
-    s, f = np.divmod(M.indices, n)
-    MR = M.data[:, None] * R[f]
-    for a in range(rL):
-        out[rows, a * rR:(a + 1) * rR] = np.add.reduceat(
-            L[s, a, None] * MR, M.indptr[rows], axis=0)
-    return out
+    Hc, a, b = _stored_columns(M, n)
+    return Hc @ (L[a, :, None] * R[b, None, :]).reshape(a.size, L.shape[1] * R.shape[1])
 
 
 def hessian_congruence(t, mode, L, R):
@@ -268,28 +258,25 @@ def hessian_congruence(t, mode, L, R):
 def hessian_gram(t, mode, L, R):
     """Evaluate ``H^(mode) (L kron R) H^(mode)^T`` for ``mode`` in {1, 2}.
 
-    ``L`` and ``R`` are n-by-n; the result is dense n-by-n.  Only the stored
-    columns ``c = a*n + b`` of the unfolding ``H`` contribute, so with ``Hc``
-    the unfolding restricted to them the result is the sparse congruence
-    ``Hc Z Hc^T``, ``Z[c, c'] = L[a_c, a_c'] R[b_c, b_c']``.  ``Z`` is formed
+    ``L`` and ``R`` are n-by-n; the result is dense n-by-n.  With ``Hc`` the
+    restriction of ``H`` to its stored columns ``c = a*n + b``, shared with
+    :func:`apply_unfolded`, the result is the sparse congruence ``Hc Z Hc^T``,
+    ``Z[c, c'] = L[a_c, a_c'] R[b_c, b_c']``.  ``Z`` is formed
     ``_GRAM_BLOCK`` columns at a time, so scratch is
     O(|stored columns| * _GRAM_BLOCK + n^2) and no n-by-n^2 array is formed.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    M = t.mode(mode)
     L = np.asarray(L)
     R = np.asarray(R)
     n = t.n
     if L.shape != (n, n) or R.shape != (n, n):
         raise ValueError(
             f"L and R must be {n}-by-{n}, got {L.shape} and {R.shape}")
-    cols, pos = np.unique(M.indices, return_inverse=True)
-    a, b = np.divmod(cols, n)
-    Hc = sp.csr_matrix((M.data, pos, M.indptr), shape=(n, cols.size))
+    Hc, a, b = _stored_columns(t.mode(mode), n)
     HcT = Hc.T.tocsr()
-    out = np.zeros((n, n), dtype=np.result_type(M.dtype, L.dtype, R.dtype))
-    for lo in range(0, cols.size, _GRAM_BLOCK):
+    out = np.zeros((n, n), dtype=np.result_type(Hc.dtype, L.dtype, R.dtype))
+    for lo in range(0, a.size, _GRAM_BLOCK):
         w = slice(lo, lo + _GRAM_BLOCK)
         out += (Hc @ (L[np.ix_(a, a[w])] * R[np.ix_(b, b[w])])) @ HcT[w]
     return out
@@ -308,6 +295,18 @@ def quadratic_jacobian(t, x):
     flat, operand, values = t._jacobian_pattern()
     return _scatter_sum(flat, values * x[operand], t.n * t.n).reshape(
         t.n, t.n, order="F")
+
+
+def _stored_columns(M, n):
+    """``(Hc, a, b)``: the (q, n^2) matrix ``M`` restricted to its stored columns.
+
+    Column ``w`` of the CSR matrix ``Hc`` is column ``a[w]*n + b[w]`` of ``M``;
+    the stored columns are sorted and unique.
+    """
+    M = sp.csr_matrix(M)
+    cols, pos = np.unique(M.indices, return_inverse=True)
+    a, b = np.divmod(cols, n)
+    return sp.csr_matrix((M.data, pos, M.indptr), shape=(M.shape[0], cols.size)), a, b
 
 
 def _scatter_sum(index, weights, size):

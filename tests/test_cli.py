@@ -339,3 +339,28 @@ def test_simulate_grid_without_finite_steps_is_a_clean_error(tmp_path, capsys, t
     assert err.startswith("qbmor: error:")
     assert f"need 1 <= round(t_final / dt) < inf, got {ratio}" in err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_grid_past_the_array_size_limit_is_a_clean_error(tmp_path, capsys):
+    sysdir = tmp_path / "sys"
+    save_system(gen_burgers(8, 0.1), sysdir)
+    code = run(["simulate", "--system", str(sysdir / "manifest.json"),
+                "--t-final", "1e20", "--dt", "1", "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("qbmor: error: cannot allocate a time grid of 100000000000000000000 "
+                   "steps (t_final 1e+20, dt 1)\n")
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+    sysdir = tmp_path / "sys"
+    save_system(gen_burgers(8, 0.1), sysdir)
+    monkeypatch.setattr("qbmor.cli.simulate_ode", exhausted)
+    code = run(["simulate", "--system", str(sysdir / "manifest.json"),
+                "--t-final", "1", "--dt", "0.1", "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == "qbmor: error: out of memory: Unable to allocate 8.00 GiB\n"
+    assert not (tmp_path / "t.csv").exists()

@@ -7,11 +7,12 @@ from qbmor.problems import (
     gen_burgers,
     gen_synthetic_dae,
     load_system,
+    save_reduced,
     save_system,
     steady_state_shift,
 )
 from qbmor.simulate import InputSignal, simulate_dae
-from qbmor.system_model import QbDaeSystem, validate_ode
+from qbmor.system_model import QbDaeSystem, ReducedQbSystem, validate_ode
 from qbmor.tensor_kron import apply_hessian, matricize
 
 from helpers import dae_steady_state
@@ -215,6 +216,35 @@ def test_manifest_dimension_clash(tmp_path):
     open(manifest, "w").write(json.dumps(data))
     with pytest.raises(ValueError, match="dimension clash"):
         load_system(manifest)
+
+
+def _saved_reduced_with_corrections(tmp_path):
+    """Manifest of an r = 3, m = 1, p = 1 reduced model with N1 and CN1 files."""
+    rng = np.random.default_rng(9)
+    red = ReducedQbSystem(Ehat=np.eye(3), Ahat=-np.eye(3), Hhat=np.zeros((3, 9)),
+                          Nhat=(rng.standard_normal((3, 3)),), Bhat=np.ones((3, 1)),
+                          Chat=np.ones((1, 3)), V=np.eye(5, 3), W=np.eye(5, 3),
+                          CNhat=(rng.standard_normal((1, 3)),))
+    return save_reduced(red, tmp_path / "red")
+
+
+def test_reduced_correction_file_shape_clash_names_the_file(tmp_path):
+    manifest = _saved_reduced_with_corrections(tmp_path)
+    assert load_system(manifest).CNhat[0].any()
+    write_matrix(str(tmp_path / "red" / "CN1.mtx"), np.ones((2, 2)))
+    with pytest.raises(ValueError, match=r"CN entry 'CN1.mtx': expected \(1, 3\), got \(2, 2\)"):
+        load_system(manifest)
+
+
+def test_more_bilinear_files_than_inputs_names_the_manifest(tmp_path):
+    import json
+    manifest = _saved_reduced_with_corrections(tmp_path)
+    data = json.loads(open(manifest).read())
+    data["matrices"]["N"] = ["N1.mtx", "N1.mtx"]
+    open(manifest, "w").write(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        load_system(manifest)
+    assert str(info.value) == f"{manifest}: manifest lists 2 N files for 1 inputs"
 
 
 def test_manifest_missing_dimension_is_named(tmp_path):

@@ -199,6 +199,17 @@ def test_time_grid_needs_a_finite_number_of_steps(t_final, dt, ratio):
         simulate_ode(sys, InputSignal.zero(1), t_final, dt)
 
 
+def test_time_grid_that_cannot_be_allocated_is_a_value_error(monkeypatch):
+    # stands in for a count numpy tries to allocate but the host cannot hold
+    # (1e10 steps ask for about 80 GB, too much to run)
+    def arange(stop):
+        raise MemoryError(f"Unable to allocate an array with shape ({stop},)")
+    sys = gen_burgers(8, 0.5)
+    monkeypatch.setattr(simulate.np, "arange", arange)
+    with pytest.raises(ValueError, match=r"grid of 10000000000 steps \(t_final 1e\+10, dt 1\)"):
+        simulate_ode(sys, InputSignal.zero(1), 1e10, 1.0)
+
+
 def test_dae_zero_input():
     sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=0, quad_scale=0.1)
     traj = simulate_dae(sys, InputSignal.zero(2), 1.0, 0.01)

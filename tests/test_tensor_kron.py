@@ -373,6 +373,18 @@ def _unfolded_case(name, rng):
         D = rng.standard_normal((7, n * n)) * (rng.random((7, n * n)) < 0.3)
         D[[1, 4]] = 0.0
         M = sp.csr_matrix(D)
+    elif name == "non-canonical-csr":
+        # unsorted indices, (0, 7) stored twice, an explicit zero at (0, 3)
+        # and an empty row
+        M = sp.csr_matrix((np.array([1.5, -2.0, 0.0, 0.7, 3.0, -1.0]),
+                           np.array([7, 7, 3, 24, 0, 12]), np.array([0, 3, 3, 6])),
+                          shape=(3, n * n))
+        assert not M.has_canonical_format
+    elif name == "shared-columns":
+        # q != n rows, every row stored at the same three columns
+        D = np.zeros((6, n * n))
+        D[:, [2, 9, 17]] = rng.standard_normal((6, 3))
+        M = sp.csr_matrix(D)
     elif name == "dense":
         M = rng.standard_normal((3, n * n))
     elif name == "zero-tensor":
@@ -388,7 +400,8 @@ def _unfolded_case(name, rng):
 
 
 @pytest.mark.parametrize(
-    "name", ["sparse-wide-empty-rows", "dense", "zero-tensor", "complex"])
+    "name", ["sparse-wide-empty-rows", "non-canonical-csr", "shared-columns", "dense",
+             "zero-tensor", "complex"])
 def test_apply_unfolded_dense_oracle(name):
     M, L, R = _unfolded_case(name, np.random.default_rng(23))
     got = apply_unfolded(M, L, R)
@@ -396,3 +409,22 @@ def test_apply_unfolded_dense_oracle(name):
     assert got.shape == dense.shape
     assert got.dtype == np.result_type(M.dtype, L.dtype, R.dtype)
     assert np.linalg.norm(got - dense) <= 1e-12 * max(np.linalg.norm(dense), 1.0)
+
+
+def test_apply_unfolded_and_hessian_gram_share_one_restriction(monkeypatch):
+    import qbmor.tensor_kron as tk
+    restrict, calls = tk._stored_columns, []
+
+    def counted(M, n):
+        calls.append(M.shape)
+        return restrict(M, n)
+
+    monkeypatch.setattr(tk, "_stored_columns", counted)
+    t = random_tensor(6, 4)
+    L = np.random.default_rng(3).standard_normal((4, 4))
+    apply_unfolded(t.mode1, L[:, :2], L)
+    assert calls == [(4, 16)]
+    hessian_congruence(t, 2, L, L[:, :3])
+    assert len(calls) == 2
+    hessian_gram(t, 1, L, L.T)
+    assert len(calls) == 3
