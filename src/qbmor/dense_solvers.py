@@ -261,37 +261,34 @@ def pencil_eig(Ehat, Ahat):
 
 
 class _ShiftFactor:
-    """LU factors of one shifted or saddle matrix at a fixed shift.
+    """One shifted or saddle matrix ``M``, formed once per shift, and its LU.
 
-    The matrix is ``-sigma E - A`` or, with constraint blocks, the saddle
-    matrix ``[[-sigma E - A, A12], [A21, 0]]``.  Only the LU factors and
-    pivots are kept; each solve is gated on its residual over the whole
-    right-hand side, formed from the blocks.
-    ``solve(rhs, trans)`` solves with the matrix or its plain (unconjugated)
-    transpose; ``rhs`` has ``n + n_p`` rows or ``n``, zero-padded over the
-    constraint rows.
-    A shift with zero imaginary part is factored in real arithmetic; its
-    real LU factors also solve complex right-hand sides.
+    ``M`` is ``-sigma E - A`` or, with constraint blocks, the saddle matrix
+    ``[[-sigma E - A, A12], [A21, 0]]``.  ``solve(rhs, trans)`` solves with
+    ``M`` or its plain (unconjugated) transpose, refined once, and gates the
+    residual ``rhs - M z``, taken against the stored ``M``, over the whole
+    right-hand side; ``rhs`` has ``n + n_p`` rows or ``n``, zero-padded over
+    the constraint rows.  A shift with zero imaginary part is factored in
+    real arithmetic; complex right-hand sides are then solved as real views
+    with twice the columns, so no complex copy of ``M`` or its LU is made.
     """
 
     def __init__(self, E, A, sigma, A12=None, A21=None):
         if sigma.imag == 0:
             sigma = sigma.real
-        self.E, self.A, self.sigma = np.asarray(E), np.asarray(A), sigma
-        self.saddle = A12 is not None
-        n = self.A.shape[0]
-        self.A12 = np.asarray(A12) if self.saddle else np.zeros((n, 0))
-        self.A21 = np.asarray(A21) if self.saddle else np.zeros((0, n))
-        M = -sigma * self.E - self.A
+        self.sigma, self.saddle = sigma, A12 is not None
+        M = -sigma * np.asarray(E) - np.asarray(A)
+        self.n = M.shape[0]
         if self.saddle:
-            n_p = self.A12.shape[1]
-            M = np.block([[M, self.A12],
-                          [self.A21, np.zeros((n_p, n_p), dtype=M.dtype)]])
+            n_p = np.shape(A12)[1]
+            M = np.block([[M, A12], [A21, np.zeros((n_p, n_p), dtype=M.dtype)]])
+        self.M = M
         try:
             with _quiet_singular():
-                self.lu = la.lu_factor(M, overwrite_a=True)
+                self.lu = la.lu_factor(M)
         except (la.LinAlgError, ValueError) as exc:
             raise SolverError(f"{self._failure()}: {exc}") from exc
+        self._getrs, = la.get_lapack_funcs(("getrs",), (self.lu[0],))
 
     def _failure(self):
         if self.saddle:
@@ -300,30 +297,24 @@ class _ShiftFactor:
 
     def solve(self, rhs, trans=False):
         """Solution of ``M z = rhs`` (``M^T`` with ``trans``), refined once."""
-        full = np.asarray(rhs)
-        n, n_p = self.A.shape[0], self.A12.shape[1]
-        if full.shape[0] != n + n_p:
-            full = np.concatenate(
-                [full, np.zeros((n_p,) + full.shape[1:], dtype=full.dtype)])
-        # the shifted block is re-formed per call rather than stored per shift
-        M = -self.sigma * self.E - self.A
-        M, B12, B21 = ((M.T, self.A21.T, self.A12.T) if trans
-                       else (M, self.A12, self.A21))
-
-        def apply(z):
-            return M @ z[:n] + B12 @ z[n:], B21 @ z[:n]
-
-        try:
-            with _quiet_singular():
-                z = la.lu_solve(self.lu, full, trans=int(trans))
-                z = z + la.lu_solve(self.lu, full - np.concatenate(apply(z)),
-                                    trans=int(trans))
-        except (la.LinAlgError, ValueError) as exc:
-            raise SolverError(f"{self._failure()}: {exc}") from exc
+        b = np.asarray(rhs)
+        n, rows = self.n, self.M.shape[0]
+        if b.shape[0] != rows:
+            if b.shape[0] != n:
+                raise ValueError(f"right-hand side has {b.shape[0]} rows, "
+                                 f"expected {n} or {rows}")
+            b = np.concatenate([b, np.zeros((rows - n,) + b.shape[1:], dtype=b.dtype)])
+        M, t = (self.M.T, 1) if trans else (self.M, 0)
+        shape, split = b.shape, np.iscomplexobj(b) and not np.iscomplexobj(M)
+        if split:
+            b = np.ascontiguousarray(b.reshape(rows, -1)).view(float)
+        z = self._getrs(*self.lu, b, trans=t)[0]
+        # a singular factor yields inf/nan here; stop before any product with it
         if not np.all(np.isfinite(z)):
             raise SolverError(self._failure())
-        r = full - np.concatenate(apply(z))
-        res = _fro(r) / max(_fro(full), _TINY)
+        z = z + self._getrs(*self.lu, b - M @ z, trans=t)[0]
+        r = b - M @ z
+        res = _fro(r) / max(_fro(b), _TINY)
         if self.saddle and res > SADDLE_TOL:
             raise ResidualError(
                 f"saddle solve residual {res:.3e} exceeds {SADDLE_TOL:.0e} "
@@ -335,12 +326,15 @@ class _ShiftFactor:
                 f"{SHIFTED_TOL:.0e}"
             )
         # the constraint rows on their own, relative to z's top block or their rhs
-        cres = _fro(r[n:]) / max(_fro(z[:n]), _fro(full[n:]), _TINY)
+        cres = (_fro(r[n:]) / max(_fro(z[:n]), _fro(b[n:]), _TINY)
+                if self.saddle else 0.0)
         if cres > SADDLE_TOL:
             raise ResidualError(
                 f"saddle constraint residual {cres:.3e} exceeds {SADDLE_TOL:.0e}"
             )
         _note("saddle" if self.saddle else "shifted", max(res, cres))
+        if split:
+            z = np.ascontiguousarray(z).view(complex).reshape(shape)
         return z
 
 
@@ -348,7 +342,9 @@ def solve_shifted(E, A, sigma, rhs):
     """Solve ``(-sigma E - A) Z = rhs`` with one step of iterative refinement.
 
     With ``rhs=None`` the factorization is returned instead: an object whose
-    ``solve(rhs, trans=False)`` reuses it for plain and transposed solves.
+    ``solve(rhs, trans=False)`` reuses the matrix, formed once, and its LU
+    for plain and transposed solves, gated on the residual against that
+    matrix; a real ``sigma`` solves complex ``rhs`` as real views.
     """
     fact = _ShiftFactor(E, A, sigma)
     return fact if rhs is None else fact.solve(rhs)
@@ -506,7 +502,8 @@ def solve_saddle(E11, A11, A12, A21, sigma, f):
     obliquely projected shifted solve used by the projector-free reduction
     iteration.  An ``f`` of ``n_v + n_p`` rows is the whole right-hand side
     ``[f_v; g]``, solving ``A21 v = g`` instead.  With ``f=None`` the saddle
-    factorization is returned, as in :func:`solve_shifted`.
+    factorization is returned, as in :func:`solve_shifted`: the saddle matrix
+    is formed once and the residual of every solve is taken against it.
     """
     fact = _ShiftFactor(E11, A11, sigma, A12, A21)
     if f is None:

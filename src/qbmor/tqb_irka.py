@@ -81,13 +81,14 @@ class IrkaConfig:
 
 @dataclass
 class IrkaTrace:
-    """Per-iteration convergence record."""
+    """Per-sweep convergence record, with the count of nudged shifts."""
 
     converged: bool = False
     iterations: int = 0
     eigenvalues: list = field(default_factory=list)
     relative_changes: list = field(default_factory=list)
     max_residuals: list = field(default_factory=list)
+    nudged_shifts: list = field(default_factory=list)
     bases: list = field(default_factory=list)
 
     def to_json_dict(self):
@@ -100,6 +101,7 @@ class IrkaTrace:
             ],
             "relative_changes": [float(x) for x in self.relative_changes],
             "max_residuals": [float(x) for x in self.max_residuals],
+            "nudged_shifts": [int(k) for k in self.nudged_shifts],
         }
 
 
@@ -126,14 +128,14 @@ def _initial_model(cfg, m, p):
     return Eh, Ah, Hh, Nh, Bh, Ch
 
 
-def _shift_solver(factor, lam, n):
+def _shift_solver(factor, lam, n, nudged):
     """Solves at ``lam[idx]`` through one factorization per shift.
 
     A shift whose factorization or any solve raises :class:`SolverError` is
-    refactored once at a deterministic nudge and keeps that factor for the
-    rest of the sweep.
+    refactored once at a deterministic nudge, keeps that factor for the
+    rest of the sweep, and has its index added to the set ``nudged``.
     """
-    factors, nudged = {}, set()
+    factors = {}
 
     def solve(idx, rhs, trans):
         try:
@@ -151,7 +153,7 @@ def _shift_solver(factor, lam, n):
     return solve
 
 
-def _run_iteration(state, factor, data, fact):
+def _run_iteration(state, factor, data, fact, nudged):
     """One sweep: interpolation data, four solve families, projection."""
     Eh, Ah, Hh, Nh, Bh, Ch = state
     E, A, H, N, B, C = data
@@ -162,7 +164,7 @@ def _run_iteration(state, factor, data, fact):
     Nt = [X @ Nk @ Y for Nk in Nh]
     Ht = X @ apply_unfolded(Hh, Y, Y)        # r x r^2, complex
     Ht2 = np.transpose(Ht.reshape(r, r, r), (1, 2, 0)).reshape(r, r * r)  # mode 2
-    solve = _shift_solver(factor, lam, B.shape[0])
+    solve = _shift_solver(factor, lam, B.shape[0], nudged)
     lam_split = conjugate_pairs(lam)
 
     V1 = _solve_family(solve, (B @ Bt.T).astype(complex), lam_split)
@@ -202,10 +204,10 @@ def _drive(factor, data, cfg):
     fact = pencil_eig(state[0], state[1])
     trace = IrkaTrace()
     for it in range(1, cfg.max_iters + 1):
-        lam_prev = fact.eigenvalues
+        lam_prev, nudged = fact.eigenvalues, set()
         try:
             with record_residuals() as rlog:
-                state, V, W = _run_iteration(state, factor, data, fact)
+                state, V, W = _run_iteration(state, factor, data, fact, nudged)
                 fact = pencil_eig(state[0], state[1])
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
@@ -216,6 +218,7 @@ def _drive(factor, data, cfg):
         trace.eigenvalues.append(lam_new.copy())
         trace.relative_changes.append(change)
         trace.max_residuals.append(max((v for _, v in rlog), default=0.0))
+        trace.nudged_shifts.append(len(nudged))
         if cfg.record_bases:
             trace.bases.append((V.copy(), W.copy()))
         if change < cfg.tol:

@@ -6,6 +6,7 @@ from qbmor.dae_transform import build_projectors
 from qbmor.dense_solvers import (
     LYAPUNOV_TOL,
     SADDLE_TOL,
+    ResidualError,
     SolverError,
     conjugate_pairs,
     pencil_eig,
@@ -126,6 +127,84 @@ def test_solve_shifted_collision():
     A = np.diag([-1.0, -2.0])
     with pytest.raises(SolverError, match="collides"):
         solve_shifted(np.eye(2), A, 1.0, np.ones((2, 1)))
+
+
+def shift_factor_case(kind, sigma):
+    """``(factor, assembled matrix, n)`` for an ODE or a saddle factor."""
+    if kind == "ode":
+        E, A = stable_pencil(32, 7)
+        return solve_shifted(E, A, sigma, None), -sigma * E - A, 7
+    sys = gen_synthetic_dae(10, 3, m=2, p=2, seed=8, quad_scale=0.1)
+    K = np.block([[-sigma * sys.E11 - sys.A11, sys.A12],
+                  [sys.A21, np.zeros((3, 3))]])
+    return solve_saddle(sys.E11, sys.A11, sys.A12, sys.A21, sigma, None), K, 10
+
+
+@pytest.mark.parametrize("layout", ["1d", "C", "F", "column slice"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("kind, padded", [("ode", False), ("saddle", False),
+                                          ("saddle", True)])
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("sigma", [-0.4 + 0j, 0.3 - 1.1j])
+def test_shift_factor_solve_matches_assembled_solve(sigma, trans, kind, padded,
+                                                    dtype, layout):
+    fact, M, n = shift_factor_case(kind, sigma)
+    rows = M.shape[0] if padded else n
+    rng = np.random.default_rng(33)
+    RHS = rng.standard_normal((rows, 3)).astype(dtype)
+    if dtype is complex:
+        RHS += 1j * rng.standard_normal((rows, 3))
+    rhs = {"1d": RHS[:, 0].copy(), "C": np.ascontiguousarray(RHS),
+           "F": np.asfortranarray(RHS), "column slice": RHS[:, 1]}[layout]
+    full = np.concatenate([rhs, np.zeros((M.shape[0] - rows,) + rhs.shape[1:])])
+    expect = la.solve(M.T if trans else M, full)
+    got = fact.solve(rhs, trans)
+    assert got.shape == expect.shape
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("ode", r"shift collides with spectrum \(sigma=.*\): relative residual "
+            r"\S+ exceeds 1e-10"),
+    ("saddle", r"saddle solve residual \S+ exceeds 1e-10 at sigma="),
+])
+def test_residual_gate_measures_the_matrix_not_its_factors(kind, message):
+    # a residual formed from the factors would read roundoff here; against
+    # the stored matrix, one refinement leaves about 2e-8 (at a 1e-6 scaling
+    # it would leave about 2e-12, below the gate, so that cannot show it)
+    fact, _, n = shift_factor_case(kind, -0.4 + 0j)
+    fact.lu[0][...] *= 1 + 1e-4
+    with pytest.raises(ResidualError, match=message):
+        fact.solve(np.ones(n))
+
+
+def test_complex_solve_with_real_factor_forms_no_matrix():
+    import tracemalloc
+    n = 300
+    E, A = stable_pencil(34, n)
+    fact = solve_shifted(E, A, -0.5, None)
+    rng = np.random.default_rng(34)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        fact.solve(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("kind, rows, expected", [
+    ("ode", 6, "5 or 5"), ("saddle", 13, "10 or 12"), ("saddle", 5, "10 or 12")])
+def test_wrong_size_right_hand_side_is_a_value_error(kind, rows, expected):
+    if kind == "ode":
+        fact = solve_shifted(np.eye(5), -np.eye(5), -1.0 + 0.5j, None)
+    else:
+        sys = gen_synthetic_dae(10, 2, seed=2)
+        fact = solve_saddle(sys.E11, sys.A11, sys.A12, sys.A21, 1.0, None)
+    with pytest.raises(ValueError, match=f"right-hand side has {rows} rows, "
+                                         f"expected {expected}$"):
+        fact.solve(np.ones(rows))
 
 
 # -- solve_sylvester ---------------------------------------------------------

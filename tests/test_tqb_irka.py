@@ -313,6 +313,35 @@ def test_singular_shift_is_nudged_once(monkeypatch):
     assert len(calls) == 3 + 1
 
 
+def test_nudged_shifts_are_counted_per_sweep():
+    # the set-up of test_singular_shift_is_nudged_once
+    n = 8
+    rng = np.random.default_rng(2)
+    sys = QbOdeSystem(E=np.eye(n), A=-np.diag(np.arange(1.0, n + 1)),
+                      H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
+                      B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
+    cfg = IrkaConfig(r=3, max_iters=1,
+                     initial_model=user_model(np.diag([1.0, -2.5, -0.5]), 1, 1))
+    _, trace = tqb_irka_ode(sys, cfg)
+    assert trace.nudged_shifts == [1]
+    assert trace.to_json_dict()["nudged_shifts"] == [1]
+
+    _, trace = tqb_irka_ode(gen_burgers(40, 0.05), IrkaConfig(r=6, seed=42))
+    assert trace.converged
+    assert trace.nudged_shifts == [0] * trace.iterations
+
+
+def test_wrong_size_right_hand_side_is_not_nudged(monkeypatch):
+    E, A = np.eye(5), -np.diag(np.arange(1.0, 6.0))
+    calls = count_full_order_factorizations(monkeypatch, 5)
+    nudged = set()
+    solve = tqb_irka._shift_solver(lambda s: solve_shifted(E, A, s, None),
+                                   np.array([-0.5]), 5, nudged)
+    with pytest.raises(ValueError, match="right-hand side has 6 rows"):
+        solve(0, np.ones(6), False)
+    assert len(calls) == 1 and not nudged
+
+
 def test_transposed_factor_solves_match_transposed_systems():
     rng = np.random.default_rng(21)
     sigma = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
