@@ -22,7 +22,7 @@ from .dae_transform import (
 from .dense_solvers import SolverError
 from .gramians_norms import truncated_h2_norm
 from .mmio import _read_table, write_json
-from .problems import gen_burgers, gen_synthetic_dae, load_system, save_reduced, save_system
+from .problems import gen_burgers, gen_synthetic_dae, load_system, save_system
 from .simulate import InputSignal, Trajectory, compare, simulate_dae, simulate_ode
 from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
 from .tqb_irka import IrkaConfig, tqb_irka_dae_saddle, tqb_irka_ode
@@ -98,8 +98,7 @@ def _cmd_reduce(args):
             red, trace = tqb_irka_dae_saddle(hom.dae, cfg, output_corr=corr)
         else:
             red, trace = tqb_irka_dae_saddle(system, cfg)
-    os.makedirs(args.out, exist_ok=True)
-    save_reduced(red, args.out)
+    save_system(red, args.out)
     payload = trace.to_json_dict()
     payload.update({"order": args.order, "tol": args.tol, "seed": args.seed,
                     "max_iters": args.max_iters})

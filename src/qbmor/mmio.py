@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,16 +146,14 @@ def write_json(path, payload):
 
 def write_matrix(path, M):
     """Write a matrix atomically; sparse goes to coordinate format, dense to array."""
+    if sp.issparse(M):
+        coo = M.tocoo()
+        head = f"coordinate real general\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"
+        body = ("%d %d %.17g\n" * coo.nnz) % tuple(chain.from_iterable(zip(
+            (coo.row + 1).tolist(), (coo.col + 1).tolist(), coo.data.tolist())))
+    else:
+        D = np.atleast_2d(np.asarray(M, dtype=float))
+        head = f"array real general\n{D.shape[0]} {D.shape[1]}\n"
+        body = ("%.17g\n" * D.size) % tuple(D.ravel(order="F").tolist())
     with atomic_open(path) as fh:
-        if sp.issparse(M):
-            coo = M.tocoo()
-            fh.write(f"{_BANNER} matrix coordinate real general\n")
-            fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-        else:
-            D = np.atleast_2d(np.asarray(M, dtype=float))
-            fh.write(f"{_BANNER} matrix array real general\n")
-            fh.write(f"{D.shape[0]} {D.shape[1]}\n")
-            for v in D.ravel(order="F"):
-                fh.write(f"{v:.17g}\n")
+        fh.write(f"{_BANNER} matrix {head}{body}")

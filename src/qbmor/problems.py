@@ -1,13 +1,16 @@
 """Benchmark generation, steady-state shifting, and manifest-based system I/O.
 
-Systems on disk are a JSON manifest plus Matrix Market files.  The Hessian is
-stored as its mode-1 unfolding (n rows, n^2 columns).  Absent optional
-matrices mean zero, and an absent mass matrix means identity.
+Systems on disk are a JSON manifest plus Matrix Market files.  One table,
+``_FORMAT``, states the files of each manifest type (``ode``, ``dae`` and
+``reduced``) with their shapes and the meaning of an absent entry;
+:func:`save_system` and :func:`load_system` both follow it.  Hessians are
+stored as their mode-1 unfolding (n rows, n^2 columns).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -176,202 +179,157 @@ def steady_state_shift(sys, v_s, p_s):
 
 # -- manifest I/O -----------------------------------------------------------
 
+REQUIRED, ZERO, IDENTITY, EACH = "required", "zero", "identity", "each"
 
-def _dense(M):
-    return np.asarray(M.todense()) if sp.issparse(M) else np.asarray(M)
+# Every manifest type as (class, dims, rows); a row is (manifest key, dataclass
+# field, shape in manifest dims, rule), and an axis "a*b" is a product of dims.
+# Absent keys: REQUIRED fails, ZERO and IDENTITY mean that matrix, and EACH (one
+# file per input) pads trailing inputs with zeros.  ``v0`` is a top-level key.
+# Required rows come first, so each dim is checked against a file before use.
+_FORMAT = {
+    "ode": (QbOdeSystem, ("n", "m", "p"), (
+        ("A", "A", ("n", "n"), REQUIRED),
+        ("H", "H", ("n", "n*n"), REQUIRED),
+        ("B", "B", ("n", "m"), REQUIRED),
+        ("C", "C", ("p", "n"), REQUIRED),
+        ("E", "E", ("n", "n"), IDENTITY),
+        ("N", "N", ("n", "n"), EACH),
+    )),
+    "dae": (QbDaeSystem, ("n_v", "n_p", "m", "p"), (
+        ("E11", "E11", ("n_v", "n_v"), REQUIRED),
+        ("A11", "A11", ("n_v", "n_v"), REQUIRED),
+        ("A12", "A12", ("n_v", "n_p"), REQUIRED),
+        ("A21", "A21", ("n_p", "n_v"), REQUIRED),
+        ("H", "H", ("n_v", "n_v*n_v"), REQUIRED),
+        ("B1", "B1", ("n_v", "m"), REQUIRED),
+        ("C1", "C1", ("p", "n_v"), REQUIRED),
+        ("N", "N", ("n_v", "n_v"), EACH),
+        ("B2", "B2", ("n_p", "m"), ZERO),
+        ("C2", "C2", ("p", "n_p"), ZERO),
+        ("v0", "v0", ("n_v", 1), ZERO),
+    )),
+    "reduced": (ReducedQbSystem, ("r", "m", "p", "n_full"), (
+        ("E", "Ehat", ("r", "r"), REQUIRED),
+        ("A", "Ahat", ("r", "r"), REQUIRED),
+        ("H", "Hhat", ("r", "r*r"), REQUIRED),
+        ("B", "Bhat", ("r", "m"), REQUIRED),
+        ("C", "Chat", ("p", "r"), REQUIRED),
+        ("V", "V", ("n_full", "r"), REQUIRED),
+        ("W", "W", ("n_full", "r"), REQUIRED),
+        ("N", "Nhat", ("r", "r"), EACH),
+        ("CH", "CHhat", ("p", "r*r"), ZERO),
+        ("CN", "CNhat", ("p", "r"), EACH),
+        ("D", "Dhat", ("p", "m"), ZERO),
+    )),
+}
+# Hessian unfoldings are written in coordinate format, everything else dense.
+_COORDINATE = ("H", "CH")
+
+
+def _shape(axes, dims):
+    return tuple(axis if isinstance(axis, int)
+                 else math.prod(dims[d] for d in axis.split("*"))
+                 for axis in axes)
 
 
 def save_system(sys, outdir):
-    """Write a manifest plus Matrix Market files; returns the manifest path.
+    """Write an ODE, descriptor or reduced system; returns the manifest path.
 
-    Identity mass matrices and all-zero optional matrices are omitted from
-    the manifest.
+    ``outdir`` receives ``manifest.json`` plus one Matrix Market file per
+    stored matrix.  Matrices equal to what their absence means are left out:
+    an identity mass matrix, all-zero optional matrices, and per-input lists
+    whose matrices are all zero.
     """
-    os.makedirs(outdir, exist_ok=True)
-
-    def put(name, M, sparse=False):
-        fname = f"{name}.mtx"
-        write_matrix(os.path.join(outdir, fname),
-                     sp.csr_matrix(M) if sparse and not sp.issparse(M) else M)
-        return fname
-
-    if isinstance(sys, QbOdeSystem):
-        matrices = {"A": put("A", sys.A), "H": put("H", sys.H.mode1, sparse=True),
-                    "B": put("B", sys.B), "C": put("C", sys.C)}
-        if not np.array_equal(sys.E, np.eye(sys.n)):
-            matrices["E"] = put("E", sys.E)
-        if any(Nk.any() for Nk in sys.N):
-            matrices["N"] = [put(f"N{k + 1}", Nk) for k, Nk in enumerate(sys.N)]
-        manifest = {
-            "type": "ode",
-            "dims": {"n": sys.n, "m": sys.m, "p": sys.p},
-            "matrices": matrices,
-            "v0": None,
-        }
-    elif isinstance(sys, QbDaeSystem):
-        matrices = {
-            "E11": put("E11", sys.E11), "A11": put("A11", sys.A11),
-            "A12": put("A12", sys.A12), "A21": put("A21", sys.A21),
-            "H": put("H", sys.H.mode1, sparse=True),
-            "B1": put("B1", sys.B1), "C1": put("C1", sys.C1),
-        }
-        if any(Nk.any() for Nk in sys.N):
-            matrices["N"] = [put(f"N{k + 1}", Nk) for k, Nk in enumerate(sys.N)]
-        if sys.B2.any():
-            matrices["B2"] = put("B2", sys.B2)
-        if sys.C2.any():
-            matrices["C2"] = put("C2", sys.C2)
-        v0_entry = put("v0", sys.v0.reshape(-1, 1)) if sys.v0.any() else None
-        manifest = {
-            "type": "dae",
-            "dims": {"n_v": sys.n_v, "n_p": sys.n_p, "m": sys.m, "p": sys.p},
-            "matrices": matrices,
-            "v0": v0_entry,
-        }
+    for kind, (cls, dim_names, rows) in _FORMAT.items():
+        if isinstance(sys, cls):
+            break
     else:
         raise TypeError(f"cannot save object of type {type(sys).__name__}")
-    path = os.path.join(outdir, "manifest.json")
-    write_json(path, manifest)
-    return path
-
-
-def save_reduced(red, outdir):
-    """Write a reduced model: core realization plus corrections and bases."""
+    dims = {name: getattr(sys, name) for name in dim_names}
+    manifest = {"type": kind, "dims": dims, "matrices": {}, "v0": None}
     os.makedirs(outdir, exist_ok=True)
-
-    def put(name, M):
-        fname = f"{name}.mtx"
-        write_matrix(os.path.join(outdir, fname), M)
-        return fname
-
-    matrices = {
-        "E": put("E", red.Ehat), "A": put("A", red.Ahat),
-        "H": put("H", sp.csr_matrix(red.Hhat)),
-        "B": put("B", red.Bhat), "C": put("C", red.Chat),
-        "V": put("V", red.V), "W": put("W", red.W),
-    }
-    nlist = [put(f"N{k + 1}", Nk) for k, Nk in enumerate(red.Nhat)]
-    if nlist:
-        matrices["N"] = nlist
-    if red.CHhat.any():
-        matrices["CH"] = put("CH", sp.csr_matrix(red.CHhat))
-    if any(Mk.any() for Mk in red.CNhat):
-        matrices["CN"] = [put(f"CN{k + 1}", Mk)
-                          for k, Mk in enumerate(red.CNhat)]
-    if red.Dhat.any():
-        matrices["D"] = put("D", red.Dhat)
-    manifest = {
-        "type": "reduced",
-        "dims": {"r": red.r, "m": red.m, "p": red.p,
-                 "n_full": int(red.V.shape[0])},
-        "matrices": matrices,
-        "v0": None,
-    }
+    for key, field, axes, rule in rows:
+        value = getattr(sys, field)
+        if isinstance(value, HessianTensor):
+            value = value.mode1
+        mats = value if rule == EACH else (value,)
+        if (rule == IDENTITY and np.array_equal(value, np.eye(len(value)))
+                or rule in (ZERO, EACH) and not any(M.any() for M in mats)):
+            continue
+        names = [f"{key}{k + 1}.mtx" if rule == EACH else f"{key}.mtx"
+                 for k in range(len(mats))]
+        for name, M in zip(names, mats):
+            write_matrix(os.path.join(outdir, name),
+                         sp.csr_matrix(M) if key in _COORDINATE
+                         else np.reshape(M, _shape(axes, dims)))
+        (manifest if key == "v0" else manifest["matrices"])[key] = (
+            names if rule == EACH else names[0])
     path = os.path.join(outdir, "manifest.json")
     write_json(path, manifest)
     return path
 
 
-def _load_entry(base, matrices, key, shape=None, required=False):
-    entry = matrices.get(key)
-    if entry is None:
-        if required:
-            raise ValueError(f"manifest is missing required matrix {key!r}")
-        if shape is None:
-            return None
-        return np.zeros(shape)
-    M = read_matrix(os.path.join(base, entry))
-    got = M.shape
-    if shape is not None and got != shape:
-        raise ValueError(
-            f"dimension clash for {key!r}: manifest dims imply {shape}, "
-            f"file {entry!r} holds {got}"
-        )
-    return M
+save_reduced = save_system
 
 
 def load_system(manifest_path):
-    """Load a system from a manifest; returns the matching typed realization."""
+    """Load the system a manifest describes as its typed realization.
+
+    The manifest must be an object with a known ``type``; ``dims`` and
+    ``matrices`` must be objects, each dim of the type a positive integer,
+    each entry a file name (a list of them for per-input keys), and each file
+    must hold the shape the dims imply.  A violation raises ``ValueError``
+    naming the manifest and the key.  A reduced manifest without ``n_full``
+    has ``n_full = r``.
+    """
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
         raise FileNotFoundError(f"manifest not found: {manifest_path}") from None
-    base = os.path.dirname(os.path.abspath(manifest_path))
+
+    def fail(msg):
+        raise ValueError(f"{manifest_path}: {msg}")
+
+    if not isinstance(manifest, dict):
+        fail("manifest must be a JSON object")
     kind = manifest.get("type")
-    dims = manifest.get("dims", {})
-    matrices = manifest.get("matrices", {})
-
-    def need(*keys):
-        missing = ", ".join(repr(key) for key in keys if key not in dims)
-        if missing:
-            raise ValueError(f"{manifest_path}: manifest is missing dims {missing}")
-        return (dims[key] for key in keys)
-
-    def n_files(key, count, shape):
-        files = matrices.get(key, [])
-        if len(files) > count:
-            raise ValueError(f"{manifest_path}: manifest lists {len(files)} {key} "
-                             f"files for {count} inputs")
-        out = []
-        for f in files:
-            M = read_matrix(os.path.join(base, f))
+    if not isinstance(kind, str) or kind not in _FORMAT:
+        raise ValueError(f"unknown system type {kind!r} in {manifest_path}")
+    cls, dim_names, rows = _FORMAT[kind]
+    dims, matrices = manifest.get("dims", {}), manifest.get("matrices", {})
+    for key, value in (("dims", dims), ("matrices", matrices)):
+        if not isinstance(value, dict):
+            fail(f"manifest key {key!r} must be an object, got {value!r}")
+    dims = {"n_full": dims.get("r"), **dims}   # n_full = r unless stated
+    for name in dim_names:
+        if name not in dims:
+            fail(f"manifest is missing dims {name!r}")
+        if type(dims[name]) is not int or dims[name] < 1:
+            fail(f"dims {name!r} must be a positive integer, got {dims[name]!r}")
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    fields = {}
+    for key, field, axes, rule in rows:
+        entry = (manifest if key == "v0" else matrices).get(key)
+        names = [] if entry is None else entry if rule == EACH else [entry]
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) and name for name in names)):
+            what = "a list of file names" if rule == EACH else "a file name"
+            fail(f"manifest entry {key!r} must be {what}, got {entry!r}")
+        count = dims["m"] if rule == EACH else 1
+        if len(names) > count:
+            fail(f"manifest lists {len(names)} {key} files for {count} inputs")
+        if rule == REQUIRED and not names:
+            fail(f"manifest is missing required matrix {key!r}")
+        shape, mats = _shape(axes, dims), []
+        for name in names:
+            M = read_matrix(os.path.join(base, name))
             if M.shape != shape:
-                raise ValueError(
-                    f"dimension clash for {key} entry {f!r}: expected {shape}, "
-                    f"got {M.shape}"
-                )
-            out.append(_dense(M))
-        while len(out) < count:
-            out.append(np.zeros(shape))
-        return tuple(out)
-
-    if kind == "ode":
-        n, m, p = need("n", "m", "p")
-        E = _load_entry(base, matrices, "E", (n, n))
-        if not matrices.get("E"):
-            E = np.eye(n)
-        A = _dense(_load_entry(base, matrices, "A", (n, n), required=True))
-        H = _load_entry(base, matrices, "H", (n, n * n), required=True)
-        B = _dense(_load_entry(base, matrices, "B", (n, m), required=True))
-        C = _dense(_load_entry(base, matrices, "C", (p, n), required=True))
-        return QbOdeSystem(E=_dense(E), A=A, H=HessianTensor.from_mode1(H),
-                           N=n_files("N", m, (n, n)), B=B, C=C)
-    if kind == "dae":
-        n_v, n_p, m, p = need("n_v", "n_p", "m", "p")
-        E11 = _dense(_load_entry(base, matrices, "E11", (n_v, n_v), required=True))
-        A11 = _dense(_load_entry(base, matrices, "A11", (n_v, n_v), required=True))
-        A12 = _dense(_load_entry(base, matrices, "A12", (n_v, n_p), required=True))
-        A21 = _dense(_load_entry(base, matrices, "A21", (n_p, n_v), required=True))
-        H = _load_entry(base, matrices, "H", (n_v, n_v * n_v), required=True)
-        B1 = _dense(_load_entry(base, matrices, "B1", (n_v, m), required=True))
-        B2 = _dense(_load_entry(base, matrices, "B2", (n_p, m)))
-        C1 = _dense(_load_entry(base, matrices, "C1", (p, n_v), required=True))
-        C2 = _dense(_load_entry(base, matrices, "C2", (p, n_p)))
-        v0 = np.zeros(n_v)
-        if manifest.get("v0"):
-            v0 = _dense(read_matrix(os.path.join(base, manifest["v0"]))).ravel()
-            if v0.size != n_v:
-                raise ValueError(
-                    f"dimension clash for v0: expected length {n_v}, got {v0.size}"
-                )
-        return QbDaeSystem(E11=E11, A11=A11, A12=A12, A21=A21,
-                           H=HessianTensor.from_mode1(H), N=n_files("N", m, (n_v, n_v)),
-                           B1=B1, B2=B2, C1=C1, C2=C2, v0=v0)
-    if kind == "reduced":
-        r, m, p = need("r", "m", "p")
-        n_full = dims.get("n_full", r)
-        E = _dense(_load_entry(base, matrices, "E", (r, r), required=True))
-        A = _dense(_load_entry(base, matrices, "A", (r, r), required=True))
-        H = _dense(_load_entry(base, matrices, "H", (r, r * r), required=True))
-        B = _dense(_load_entry(base, matrices, "B", (r, m), required=True))
-        C = _dense(_load_entry(base, matrices, "C", (p, r), required=True))
-        V = _dense(_load_entry(base, matrices, "V", (n_full, r), required=True))
-        W = _dense(_load_entry(base, matrices, "W", (n_full, r), required=True))
-        CH = _dense(_load_entry(base, matrices, "CH", (p, r * r)))
-        D = _dense(_load_entry(base, matrices, "D", (p, m)))
-        return ReducedQbSystem(
-            Ehat=E, Ahat=A, Hhat=H, Nhat=n_files("N", m, (r, r)), Bhat=B, Chat=C,
-            V=V, W=W, CHhat=CH, CNhat=n_files("CN", m, (p, r)), Dhat=D,
-        )
-    raise ValueError(f"unknown system type {kind!r} in {manifest_path}")
+                fail(f"dimension clash for {key} entry {name!r}: expected {shape}, "
+                     f"got {M.shape}")
+            mats.append(HessianTensor.from_mode1(M) if field == "H"
+                        else M.toarray() if sp.issparse(M) else M)
+        mats += [np.eye(*shape) if rule == IDENTITY else np.zeros(shape)
+                 for _ in range(count - len(mats))]
+        fields[field] = tuple(mats) if rule == EACH else mats[0]
+    return cls(**fields)

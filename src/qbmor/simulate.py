@@ -157,10 +157,9 @@ class Trajectory:
             cols.append("constraint_residual")
             data.append(self.constraint_residual)
         body = np.column_stack(data)
+        row = ",".join(["%.17g"] * body.shape[1]) + "\n"
         with atomic_open(path) as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in body:
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+            fh.write(",".join(cols) + "\n" + (row * len(body)) % tuple(body.ravel().tolist()))
 
     @staticmethod
     def read_csv(path):

@@ -283,6 +283,10 @@ class ReducedQbSystem:
         return self.Ahat.shape[0]
 
     @property
+    def n_full(self):
+        return self.V.shape[0]
+
+    @property
     def m(self):
         return self.Bhat.shape[1]
 

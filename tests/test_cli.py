@@ -364,3 +364,28 @@ def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err == "qbmor: error: out of memory: Unable to allocate 8.00 GiB\n"
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda d: d["dims"].update(n=8.5), "dims 'n'"),
+    (lambda d: d["dims"].update(n=None), "dims 'n'"),
+    (lambda d: d["dims"].update(n=True), "dims 'n'"),
+    (lambda d: d["dims"].update(m=0), "dims 'm'"),
+    (lambda d: d["dims"].update(m=10**9), "dimension clash for B"),
+    (lambda d: [d], "JSON object"),
+    (lambda d: d.update(matrices="A.mtx"), "'matrices'"),
+    (lambda d: d["matrices"].update(A=5), "'A'"),
+    (lambda d: d["matrices"].update(N="N1.mtx"), "'N'"),
+], ids=["float-dim", "null-dim", "bool-dim", "zero-dim", "huge-dim", "list-manifest",
+        "string-matrices", "number-entry", "string-per-input-entry"])
+def test_malformed_manifest_is_a_clean_error(tmp_path, capsys, edit, key):
+    manifest = save_system(gen_burgers(8, 0.1), tmp_path / "sys")
+    data = json.loads(open(manifest).read())
+    data = edit(data) or data
+    open(manifest, "w").write(json.dumps(data))
+    code = run(["simulate", "--system", manifest, "--t-final", "1", "--dt", "0.1",
+                "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"qbmor: error: {manifest}: ")
+    assert key in err

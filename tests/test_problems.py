@@ -1,5 +1,8 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from qbmor.dae_transform import build_projectors
 from qbmor.mmio import atomic_open, read_matrix, write_json, write_matrix
@@ -257,6 +260,108 @@ def test_manifest_missing_dimension_is_named(tmp_path):
         load_system(manifest)
     assert str(manifest) in str(info.value)
     assert "'n'" in str(info.value)
+
+
+def _reduced(Nhat, CNhat=None):
+    """An r = 3, m = 1, p = 1 reduced model with nonzero output corrections."""
+    rng = np.random.default_rng(10)
+    V = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    W = np.linalg.qr(rng.standard_normal((5, 3)))[0]
+    return ReducedQbSystem(Ehat=np.eye(3) + 0.1, Ahat=-np.eye(3),
+                           Hhat=rng.standard_normal((3, 9)), Nhat=Nhat, Bhat=np.ones((3, 1)),
+                           Chat=np.ones((1, 3)), V=V, W=W, CHhat=rng.standard_normal((1, 9)),
+                           CNhat=CNhat, Dhat=np.full((1, 1), 0.5))
+
+
+def _assert_reduced_equal(a, b):
+    for name in ("Ehat", "Ahat", "Hhat", "Bhat", "Chat", "V", "W", "CHhat", "Dhat"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("Nhat", "CNhat"):
+        assert len(getattr(a, name)) == len(getattr(b, name)), name
+        for x, y in zip(getattr(a, name), getattr(b, name)):
+            assert np.array_equal(x, y), name
+
+
+def test_reduced_roundtrip_leaves_out_all_zero_bilinear_files(tmp_path):
+    red = _reduced(Nhat=(np.zeros((3, 3)),), CNhat=(np.ones((1, 3)),))
+    manifest = save_reduced(red, tmp_path / "red")
+    assert save_reduced is save_system
+    _assert_reduced_equal(load_system(manifest), red)
+    names = sorted(f.name for f in (tmp_path / "red").iterdir())
+    assert names == ["A.mtx", "B.mtx", "C.mtx", "CH.mtx", "CN1.mtx", "D.mtx", "E.mtx",
+                     "H.mtx", "V.mtx", "W.mtx", "manifest.json"]
+    dims = json.loads(open(manifest).read())["dims"]
+    assert dims == {"r": 3, "m": 1, "p": 1, "n_full": 5}
+
+
+def test_reduced_directory_with_a_zero_bilinear_file_loads_equal(tmp_path):
+    # older writers stored every N file of a reduced model, zeros included
+    red = _reduced(Nhat=(np.zeros((3, 3)),))
+    manifest = save_reduced(red, tmp_path / "red")
+    write_matrix(str(tmp_path / "red" / "N1.mtx"), np.zeros((3, 3)))
+    data = json.loads(open(manifest).read())
+    data["matrices"]["N"] = ["N1.mtx"]
+    open(manifest, "w").write(json.dumps(data))
+    _assert_reduced_equal(load_system(manifest), red)
+
+
+def test_reduced_manifest_without_full_dimension(tmp_path):
+    # with n_full absent the bases must be r x r
+    red = ReducedQbSystem(Ehat=np.eye(2), Ahat=-np.eye(2), Hhat=np.zeros((2, 4)),
+                          Nhat=(np.eye(2),), Bhat=np.ones((2, 1)), Chat=np.ones((1, 2)),
+                          V=np.eye(2), W=np.eye(2))
+    manifest = save_reduced(red, tmp_path / "red")
+    data = json.loads(open(manifest).read())
+    del data["dims"]["n_full"]
+    open(manifest, "w").write(json.dumps(data))
+    loaded = load_system(manifest)
+    _assert_reduced_equal(loaded, red)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["matrices"].pop("A"), "manifest is missing required matrix 'A'"),
+    (lambda d: d.update(type="pde"), "unknown system type 'pde'"),
+    (lambda d: d.pop("type"), "unknown system type None"),
+], ids=["missing-required", "unknown-type", "no-type"])
+def test_manifest_structure_errors_name_the_manifest(tmp_path, edit, message):
+    manifest = save_system(gen_burgers(8, 0.1), tmp_path / "sys")
+    data = json.loads(open(manifest).read())
+    edit(data)
+    open(manifest, "w").write(json.dumps(data))
+    with pytest.raises(ValueError) as info:
+        load_system(manifest)
+    assert message in str(info.value) and str(manifest) in str(info.value)
+
+
+def test_missing_manifest_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError, match="manifest not found"):
+        load_system(tmp_path / "nowhere" / "manifest.json")
+
+
+def test_saving_an_unsupported_object_is_a_type_error(tmp_path):
+    with pytest.raises(TypeError, match="cannot save object of type dict"):
+        save_system({"A": np.eye(2)}, tmp_path / "sys")
+    assert not (tmp_path / "sys").exists()
+
+
+def test_mm_output_bytes_match_per_value_formatting(tmp_path):
+    vals = np.array([[0.1, -0.0, np.inf], [5e-324, 1e300, -1e-300],
+                     [1.0 / 3.0, -np.inf, 1e-300]])
+    coo = sp.coo_matrix((vals.ravel(), np.nonzero(np.ones((3, 3)))), shape=(3, 4))
+    cases = [
+        (vals, "array real general\n3 3\n",
+         [f"{v:.17g}" for v in vals.ravel(order="F")]),
+        (np.zeros((2, 3)), "array real general\n2 3\n", ["0"] * 6),
+        (np.zeros((0, 3)), "array real general\n0 3\n", []),
+        (coo, "coordinate real general\n3 4 9\n",
+         [f"{i + 1} {j + 1} {v:.17g}" for i, j, v in zip(coo.row, coo.col, coo.data)]),
+        (sp.csr_matrix((2, 3)), "coordinate real general\n2 3 0\n", []),
+    ]
+    for k, (M, head, lines) in enumerate(cases):
+        path = tmp_path / f"m{k}.mtx"
+        write_matrix(path, M)
+        assert path.read_text() == "".join(
+            [f"%%MatrixMarket matrix {head}"] + [line + "\n" for line in lines]), k
 
 
 @pytest.mark.parametrize("entry", ["1 2", "1 1 1.0 2.0", "1 x 1.0"])

@@ -268,6 +268,19 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert np.array_equal(cres, traj.constraint_residual)
 
 
+def test_trajectory_csv_bytes_match_per_value_formatting(tmp_path):
+    vals = np.array([0.1, -0.0, 5e-324, 1e300, -1e-300, np.inf, 1.0 / 3.0])
+    traj = Trajectory(t=np.arange(7.0), states=np.zeros((7, 0)),
+                      outputs=np.column_stack([vals, -vals]), inputs=vals[::-1, None],
+                      constraint_residual=np.abs(vals) / 7.0)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    rows = np.column_stack([traj.t, traj.inputs, traj.outputs, traj.constraint_residual])
+    expect = "t,u_1,y_1,y_2,constraint_residual\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert path.read_text() == expect
+
+
 def test_preset_cavity_value_and_derivative():
     u = InputSignal.preset_cavity(2)
     assert np.allclose(u.sample(0.0), 0.0)
