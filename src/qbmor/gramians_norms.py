@@ -28,7 +28,6 @@ from .tensor_kron import (
     HessianTensor,
     hessian_congruence,  # noqa: F401  (bench/tracer.py wraps it by this name)
     hessian_gram,
-    symmetrize,
 )
 
 __all__ = [
@@ -202,7 +201,7 @@ def _augmented_error_system(full, red):
     N = tuple(la.block_diag(Nk, Nhat_k) for Nk, Nhat_k in zip(full.N, red.Nhat))
     B = np.vstack([full.B, red.Bhat])
     C = np.hstack([full.C, -red.Chat])
-    return QbOdeSystem(E=E, A=A, H=symmetrize(H), N=N, B=B, C=C)
+    return QbOdeSystem(E=E, A=A, H=H, N=N, B=B, C=C)
 
 
 def error_system_norm(full, red):

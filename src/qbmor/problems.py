@@ -1,8 +1,9 @@
 """Benchmark generation, steady-state shifting, and manifest-based system I/O.
 
-Systems on disk are a JSON manifest plus Matrix Market files.  One table,
-``_FORMAT``, states the files of each manifest type (``ode``, ``dae`` and
-``reduced``) with their shapes and the meaning of an absent entry;
+Systems on disk are a JSON manifest plus Matrix Market files.  Each manifest
+type (``ode``, ``dae`` and ``reduced``) is one realization class of
+:mod:`system_model`, and ``_FORMAT`` reads the files of that type, their
+shapes and the meaning of an absent entry off the class's ``FIELDS`` table;
 :func:`save_system` and :func:`load_system` both follow it.  Hessians are
 stored as their mode-1 unfolding (n rows, n^2 columns).
 """
@@ -10,7 +11,6 @@ stored as their mode-1 unfolding (n rows, n^2 columns).
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import numpy as np
@@ -18,6 +18,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .mmio import read_matrix, write_json, write_matrix
+from .system_model import EACH, IDENTITY, REQUIRED, ZERO, field_dims, field_shape
 from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
 from .tensor_kron import HessianTensor, quadratic_jacobian, symmetrize
 
@@ -58,7 +59,7 @@ def gen_burgers(n, nu, seed=0):
             ii.append(i); jj.append(i); kk.append(i + 1); vv.append(-c)
         if i - 1 >= 0:
             ii.append(i); jj.append(i); kk.append(i - 1); vv.append(c)
-    H = symmetrize(HessianTensor(n, ii, jj, kk, vv))
+    H = HessianTensor(n, ii, jj, kk, vv)
     B = np.zeros((n, 1))
     B[0, 0] = 0.05 * s
     q = max(1, n // 4)
@@ -89,12 +90,12 @@ def gen_synthetic_dae(n_v, n_p, m=2, p=2, seed=0, quad_scale=0.1,
     and scaled to Frobenius norm ``quad_scale``.  ``symmetric`` sets
     ``A21 = A12^T`` (transposed projectors); otherwise ``A21`` is a noisily
     perturbed transpose, which keeps the constrained spectrum stable while
-    making the projectors genuinely oblique.  Draws are retried on rank
-    defects or an unstable constrained spectrum.
+    making the projectors genuinely oblique.  Draws are retried on an
+    unstable constrained spectrum or when :class:`QbDaeSystem` rejects them
+    (rank defects, a singular Schur complement).
     """
     if not 0 < n_p < n_v / 2:
         raise ValueError(f"need 0 < n_p < n_v/2, got n_p={n_p}, n_v={n_v}")
-    last_err = "exhausted retries"
     for attempt in range(5):
         rng = np.random.default_rng([seed, attempt])
         d = 2.0 + rng.uniform(0.0, 1.0, n_v)
@@ -110,15 +111,6 @@ def gen_synthetic_dae(n_v, n_p, m=2, p=2, seed=0, quad_scale=0.1,
             A21 = A12.T.copy()
         else:
             A21 = A12.T + 0.35 * rng.standard_normal((n_p, n_v))
-        if (np.linalg.matrix_rank(A12) < n_p
-                or np.linalg.matrix_rank(A21) < n_p):
-            last_err = "coupling blocks rank deficient"
-            continue
-        S = A21 @ la.solve(E11, A12)
-        sv = la.svdvals(S)
-        if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-            last_err = "singular Schur complement"
-            continue
         abscissa = _dae_finite_abscissa(E11, A11, A12, A21)
         if abscissa >= -1e-6:
             last_err = f"unstable constrained spectrum (abscissa {abscissa:.3e})"
@@ -145,10 +137,13 @@ def gen_synthetic_dae(n_v, n_p, m=2, p=2, seed=0, quad_scale=0.1,
         C1 = rng.standard_normal((p, n_v))
         C2 = 0.5 * rng.standard_normal((p, n_p)) if with_c2 else np.zeros((p, n_p))
         B2 = 0.3 * rng.standard_normal((n_p, m)) if with_b2 else np.zeros((n_p, m))
-        return QbDaeSystem(
-            E11=E11, A11=A11, A12=A12, A21=A21, H=H, N=tuple(N),
-            B1=B1, B2=B2, C1=C1, C2=C2, v0=np.zeros(n_v),
-        )
+        try:
+            return QbDaeSystem(
+                E11=E11, A11=A11, A12=A12, A21=A21, H=H, N=tuple(N),
+                B1=B1, B2=B2, C1=C1, C2=C2, v0=np.zeros(n_v),
+            )
+        except ValueError as exc:
+            last_err = str(exc)
     raise RuntimeError(f"could not draw a valid descriptor system: {last_err}")
 
 
@@ -179,57 +174,20 @@ def steady_state_shift(sys, v_s, p_s):
 
 # -- manifest I/O -----------------------------------------------------------
 
-REQUIRED, ZERO, IDENTITY, EACH = "required", "zero", "identity", "each"
-
-# Every manifest type as (class, dims, rows); a row is (manifest key, dataclass
-# field, shape in manifest dims, rule), and an axis "a*b" is a product of dims.
-# Absent keys: REQUIRED fails, ZERO and IDENTITY mean that matrix, and EACH (one
-# file per input) pads trailing inputs with zeros.  ``v0`` is a top-level key.
-# Required rows come first, so each dim is checked against a file before use.
+# Every manifest type as (class, dims, rows), read off the class's FIELDS table:
+# a row is (manifest key, dataclass field, shape in dims, rule), the key being
+# the field name without "hat".  Absent entries take the value the rule gives;
+# EACH (one file per input) pads trailing inputs with zeros.  ``v0`` is a
+# top-level key.
 _FORMAT = {
-    "ode": (QbOdeSystem, ("n", "m", "p"), (
-        ("A", "A", ("n", "n"), REQUIRED),
-        ("H", "H", ("n", "n*n"), REQUIRED),
-        ("B", "B", ("n", "m"), REQUIRED),
-        ("C", "C", ("p", "n"), REQUIRED),
-        ("E", "E", ("n", "n"), IDENTITY),
-        ("N", "N", ("n", "n"), EACH),
-    )),
-    "dae": (QbDaeSystem, ("n_v", "n_p", "m", "p"), (
-        ("E11", "E11", ("n_v", "n_v"), REQUIRED),
-        ("A11", "A11", ("n_v", "n_v"), REQUIRED),
-        ("A12", "A12", ("n_v", "n_p"), REQUIRED),
-        ("A21", "A21", ("n_p", "n_v"), REQUIRED),
-        ("H", "H", ("n_v", "n_v*n_v"), REQUIRED),
-        ("B1", "B1", ("n_v", "m"), REQUIRED),
-        ("C1", "C1", ("p", "n_v"), REQUIRED),
-        ("N", "N", ("n_v", "n_v"), EACH),
-        ("B2", "B2", ("n_p", "m"), ZERO),
-        ("C2", "C2", ("p", "n_p"), ZERO),
-        ("v0", "v0", ("n_v", 1), ZERO),
-    )),
-    "reduced": (ReducedQbSystem, ("r", "m", "p", "n_full"), (
-        ("E", "Ehat", ("r", "r"), REQUIRED),
-        ("A", "Ahat", ("r", "r"), REQUIRED),
-        ("H", "Hhat", ("r", "r*r"), REQUIRED),
-        ("B", "Bhat", ("r", "m"), REQUIRED),
-        ("C", "Chat", ("p", "r"), REQUIRED),
-        ("V", "V", ("n_full", "r"), REQUIRED),
-        ("W", "W", ("n_full", "r"), REQUIRED),
-        ("N", "Nhat", ("r", "r"), EACH),
-        ("CH", "CHhat", ("p", "r*r"), ZERO),
-        ("CN", "CNhat", ("p", "r"), EACH),
-        ("D", "Dhat", ("p", "m"), ZERO),
-    )),
+    kind: (cls, field_dims(cls.FIELDS),
+           tuple((name.removesuffix("hat"), name, axes, rule)
+                 for name, axes, rule in cls.FIELDS))
+    for kind, cls in (("ode", QbOdeSystem), ("dae", QbDaeSystem),
+                      ("reduced", ReducedQbSystem))
 }
 # Hessian unfoldings are written in coordinate format, everything else dense.
 _COORDINATE = ("H", "CH")
-
-
-def _shape(axes, dims):
-    return tuple(axis if isinstance(axis, int)
-                 else math.prod(dims[d] for d in axis.split("*"))
-                 for axis in axes)
 
 
 def save_system(sys, outdir):
@@ -261,7 +219,7 @@ def save_system(sys, outdir):
         for name, M in zip(names, mats):
             write_matrix(os.path.join(outdir, name),
                          sp.csr_matrix(M) if key in _COORDINATE
-                         else np.reshape(M, _shape(axes, dims)))
+                         else np.reshape(M, field_shape(axes, dims)))
         (manifest if key == "v0" else manifest["matrices"])[key] = (
             names if rule == EACH else names[0])
     path = os.path.join(outdir, "manifest.json")
@@ -321,14 +279,13 @@ def load_system(manifest_path):
             fail(f"manifest lists {len(names)} {key} files for {count} inputs")
         if rule == REQUIRED and not names:
             fail(f"manifest is missing required matrix {key!r}")
-        shape, mats = _shape(axes, dims), []
+        shape, mats = field_shape(axes, dims), []
         for name in names:
             M = read_matrix(os.path.join(base, name))
             if M.shape != shape:
                 fail(f"dimension clash for {key} entry {name!r}: expected {shape}, "
                      f"got {M.shape}")
-            mats.append(HessianTensor.from_mode1(M) if field == "H"
-                        else M.toarray() if sp.issparse(M) else M)
+            mats.append(M)
         mats += [np.eye(*shape) if rule == IDENTITY else np.zeros(shape)
                  for _ in range(count - len(mats))]
         fields[field] = tuple(mats) if rule == EACH else mats[0]

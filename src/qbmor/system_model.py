@@ -1,16 +1,23 @@
 """Domain types for full and reduced quadratic-bilinear systems.
 
-All types are immutable value objects validated at construction.  Hessians
-are symmetrized on ingestion so that downstream formulas may rely on
-``H(a kron b) == H(b kron a)``.
+All types are immutable value objects validated at construction.  Each
+realization class lists its matrix fields, their shapes and what an absent
+field means once, in its ``FIELDS`` table; one ingestion function walks that
+table for every class, coercing each field to a float matrix, reading the
+dims off the first field that names them, checking every shape and filling
+absent optional fields with zeros.  ``__post_init__`` then adds only the
+checks beyond shape.  Hessians are symmetrized on ingestion so that
+downstream formulas may rely on ``H(a kron b) == H(b kron a)``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .tensor_kron import (
     HessianTensor,
@@ -33,16 +40,97 @@ __all__ = [
 _RCOND_MIN = 1e-12
 _ORTH_TOL = 1e-10
 
+# Each realization class states its matrix fields once, in a FIELDS table of
+# rows (field, shape in dims, rule); the rows fix the dims in order.  The rule
+# says what None means: REQUIRED and IDENTITY fields must be given (IDENTITY
+# tells a manifest that an absent entry is the identity), ZERO is the zero
+# matrix and EACH, a tuple of one matrix per input, is m zero matrices.
+REQUIRED, ZERO, IDENTITY, EACH = "required", "zero", "identity", "each"
 
-def _as_matrix(name, M, shape=None):
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        M = M.reshape(-1, 1)
-    if M.ndim != 2:
-        raise ValueError(f"{name} must be a matrix, got ndim={M.ndim}")
-    if shape is not None and M.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {M.shape}")
-    return M
+
+def _is_dim(axis):
+    return isinstance(axis, str) and "*" not in axis
+
+
+def field_dims(fields):
+    """Names of the dims of a ``FIELDS`` table, in the order its rows fix them."""
+    return tuple(dict.fromkeys(a for _, axes, _ in fields for a in axes if _is_dim(a)))
+
+
+def field_shape(axes, dims):
+    """The shape ``axes`` names; an axis is a dim, a product ``"a*b"`` of dims or an int."""
+    return tuple(axis if isinstance(axis, int)
+                 else math.prod(dims[d] for d in axis.split("*"))
+                 for axis in axes)
+
+
+def _coerce(name, value, axes, dims):
+    """``value`` as a float matrix of shape ``axes``; fixes the dims not yet in ``dims``.
+
+    A field named ``H`` becomes a symmetrized :class:`HessianTensor` (from a
+    tensor, a dense (n, n, n) array or a mode-1 unfolding, dense or sparse).
+    A 1-D value is a column, or a row when only its second axis is known; a
+    field whose second axis is the literal 1 is stored as a vector.
+    """
+    if name == "H":
+        value = symmetrize(
+            value if isinstance(value, HessianTensor)
+            else HessianTensor.from_dense(value) if np.ndim(value) == 3
+            else HessianTensor.from_mode1(value))
+        shape = (value.n, value.n * value.n)
+    else:
+        value = np.asarray(value.toarray() if sp.issparse(value) else value, dtype=float)
+        if value.ndim == 1:
+            row = axes[0] not in dims and axes[1] in dims
+            value = value.reshape((1, -1) if row else (-1, 1))
+        if value.ndim != 2:
+            raise ValueError(f"{name} must be a matrix, got shape {value.shape}")
+        shape = value.shape
+    for axis, size in zip(axes, shape):
+        if _is_dim(axis) and axis not in dims:
+            if size < 1:
+                raise ValueError(f"{name} must not be empty, got shape {shape}")
+            dims[axis] = size
+    want = field_shape(axes, dims)
+    if shape != want:
+        raise ValueError(f"{name} must have shape {want}, got {shape}")
+    return value.ravel() if axes[1] == 1 else value
+
+
+def _ingest(obj):
+    """Coerce, default and shape-check every field that ``type(obj).FIELDS`` lists.
+
+    Each dim is read from the first field that names it and kept for the
+    class's :class:`_Dim` attributes.
+    """
+    dims = {}
+    for name, axes, rule in type(obj).FIELDS:
+        value = getattr(obj, name)
+        if rule == EACH:
+            m = dims["m"]
+            value = (tuple(np.zeros(field_shape(axes, dims)) for _ in range(m))
+                     if value is None else tuple(value))
+            if len(value) != m:
+                raise ValueError(f"{name} must hold {m} matrices, one per input, "
+                                 f"got {len(value)}")
+            value = tuple(_coerce(f"{name}[{k}]", M, axes, dims)
+                          for k, M in enumerate(value))
+        else:
+            if value is None and rule == ZERO:
+                value = np.zeros(field_shape(axes, dims))
+            value = _coerce(name, value, axes, dims)
+        object.__setattr__(obj, name, value)
+    object.__setattr__(obj, "_dims", dims)
+
+
+class _Dim:
+    """A dim of a realization, as :func:`_ingest` read it off the fields."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj._dims[self.name]
 
 
 def _rcond(M):
@@ -50,18 +138,6 @@ def _rcond(M):
     if s[0] == 0.0:
         return 0.0
     return float(s[-1] / s[0])
-
-
-def _ingest_hessian(H, n):
-    if not isinstance(H, HessianTensor):
-        H = np.asarray(H)
-        if H.ndim == 3:
-            H = HessianTensor.from_dense(H)
-        else:
-            H = HessianTensor.from_mode1(H)
-    if H.n != n:
-        raise ValueError(f"Hessian dimension {H.n} does not match n={n}")
-    return symmetrize(H)
 
 
 @dataclass(frozen=True)
@@ -75,44 +151,21 @@ class QbOdeSystem:
     B: np.ndarray
     C: np.ndarray
 
+    FIELDS = (
+        ("A", ("n", "n"), REQUIRED),
+        ("H", ("n", "n*n"), REQUIRED),
+        ("B", ("n", "m"), REQUIRED),
+        ("C", ("p", "n"), REQUIRED),
+        ("E", ("n", "n"), IDENTITY),
+        ("N", ("n", "n"), EACH),
+    )
+    n, m, p = _Dim(), _Dim(), _Dim()
+
     def __post_init__(self):
-        A = _as_matrix("A", self.A)
-        n = A.shape[0]
-        if A.shape != (n, n):
-            raise ValueError(f"A must be square, got {A.shape}")
-        E = _as_matrix("E", self.E, (n, n))
-        B = _as_matrix("B", self.B)
-        if B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got {B.shape}")
-        C = np.asarray(self.C, dtype=float)
-        if C.ndim == 1:
-            C = C.reshape(1, -1)
-        if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {C.shape}")
-        m, p = B.shape[1], C.shape[0]
-        if m < 1 or p < 1:
-            raise ValueError("systems need at least one input and one output")
-        N = tuple(_as_matrix(f"N[{k}]", Nk, (n, n)) for k, Nk in enumerate(self.N))
-        if len(N) != m:
-            raise ValueError(f"expected {m} bilinear matrices, got {len(N)}")
-        rc = _rcond(E)
+        _ingest(self)
+        rc = _rcond(self.E)
         if rc < _RCOND_MIN:
             raise ValueError(f"mass matrix numerically singular (rcond={rc:.3e})")
-        H = _ingest_hessian(self.H, n)
-        for name, val in (("E", E), ("A", A), ("H", H), ("N", N), ("B", B), ("C", C)):
-            object.__setattr__(self, name, val)
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def p(self):
-        return self.C.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,82 +189,46 @@ class QbDaeSystem:
     C2: np.ndarray
     v0: np.ndarray = None
 
+    FIELDS = (
+        ("E11", ("n_v", "n_v"), REQUIRED),
+        ("A11", ("n_v", "n_v"), REQUIRED),
+        ("A12", ("n_v", "n_p"), REQUIRED),
+        ("A21", ("n_p", "n_v"), REQUIRED),
+        ("H", ("n_v", "n_v*n_v"), REQUIRED),
+        ("B1", ("n_v", "m"), REQUIRED),
+        ("C1", ("p", "n_v"), REQUIRED),
+        ("N", ("n_v", "n_v"), EACH),
+        ("B2", ("n_p", "m"), ZERO),
+        ("C2", ("p", "n_p"), ZERO),
+        ("v0", ("n_v", 1), ZERO),
+    )
+    n_v, n_p, m, p = _Dim(), _Dim(), _Dim(), _Dim()
+
     def __post_init__(self):
-        A11 = _as_matrix("A11", self.A11)
-        n_v = A11.shape[0]
-        if A11.shape != (n_v, n_v):
-            raise ValueError(f"A11 must be square, got {A11.shape}")
-        E11 = _as_matrix("E11", self.E11, (n_v, n_v))
-        A12 = _as_matrix("A12", self.A12)
-        if A12.shape[0] != n_v:
-            raise ValueError(f"A12 must have {n_v} rows, got {A12.shape}")
-        n_p = A12.shape[1]
-        A21 = _as_matrix("A21", self.A21, (n_p, n_v))
+        _ingest(self)
+        n_v, n_p = self.n_v, self.n_p
         if not (0 < n_p < n_v):
             raise ValueError(f"need 0 < n_p < n_v, got n_p={n_p}, n_v={n_v}")
-        B1 = _as_matrix("B1", self.B1)
-        if B1.shape[0] != n_v:
-            raise ValueError(f"B1 must have {n_v} rows, got {B1.shape}")
-        m = B1.shape[1]
-        B2 = np.zeros((n_p, m)) if self.B2 is None else _as_matrix("B2", self.B2, (n_p, m))
-        C1 = np.asarray(self.C1, dtype=float)
-        if C1.ndim == 1:
-            C1 = C1.reshape(1, -1)
-        if C1.shape[1] != n_v:
-            raise ValueError(f"C1 must have {n_v} columns, got {C1.shape}")
-        p = C1.shape[0]
-        C2 = np.zeros((p, n_p)) if self.C2 is None else _as_matrix("C2", self.C2, (p, n_p))
-        N = tuple(_as_matrix(f"N[{k}]", Nk, (n_v, n_v)) for k, Nk in enumerate(self.N))
-        if len(N) != m:
-            raise ValueError(f"expected {m} bilinear matrices, got {len(N)}")
-        v0 = np.zeros(n_v) if self.v0 is None else np.asarray(self.v0, dtype=float).ravel()
-        if v0.shape != (n_v,):
-            raise ValueError(f"v0 must have length {n_v}, got {v0.shape}")
-
-        rc_e = _rcond(E11)
+        rc_e = _rcond(self.E11)
         if rc_e < _RCOND_MIN:
             raise ValueError(f"E11 numerically singular (rcond={rc_e:.3e})")
-        if np.linalg.matrix_rank(A12) < n_p:
+        if np.linalg.matrix_rank(self.A12) < n_p:
             raise ValueError("A12 is rank deficient")
-        if np.linalg.matrix_rank(A21) < n_p:
+        if np.linalg.matrix_rank(self.A21) < n_p:
             raise ValueError("A21 is rank deficient")
-        S = A21 @ la.solve(E11, A12)
-        rc_s = _rcond(S)
+        rc_s = _rcond(self.schur_complement())
         if rc_s < _RCOND_MIN:
             raise ValueError(
                 f"Schur complement A21 E11^-1 A12 numerically singular "
                 f"(rcond={rc_s:.3e})"
             )
-        if not B2.any():
-            cres = np.linalg.norm(A21 @ v0)
-            if cres > 1e-8 * (1.0 + np.linalg.norm(v0)):
+        if not self.B2.any():
+            cres = np.linalg.norm(self.A21 @ self.v0)
+            if cres > 1e-8 * (1.0 + np.linalg.norm(self.v0)):
                 raise ValueError(
                     f"initial velocity violates the constraint: "
                     f"|A21 v0| = {cres:.3e}"
                 )
-        H = _ingest_hessian(self.H, n_v)
-        for name, val in (
-            ("E11", E11), ("A11", A11), ("A12", A12), ("A21", A21),
-            ("H", H), ("N", N), ("B1", B1), ("B2", B2),
-            ("C1", C1), ("C2", C2), ("v0", v0),
-        ):
-            object.__setattr__(self, name, val)
-
-    @property
-    def n_v(self):
-        return self.A11.shape[0]
-
-    @property
-    def n_p(self):
-        return self.A12.shape[1]
-
-    @property
-    def m(self):
-        return self.B1.shape[1]
-
-    @property
-    def p(self):
-        return self.C1.shape[0]
 
     def schur_complement(self):
         return self.A21 @ la.solve(self.E11, self.A12)
@@ -238,61 +255,30 @@ class ReducedQbSystem:
     CNhat: tuple = None
     Dhat: np.ndarray = None
 
+    FIELDS = (
+        ("Ehat", ("r", "r"), REQUIRED),
+        ("Ahat", ("r", "r"), REQUIRED),
+        ("Hhat", ("r", "r*r"), REQUIRED),
+        ("Bhat", ("r", "m"), REQUIRED),
+        ("Chat", ("p", "r"), REQUIRED),
+        ("V", ("n_full", "r"), REQUIRED),
+        ("W", ("n_full", "r"), REQUIRED),
+        ("Nhat", ("r", "r"), EACH),
+        ("CHhat", ("p", "r*r"), ZERO),
+        ("CNhat", ("p", "r"), EACH),
+        ("Dhat", ("p", "m"), ZERO),
+    )
+    r, m, p, n_full = _Dim(), _Dim(), _Dim(), _Dim()
+
     def __post_init__(self):
-        Ahat = _as_matrix("Ahat", self.Ahat)
-        r = Ahat.shape[0]
-        Ehat = _as_matrix("Ehat", self.Ehat, (r, r))
-        Hhat = _as_matrix("Hhat", self.Hhat, (r, r * r))
-        Bhat = _as_matrix("Bhat", self.Bhat)
-        Chat = np.asarray(self.Chat, dtype=float)
-        if Chat.ndim == 1:
-            Chat = Chat.reshape(1, -1)
-        m, p = Bhat.shape[1], Chat.shape[0]
-        Nhat = tuple(_as_matrix(f"Nhat[{k}]", Nk, (r, r)) for k, Nk in enumerate(self.Nhat))
-        if len(Nhat) != m:
-            raise ValueError(f"expected {m} reduced bilinear matrices, got {len(Nhat)}")
-        V = _as_matrix("V", self.V)
-        W = _as_matrix("W", self.W, V.shape)
-        if V.shape[1] != r:
-            raise ValueError(f"V must have {r} columns, got {V.shape}")
-        for name, M in (("V", V), ("W", W)):
-            dev = np.linalg.norm(M.T @ M - np.eye(r))
+        _ingest(self)
+        for name, M in (("V", self.V), ("W", self.W)):
+            dev = np.linalg.norm(M.T @ M - np.eye(self.r))
             if dev > _ORTH_TOL:
                 raise ValueError(
                     f"{name} does not have orthonormal columns "
                     f"(|{name}^T {name} - I| = {dev:.3e})"
                 )
-        CHhat = (np.zeros((p, r * r)) if self.CHhat is None
-                 else _as_matrix("CHhat", self.CHhat, (p, r * r)))
-        CNhat = (tuple(np.zeros((p, r)) for _ in range(m)) if self.CNhat is None
-                 else tuple(_as_matrix(f"CNhat[{k}]", M, (p, r))
-                            for k, M in enumerate(self.CNhat)))
-        if len(CNhat) != m:
-            raise ValueError(f"expected {m} output-correction matrices, got {len(CNhat)}")
-        Dhat = (np.zeros((p, m)) if self.Dhat is None
-                else _as_matrix("Dhat", self.Dhat, (p, m)))
-        for name, val in (
-            ("Ehat", Ehat), ("Ahat", Ahat), ("Hhat", Hhat), ("Nhat", Nhat),
-            ("Bhat", Bhat), ("Chat", Chat), ("V", V), ("W", W),
-            ("CHhat", CHhat), ("CNhat", CNhat), ("Dhat", Dhat),
-        ):
-            object.__setattr__(self, name, val)
-
-    @property
-    def r(self):
-        return self.Ahat.shape[0]
-
-    @property
-    def n_full(self):
-        return self.V.shape[0]
-
-    @property
-    def m(self):
-        return self.Bhat.shape[1]
-
-    @property
-    def p(self):
-        return self.Chat.shape[0]
 
     def has_output_corrections(self):
         return bool(self.CHhat.any() or self.Dhat.any()
@@ -355,11 +341,10 @@ def project_ode(sys, V, W):
     Returns a :class:`ReducedQbSystem` holding :func:`project_realization`
     of the system's matrices and the bases.
     """
-    V = _as_matrix("V", V)
-    W = _as_matrix("W", W, V.shape)
-    n, r = V.shape
-    if n != sys.n:
-        raise ValueError(f"bases must have {sys.n} rows, got {n}")
+    dims = {"n": sys.n}
+    V = _coerce("V", V, ("n", "r"), dims)
+    W = _coerce("W", W, ("n", "r"), dims)
+    r = dims["r"]
     if np.linalg.matrix_rank(V) < r:
         raise ValueError("V is rank deficient")
     if np.linalg.matrix_rank(W) < r:
@@ -376,7 +361,7 @@ def project_dae_outputs(corr, V):
     Returns ``(CHhat, CNhat, Dhat)`` with ``CHhat = CH (V kron V)``,
     ``CNhat_k = CN_k V`` and ``Dhat`` passed through unprojected.
     """
-    V = _as_matrix("V", V)
+    V = _coerce("V", V, ("n", "r"), {})
     n = V.shape[0]
     if corr.CH.shape[1] != n * n:
         raise ValueError(

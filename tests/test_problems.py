@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from qbmor import problems
 from qbmor.dae_transform import build_projectors
 from qbmor.mmio import atomic_open, read_matrix, write_json, write_matrix
 from qbmor.problems import (
@@ -98,6 +99,22 @@ def test_synthetic_dae_deterministic_in_seed():
 def test_synthetic_dae_dimension_guard():
     with pytest.raises(ValueError):
         gen_synthetic_dae(10, 6)
+
+
+def test_synthetic_dae_exhausted_retries_name_the_last_reason(monkeypatch):
+    monkeypatch.setattr(problems, "_dae_finite_abscissa", lambda *blocks: 0.0)
+    with pytest.raises(RuntimeError, match=r"could not draw a valid descriptor system: "
+                                           r"unstable constrained spectrum \(abscissa 0"):
+        gen_synthetic_dae(14, 3, seed=0)
+
+
+def test_synthetic_dae_retries_draws_the_constructor_rejects(monkeypatch):
+    def reject(**fields):
+        raise ValueError("A12 is rank deficient")
+
+    monkeypatch.setattr(problems, "QbDaeSystem", reject)
+    with pytest.raises(RuntimeError, match="A12 is rank deficient"):
+        gen_synthetic_dae(14, 3, seed=0)
 
 
 # -- steady-state shift ---------------------------------------------------------

@@ -58,6 +58,91 @@ def test_dae_construction_rejections(change, message):
         QbDaeSystem(**{**dae_blocks(), **change})
 
 
+def ode_fields():
+    """A valid ODE realization, n = 3 and m = p = 1."""
+    return dict(E=np.eye(3), A=-np.eye(3), H=HessianTensor.zero(3), N=(np.zeros((3, 3)),),
+                B=np.ones((3, 1)), C=np.ones((1, 3)))
+
+
+def reduced_fields():
+    """A valid reduced model, r = 2, n_full = 3 and m = p = 1."""
+    return dict(Ehat=np.eye(2), Ahat=-np.eye(2), Hhat=np.zeros((2, 4)), Nhat=(np.eye(2),),
+                Bhat=np.ones((2, 1)), Chat=np.ones((1, 2)), V=np.eye(3, 2), W=np.eye(3, 2),
+                CNhat=(np.ones((1, 2)),))
+
+
+# (class, valid fields, input matrix, output matrix)
+REALIZATIONS = [
+    (QbOdeSystem, ode_fields, "B", "C"),
+    (QbDaeSystem, dae_blocks, "B1", "C1"),
+    (ReducedQbSystem, reduced_fields, "Bhat", "Chat"),
+]
+
+
+def _shrunk(M):
+    """``M`` with its last column dropped, or its last row if it has one column."""
+    if isinstance(M, HessianTensor):
+        return HessianTensor.zero(M.n - 1)
+    return M[:, :-1] if M.shape[1] > 1 else M[:-1]
+
+
+@pytest.mark.parametrize("cls, make, name", [
+    pytest.param(cls, make, name, id=f"{cls.__name__}-{name}")
+    for cls, make, _, _ in REALIZATIONS
+    for name, value in make().items() if value is not None
+])
+def test_wrong_shape_is_rejected_naming_the_field(cls, make, name):
+    fields = make()
+    cls(**fields)
+    value = fields[name]
+    fields[name] = ((_shrunk(value[0]),) + value[1:] if isinstance(value, tuple)
+                    else _shrunk(value))
+    with pytest.raises(ValueError, match=name):
+        cls(**fields)
+
+
+def _name(x):
+    return getattr(x, "__name__", x)
+
+
+@pytest.mark.parametrize("cls, make, b, c", REALIZATIONS, ids=_name)
+def test_per_input_counts_and_vector_orientation(cls, make, b, c):
+    for name, value in make().items():
+        if isinstance(value, tuple):
+            with pytest.raises(ValueError, match="matrices"):
+                cls(**{**make(), name: value * 2})
+    n = make()[b].shape[0]
+    sys = cls(**{**make(), b: np.ones(n), c: np.ones(n)})
+    assert getattr(sys, b).shape == (n, 1) and getattr(sys, c).shape == (1, n)
+
+
+@pytest.mark.parametrize("cls, make, b, c", REALIZATIONS, ids=_name)
+def test_zero_inputs_or_outputs_are_rejected(cls, make, b, c):
+    fields = make()
+    n = fields[b].shape[0]
+    no_inputs = {name: () for name, value in fields.items() if isinstance(value, tuple)}
+    with pytest.raises(ValueError, match=b):
+        cls(**{**fields, b: np.ones((n, 0)), **no_inputs})
+    with pytest.raises(ValueError, match=c):
+        cls(**{**fields, c: np.ones((0, n))})
+
+
+@pytest.mark.parametrize("cls, make, c",
+                         [(cls, make, c) for cls, make, _, c in REALIZATIONS], ids=_name)
+def test_output_matrix_with_three_axes_is_rejected(cls, make, c):
+    with pytest.raises(ValueError, match=c):
+        cls(**{**make(), c: make()[c][:, :, None]})
+
+
+def test_sparse_mode1_hessian_is_ingested():
+    other = random_stable_ode(4, 5)
+    sys = QbOdeSystem(E=other.E, A=other.A, H=other.H.mode1, N=other.N,
+                      B=other.B, C=other.C)
+    for a, b in ((sys.H._i, other.H._i), (sys.H._j, other.H._j),
+                 (sys.H._k, other.H._k), (sys.H._v, other.H._v)):
+        assert np.array_equal(a, b)
+
+
 def test_validate_ode_unstable_is_warning_not_error():
     rep = validate_ode(scalar_system(+1.0))
     assert not rep.stable
