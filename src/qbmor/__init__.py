@@ -21,7 +21,6 @@ from .dense_solvers import (
     solve_saddle,
     solve_saddle_adjoint,
     solve_shifted,
-    solve_sylvester,
 )
 from .gramians_norms import (
     GramianPair,

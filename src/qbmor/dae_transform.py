@@ -41,6 +41,7 @@ __all__ = [
     "recover_pressure",
     "explicit_ode",
     "homogenize_b2",
+    "homogenized_output_realization",
 ]
 
 EXPLICIT_SIZE_CAP = 400

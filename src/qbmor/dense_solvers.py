@@ -1,9 +1,9 @@
 """Dense linear-algebra backends.
 
 Generalized pencil eigendecomposition, shifted and saddle-point solves
-(one factorization per shift serves plain and transposed solves),
-diagonal-shift Sylvester solves, and generalized Lyapunov solves
-(Bartels-Stewart on the pencil reduced by one LU of the mass matrix).
+(one factorization per shift serves plain and transposed solves), and
+generalized Lyapunov solves (Bartels-Stewart on the pencil reduced by one
+LU of the mass matrix).
 Every solver computes the residual of its own output, raises
 :class:`ResidualError` when the stated bound is exceeded, and reports the
 value to any active :func:`record_residuals` context.
@@ -25,7 +25,6 @@ __all__ = [
     "record_residuals",
     "pencil_eig",
     "solve_shifted",
-    "solve_sylvester",
     "solve_lyapunov",
     "solve_saddle",
     "solve_saddle_adjoint",
@@ -35,12 +34,13 @@ __all__ = [
 
 # residual bounds (relative, Frobenius)
 SHIFTED_TOL = 1e-10
-SYLVESTER_TOL = 1e-9
 LYAPUNOV_TOL = 1e-9
 SADDLE_TOL = 1e-10
 PENCIL_TOL = 1e-10
 
 _TINY = np.finfo(float).tiny
+# a shift is real, or two shifts a conjugate pair, within this relative distance
+_PAIR_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -104,12 +104,12 @@ class SpectralFactorization:
     eigenvalues: np.ndarray
 
 
-def conjugate_pairs(lam, tol=1e-8):
+def conjugate_pairs(lam):
     """Partition shifts into real indices and conjugate pairs.
 
     Returns ``(real_indices, pairs)`` where each pair is ``(neg, pos)`` with
     ``Im(lam[neg]) < 0 < Im(lam[pos])``, or ``None`` if some complex shift
-    has no conjugate partner within tolerance.
+    has no conjugate partner within ``_PAIR_TOL``.
     """
     lam = np.asarray(lam, dtype=complex)
     used = np.zeros(lam.size, dtype=bool)
@@ -119,7 +119,7 @@ def conjugate_pairs(lam, tol=1e-8):
             continue
         li = lam[idx]
         scale = 1.0 + abs(li)
-        if abs(li.imag) <= tol * scale:
+        if abs(li.imag) <= _PAIR_TOL * scale:
             real_idx.append(idx)
             used[idx] = True
             continue
@@ -130,7 +130,7 @@ def conjugate_pairs(lam, tol=1e-8):
             d = abs(lam[jdx] - li.conjugate())
             if d < bestd:
                 best, bestd = jdx, d
-        if best < 0 or bestd > tol * scale:
+        if best < 0 or bestd > _PAIR_TOL * scale:
             return None
         used[idx] = used[best] = True
         neg, pos = (idx, best) if li.imag < 0 else (best, idx)
@@ -348,70 +348,6 @@ def solve_shifted(E, A, sigma, rhs):
     """
     fact = _ShiftFactor(E, A, sigma)
     return fact if rhs is None else fact.solve(rhs)
-
-
-def _solve_family(solve, RHS, split, trans=False):
-    """One column per shift via ``solve(idx, rhs, trans)``, mirroring pairs.
-
-    ``split`` is ``(real_indices, pairs)`` from :func:`conjugate_pairs`; of
-    each pair only the negative-imaginary column is solved and its partner
-    is the conjugate, exact for conjugate-paired right-hand-side columns.
-    """
-    V = np.zeros(RHS.shape, dtype=complex)
-    real_idx, pairs = split
-    for idx in real_idx:
-        V[:, idx] = solve(idx, RHS[:, idx], trans)
-    for neg, pos in pairs:
-        V[:, neg] = solve(neg, RHS[:, neg], trans)
-        V[:, pos] = V[:, neg].conjugate()
-    return V
-
-
-def solve_sylvester(E, A, lam, RHS, realify=True):
-    """Solve ``-E V diag(lam) - A V = RHS`` column-wise.
-
-    Each column decouples into a shifted solve at ``lam[i]``.  For a
-    conjugate-closed shift set with conjugate-paired right-hand-side columns,
-    only one member of each pair is solved and the partner is mirrored; with
-    ``realify`` the paired columns are then replaced by (real, imaginary)
-    parts, so real problem data yields a real ``V`` with unchanged span.
-    """
-    lam = np.atleast_1d(np.asarray(lam))
-    RHS = np.asarray(RHS)
-    if RHS.ndim != 2 or RHS.shape[1] != lam.size:
-        raise ValueError(
-            f"RHS must have one column per shift, got {RHS.shape} for "
-            f"{lam.size} shifts"
-        )
-    split = conjugate_pairs(lam)
-    paired_rhs = False
-    if split is not None and split[1]:
-        paired_rhs = all(
-            _fro(RHS[:, pos] - RHS[:, neg].conjugate())
-            <= 1e-10 * (_fro(RHS[:, neg]) + _TINY)
-            for neg, pos in split[1]
-        )
-
-    def column(idx, rhs, trans):
-        try:
-            return solve_shifted(E, A, lam[idx], rhs)
-        except SolverError as exc:
-            raise SolverError(f"column {idx}: {exc}") from exc
-
-    # without paired data every column is solved on its own
-    V = _solve_family(column, RHS, split if paired_rhs else (range(lam.size), []))
-    complex_data = np.iscomplexobj(RHS) or np.iscomplexobj(lam)
-    if not complex_data:
-        V = V.real.copy()
-    res = _fro(-(E @ (V * lam[None, :])) - A @ V - RHS) / max(_fro(RHS), _TINY)
-    if res > SYLVESTER_TOL:
-        raise ResidualError(
-            f"sylvester solve residual {res:.3e} exceeds {SYLVESTER_TOL:.0e}"
-        )
-    _note("sylvester", res)
-    if realify and complex_data and paired_rhs:
-        return realify_paired_columns(lam, V)
-    return V
 
 
 class _LyapunovFactor:

@@ -73,10 +73,13 @@ def _coerce(name, value, axes, dims):
     field whose second axis is the literal 1 is stored as a vector.
     """
     if name == "H":
-        value = symmetrize(
-            value if isinstance(value, HessianTensor)
-            else HessianTensor.from_dense(value) if np.ndim(value) == 3
-            else HessianTensor.from_mode1(value))
+        if not isinstance(value, HessianTensor):
+            want, shape = field_shape(axes, dims), np.shape(value)
+            if shape not in (want, (want[0],) * 3):
+                raise ValueError(f"H must have shape {want}, got {shape}")
+            value = (HessianTensor.from_dense(value) if len(shape) == 3
+                     else HessianTensor.from_mode1(value))
+        value = symmetrize(value)
         shape = (value.n, value.n * value.n)
     else:
         value = np.asarray(value.toarray() if sp.issparse(value) else value, dtype=float)

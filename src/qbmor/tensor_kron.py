@@ -44,9 +44,10 @@ class HessianTensor:
     """Sparse third-order tensor of shape (n, n, n).
 
     Stored as canonical coordinate triplets ``(i, j, k, value)``, sorted
-    lexicographically and with duplicates summed.  ``symmetric`` marks that
-    ``t[i, j, k] == t[i, k, j]`` holds entry-wise (the result of an explicit
-    averaging step, see :func:`symmetrize`).
+    lexicographically and with duplicates summed.  With ``symmetric=True``
+    the given triplets are first averaged with their (2,3)-swap, so that
+    ``t[i, j, k] == t[i, k, j]`` holds entry-wise; data that is already
+    symmetric comes out bit for bit as given (barring subnormal values).
     """
 
     __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_jac")
@@ -66,10 +67,11 @@ class HessianTensor:
             or i.max() >= n or j.max() >= n or k.max() >= n
         ):
             raise ValueError("tensor indices out of range")
-        # canonical order, duplicates summed, exact zeros dropped
+        if symmetric:
+            i, j, k = np.concatenate([i, i]), np.concatenate([j, k]), np.concatenate([k, j])
+            v = np.concatenate([v, v]) * 0.5
+        # canonical order, duplicates summed in entry order, exact zeros dropped
         if i.size:
-            order = np.lexsort((k, j, i))
-            i, j, k, v = i[order], j[order], k[order], v[order]
             flat = (i * n + j) * n + k
             uniq, inv = np.unique(flat, return_inverse=True)
             vals = _scatter_sum(inv, v, uniq.size)
@@ -91,23 +93,23 @@ class HessianTensor:
         return cls(n, [], [], [], [])
 
     @classmethod
-    def from_mode1(cls, M, symmetric=False):
+    def from_mode1(cls, M):
         """Build from an n-by-n^2 mode-1 unfolding (dense or sparse)."""
         M = sp.coo_matrix(M)
         n = M.shape[0]
         if M.shape[1] != n * n:
             raise ValueError(f"mode-1 unfolding must be n-by-n^2, got {M.shape}")
         j, k = np.divmod(M.col, n)
-        return cls(n, M.row, j, k, M.data, symmetric=symmetric)
+        return cls(n, M.row, j, k, M.data)
 
     @classmethod
-    def from_dense(cls, T, symmetric=False):
+    def from_dense(cls, T):
         """Build from a dense (n, n, n) array."""
         T = np.asarray(T, dtype=np.float64)
         if T.ndim != 3 or len(set(T.shape)) != 1:
             raise ValueError(f"expected a cubic third-order array, got {T.shape}")
         i, j, k = np.nonzero(T)
-        return cls(T.shape[0], i, j, k, T[i, j, k], symmetric=symmetric)
+        return cls(T.shape[0], i, j, k, T[i, j, k])
 
     # -- basic queries -----------------------------------------------------
 
@@ -183,16 +185,12 @@ def matricize(t, mode):
 def symmetrize(t):
     """Average ``t`` with its (2,3)-transpose: ``t'[i,j,k] = (t[i,j,k] + t[i,k,j]) / 2``.
 
-    The result is a fixed point of this map, preserves ``H(x kron x)`` for
-    every ``x``, and satisfies ``H(a kron b) == H(b kron a)`` exactly.
+    This is the averaging that ``HessianTensor(..., symmetric=True)``
+    applies; a tensor built that way is returned as it is.  The result is a
+    fixed point of this map, preserves ``H(x kron x)`` for every ``x``, and
+    satisfies ``H(a kron b) == H(b kron a)`` exactly.
     """
-    if t.symmetric:
-        return t
-    i = np.concatenate([t._i, t._i])
-    j = np.concatenate([t._j, t._k])
-    k = np.concatenate([t._k, t._j])
-    v = np.concatenate([t._v, t._v]) * 0.5
-    return HessianTensor(t.n, i, j, k, v, symmetric=True)
+    return t if t.symmetric else HessianTensor(t.n, t._i, t._j, t._k, t._v, symmetric=True)
 
 
 def apply_hessian(t, a, b):

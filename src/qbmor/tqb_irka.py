@@ -31,7 +31,6 @@ import numpy as np
 from .dae_transform import build_projectors, output_realization
 from .dense_solvers import (
     SolverError,
-    _solve_family,
     conjugate_pairs,
     pencil_eig,
     realify_paired_columns,
@@ -151,6 +150,23 @@ def _shift_solver(factor, lam, n, nudged):
             return factors[idx].solve(rhs, trans)[:n]
 
     return solve
+
+
+def _solve_family(solve, RHS, split, trans=False):
+    """One column per shift via ``solve(idx, rhs, trans)``, mirroring pairs.
+
+    ``split`` is ``(real_indices, pairs)`` from :func:`conjugate_pairs`; of
+    each pair only the negative-imaginary column is solved and its partner
+    is the conjugate, exact for conjugate-paired right-hand-side columns.
+    """
+    V = np.zeros(RHS.shape, dtype=complex)
+    real_idx, pairs = split
+    for idx in real_idx:
+        V[:, idx] = solve(idx, RHS[:, idx], trans)
+    for neg, pos in pairs:
+        V[:, neg] = solve(neg, RHS[:, neg], trans)
+        V[:, pos] = V[:, neg].conjugate()
+    return V
 
 
 def _run_iteration(state, factor, data, fact, nudged):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -16,7 +18,6 @@ from qbmor.dense_solvers import (
     solve_saddle,
     solve_saddle_adjoint,
     solve_shifted,
-    solve_sylvester,
 )
 from qbmor.problems import gen_synthetic_dae
 
@@ -207,69 +208,6 @@ def test_wrong_size_right_hand_side_is_a_value_error(kind, rows, expected):
         fact.solve(np.ones(rows))
 
 
-# -- solve_sylvester ---------------------------------------------------------
-
-
-def test_solve_sylvester_scalar():
-    V = solve_sylvester(np.eye(1), -3.0 * np.eye(1), np.array([-2.0]),
-                        np.array([[5.0]]))
-    assert np.allclose(V, [[1.0]])
-
-
-def test_solve_sylvester_zero_rhs():
-    E, A = stable_pencil(5, 6)
-    lam = np.array([-1.0, -2.0 + 1j, -2.0 - 1j])
-    V = solve_sylvester(E, A, lam, np.zeros((6, 3)))
-    assert np.allclose(V, 0.0)
-
-
-def test_solve_sylvester_kron_oracle():
-    rng = np.random.default_rng(6)
-    E, A = stable_pencil(6, 8)
-    lam = np.array([-0.7, 1.2 - 0.8j, 1.2 + 0.8j])
-    RHS = rng.standard_normal((8, 3)).astype(complex)
-    RHS[:, 2] = RHS[:, 1].conjugate()
-    V = solve_sylvester(E, A, lam, RHS, realify=False)
-    K = -(np.kron(np.diag(lam), E) + np.kron(np.eye(3), A))
-    res = K @ V.ravel(order="F") - RHS.ravel(order="F")
-    assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(RHS)
-
-
-def test_solve_sylvester_matches_dense_kron_solve():
-    rng = np.random.default_rng(7)
-    for n, r in [(5, 3), (12, 6), (20, 8)]:
-        E, A = stable_pencil(n, n)
-        lam = -rng.uniform(0.5, 3.0, r)
-        RHS = rng.standard_normal((n, r))
-        V = solve_sylvester(E, A, lam, RHS)
-        K = -(np.kron(np.diag(lam), E) + np.kron(np.eye(r), A))
-        V_dense = la.solve(K, RHS.ravel(order="F")).reshape((n, r), order="F")
-        assert np.linalg.norm(V - V_dense) <= 1e-9 * np.linalg.norm(V_dense)
-
-
-def test_solve_sylvester_realifies_paired_data():
-    rng = np.random.default_rng(8)
-    E, A = stable_pencil(8, 7)
-    lam = np.array([-1.0, 0.4 - 2.0j, 0.4 + 2.0j])
-    RHS = np.zeros((7, 3), dtype=complex)
-    RHS[:, 0] = rng.standard_normal(7)
-    RHS[:, 1] = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    RHS[:, 2] = RHS[:, 1].conjugate()
-    V = solve_sylvester(E, A, lam, RHS)
-    assert V.dtype == float
-    # realified columns span the complex solution pair
-    Vc = solve_sylvester(E, A, lam, RHS, realify=False)
-    assert np.allclose(V[:, 1], Vc[:, 1].real)
-    assert np.allclose(V[:, 2], Vc[:, 1].imag)
-
-
-def test_solve_sylvester_reports_failing_column():
-    A = np.diag([-1.0, -2.0])
-    lam = np.array([-3.0, 1.0])  # second shift mirrors an eigenvalue
-    with pytest.raises(SolverError, match="column 1"):
-        solve_sylvester(np.eye(2), A, lam, np.ones((2, 2)))
-
-
 def test_realify_paired_columns_rejects_unpaired():
     with pytest.raises(ValueError):
         realify_paired_columns(np.array([1j]), np.ones((2, 1), dtype=complex))
@@ -406,6 +344,16 @@ def test_saddle_solves_whole_right_hand_side(sigma):
     assert all(v <= SADDLE_TOL for _, v in log)
 
 
+def test_singular_saddle_matrix_is_a_solver_error():
+    # zero constraint blocks leave the multiplier rows and columns empty
+    sys = gen_synthetic_dae(10, 2, seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match=r"^singular saddle matrix at sigma=0\.5$"):
+            solve_saddle(sys.E11, sys.A11, np.zeros((10, 2)), np.zeros((2, 10)), 0.5,
+                         np.ones(10))
+
+
 def test_solve_saddle_adjoint_zero_rhs():
     sys = gen_synthetic_dae(10, 2, seed=1)
     wbar, xi = solve_saddle_adjoint(sys.E11, sys.A11, sys.A12, sys.A21, 0.5,
@@ -450,12 +398,11 @@ def test_residual_recording_covers_all_solvers():
     with record_residuals() as log:
         pencil_eig(E, A)
         solve_shifted(E, A, -1.0, rng.standard_normal((5, 1)))
-        solve_sylvester(E, A, np.array([-1.0, -2.0]), rng.standard_normal((5, 2)))
         solve_lyapunov(A, E, np.eye(5))
         solve_saddle(sys.E11, sys.A11, sys.A12, sys.A21, 1.0,
                      rng.standard_normal(10))
         solve_saddle_adjoint(sys.E11, sys.A11, sys.A12, sys.A21, 1.0,
                              rng.standard_normal(10))
     tags = {tag for tag, _ in log}
-    assert {"pencil", "shifted", "sylvester", "lyapunov", "saddle"} <= tags
+    assert {"pencil", "shifted", "lyapunov", "saddle"} <= tags
     assert all(v <= 1e-9 for _, v in log)

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qbmor.dae_transform import output_realization
-from qbmor.problems import gen_synthetic_dae
+from qbmor.gramians_norms import truncated_h2_norm
+from qbmor.problems import gen_burgers, gen_synthetic_dae
 from qbmor.system_model import (
     QbDaeSystem,
     QbOdeSystem,
@@ -12,6 +15,8 @@ from qbmor.system_model import (
     validate_ode,
 )
 from qbmor.tensor_kron import HessianTensor, apply_hessian, matricize
+
+from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
 
 from helpers import random_stable_ode
 
@@ -132,6 +137,29 @@ def test_zero_inputs_or_outputs_are_rejected(cls, make, b, c):
 def test_output_matrix_with_three_axes_is_rejected(cls, make, c):
     with pytest.raises(ValueError, match=c):
         cls(**{**make(), c: make()[c][:, :, None]})
+
+
+@pytest.mark.parametrize("H", [np.zeros((6, 30)), np.zeros((6, 6, 5)), np.zeros(6)],
+                         ids=["unfolding", "array", "vector"])
+def test_hessian_of_wrong_shape_is_rejected_naming_the_field(H):
+    b = gen_burgers(6, 0.05)
+    with pytest.raises(ValueError, match=re.escape(f"H must have shape (6, 36), got {H.shape}")):
+        QbOdeSystem(E=b.E, A=b.A, H=H, N=b.N, B=b.B, C=b.C)
+
+
+def test_hessian_claimed_symmetric_is_made_symmetric():
+    b = gen_burgers(30, 0.05)
+    rng = np.random.default_rng(0)
+    i, j, k = rng.integers(0, 30, (3, 60))
+    v = rng.standard_normal(60)
+    systems = [QbOdeSystem(E=b.E, A=b.A, H=HessianTensor(30, i, j, k, v, symmetric=sym),
+                           N=b.N, B=b.B, C=b.C) for sym in (False, True)]
+    plain, claimed = systems
+    assert (plain.H.mode1 != claimed.H.mode1).nnz == 0
+    assert validate_ode(claimed).hessian_symmetric
+    spectra = [tqb_irka_ode(sys, IrkaConfig(r=4, seed=1))[1].eigenvalues[-1] for sys in systems]
+    assert np.array_equal(*spectra)
+    assert truncated_h2_norm(plain) == truncated_h2_norm(claimed)
 
 
 def test_sparse_mode1_hessian_is_ingested():

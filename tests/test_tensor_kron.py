@@ -123,6 +123,20 @@ def test_symmetrize_fixed_point():
     assert (matricize(t3, 1) - matricize(t, 1)).nnz == 0
 
 
+def test_symmetric_flag_averages_the_triplets():
+    rng = np.random.default_rng(0)
+    i, j, k = rng.integers(0, 5, (3, 20))
+    v = rng.standard_normal(20)
+    t = HessianTensor(5, i, j, k, v, symmetric=True)
+    T = t.to_dense()
+    assert t.symmetric and np.array_equal(T, np.transpose(T, (0, 2, 1)))
+    assert (matricize(t, 1) - matricize(symmetrize(HessianTensor(5, i, j, k, v)), 1)).nnz == 0
+    # data that is already symmetric comes out bit for bit
+    again = HessianTensor(5, t._i, t._j, t._k, t._v, symmetric=True)
+    assert all(np.array_equal(a, b) for a, b in
+               ((again._i, t._i), (again._j, t._j), (again._k, t._k), (again._v, t._v)))
+
+
 def test_symmetrize_single_entry():
     t = HessianTensor(2, [0], [0], [1], [4.0])
     ts = symmetrize(t)

@@ -342,6 +342,27 @@ def test_wrong_size_right_hand_side_is_not_nudged(monkeypatch):
     assert len(calls) == 1 and not nudged
 
 
+def test_family_solver_matches_kronecker_oracle():
+    # one real shift and one conjugate pair, conjugate-paired right-hand sides
+    rng = np.random.default_rng(6)
+    sys = random_stable_ode(6, 8)
+    E, A = sys.E, sys.A
+    lam = np.array([-0.7, 1.2 - 0.8j, 1.2 + 0.8j])
+    RHS = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    RHS[:, 0] = RHS[:, 0].real
+    RHS[:, 2] = RHS[:, 1].conjugate()
+    split = conjugate_pairs(lam)
+    assert split == ([0], [(1, 2)])
+    solve = tqb_irka._shift_solver(lambda s: solve_shifted(E, A, s, None), lam, 8, set())
+    for trans, (Eo, Ao) in ((False, (E, A)), (True, (E.T, A.T))):
+        V = tqb_irka._solve_family(solve, RHS, split, trans)
+        # -E V diag(lam) - A V = RHS, or its transpose, column-stacked
+        K = -(np.kron(np.diag(lam), Eo) + np.kron(np.eye(3), Ao))
+        res = K @ V.ravel(order="F") - RHS.ravel(order="F")
+        assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(RHS)
+        assert np.array_equal(V[:, 2], V[:, 1].conjugate())
+
+
 def test_transposed_factor_solves_match_transposed_systems():
     rng = np.random.default_rng(21)
     sigma = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
@@ -388,3 +409,11 @@ def test_burgers_reproducer_converges():
     red, trace = tqb_irka_ode(sys, cfg)
     assert trace.converged
     assert max(trace.max_residuals) <= 1e-9
+
+
+def test_order_one_start_converges():
+    _, trace = tqb_irka_ode(gen_burgers(30, 0.05), IrkaConfig(r=1, seed=0))
+    assert trace.converged and trace.iterations == 32
+    _, trace = tqb_irka_dae_saddle(gen_synthetic_dae(20, 4, seed=1),
+                                   IrkaConfig(r=1, max_iters=100))
+    assert trace.converged and trace.iterations == 31
