@@ -1,18 +1,23 @@
 """Time integration and trajectory comparison.
 
-Fixed-step implicit Euler with a Newton corrector is used for both the
+Fixed-step implicit Euler with an exact Newton corrector is used for both the
 unconstrained and the descriptor form; the descriptor steps solve the coupled
 velocity-multiplier saddle system including the constraint row.  Fixed steps
-keep runs reproducible.
+keep runs reproducible.  Each simulation stores its Newton matrix banded
+(LAPACK ``gbsv``) when the system's pattern is narrow and dense (``gesv``)
+otherwise; input signals of the library are sampled over the whole grid at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
+from scipy.linalg.blas import dgbmv
+from scipy.linalg.lapack import dgbsv, dgesv
 
 from .dae_transform import recover_pressure
 from .dense_solvers import SolverError
@@ -36,7 +41,9 @@ class InputSignal:
     """Control input ``u(t)`` with ``m`` channels and a time derivative.
 
     Presets are analytic; tabulated inputs interpolate linearly and
-    differentiate by central differences (one-sided at the ends).
+    differentiate by central differences (one-sided at the ends).  The
+    library's own signals sample a whole time grid in one call; a signal
+    built from user callables calls them once per time.
     """
 
     def __init__(self, m, sample, derivative, kind="custom"):
@@ -44,6 +51,15 @@ class InputSignal:
         self._sample = sample
         self._derivative = derivative
         self.kind = kind
+        self._batch = None
+
+    @classmethod
+    def _batched(cls, m, sample, derivative, kind):
+        """Signal whose ``sample`` and ``derivative`` map a (T,) time array to (T, m) rows."""
+        sig = cls(m, lambda t: sample(np.array([t], dtype=float))[0],
+                  lambda t: derivative(np.array([t], dtype=float))[0], kind)
+        sig._batch = (sample, derivative)
+        return sig
 
     def sample(self, t):
         return np.broadcast_to(
@@ -53,7 +69,7 @@ class InputSignal:
     def on_grid(self, t):
         """Samples at the times ``t`` as the rows of a (len(t), m) array."""
         t = np.asarray(t, dtype=float)
-        return np.array([self.sample(tk) for tk in t]).reshape(t.size, self.m)
+        return self._batch[0](t) if self._batch else _rows(self._sample, t, self.m)
 
     def derivative(self, t):
         return np.broadcast_to(
@@ -62,8 +78,10 @@ class InputSignal:
 
     @classmethod
     def zero(cls, m):
-        z = np.zeros(m)
-        return cls(m, lambda t: z, lambda t: z, kind="zero")
+        def z(t):
+            return np.zeros((t.size, m))
+
+        return cls._batched(m, z, z, kind="zero")
 
     @classmethod
     def preset_cavity(cls, m):
@@ -71,14 +89,16 @@ class InputSignal:
         w = 2.0 * np.pi / 5.0
 
         def u(t):
-            return 2.0 * t * t * np.exp(-t / 2.0) * np.sin(w * t)
+            v = 2.0 * t * t * np.exp(-t / 2.0) * np.sin(w * t)
+            return np.repeat(v[:, None], m, axis=1)
 
         def du(t):
             e = np.exp(-t / 2.0)
-            return ((4.0 * t - t * t) * np.sin(w * t)
-                    + 2.0 * t * t * w * np.cos(w * t)) * e
+            dv = ((4.0 * t - t * t) * np.sin(w * t)
+                  + 2.0 * t * t * w * np.cos(w * t)) * e
+            return np.repeat(dv[:, None], m, axis=1)
 
-        return cls(m, u, du, kind="preset-cavity")
+        return cls._batched(m, u, du, kind="preset-cavity")
 
     @classmethod
     def from_table(cls, t, U):
@@ -98,32 +118,40 @@ class InputSignal:
         m = U.shape[1]
 
         def u(tq):
-            return np.array([np.interp(tq, t, U[:, c]) for c in range(m)])
+            return np.column_stack([np.interp(tq, t, U[:, c]) for c in range(m)])
 
         def du(tq):
-            return np.array([np.interp(tq, t, dU[:, c]) for c in range(m)])
+            return np.column_stack([np.interp(tq, t, dU[:, c]) for c in range(m)])
 
-        return cls(m, u, du, kind="csv-table")
+        return cls._batched(m, u, du, kind="csv-table")
 
     def augmented_for_homogenized(self, derivative=None):
         """Signal ``(u, u kron u, u')`` for a homogenized descriptor system.
 
         ``derivative`` may override the derivative channel, e.g. with a step
         difference quotient so that a discrete integrator of the homogenized
-        system reproduces the original one step-for-step.
+        system reproduces the original one step-for-step; it is called once
+        per time.
         """
         m = self.m
-        deriv = derivative if derivative is not None else self._derivative
+        batched = self._batch[1] if self._batch and derivative is None else None
+        deriv = self._derivative if derivative is None else derivative
 
         def u(t):
-            base = self.sample(t)
-            return np.concatenate([base, np.kron(base, base),
-                                   np.broadcast_to(np.asarray(deriv(t), float), (m,))])
+            base = self.on_grid(t)
+            return np.hstack([base, (base[:, :, None] * base[:, None, :]).reshape(t.size, m * m),
+                              batched(t) if batched else _rows(deriv, t, m)])
 
         def du(t, h=1e-6):
             return (u(t + h) - u(t - h)) / (2.0 * h)
 
-        return InputSignal(2 * m + m * m, u, du, kind=f"augmented:{self.kind}")
+        return InputSignal._batched(2 * m + m * m, u, du, kind=f"augmented:{self.kind}")
+
+
+def _rows(f, t, m):
+    """``f`` called once per time of ``t``, as the rows of a (len(t), m) array."""
+    return np.array([np.broadcast_to(np.asarray(f(tk), dtype=float), (m,))
+                     for tk in t]).reshape(t.size, m)
 
 
 @dataclass(frozen=True)
@@ -201,25 +229,59 @@ class _NewtonStep:
         K(u) z - dt [H (x kron x); 0] = [E x_old + dt B u; -B2 u],
         K(u) = [[E - dt A - dt sum_k u_k N_k, -dt A12], [A21, 0]],
 
-    by Newton.  An ODE has no multiplier block.  ``E - dt A`` and the
-    constraint blocks are written once per simulation, the bilinear term once
-    per step, and each iteration evaluates ``quadratic_jacobian`` once,
-    subtracts it from the velocity block of a copy of ``K(u)`` and solves
-    with one LAPACK ``gesv``.
+    by exact Newton.  An ODE has no multiplier block, and all-zero ``N_k``
+    are dropped.  ``E - dt A`` and the constraint blocks are written once per
+    simulation, the bilinear term once per step, and each iteration evaluates
+    ``quadratic_jacobian`` once, subtracts it from the velocity block of a
+    copy of ``K(u)`` and factors that copy.
+
+    The storage is chosen once, from the union pattern of ``E``, ``A``, the
+    ``N_k``, the Hessian's Jacobian and the constraint blocks.  When its band
+    of ``kl + ku + 1`` diagonals spans at most half the columns, ``K`` lives
+    in LAPACK band storage: residuals are band products (``gbmv``), the
+    Jacobian is scattered into its band positions and each iteration solves
+    with ``gbsv``.  Any wider pattern keeps dense storage and ``gesv``.
     """
 
     def __init__(self, E, A, H, N, B, dt, A12=None, A21=None, B2=None):
         n = A.shape[0]
         n_c = 0 if A12 is None else A12.shape[1]
-        self.n, self.dt, self.H, self.E, self.B = n, dt, H, E, B
-        self._S = np.asfortranarray(E - dt * A)
-        self._N = tuple(np.asfortranarray(Nk) for Nk in N)
+        size = n + n_c
+        self.n, self.dt, self.H, self.B = n, dt, H, B
+        N = [(q, Nq) for q, Nq in enumerate(N) if np.any(Nq)]
         self._mB2 = np.zeros((0, B.shape[1])) if B2 is None else -B2
-        self._K = np.zeros((n + n_c, n + n_c), order="F")
+        K = np.zeros((size, size), order="F")
+        K[:n, :n] = E - dt * A
         if n_c:
-            self._K[:n, n:] = -dt * A12
-            self._K[n:, :n] = A21
-        self._J = np.empty_like(self._K)
+            K[:n, n:] = -dt * A12
+            K[n:, :n] = A21
+        kl, ku = _bandwidths([E, K, *(Nq for _, Nq in N)], H)
+        # wherever this holds on the measured sizes (n = 10 to 400), gbsv
+        # matched gesv (n near 10) or beat it; CHANGES.md has the timings
+        if 2 * (kl + ku + 1) <= size:
+            def band(M, cols=size):
+                ab = np.zeros((2 * kl + ku + 1, cols), order="F")
+                i, j = np.nonzero(M)
+                ab[kl + ku + i - j, j] = M[i, j]
+                return ab
+
+            self._E, self._S = band(E, n), band(K)
+            self._N = tuple((q, band(Nq)) for q, Nq in N)
+            self._K = np.empty_like(self._S)
+            self._Kv, self._J = self._K, np.empty_like(self._K)
+            self._Jv = self._J[:, :n]
+            self._band = (kl, ku)
+            self._mv = lambda M, v: dgbmv(v.size, v.size, kl, kl + ku, 1.0, M, v)
+            self._solve = partial(dgbsv, kl, ku, overwrite_ab=True, overwrite_b=True)
+        else:
+            self._E, self._S = E, K[:n, :n].copy(order="F")
+            self._N = tuple((q, np.asfortranarray(Nq)) for q, Nq in N)
+            self._K = K
+            self._Kv, self._J = K[:n, :n], np.empty_like(K)
+            self._Jv = self._J[:n, :n]
+            self._band = None
+            self._mv = operator.matmul
+            self._solve = partial(dgesv, overwrite_a=True, overwrite_b=True)
 
     def run(self, z0, U, t):
         """States at every grid time with per-step Newton counts and residuals."""
@@ -232,18 +294,17 @@ class _NewtonStep:
         return Z, iters, resid
 
     def _newton(self, z_old, u, k, tk):
-        n, dt, H, K, J = self.n, self.dt, self.H, self._K, self._J
-        Kv = K[:n, :n]
-        np.copyto(Kv, self._S)
-        for uq, Nq in zip(u, self._N):
-            Kv -= (dt * uq) * Nq
+        n, dt, H, K, J, mv = self.n, self.dt, self.H, self._K, self._J, self._mv
+        np.copyto(self._Kv, self._S)
+        for q, Nq in self._N:
+            self._Kv -= (dt * u[q]) * Nq
         x_old = z_old[:n]
-        c = np.concatenate([self.E @ x_old + dt * (self.B @ u), self._mB2 @ u])
+        c = np.concatenate([mv(self._E, x_old) + dt * (self.B @ u), self._mB2 @ u])
         tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(x_old)))
         z = z_old.copy()
         for it in range(NEWTON_MAX + 1):
             x = z[:n]
-            res = K @ z - c
+            res = mv(K, z) - c
             res[:n] -= dt * apply_hessian(H, x, x)
             norm = math.sqrt(res @ res)
             if norm <= tol:
@@ -254,14 +315,23 @@ class _NewtonStep:
                     f"(t={tk:.6g}, residual={norm:.3e})"
                 )
             np.copyto(J, K)
-            J[:n, :n] -= dt * quadratic_jacobian(H, x)
-            _, _, dz, info = dgesv(J, res, overwrite_a=True, overwrite_b=True)
+            self._Jv -= dt * quadratic_jacobian(H, x, band=self._band)
+            _, _, dz, info = self._solve(J, res)
             if info:
                 raise SolverError(
                     f"singular Newton matrix at step {k} (t={tk:.6g}): "
                     f"zero pivot {info} in the LU factorization"
                 )
             z -= dz
+
+
+def _bandwidths(mats, H):
+    """Lower and upper bandwidth ``(kl, ku)`` of the union of the nonzero
+    patterns of ``mats`` (each placed at the top left) and of the Jacobian
+    pattern of ``H``."""
+    col, row = np.divmod(H._jacobian_pattern()[0], H.n)
+    off = np.concatenate([np.subtract(*np.nonzero(M)) for M in mats] + [row - col])
+    return int(off.max(initial=0)), int(-off.min(initial=0))
 
 
 def simulate_ode(sys, u, t_final, dt):

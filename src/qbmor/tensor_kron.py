@@ -39,6 +39,10 @@ __all__ = [
 # columns at a time, so its scratch stays O(|stored columns| * _GRAM_BLOCK + n^2)
 _GRAM_BLOCK = 128
 
+# a tensor storing at least this share of its n^3 entries contracts through
+# dense forms, whose 16 n^3 bytes are then at most twice those of the triplets
+_DENSE_FILL = 0.25
+
 
 class HessianTensor:
     """Sparse third-order tensor of shape (n, n, n).
@@ -48,9 +52,13 @@ class HessianTensor:
     the given triplets are first averaged with their (2,3)-swap, so that
     ``t[i, j, k] == t[i, k, j]`` holds entry-wise; data that is already
     symmetric comes out bit for bit as given (barring subnormal values).
+
+    Caches built on first use live in slots, so they are freed with the
+    tensor: the unfoldings, the Jacobian scatter pattern per layout and, for
+    a tensor with a high stored fill, its dense forms.
     """
 
-    __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_jac")
+    __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_jac", "_dense")
 
     def __init__(self, n, i, j, k, v, symmetric=False):
         n = int(n)
@@ -84,7 +92,8 @@ class HessianTensor:
         self.symmetric = bool(symmetric)
         self._i, self._j, self._k, self._v = i, j, k, v
         self._modes = {}
-        self._jac = None
+        self._jac = {}
+        self._dense = None
 
     # -- constructors ------------------------------------------------------
 
@@ -141,19 +150,52 @@ class HessianTensor:
         self._modes[mode] = M
         return M
 
-    def _jacobian_pattern(self):
+    def _jacobian_pattern(self, band=None):
         """``(flat, operand, values)`` of the two Jacobian terms of every entry.
 
         Entry ``(i, j, k, v)`` adds ``v x[k]`` at ``(i, j)`` and ``v x[j]`` at
-        ``(i, k)``; ``flat`` holds those positions in column-major order
-        (``col*n + row``), all first terms before all second terms.
+        ``(i, k)``, all first terms before all second terms.  ``flat`` holds
+        those positions in column-major order (``col*n + row``), or with
+        ``band=(kl, ku)`` in the LAPACK ``gbsv`` band storage of
+        :func:`quadratic_jacobian` (``col*(2 kl + ku + 1) + kl + ku + row - col``).
         """
-        if self._jac is None:
+        cached = self._jac.get(band)
+        if cached is not None:
+            return cached
+        if band is None:
             i, j, k, n = self._i, self._j, self._k, self.n
-            self._jac = (np.concatenate([j * n + i, k * n + i]),
-                         np.concatenate([k, j]),
-                         np.concatenate([self._v, self._v]))
-        return self._jac
+            pattern = (np.concatenate([j * n + i, k * n + i]),
+                       np.concatenate([k, j]),
+                       np.concatenate([self._v, self._v]))
+        else:
+            kl, ku = band
+            flat, operand, values = self._jacobian_pattern()
+            col, row = np.divmod(flat, self.n)
+            off = row - col
+            if off.size and not (-ku <= off.min() and off.max() <= kl):
+                raise ValueError(f"tensor Jacobian pattern exceeds the band "
+                                 f"(kl, ku) = ({kl}, {ku})")
+            pattern = (col * (2 * kl + ku + 1) + kl + ku + off, operand, values)
+        self._jac[band] = pattern
+        return pattern
+
+    def _dense_forms(self):
+        """``(H1, G)`` for a tensor with a high stored fill, else ``None``.
+
+        ``H1`` is the dense (n, n^2) mode-1 unfolding, so ``H (a kron b) =
+        H1 (a kron b)``; ``G`` is the (n^2, n) Jacobian operator with
+        ``G[m*n + i, k] = t[i, m, k] + t[i, k, m]``, so that the column-major
+        vectorization of :func:`quadratic_jacobian` is ``G x``.
+        """
+        if self._dense is None:
+            n = self.n
+            if self.nnz < _DENSE_FILL * n ** 3:
+                self._dense = ()
+            else:
+                T = self.to_dense()
+                G = (T + T.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n * n, n)
+                self._dense = (T.reshape(n, n * n), G)
+        return self._dense or None
 
     def to_dense(self):
         T = np.zeros((self.n, self.n, self.n))
@@ -196,6 +238,9 @@ def symmetrize(t):
 def apply_hessian(t, a, b):
     """Evaluate ``H (a kron b)`` without materializing ``a kron b``.
 
+    A tensor with a high stored fill contracts through its dense mode-1
+    unfolding; any other sums its stored entries.
+
     Parameters
     ----------
     t : HessianTensor
@@ -212,6 +257,9 @@ def apply_hessian(t, a, b):
             f"operand shapes {a.shape}, {b.shape} do not match tensor "
             f"dimension {t.n}"
         )
+    dense = t._dense_forms()
+    if dense is not None:
+        return dense[0] @ np.multiply.outer(a, b).ravel()
     return _scatter_sum(t._i, t._v * a[t._j] * b[t._k], t.n)
 
 
@@ -280,19 +328,34 @@ def hessian_gram(t, mode, L, R):
     return out
 
 
-def quadratic_jacobian(t, x):
+def quadratic_jacobian(t, x, band=None):
     """Matrix of ``y -> H (x kron y) + H (y kron x)``.
 
     This is the Jacobian of ``x -> H (x kron x)`` and equals
     ``H (x kron I + I kron x)`` as an n-by-n matrix, returned in Fortran
-    (column-major) order, the layout LAPACK factors in place.
+    (column-major) order, the layout LAPACK factors in place.  A tensor with
+    a high stored fill forms it as ``G x`` from its dense Jacobian operator;
+    any other sums its stored entries.
+
+    With ``band=(kl, ku)`` the matrix is returned in the LAPACK ``gbsv`` band
+    storage instead: a Fortran (2 kl + ku + 1, n) array with entry ``(i, j)``
+    at row ``kl + ku + i - j`` of column ``j`` and zeros in the first ``kl``
+    rows, summed from the stored entries.  The Jacobian pattern must lie in
+    the band.
     """
     x = np.asarray(x)
     if x.shape != (t.n,):
         raise ValueError(f"operand shape {x.shape} does not match n={t.n}")
-    flat, operand, values = t._jacobian_pattern()
-    return _scatter_sum(flat, values * x[operand], t.n * t.n).reshape(
-        t.n, t.n, order="F")
+    if band is None:
+        dense = t._dense_forms()
+        if dense is not None:
+            return (dense[1] @ x).reshape(t.n, t.n, order="F")
+        rows = t.n
+    else:
+        rows = 2 * band[0] + band[1] + 1
+    flat, operand, values = t._jacobian_pattern(band)
+    return _scatter_sum(flat, values * x[operand], rows * t.n).reshape(
+        rows, t.n, order="F")
 
 
 def _stored_columns(M, n):

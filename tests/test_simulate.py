@@ -17,10 +17,54 @@ from qbmor.simulate import (
     simulate_dae,
     simulate_ode,
 )
-from qbmor.system_model import QbOdeSystem, project_ode
+from qbmor.system_model import QbDaeSystem, QbOdeSystem, project_ode
 from qbmor.tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
 
 from helpers import random_stable_ode
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Names of the LAPACK solvers that Newton steps call, one entry per call."""
+    calls = []
+
+    def counted(name, kernel):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        return call
+
+    for name in ("gesv", "gbsv"):
+        monkeypatch.setattr(simulate, "d" + name, counted(name, getattr(simulate, "d" + name)))
+    return calls
+
+
+def tridiagonal(rng, n, diag, off):
+    return (np.diag(diag + 0.1 * rng.standard_normal(n))
+            + off * np.diag(rng.standard_normal(n - 1), 1)
+            + off * np.diag(rng.standard_normal(n - 1), -1))
+
+
+def narrow_ode(n, seed=0):
+    """Tridiagonal system with bilinear terms and a Hessian coupling neighbours only."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(1, n - 1)
+    H = HessianTensor(n, np.r_[i, i], np.r_[i - 1, i + 1], np.r_[i, i],
+                      0.1 * rng.standard_normal(2 * i.size))
+    return QbOdeSystem(E=tridiagonal(rng, n, 1.0, 0.05), A=tridiagonal(rng, n, -2.0, 0.5),
+                       H=H, N=tuple(tridiagonal(rng, n, 0.0, 0.1) for _ in range(2)),
+                       B=rng.standard_normal((n, 2)), C=rng.standard_normal((2, n)))
+
+
+def narrow_dae(n_v, seed=0):
+    """``narrow_ode`` with the last two velocities constrained: a saddle of bandwidth 2."""
+    rng = np.random.default_rng(seed)
+    ode = narrow_ode(n_v, seed)
+    A12 = np.zeros((n_v, 2))
+    A12[n_v - 2, 0] = A12[n_v - 1, 1] = 1.0
+    return QbDaeSystem(E11=ode.E, A11=ode.A, A12=A12, A21=A12.T.copy(), H=ode.H, N=ode.N,
+                       B1=ode.B, B2=rng.standard_normal((2, 2)), C1=ode.C,
+                       C2=rng.standard_normal((2, 2)))
 
 
 def test_zero_input_zero_trajectory():
@@ -68,9 +112,10 @@ def test_first_order_self_convergence_dae():
     assert 1.8 <= ratio <= 2.2
 
 
-def test_reduced_identity_projection_bit_identical():
-    sys = gen_burgers(12, 0.2)
-    red = project_ode(sys, np.eye(12), np.eye(12))
+@pytest.mark.parametrize("n", [12, 40])
+def test_reduced_identity_projection_bit_identical(n):
+    sys = gen_burgers(n, 0.2)
+    red = project_ode(sys, np.eye(n), np.eye(n))
     u = InputSignal.preset_cavity(1)
     a = simulate_ode(sys, u, 1.0, 0.01)
     b = simulate_ode(red, u, 1.0, 0.01)
@@ -78,18 +123,19 @@ def test_reduced_identity_projection_bit_identical():
     assert np.array_equal(a.outputs, b.outputs)
 
 
-@pytest.mark.parametrize("kind", ["ode", "dae"])
+@pytest.mark.parametrize("kind", ["ode", "dae", "banded"])
 def test_newton_counts_match_jacobian_calls(kind, monkeypatch):
     calls = []
     kernel = simulate.quadratic_jacobian
 
-    def counted(t, x):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return kernel(t, x)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(simulate, "quadratic_jacobian", counted)
-    if kind == "ode":
-        traj = simulate_ode(gen_burgers(10, 0.1), InputSignal.preset_cavity(1), 1.0, 0.01)
+    if kind != "dae":
+        n = 10 if kind == "ode" else 40
+        traj = simulate_ode(gen_burgers(n, 0.1), InputSignal.preset_cavity(1), 1.0, 0.01)
         x = traj.states
     else:
         sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=4, quad_scale=0.1)
@@ -109,6 +155,21 @@ def test_singular_newton_matrix_names_step_and_time():
     u = InputSignal(1, lambda t: 1.0, lambda t: 0.0)
     with pytest.raises(SolverError, match=r"singular Newton matrix at step 1 \(t=0\.5\)"):
         simulate_ode(sys, u, 1.0, 0.5)
+
+
+def test_singular_banded_newton_matrix_names_step_and_time(lapack_calls):
+    # column 5 of E - dt A is zero at dt = 0.5, and H = 0 keeps it singular
+    n = 40
+    A = -np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    A[:, 5] = 0.0
+    A[5, 5] = 2.0
+    sys = QbOdeSystem(E=np.eye(n), A=A, H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
+                      B=np.ones((n, 1)), C=np.ones((1, n)))
+    u = InputSignal(1, lambda t: 1.0, lambda t: 0.0)
+    with pytest.raises(SolverError, match=r"singular Newton matrix at step 1 \(t=0\.5\): "
+                                          r"zero pivot 6 in the LU factorization"):
+        simulate_ode(sys, u, 1.0, 0.5)
+    assert lapack_calls == ["gbsv"]
 
 
 def test_non_finite_input_fails_newton():
@@ -137,23 +198,31 @@ def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2):
     return np.array(Z)
 
 
-@pytest.mark.parametrize("kind", ["ode", "dae", "reduced"])
-def test_newton_step_matches_reference(kind):
-    dt, u = 0.01, InputSignal.preset_cavity(2)
-    if kind == "dae":
-        sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1,
-                                with_b2=True, with_c2=True)
+@pytest.mark.parametrize("kind", ["ode", "dae", "reduced", "burgers", "narrow-ode",
+                                  "narrow-dae"])
+def test_newton_step_matches_reference(kind, lapack_calls):
+    # the first three are wide and solve dense, the others are narrow and solve banded
+    solver = "gesv" if kind in ("ode", "dae", "reduced") else "gbsv"
+    dt = 0.01
+    if kind in ("dae", "narrow-dae"):
+        sys = (narrow_dae(30) if kind == "narrow-dae" else
+               gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1,
+                                 with_b2=True, with_c2=True))
+        n, u = sys.n_v, InputSignal.preset_cavity(2)
         traj = simulate_dae(sys, u, 1.0, dt)
         z0 = np.concatenate([sys.v0, recover_pressure(sys, sys.v0, u.sample(0.0),
                                                       udot=u.derivative(0.0))])
         Z = reference_euler(sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt, traj.inputs,
                             z0, sys.A12, sys.A21, sys.B2)
-        V, P = Z[:, :12], Z[:, 12:]
+        V, P = Z[:, :n], Z[:, n:]
         Y = V @ sys.C1.T + P @ sys.C2.T
         cres = np.linalg.norm(V @ sys.A21.T + traj.inputs @ sys.B2.T, axis=1)
         assert np.all(np.abs(traj.constraint_residual - cres) <= 1e-12 * np.abs(V).max())
     else:
-        sys = random_stable_ode(3, 7, m=2, p=2)
+        sys = {"ode": lambda: random_stable_ode(3, 7, m=2, p=2),
+               "reduced": lambda: random_stable_ode(3, 7, m=2, p=2),
+               "burgers": lambda: gen_burgers(40, 0.05),
+               "narrow-ode": lambda: narrow_ode(30)}[kind]()
         E, A, H, N, B, C = sys.E, sys.A, sys.H, sys.N, sys.B, sys.C
         if kind == "reduced":
             rng = np.random.default_rng(3)
@@ -164,15 +233,17 @@ def test_newton_step_matches_reference(kind):
                 Dhat=rng.standard_normal((2, 2)))
             E, A, N, B, C = sys.Ehat, sys.Ahat, sys.Nhat, sys.Bhat, sys.Chat
             H = HessianTensor.from_mode1(sys.Hhat)
+        u = InputSignal.preset_cavity(B.shape[1])
         traj = simulate_ode(sys, u, 1.0, dt)
         Z = reference_euler(E, A, H, N, B, dt, traj.inputs, np.zeros(A.shape[0]),
                             np.zeros((A.shape[0], 0)), np.zeros((0, A.shape[0])),
-                            np.zeros((0, 2)))
+                            np.zeros((0, B.shape[1])))
         Y = Z @ C.T
         if kind == "reduced":
             Y = Y + np.array([sys.CHhat @ np.kron(x, x) + sys.Dhat @ uk
                               + sum((M @ x) * uq for uq, M in zip(uk, sys.CNhat))
                               for x, uk in zip(Z, traj.inputs)])
+    assert set(lapack_calls) == {solver}
     assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
     assert np.linalg.norm(traj.outputs - Y) <= 1e-12 * np.linalg.norm(Y)
 
@@ -299,6 +370,54 @@ def test_table_input_interpolation_and_derivative():
     u = InputSignal.from_table(t, U)
     assert u.sample(0.505)[0] == pytest.approx(np.sin(0.505), abs=1e-4)
     assert u.derivative(1.0)[0] == pytest.approx(np.cos(1.0), abs=1e-3)
+
+
+def test_library_signals_sample_the_grid_as_per_time_calls():
+    t = np.linspace(0.0, 3.0, 301)
+    table = InputSignal.from_table(t[::7], np.column_stack([np.sin(t[::7]), t[::7] ** 2]))
+    cavity = InputSignal.preset_cavity(2)
+    for u in (InputSignal.zero(3), cavity, table, cavity.augmented_for_homogenized(),
+              table.augmented_for_homogenized(derivative=np.cos)):
+        assert u._batch is not None, u.kind
+        per_time = np.array([u.sample(tk) for tk in t])
+        assert u.on_grid(t).shape == (t.size, u.m)
+        assert np.array_equal(u.on_grid(t), per_time), u.kind
+    aug = cavity.augmented_for_homogenized()
+    base = cavity.on_grid(t)
+    expect = np.column_stack([base, base[:, 0] * base[:, 0], base[:, 0] * base[:, 1],
+                              base[:, 1] * base[:, 0], base[:, 1] * base[:, 1],
+                              [cavity.derivative(tk) for tk in t]])
+    assert np.array_equal(aug.on_grid(t), expect)
+    assert np.array_equal(table.augmented_for_homogenized(derivative=np.cos).on_grid(t)[:, -2:],
+                          np.column_stack([np.cos(t), np.cos(t)]))
+
+
+def test_user_signal_is_sampled_once_per_time_and_a_batched_one_once():
+    seen = []
+    u = InputSignal(2, lambda tk: seen.append(tk) or [tk, 2.0 * tk], lambda tk: 0.0)
+    t = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(u.on_grid(t), np.column_stack([t, 2.0 * t]))
+    assert seen == list(t)
+    seen.clear()
+
+    def rows(tq):
+        seen.append(tq.size)
+        return np.column_stack([tq, 2.0 * tq])
+
+    batched = InputSignal._batched(2, rows, rows, kind="test")
+    assert np.array_equal(batched.on_grid(t), np.column_stack([t, 2.0 * t]))
+    assert seen == [t.size]
+
+
+def test_zero_bilinear_matrices_are_dropped_without_shifting_channels(lapack_calls):
+    ode = narrow_ode(30)
+    sys = dataclasses.replace(ode, N=(np.zeros((30, 30)), ode.N[1]))
+    u = InputSignal(2, lambda t: [np.sin(3.0 * t), 1.0 - t], lambda t: 0.0)
+    traj = simulate_ode(sys, u, 1.0, 0.01)
+    Z = reference_euler(sys.E, sys.A, sys.H, sys.N, sys.B, 0.01, traj.inputs, np.zeros(30),
+                        np.zeros((30, 0)), np.zeros((0, 30)), np.zeros((0, 2)))
+    assert set(lapack_calls) == {"gbsv"}
+    assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
 
 
 def test_table_input_single_row_needs_two_samples():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -236,6 +239,71 @@ def test_quadratic_jacobian_matches_directional_derivative():
     y = rng.standard_normal(6)
     expect = apply_hessian(t, x, y) + apply_hessian(t, y, x)
     assert np.allclose(J @ y, expect, rtol=1e-13, atol=1e-14)
+
+
+def scatter_sums(t, a, b):
+    """``H (a kron b)`` and ``quadratic_jacobian(t, a)`` summed triplet by triplet."""
+    h = np.zeros(t.n, dtype=np.result_type(a, b))
+    J = np.zeros((t.n, t.n), dtype=a.dtype)
+    np.add.at(h, t._i, t._v * a[t._j] * b[t._k])
+    np.add.at(J, (t._i, t._j), t._v * a[t._k])
+    np.add.at(J, (t._i, t._k), t._v * a[t._j])
+    return h, J
+
+
+@pytest.mark.parametrize("complex_operands", [False, True])
+def test_dense_forms_match_triplet_sums(complex_operands):
+    rng = np.random.default_rng(7)
+    t = random_tensor(8, 10, symmetric=True)
+    a, b = rng.standard_normal((2, 10))
+    if complex_operands:
+        a, b = a + 1j * rng.standard_normal(10), b - 1j * rng.standard_normal(10)
+    assert t._dense_forms() is not None
+    h, J = scatter_sums(t, a, b)
+    got_h, got_J = apply_hessian(t, a, b), quadratic_jacobian(t, a)
+    assert got_h.dtype == h.dtype and got_J.dtype == J.dtype
+    assert np.linalg.norm(got_h - h) <= 1e-14 * np.linalg.norm(h)
+    assert np.linalg.norm(got_J - J) <= 1e-14 * np.linalg.norm(J)
+    assert got_J.flags.f_contiguous
+
+
+def test_sparse_tensor_has_no_dense_forms():
+    n = 12
+    i = np.arange(1, n - 1)
+    t = HessianTensor(n, np.r_[i, i], np.r_[i - 1, i + 1], np.r_[i, i], np.ones(2 * i.size))
+    assert t._dense_forms() is None
+    assert HessianTensor.zero(3)._dense_forms() is None
+
+
+def test_dense_forms_are_freed_with_the_tensor():
+    t = random_tensor(9, 6)
+    H1, G = t._dense_forms()
+    refs = [weakref.ref(H1), weakref.ref(G)]
+    del H1, G
+    assert all(r() is not None for r in refs)
+    del t
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_banded_quadratic_jacobian_holds_the_band_of_the_dense_one():
+    rng = np.random.default_rng(2)
+    n, kl, ku = 9, 2, 1
+    i = np.arange(2, n - 1)
+    t = HessianTensor(n, np.r_[i, i], np.r_[i - 2, i + 1], np.r_[i, i - 1],
+                      rng.standard_normal(2 * i.size))
+    x = rng.standard_normal(n)
+    J = quadratic_jacobian(t, x)
+    Jb = quadratic_jacobian(t, x, band=(kl, ku))
+    assert Jb.shape == (2 * kl + ku + 1, n) and Jb.flags.f_contiguous
+    r, c = np.indices((n, n))
+    inside = (-ku <= r - c) & (r - c <= kl)
+    assert J.any() and not J[~inside].any()
+    expect = np.zeros_like(Jb)
+    expect[(kl + ku + r - c)[inside], c[inside]] = J[inside]
+    assert np.array_equal(Jb, expect)
+    with pytest.raises(ValueError, match=r"exceeds the band \(kl, ku\) = \(1, 1\)"):
+        quadratic_jacobian(t, x, band=(1, 1))
 
 
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False,
