@@ -1,7 +1,9 @@
 """Dense linear-algebra backends.
 
 Generalized pencil eigendecomposition, shifted and saddle-point solves
-(one factorization per shift serves plain and transposed solves), and
+(one factorization per shift serves plain and transposed solves; a system
+whose pattern is narrow is factored in LAPACK band storage, any other
+dense), and
 generalized Lyapunov solves (Bartels-Stewart on the pencil reduced by one
 LU of the mass matrix).
 Every solver computes the residual of its own output, raises
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg.blas import get_blas_funcs
 
 __all__ = [
     "SolverError",
@@ -260,35 +263,160 @@ def pencil_eig(Ehat, Ahat):
     return SpectralFactorization(X=X, Y=Y, eigenvalues=w)
 
 
+class _Band:
+    """A band of ``kl`` sub- and ``ku`` superdiagonals in LAPACK band storage.
+
+    Entry ``(i, j)`` of a matrix lives at row ``pad + ku + i - j`` of column
+    ``j`` of a Fortran ``(pad + kl + ku + 1, cols)`` array: ``pad=0`` is the
+    storage of ``gbmv``, and ``pad=kl`` that of ``gbtrf`` and ``gbsv``, whose
+    first ``kl`` rows the factorization fills in.  :meth:`fit` holds the one
+    rule that picks band over dense storage, for the shift factorizations
+    here and the Newton matrices of :mod:`qbmor.simulate`.
+    """
+
+    __slots__ = ("kl", "ku")
+
+    def __init__(self, kl, ku):
+        self.kl, self.ku = kl, ku
+
+    @staticmethod
+    def diagonals(M, at=(0, 0)):
+        """Offsets ``i - j`` of the nonzeros of ``M`` placed with its top left at ``at``."""
+        i, j = np.nonzero(M)
+        return i - j + (at[0] - at[1])
+
+    @classmethod
+    def fit(cls, size, offsets):
+        """The band holding the diagonal ``offsets`` of a ``size``-row matrix.
+
+        ``None`` when the band is wide, spanning more than half the columns.
+        """
+        off = np.concatenate(offsets)
+        kl, ku = int(off.max(initial=0)), int(-off.min(initial=0))
+        return cls(kl, ku) if 2 * (kl + ku + 1) <= size else None
+
+    def store(self, M, cols, pad=0, at=(0, 0), out=None):
+        """The nonzeros of ``M``, placed at ``at``, scattered into band storage.
+
+        A new zeroed array, or ``out`` (whose row count fixes ``pad``).
+        """
+        if out is None:
+            out = np.zeros((pad + self.kl + self.ku + 1, cols),
+                           dtype=np.result_type(M, float), order="F")
+        i, j = np.nonzero(M)
+        out[out.shape[0] - self.kl - 1 + at[0] - at[1] + i - j, at[1] + j] = M[i, j]
+        return out
+
+
+class _ShiftPencil:
+    """The shifted or saddle matrices ``M(sigma)`` of one system.
+
+    ``M(sigma)`` is ``-sigma E - A`` or, with constraint blocks, the saddle
+    matrix ``[[-sigma E - A, A12], [A21, 0]]``.  The union pattern of the
+    blocks is measured once, here, and alone picks the storage of every
+    ``M(sigma)``: a narrow one (:meth:`_Band.fit`) keeps ``E`` and the
+    shift-free part in band storage, so each shift costs O(band * rows);
+    a wide one keeps the dense blocks as given.  ``source`` holds the blocks
+    as passed, so a factor given this pencil can check that it was measured
+    from the very matrices it is asked to shift.
+    """
+
+    def __init__(self, E, A, A12=None, A21=None):
+        self.source = (E, A, A12, A21)
+        E, A = np.asarray(E), np.asarray(A)
+        self.n = n = A.shape[0]
+        self.saddle = A12 is not None
+        blocks = [(E, (0, 0)), (A, (0, 0))]
+        if self.saddle:
+            A12, A21 = np.asarray(A12), np.asarray(A21)
+            blocks += [(-A12, (0, n)), (-A21, (n, 0))]
+        self.rows = n + (A12.shape[1] if self.saddle else 0)
+        self.band = _Band.fit(self.rows, [_Band.diagonals(M, at) for M, at in blocks])
+        if self.band is None:
+            self._E, self._A, self._A12, self._A21 = E, A, A12, A21
+        else:
+            # the shift-free part [[A, -A12], [-A21, 0]], so M = -sigma E - A
+            self._E = self.band.store(E, self.rows)
+            self._A = self.band.store(A, self.rows)
+            for M, at in blocks[2:]:
+                self.band.store(M, self.rows, at=at, out=self._A)
+
+    def matrix(self, sigma):
+        """``M(sigma)``, dense ``(rows, rows)`` or a ``(kl + ku + 1, rows)`` band."""
+        M = -sigma * self._E - self._A
+        if self.saddle and self.band is None:
+            n_p = self.rows - self.n
+            M = np.block([[M, self._A12],
+                          [self._A21, np.zeros((n_p, n_p), dtype=M.dtype)]])
+        return M
+
+
 class _ShiftFactor:
     """One shifted or saddle matrix ``M``, formed once per shift, and its LU.
 
     ``M`` is ``-sigma E - A`` or, with constraint blocks, the saddle matrix
-    ``[[-sigma E - A, A12], [A21, 0]]``.  ``solve(rhs, trans)`` solves with
-    ``M`` or its plain (unconjugated) transpose, refined once, and gates the
-    residual ``rhs - M z``, taken against the stored ``M``, over the whole
-    right-hand side; ``rhs`` has ``n + n_p`` rows or ``n``, zero-padded over
-    the constraint rows.  A shift with zero imaginary part is factored in
-    real arithmetic; complex right-hand sides are then solved as real views
-    with twice the columns, so no complex copy of ``M`` or its LU is made.
+    ``[[-sigma E - A, A12], [A21, 0]]``, stored as its ``pencil``
+    (:class:`_ShiftPencil`, measured here when not given) picks: dense and
+    factored by ``getrf``, or as a band factored by ``gbtrf``, which forms
+    no n-by-n array.  ``solve(rhs, trans)`` solves with ``M`` or its plain
+    (unconjugated) transpose, refined once, and gates the residual
+    ``rhs - M z``, taken against the stored ``M`` (band products with
+    ``gbmv`` for a band), over the whole right-hand side; ``rhs`` has
+    ``n + n_p`` rows or ``n``, zero-padded over the constraint rows.  A shift
+    with zero imaginary part is factored in real arithmetic; complex
+    right-hand sides are then solved as real views with twice the columns,
+    so no complex copy of ``M`` or its LU is made.
     """
 
-    def __init__(self, E, A, sigma, A12=None, A21=None):
+    def __init__(self, E, A, sigma, A12=None, A21=None, pencil=None):
         if sigma.imag == 0:
             sigma = sigma.real
-        self.sigma, self.saddle = sigma, A12 is not None
-        M = -sigma * np.asarray(E) - np.asarray(A)
-        self.n = M.shape[0]
-        if self.saddle:
-            n_p = np.shape(A12)[1]
-            M = np.block([[M, A12], [A21, np.zeros((n_p, n_p), dtype=M.dtype)]])
-        self.M = M
-        try:
-            with _quiet_singular():
-                self.lu = la.lu_factor(M)
-        except (la.LinAlgError, ValueError) as exc:
-            raise SolverError(f"{self._failure()}: {exc}") from exc
-        self._getrs, = la.get_lapack_funcs(("getrs",), (self.lu[0],))
+        if pencil is None:
+            pencil = _ShiftPencil(E, A, A12, A21)
+        elif any(p is not q for p, q in zip(pencil.source, (E, A, A12, A21))):
+            raise ValueError("pencil was measured from other matrices")
+        self.sigma, self.saddle, self.n = sigma, pencil.saddle, pencil.n
+        self.M = M = pencil.matrix(sigma)
+        self.band = band = pencil.band
+        if band is None:
+            try:
+                with _quiet_singular():
+                    self.lu = la.lu_factor(M)
+            except (la.LinAlgError, ValueError) as exc:
+                raise SolverError(f"{self._failure()}: {exc}") from exc
+            self._getrs, = la.get_lapack_funcs(("getrs",), (self.lu[0],))
+            return
+        ab = np.zeros((2 * band.kl + band.ku + 1, M.shape[1]), dtype=M.dtype, order="F")
+        ab[band.kl:] = M
+        gbtrf, self._gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+        self._gbmv, = get_blas_funcs(("gbmv",), (ab,))
+        lu, piv, info = gbtrf(ab, band.kl, band.ku, overwrite_ab=True)
+        if info:
+            # an exactly zero pivot: the band solve would divide by it
+            raise SolverError(self._failure())
+        self.lu = (lu, piv)
+
+    def _trs(self, b, t):
+        """``M^{-1} b`` (``M^{-T} b`` with ``t = 1``) from the LU factors."""
+        if self.band is None:
+            return self._getrs(*self.lu, b, trans=t)[0]
+        return self._gbtrs(self.lu[0], self.band.kl, self.band.ku, b, self.lu[1],
+                           trans=t)[0]
+
+    def _residual(self, b, z, t):
+        """``b - M z`` (``b - M^T z`` with ``t = 1``), against the stored ``M``."""
+        M = self.M
+        if self.band is None:
+            return b - (M.T if t else M) @ z
+        # in a Fortran copy of b, one gbmv per column
+        rows, kl, ku = M.shape[1], self.band.kl, self.band.ku
+        r = np.array(b, dtype=np.result_type(b, z), order="F")
+        r_flat = r.reshape(-1, order="F")
+        z_flat = np.asfortranarray(z).reshape(-1, order="F")
+        for off in range(0, r_flat.size, rows):
+            self._gbmv(rows, rows, kl, ku, -1.0, M, z_flat, offx=off, beta=1.0, y=r_flat,
+                       offy=off, overwrite_y=True, trans=t)
+        return r
 
     def _failure(self):
         if self.saddle:
@@ -298,22 +426,22 @@ class _ShiftFactor:
     def solve(self, rhs, trans=False):
         """Solution of ``M z = rhs`` (``M^T`` with ``trans``), refined once."""
         b = np.asarray(rhs)
-        n, rows = self.n, self.M.shape[0]
+        n, rows = self.n, self.M.shape[1]
         if b.shape[0] != rows:
             if b.shape[0] != n:
                 raise ValueError(f"right-hand side has {b.shape[0]} rows, "
                                  f"expected {n} or {rows}")
             b = np.concatenate([b, np.zeros((rows - n,) + b.shape[1:], dtype=b.dtype)])
-        M, t = (self.M.T, 1) if trans else (self.M, 0)
-        shape, split = b.shape, np.iscomplexobj(b) and not np.iscomplexobj(M)
+        t = 1 if trans else 0
+        shape, split = b.shape, np.iscomplexobj(b) and not np.iscomplexobj(self.M)
         if split:
             b = np.ascontiguousarray(b.reshape(rows, -1)).view(float)
-        z = self._getrs(*self.lu, b, trans=t)[0]
+        z = self._trs(b, t)
         # a singular factor yields inf/nan here; stop before any product with it
         if not np.all(np.isfinite(z)):
             raise SolverError(self._failure())
-        z = z + self._getrs(*self.lu, b - M @ z, trans=t)[0]
-        r = b - M @ z
+        z = z + self._trs(self._residual(b, z, t), t)
+        r = self._residual(b, z, t)
         res = _fro(r) / max(_fro(b), _TINY)
         if self.saddle and res > SADDLE_TOL:
             raise ResidualError(
@@ -338,15 +466,20 @@ class _ShiftFactor:
         return z
 
 
-def solve_shifted(E, A, sigma, rhs):
+def solve_shifted(E, A, sigma, rhs, pencil=None):
     """Solve ``(-sigma E - A) Z = rhs`` with one step of iterative refinement.
 
     With ``rhs=None`` the factorization is returned instead: an object whose
     ``solve(rhs, trans=False)`` reuses the matrix, formed once, and its LU
     for plain and transposed solves, gated on the residual against that
-    matrix; a real ``sigma`` solves complex ``rhs`` as real views.
+    matrix; a real ``sigma`` solves complex ``rhs`` as real views.  The
+    pattern of ``E`` and ``A`` picks band (``gbtrf``/``gbtrs``) or dense
+    (``getrf``/``getrs``) storage; ``pencil``, a :class:`_ShiftPencil` of
+    the same ``E`` and ``A`` arrays (any others raise ``ValueError``),
+    carries that choice from an earlier measurement, so a reduction
+    measures its system once for all shifts.
     """
-    fact = _ShiftFactor(E, A, sigma)
+    fact = _ShiftFactor(E, A, sigma, pencil=pencil)
     return fact if rhs is None else fact.solve(rhs)
 
 
@@ -431,7 +564,7 @@ def solve_lyapunov(A, E, RHS):
     return fact if RHS is None else fact.solve(RHS)
 
 
-def solve_saddle(E11, A11, A12, A21, sigma, f):
+def solve_saddle(E11, A11, A12, A21, sigma, f, pencil=None):
     """Solve ``[[-sigma E11 - A11, A12], [A21, 0]] [v; xi] = [f; 0]``.
 
     The solution block ``v`` lies in the kernel of ``A21`` and equals the
@@ -439,9 +572,11 @@ def solve_saddle(E11, A11, A12, A21, sigma, f):
     iteration.  An ``f`` of ``n_v + n_p`` rows is the whole right-hand side
     ``[f_v; g]``, solving ``A21 v = g`` instead.  With ``f=None`` the saddle
     factorization is returned, as in :func:`solve_shifted`: the saddle matrix
-    is formed once and the residual of every solve is taken against it.
+    is formed once, in the storage its pattern picks (``pencil`` carries
+    that choice, as there), and the residual of every solve is taken
+    against it.
     """
-    fact = _ShiftFactor(E11, A11, sigma, A12, A21)
+    fact = _ShiftFactor(E11, A11, sigma, A12, A21, pencil)
     if f is None:
         return fact
     n_v = np.shape(A12)[0]

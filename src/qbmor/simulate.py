@@ -5,7 +5,9 @@ unconstrained and the descriptor form; the descriptor steps solve the coupled
 velocity-multiplier saddle system including the constraint row.  Fixed steps
 keep runs reproducible.  Each simulation stores its Newton matrix banded
 (LAPACK ``gbsv``) when the system's pattern is narrow and dense (``gesv``)
-otherwise; input signals of the library are sampled over the whole grid at once.
+otherwise, by the band rule shared with the shift factorizations of
+:mod:`qbmor.dense_solvers`; input signals of the library are sampled over
+the whole grid at once.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgbsv, dgesv
 
 from .dae_transform import recover_pressure
-from .dense_solvers import SolverError
+from .dense_solvers import SolverError, _Band
 from .mmio import _read_table, atomic_open
 from .system_model import ReducedQbSystem
 from .tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
@@ -236,9 +238,11 @@ class _NewtonStep:
     copy of ``K(u)`` and factors that copy.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
-    ``N_k``, the Hessian's Jacobian and the constraint blocks.  When its band
-    of ``kl + ku + 1`` diagonals spans at most half the columns, ``K`` lives
-    in LAPACK band storage: residuals are band products (``gbmv``), the
+    ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
+    and band layout that :class:`qbmor.dense_solvers._Band` also applies to
+    the shift factorizations.  When its band of ``kl + ku + 1`` diagonals
+    spans at most half the columns, ``K`` lives in LAPACK band storage
+    (``gbsv`` layout): residuals are band products (``gbmv``), the
     Jacobian is scattered into its band positions and each iteration solves
     with ``gbsv``.  Any wider pattern keeps dense storage and ``gesv``.
     """
@@ -255,18 +259,17 @@ class _NewtonStep:
         if n_c:
             K[:n, n:] = -dt * A12
             K[n:, :n] = A21
-        kl, ku = _bandwidths([E, K, *(Nq for _, Nq in N)], H)
-        # wherever this holds on the measured sizes (n = 10 to 400), gbsv
-        # matched gesv (n near 10) or beat it; CHANGES.md has the timings
-        if 2 * (kl + ku + 1) <= size:
-            def band(M, cols=size):
-                ab = np.zeros((2 * kl + ku + 1, cols), order="F")
-                i, j = np.nonzero(M)
-                ab[kl + ku + i - j, j] = M[i, j]
-                return ab
+        col, row = np.divmod(H._jacobian_pattern()[0], n)
+        band = _Band.fit(size, [*map(_Band.diagonals, (E, K, *(Nq for _, Nq in N))),
+                                row - col])
+        if band is not None:
+            kl, ku = band.kl, band.ku
 
-            self._E, self._S = band(E, n), band(K)
-            self._N = tuple((q, band(Nq)) for q, Nq in N)
+            def store(M, cols=size):
+                return band.store(M, cols, pad=kl)
+
+            self._E, self._S = store(E, n), store(K)
+            self._N = tuple((q, store(Nq)) for q, Nq in N)
             self._K = np.empty_like(self._S)
             self._Kv, self._J = self._K, np.empty_like(self._K)
             self._Jv = self._J[:, :n]
@@ -323,15 +326,6 @@ class _NewtonStep:
                     f"zero pivot {info} in the LU factorization"
                 )
             z -= dz
-
-
-def _bandwidths(mats, H):
-    """Lower and upper bandwidth ``(kl, ku)`` of the union of the nonzero
-    patterns of ``mats`` (each placed at the top left) and of the Jacobian
-    pattern of ``H``."""
-    col, row = np.divmod(H._jacobian_pattern()[0], H.n)
-    off = np.concatenate([np.subtract(*np.nonzero(M)) for M in mats] + [row - col])
-    return int(off.max(initial=0)), int(-off.min(initial=0))
 
 
 def simulate_ode(sys, u, t_final, dt):

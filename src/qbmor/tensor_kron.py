@@ -19,6 +19,8 @@ pairing breaks that identity for unsymmetric data.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -54,11 +56,13 @@ class HessianTensor:
     symmetric comes out bit for bit as given (barring subnormal values).
 
     Caches built on first use live in slots, so they are freed with the
-    tensor: the unfoldings, the Jacobian scatter pattern per layout and, for
-    a tensor with a high stored fill, its dense forms.
+    tensor: the unfoldings and their stored-column restrictions, the
+    Jacobian scatter pattern per layout and, for a tensor with a high stored
+    fill, its dense forms.
     """
 
-    __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_jac", "_dense")
+    __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_stored", "_jac",
+                 "_dense")
 
     def __init__(self, n, i, j, k, v, symmetric=False):
         n = int(n)
@@ -92,6 +96,7 @@ class HessianTensor:
         self.symmetric = bool(symmetric)
         self._i, self._j, self._k, self._v = i, j, k, v
         self._modes = {}
+        self._stored = {}
         self._jac = {}
         self._dense = None
 
@@ -149,6 +154,13 @@ class HessianTensor:
         )
         self._modes[mode] = M
         return M
+
+    def _restriction(self, mode):
+        """The mode-``mode`` unfolding restricted to its stored columns, kept per mode."""
+        cached = self._stored.get(mode)
+        if cached is None:
+            cached = self._stored[mode] = _stored_columns(self.mode(mode), self.n)
+        return cached
 
     def _jacobian_pattern(self, band=None):
         """``(flat, operand, values)`` of the two Jacobian terms of every entry.
@@ -268,9 +280,11 @@ def apply_unfolded(M, L, R):
 
     ``M`` is any (q, n^2) matrix (sparse or dense) whose columns are ordered
     like ``L kron R`` rows, i.e. index ``a*n + b`` pairs row ``a`` of ``L``
-    with row ``b`` of ``R``.  Column ``p*rR + s`` of the result equals
-    ``M @ kron(L[:, p], R[:, s])``.  With ``Hc`` the restriction of ``M`` to
-    its stored columns ``c = a*n + b``, shared with :func:`hessian_gram`, the
+    with row ``b`` of ``R``, or the stored-column restriction that a
+    :class:`HessianTensor` keeps per mode.  Column ``p*rR + s`` of the result
+    equals ``M @ kron(L[:, p], R[:, s])``.  A dense ``M`` is contracted
+    directly as ``M @ (L kron R)``.  A sparse one is restricted to its stored
+    columns ``c = a*n + b``, ``Hc``, as in :func:`hessian_gram`, and the
     result is the one sparse product ``Hc @ (L kron R)[c]``, so scratch is
     O(|stored columns| rL rR) and nothing of size n^2 is formed.
     """
@@ -284,7 +298,9 @@ def apply_unfolded(M, L, R):
             f"shape mismatch: M is {M.shape}, L has {L.shape[0]} rows, "
             f"R has {R.shape[0]} rows"
         )
-    Hc, a, b = _stored_columns(M, n)
+    if isinstance(M, np.ndarray):
+        return M @ np.kron(L, R)
+    Hc, a, b, _ = M if isinstance(M, _StoredColumns) else _stored_columns(M, n)
     return Hc @ (L[a, :, None] * R[b, None, :]).reshape(a.size, L.shape[1] * R.shape[1])
 
 
@@ -298,17 +314,17 @@ def hessian_congruence(t, mode, L, R):
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
-    return apply_unfolded(t.mode(mode), L, R)
+    return apply_unfolded(t._restriction(mode), L, R)
 
 
 def hessian_gram(t, mode, L, R):
     """Evaluate ``H^(mode) (L kron R) H^(mode)^T`` for ``mode`` in {1, 2}.
 
     ``L`` and ``R`` are n-by-n; the result is dense n-by-n.  With ``Hc`` the
-    restriction of ``H`` to its stored columns ``c = a*n + b``, shared with
-    :func:`apply_unfolded`, the result is the sparse congruence ``Hc Z Hc^T``,
-    ``Z[c, c'] = L[a_c, a_c'] R[b_c, b_c']``.  ``Z`` is formed
-    ``_GRAM_BLOCK`` columns at a time, so scratch is
+    restriction of ``H`` to its stored columns ``c = a*n + b``, kept on the
+    tensor and shared with :func:`hessian_congruence`, the result is the
+    sparse congruence ``Hc Z Hc^T``, ``Z[c, c'] = L[a_c, a_c'] R[b_c, b_c']``.
+    ``Z`` is formed ``_GRAM_BLOCK`` columns at a time, so scratch is
     O(|stored columns| * _GRAM_BLOCK + n^2) and no n-by-n^2 array is formed.
     """
     if mode not in (1, 2):
@@ -319,7 +335,7 @@ def hessian_gram(t, mode, L, R):
     if L.shape != (n, n) or R.shape != (n, n):
         raise ValueError(
             f"L and R must be {n}-by-{n}, got {L.shape} and {R.shape}")
-    Hc, a, b = _stored_columns(t.mode(mode), n)
+    Hc, a, b, _ = t._restriction(mode)
     HcT = Hc.T.tocsr()
     out = np.zeros((n, n), dtype=np.result_type(Hc.dtype, L.dtype, R.dtype))
     for lo in range(0, a.size, _GRAM_BLOCK):
@@ -358,16 +374,26 @@ def quadratic_jacobian(t, x, band=None):
         rows, t.n, order="F")
 
 
-def _stored_columns(M, n):
-    """``(Hc, a, b)``: the (q, n^2) matrix ``M`` restricted to its stored columns.
+class _StoredColumns(NamedTuple):
+    """A (q, n^2) matrix ``M`` restricted to its stored columns.
 
-    Column ``w`` of the CSR matrix ``Hc`` is column ``a[w]*n + b[w]`` of ``M``;
-    the stored columns are sorted and unique.
+    Column ``w`` of the CSR matrix ``Hc`` is column ``a[w]*n + b[w]`` of
+    ``M``; the stored columns are sorted and unique, and ``shape`` is ``M``'s.
     """
+
+    Hc: sp.csr_matrix
+    a: np.ndarray
+    b: np.ndarray
+    shape: tuple
+
+
+def _stored_columns(M, n):
+    """:class:`_StoredColumns` of the (q, n^2) matrix ``M``."""
     M = sp.csr_matrix(M)
     cols, pos = np.unique(M.indices, return_inverse=True)
     a, b = np.divmod(cols, n)
-    return sp.csr_matrix((M.data, pos, M.indptr), shape=(M.shape[0], cols.size)), a, b
+    Hc = sp.csr_matrix((M.data, pos, M.indptr), shape=(M.shape[0], cols.size))
+    return _StoredColumns(Hc, a, b, M.shape)
 
 
 def _scatter_sum(index, weights, size):

@@ -6,8 +6,10 @@ shifted linear systems per side (a linear family and a quadratic/bilinear
 correction family), sums and orthonormalizes the results, and projects the
 full-order matrices.  Every distinct shift of a sweep is factored once, and that one
 factorization serves all four families: plain solves for ``V`` and
-transposed solves for ``W``.  The three entry points share this core and
-differ only in the shift factorization they pass:
+transposed solves for ``W``.  Each entry point measures its system's
+pattern once, and that alone picks band or dense storage for all its
+shifts.  The three entry points share this core and differ only in the
+shift factorization they pass:
 
 * :func:`tqb_irka_ode` factors ``-sigma E - A``,
 * :func:`tqb_irka_dae_explicit` factors the projected pencil in explicit
@@ -31,6 +33,7 @@ import numpy as np
 from .dae_transform import build_projectors, output_realization
 from .dense_solvers import (
     SolverError,
+    _ShiftPencil,
     conjugate_pairs,
     pencil_eig,
     realify_paired_columns,
@@ -250,7 +253,8 @@ def tqb_irka_ode(sys, cfg):
     reported through ``trace.converged``, not raised.
     """
     E, A = sys.E, sys.A
-    state, trace, V, W = _drive(lambda s: solve_shifted(E, A, s, None),
+    pencil = _ShiftPencil(E, A)
+    state, trace, V, W = _drive(lambda s: solve_shifted(E, A, s, None, pencil),
                                 (E, A, sys.H, sys.N, sys.B, sys.C), cfg)
     return ReducedQbSystem(*state, V=V, W=W), trace
 
@@ -281,9 +285,10 @@ def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
     corr = output_corr if output_corr is not None else output_realization(sys)
     Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
     Abar = proj.phi_l.T @ sys.A11 @ proj.theta_r
+    pencil = _ShiftPencil(Ebar, Abar)
 
     def factor(s):
-        return _Lifted(solve_shifted(Ebar, Abar, s, None), proj.theta_r, proj.phi_l)
+        return _Lifted(solve_shifted(Ebar, Abar, s, None, pencil), proj.theta_r, proj.phi_l)
 
     state, trace, V, W = _drive(
         factor, (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg)
@@ -301,7 +306,8 @@ def tqb_irka_dae_saddle(sys, cfg, output_corr=None):
         raise ValueError("reduction requires B2 = 0; homogenize first")
     corr = output_corr if output_corr is not None else output_realization(sys)
     E11, A11, A12, A21 = sys.E11, sys.A11, sys.A12, sys.A21
+    pencil = _ShiftPencil(E11, A11, A12, A21)
     state, trace, V, W = _drive(
-        lambda s: solve_saddle(E11, A11, A12, A21, s, None),
+        lambda s: solve_saddle(E11, A11, A12, A21, s, None, pencil),
         (E11, A11, sys.H, sys.N, sys.B1, corr.C), cfg)
     return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace

@@ -10,6 +10,7 @@ from qbmor.dense_solvers import (
     SADDLE_TOL,
     ResidualError,
     SolverError,
+    _ShiftPencil,
     conjugate_pairs,
     pencil_eig,
     realify_paired_columns,
@@ -20,6 +21,8 @@ from qbmor.dense_solvers import (
     solve_shifted,
 )
 from qbmor.problems import gen_synthetic_dae
+
+from helpers import random_stable_ode
 
 
 def stable_pencil(seed, r):
@@ -406,3 +409,167 @@ def test_residual_recording_covers_all_solvers():
     tags = {tag for tag, _ in log}
     assert {"pencil", "shifted", "lyapunov", "saddle"} <= tags
     assert all(v <= 1e-9 for _, v in log)
+
+
+# -- band shift factorizations -------------------------------------------------
+
+
+def tridiagonal_pencil(seed, n):
+    """A stable, diagonally dominant tridiagonal pencil ``(E, A)``."""
+    rng = np.random.default_rng(seed)
+
+    def tri(diag, off):
+        return (np.diag(diag + 0.1 * rng.standard_normal(n))
+                + off * np.diag(rng.standard_normal(n - 1), 1)
+                + off * np.diag(rng.standard_normal(n - 1), -1))
+
+    return tri(1.0, 0.05), tri(-2.0, 0.5)
+
+
+def narrow_saddle_blocks(n_v, seed=0):
+    """Tridiagonal ``(E11, A11)`` with the last two velocities constrained: bandwidth 2."""
+    E11, A11 = tridiagonal_pencil(seed, n_v)
+    A12 = np.zeros((n_v, 2))
+    A12[n_v - 2, 0] = A12[n_v - 1, 1] = 1.0
+    return E11, A11, A12, A12.T.copy()
+
+
+@pytest.fixture
+def lapack_routines(monkeypatch):
+    """Names of the LAPACK routines that shift factors call, one entry per call."""
+    calls = []
+    lu_factor, fetch = la.lu_factor, la.get_lapack_funcs
+
+    def counted_lu_factor(*args, **kwargs):
+        calls.append("getrf")
+        return lu_factor(*args, **kwargs)
+
+    def counted_fetch(names, arrays=(), dtype=None):
+        def counted(f):
+            def call(*args, **kwargs):
+                calls.append(f.__name__.split()[-1][1:])  # "function dgbtrf"
+                return f(*args, **kwargs)
+            return call
+        return [counted(f) for f in fetch(names, arrays, dtype)]
+
+    monkeypatch.setattr(la, "lu_factor", counted_lu_factor)
+    monkeypatch.setattr(la, "get_lapack_funcs", counted_fetch)
+    return calls
+
+
+def band_factor_case(kind, sigma):
+    """``(factor, assembled matrix, n)`` for a narrow ODE or saddle factor."""
+    if kind == "ode":
+        E, A = tridiagonal_pencil(35, 30)
+        return solve_shifted(E, A, sigma, None), -sigma * E - A, 30
+    E11, A11, A12, A21 = narrow_saddle_blocks(30, seed=36)
+    K = np.block([[-sigma * E11 - A11, A12], [A21, np.zeros((2, 2))]])
+    return solve_saddle(E11, A11, A12, A21, sigma, None), K, 30
+
+
+@pytest.mark.parametrize("layout", ["1d", "C", "F", "column slice"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("kind, padded", [("ode", False), ("saddle", False),
+                                          ("saddle", True)])
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("sigma", [-0.4 + 0j, 0.3 - 1.1j])
+def test_band_factor_solve_matches_assembled_solve(sigma, trans, kind, padded, dtype,
+                                                   layout, lapack_routines):
+    fact, M, n = band_factor_case(kind, sigma)
+    assert (fact.band.kl, fact.band.ku) == ((1, 1) if kind == "ode" else (2, 2))
+    assert fact.lu[0].dtype == (np.complex128 if sigma.imag else np.float64)
+    rows = M.shape[0] if padded else n
+    rng = np.random.default_rng(37)
+    RHS = rng.standard_normal((rows, 3)).astype(dtype)
+    if dtype is complex:
+        RHS += 1j * rng.standard_normal((rows, 3))
+    rhs = {"1d": RHS[:, 0].copy(), "C": np.ascontiguousarray(RHS),
+           "F": np.asfortranarray(RHS), "column slice": RHS[:, 1]}[layout]
+    full = np.concatenate([rhs, np.zeros((M.shape[0] - rows,) + rhs.shape[1:])])
+    expect = la.solve(M.T if trans else M, full)
+    with record_residuals() as log:
+        got = fact.solve(rhs, trans)
+    assert got.shape == expect.shape
+    assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert [tag for tag, _ in log] == ["shifted" if kind == "ode" else "saddle"]
+    assert "getrf" not in lapack_routines
+    assert lapack_routines[0] == "gbtrf" and set(lapack_routines[1:]) == {"gbtrs"}
+
+
+def test_band_collision_raises_the_shift_collision_error(lapack_routines):
+    # -sigma E - A = diag(0, 1, ..., 19): a zero pivot in the band LU
+    with pytest.raises(SolverError, match=r"^shift collides with spectrum \(sigma=1\.0\)$"):
+        solve_shifted(np.eye(20), -np.diag(np.arange(1.0, 21.0)), 1.0, np.ones(20))
+    assert lapack_routines == ["gbtrf"]
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("ode", r"shift collides with spectrum \(sigma=.*\): relative residual "
+            r"\S+ exceeds 1e-10"),
+    ("saddle", r"saddle solve residual \S+ exceeds 1e-10 at sigma="),
+])
+def test_band_residual_gate_measures_the_band_matrix(kind, message):
+    # as for dense factors: a perturbed LU leaves a residual against the
+    # stored band matrix that one refinement does not bring under the gate
+    fact, _, n = band_factor_case(kind, -0.4 + 0j)
+    fact.lu[0][...] *= 1 + 1e-3
+    with pytest.raises(ResidualError, match=message):
+        fact.solve(np.ones(n))
+
+
+@pytest.mark.parametrize("n, tridiagonal", [(2, False), (5, False), (6, True), (8, True)])
+def test_small_narrow_pencils_are_banded(n, tridiagonal, lapack_routines):
+    # the band rule 2(kl + ku + 1) <= rows holds at any size, however small
+    if tridiagonal:
+        E, A = tridiagonal_pencil(40, n)
+    else:
+        E, A = np.eye(n), -np.diag(np.arange(1.0, n + 1))
+    sigma = -0.4 + 0.9j
+    fact = solve_shifted(E, A, sigma, None)
+    rhs = np.arange(1.0, n + 1)
+    z = fact.solve(rhs)
+    assert fact.band is not None and lapack_routines[0] == "gbtrf"
+    assert np.allclose(z, la.solve(-sigma * E - A, rhs), rtol=1e-12, atol=0)
+
+
+def test_pencil_of_other_matrices_is_refused():
+    E, A = tridiagonal_pencil(41, 12)
+    pencil = _ShiftPencil(E, A)
+    solve_shifted(E, A, -0.5, None, pencil)
+    with pytest.raises(ValueError, match="pencil was measured from other matrices"):
+        solve_shifted(E, 2.0 * A, -0.5, None, pencil)
+    E11, A11, A12, A21 = narrow_saddle_blocks(12, seed=41)
+    with pytest.raises(ValueError, match="pencil was measured from other matrices"):
+        solve_saddle(E11, A11, A12, A21, -0.5, None, pencil)
+
+
+@pytest.mark.parametrize("kind", ["random ode", "synthetic dae"])
+def test_wide_patterns_factor_with_getrf(kind, lapack_routines):
+    if kind == "random ode":
+        sys = random_stable_ode(3, 20)
+        fact = solve_shifted(sys.E, sys.A, -0.5 + 0.5j, None)
+    else:
+        sys = gen_synthetic_dae(30, 4, seed=3)
+        fact = solve_saddle(sys.E11, sys.A11, sys.A12, sys.A21, -0.5 + 0.5j, None)
+    fact.solve(np.ones(fact.n), trans=True)
+    assert fact.band is None
+    assert lapack_routines == ["getrf", "getrs", "getrs"]
+
+
+@pytest.mark.parametrize("sigma", [-0.5 + 0j, -0.5 + 0.8j])
+def test_band_factor_forms_no_square_matrix(sigma):
+    import tracemalloc
+    n = 300
+    E, A = tridiagonal_pencil(39, n)
+    rng = np.random.default_rng(39)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        fact = solve_shifted(E, A, sigma, None)
+        fact.solve(rhs)
+        fact.solve(rhs, trans=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fact.band is not None
+    assert peak < n * n * 8

@@ -510,3 +510,26 @@ def test_apply_unfolded_and_hessian_gram_share_one_restriction(monkeypatch):
     assert len(calls) == 2
     hessian_gram(t, 1, L, L.T)
     assert len(calls) == 3
+
+
+def test_stored_column_restriction_is_kept_per_mode(monkeypatch):
+    import qbmor.tensor_kron as tk
+    restrict, calls = tk._stored_columns, []
+
+    def counted(M, n):
+        calls.append(M.shape)
+        return restrict(M, n)
+
+    monkeypatch.setattr(tk, "_stored_columns", counted)
+    t = random_tensor(7, 4)
+    L = np.random.default_rng(4).standard_normal((4, 3))
+    first = hessian_congruence(t, 1, L, L)
+    for _ in range(3):
+        assert np.array_equal(hessian_congruence(t, 1, L, L), first)
+    hessian_gram(t, 1, np.eye(4), np.eye(4))
+    hessian_congruence(t, 2, L, L)
+    hessian_gram(t, 2, np.eye(4), np.eye(4))
+    assert calls == [(4, 16), (4, 16)]
+    # a dense unfolding is contracted as it is, with no restriction
+    apply_unfolded(t.mode1.toarray(), L, L)
+    assert len(calls) == 2

@@ -14,6 +14,7 @@ from qbmor.dense_solvers import (
     record_residuals,
     solve_shifted,
 )
+from qbmor.gramians_norms import error_system_norm
 from qbmor.problems import gen_burgers, gen_synthetic_dae
 from qbmor.system_model import QbOdeSystem, ReducedQbSystem
 from qbmor.tensor_kron import HessianTensor
@@ -249,16 +250,33 @@ def user_model(Ahat, m, p, seed=0):
 
 
 def count_full_order_factorizations(monkeypatch, n):
-    """Record every LU factorization of an ``n``-row matrix in dense_solvers."""
+    """Record every LU factorization of an ``n``-row matrix in dense_solvers,
+    dense (``lu_factor``) or banded (``gbtrf``, whose band has ``n`` columns)."""
     calls = []
-    lu_factor = dense_solvers.la.lu_factor
+    lu_factor, fetch = dense_solvers.la.lu_factor, dense_solvers.la.get_lapack_funcs
 
     def counted(M, *args, **kwargs):
         if M.shape[0] == n:
             calls.append(M.shape)
         return lu_factor(M, *args, **kwargs)
 
+    def counted_gbtrf(gbtrf):
+        def call(ab, *args, **kwargs):
+            if ab.shape[1] == n:
+                calls.append(ab.shape)
+            return gbtrf(ab, *args, **kwargs)
+        return call
+
+    def counted_fetch(names, *args, **kwargs):
+        # a new list: scipy memoizes the one it returns
+        funcs = fetch(names, *args, **kwargs)
+        if isinstance(names, str):
+            return funcs
+        return [counted_gbtrf(f) if name == "gbtrf" else f
+                for name, f in zip(names, funcs)]
+
     monkeypatch.setattr(dense_solvers.la, "lu_factor", counted)
+    monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted_fetch)
     return calls
 
 
@@ -417,3 +435,40 @@ def test_order_one_start_converges():
     _, trace = tqb_irka_dae_saddle(gen_synthetic_dae(20, 4, seed=1),
                                    IrkaConfig(r=1, max_iters=100))
     assert trace.converged and trace.iterations == 31
+
+
+# -- band and dense shift storage agree --------------------------------------------
+
+
+def permuted(sys, perm):
+    """The system in the state coordinates ``P x``, ``(P x)[a] = x[perm[a]]``."""
+    inv = np.argsort(perm)
+    H = sys.H.mode1.tocoo()
+    j, k = np.divmod(H.col, sys.n)
+    ix = np.ix_(perm, perm)
+    return QbOdeSystem(E=sys.E[ix], A=sys.A[ix],
+                       H=HessianTensor(sys.n, inv[H.row], inv[j], inv[k], H.data),
+                       N=tuple(Nk[ix] for Nk in sys.N), B=sys.B[perm], C=sys.C[:, perm])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_band_and_dense_shift_storage_reduce_alike(seed):
+    # Burgers is tridiagonal, so its shifts are factored banded; a random
+    # symmetric permutation of it is wide and takes the dense route
+    sys = gen_burgers(60, 0.05)
+    perm = np.random.default_rng(seed).permutation(sys.n)
+    twin = permuted(sys, perm)
+    assert dense_solvers._ShiftPencil(sys.E, sys.A).band is not None
+    assert dense_solvers._ShiftPencil(twin.E, twin.A).band is None
+    cfg = IrkaConfig(r=6, seed=seed)
+    norms = []
+    for case in (sys, twin):
+        with record_residuals() as log:
+            red, trace = tqb_irka_ode(case, cfg)
+        shifted = [v for tag, v in log if tag == "shifted"]
+        assert trace.converged
+        assert shifted and max(shifted) <= dense_solvers.SHIFTED_TOL
+        norms.append(error_system_norm(case, red))
+    # sweep counts and spectra follow the roundoff path, so only the
+    # backend-independent error norm is compared
+    assert abs(norms[1] - norms[0]) <= 1e-3 * norms[0]
