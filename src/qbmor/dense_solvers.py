@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -99,12 +100,14 @@ class SpectralFactorization:
 
     Eigenvalues are sorted ascending by (real, imag); for real input pencils
     complex eigenvalues occur in exactly conjugate pairs and the paired
-    eigenvector columns are exact conjugates.
+    eigenvector columns are exact conjugates.  ``split`` is that pairing,
+    read off the eigensolver's order, in the form of :func:`conjugate_pairs`.
     """
 
     X: np.ndarray
     Y: np.ndarray
     eigenvalues: np.ndarray
+    split: tuple
 
 
 def conjugate_pairs(lam):
@@ -112,33 +115,34 @@ def conjugate_pairs(lam):
 
     Returns ``(real_indices, pairs)`` where each pair is ``(neg, pos)`` with
     ``Im(lam[neg]) < 0 < Im(lam[pos])``, or ``None`` if some complex shift
-    has no conjugate partner within ``_PAIR_TOL``.
+    has no conjugate partner within ``_PAIR_TOL``.  A :func:`pencil_eig`
+    spectrum carries its pairing as ``split``.
     """
     lam = np.asarray(lam, dtype=complex)
-    used = np.zeros(lam.size, dtype=bool)
+    free = list(range(lam.size))
     real_idx, pairs = [], []
-    for idx in range(lam.size):
-        if used[idx]:
-            continue
-        li = lam[idx]
-        scale = 1.0 + abs(li)
-        if abs(li.imag) <= _PAIR_TOL * scale:
+    while free:
+        idx = free.pop(0)
+        target, tol = lam[idx].conjugate(), _PAIR_TOL * (1.0 + abs(lam[idx]))
+        if abs(target.imag) <= tol:
             real_idx.append(idx)
-            used[idx] = True
             continue
-        best, bestd = -1, np.inf
-        for jdx in range(lam.size):
-            if used[jdx] or jdx == idx:
-                continue
-            d = abs(lam[jdx] - li.conjugate())
-            if d < bestd:
-                best, bestd = jdx, d
-        if best < 0 or bestd > _PAIR_TOL * scale:
+        # the nearest unused partner, the first of equals
+        best = min(free, key=lambda j: abs(lam[j] - target), default=None)
+        if best is None or abs(lam[best] - target) > tol:
             return None
-        used[idx] = used[best] = True
-        neg, pos = (idx, best) if li.imag < 0 else (best, idx)
-        pairs.append((neg, pos))
+        free.remove(best)
+        pairs.append((idx, best) if target.imag > 0 else (best, idx))
     return real_idx, pairs
+
+
+def _realify(split, M):
+    """:func:`realify_paired_columns` with the pairing ``split`` of the shifts."""
+    M = np.asarray(M)
+    neg, pos = np.array(split[1], dtype=int).reshape(-1, 2).T
+    out = np.array(M.real, dtype=float)
+    out[:, pos] = M[:, neg].imag
+    return out
 
 
 def realify_paired_columns(lam, M):
@@ -152,27 +156,18 @@ def realify_paired_columns(lam, M):
     split = conjugate_pairs(lam)
     if split is None:
         raise ValueError("shift set is not closed under conjugation")
-    real_idx, pairs = split
-    M = np.asarray(M)
-    out = np.empty(M.shape, dtype=float)
-    for idx in real_idx:
-        out[:, idx] = M[:, idx].real
-    for neg, pos in pairs:
-        out[:, neg] = M[:, neg].real
-        out[:, pos] = M[:, neg].imag
-    return out
+    return _realify(split, M)
 
 
 def _canonical_eigenbasis(w, Y):
-    """Enforce exact conjugate pairing, fix phases, then sort by (real, imag).
+    """Exact conjugate pairs, fixed phases and (real, imag) order, with the pairing.
 
+    LAPACK lists a real eigenvalue of a real matrix or pencil with a zero
+    imaginary part and a complex pair as consecutive entries, positive member
+    first: that order names the pairs, each snapped from its negative member.
     Sorting after the snap keeps pair members, whose computed real parts can
     differ by roundoff, adjacent and in order.
     """
-    split = conjugate_pairs(w)
-    if split is None:
-        raise SolverError("real pencil produced a non-conjugate spectrum")
-    real_idx, pairs = split
 
     def normalized(y):
         pivot = y[np.argmax(np.abs(y))]
@@ -180,16 +175,23 @@ def _canonical_eigenbasis(w, Y):
         return y / np.linalg.norm(y)
 
     w, Y = w.astype(complex), Y.astype(complex)
-    for idx in real_idx:
+    pos = np.flatnonzero(w.imag > 0)
+    if not np.array_equal(np.flatnonzero(w.imag < 0), pos + 1):
+        raise SolverError("real pencil produced a non-conjugate spectrum")
+    mate = np.arange(w.size)  # each column's conjugate partner, itself when real
+    mate[pos], mate[pos + 1] = pos + 1, pos
+    for idx in np.flatnonzero(w.imag == 0):
         w[idx] = w[idx].real
         Y[:, idx] = normalized(Y[:, idx].real).astype(complex)
-    for neg, pos in pairs:
-        w[neg] = complex(w[neg].real, -abs(w[neg].imag))
-        w[pos] = w[neg].conjugate()
+    for neg in pos + 1:
+        w[neg - 1] = w[neg].conjugate()
         Y[:, neg] = normalized(Y[:, neg])
-        Y[:, pos] = Y[:, neg].conjugate()
+        Y[:, neg - 1] = Y[:, neg].conjugate()
     order = np.lexsort((w.imag, w.real))
-    return w[order], Y[:, order]
+    # sorted positions; a pair shares its real part, so its negative member comes first
+    mate = np.argsort(order)[mate[order]].tolist()
+    return w[order], Y[:, order], ([i for i, j in enumerate(mate) if j == i],
+                                   [(i, j) for i, j in enumerate(mate) if j > i])
 
 
 def _left_inverse(EY):
@@ -231,28 +233,28 @@ def pencil_eig(Ehat, Ahat):
         raise SolverError("pencil has non-finite eigenvalues")
 
     def factor(w, Y):
-        w, Y = _canonical_eigenbasis(w, Y)
+        w, Y, split = _canonical_eigenbasis(w, Y)
         try:
             X = _left_inverse(Ehat @ Y)
         except (la.LinAlgError, ValueError) as exc:
             raise SolverError(f"pencil eigenvector matrix singular: {exc}") from exc
         res_a = _fro(X @ Ahat @ Y - np.diag(w)) / max(_fro(Ahat), _TINY)
         res_e = _fro(X @ Ehat @ Y - np.eye(r))
-        return w, Y, X, max(res_a, res_e)
+        return SpectralFactorization(X, Y, w, split), max(res_a, res_e)
 
-    w, Y, X, res = factor(w, Y)
+    fact, res = factor(w, Y)
     if res > PENCIL_TOL:
         # refine: the computed basis nearly diagonalizes the pencil, so one
         # more (well-conditioned) eigensolve in that basis cleans up the
         # residual; the basis is made real first so that the refined
         # spectrum of the real pencil stays exactly conjugate-closed
-        Yr = realify_paired_columns(w, Y)
+        Yr = _realify(fact.split, fact.Y)
         w2, Z = la.eig(_left_inverse(Ehat @ Yr) @ Ahat @ Yr)
         if np.all(np.isfinite(w2)):
-            w_r, Y_r, X_r, res_r = factor(w2, Yr @ Z)
+            refined, res_r = factor(w2, Yr @ Z)
             if res_r < res:
-                w, Y, X, res = w_r, Y_r, X_r, res_r
-    kappa = _fro(X) * _fro(Ehat @ Y)
+                fact, res = refined, res_r
+    kappa = _fro(fact.X) * _fro(Ehat @ fact.Y)
     tol_eff = max(PENCIL_TOL, 50.0 * np.finfo(float).eps * kappa)
     if not np.isfinite(res) or res > tol_eff:
         raise SolverError(
@@ -260,24 +262,22 @@ def pencil_eig(Ehat, Ahat):
             f"exceeds {tol_eff:.3e} (basis condition ~{kappa:.3e})"
         )
     _note("pencil", res)
-    return SpectralFactorization(X=X, Y=Y, eigenvalues=w)
+    return fact
 
 
-class _Band:
+class _Band(NamedTuple):
     """A band of ``kl`` sub- and ``ku`` superdiagonals in LAPACK band storage.
 
-    Entry ``(i, j)`` of a matrix lives at row ``pad + ku + i - j`` of column
-    ``j`` of a Fortran ``(pad + kl + ku + 1, cols)`` array: ``pad=0`` is the
-    storage of ``gbmv``, and ``pad=kl`` that of ``gbtrf`` and ``gbsv``, whose
-    first ``kl`` rows the factorization fills in.  :meth:`fit` holds the one
-    rule that picks band over dense storage, for the shift factorizations
-    here and the Newton matrices of :mod:`qbmor.simulate`.
+    The package's one band layout, that of ``gbtrf`` and ``gbsv``: entry
+    ``(i, j)`` is at :meth:`row` of column ``j`` of a Fortran ``(rows, cols)``
+    array whose first ``kl`` rows, zero until a factorization fills them in,
+    :meth:`matvec` reads as more superdiagonals.  :meth:`fit` is the one rule
+    that picks band over dense storage, here and in :mod:`qbmor.simulate`.
+    A ``(kl, ku)`` tuple compares and hashes equal to its band.
     """
 
-    __slots__ = ("kl", "ku")
-
-    def __init__(self, kl, ku):
-        self.kl, self.ku = kl, ku
+    kl: int
+    ku: int
 
     @staticmethod
     def diagonals(M, at=(0, 0)):
@@ -295,30 +295,41 @@ class _Band:
         kl, ku = int(off.max(initial=0)), int(-off.min(initial=0))
         return cls(kl, ku) if 2 * (kl + ku + 1) <= size else None
 
-    def store(self, M, cols, pad=0, at=(0, 0), out=None):
+    @property
+    def rows(self):
+        return 2 * self.kl + self.ku + 1
+
+    def row(self, i, j):
+        """The storage row of entry ``(i, j)``, in column ``j``."""
+        return self.kl + self.ku + i - j
+
+    def store(self, M, cols, at=(0, 0), out=None):
         """The nonzeros of ``M``, placed at ``at``, scattered into band storage.
 
-        A new zeroed array, or ``out`` (whose row count fixes ``pad``).
+        A new zeroed ``(rows, cols)`` array, or ``out``.
         """
         if out is None:
-            out = np.zeros((pad + self.kl + self.ku + 1, cols),
-                           dtype=np.result_type(M, float), order="F")
+            out = np.zeros((self.rows, cols), dtype=np.result_type(M, float), order="F")
         i, j = np.nonzero(M)
-        out[out.shape[0] - self.kl - 1 + at[0] - at[1] + i - j, at[1] + j] = M[i, j]
+        out[self.row(at[0] + i, at[1] + j), at[1] + j] = M[i, j]
         return out
+
+    def matvec(self, gbmv, M, x, alpha=1.0, **kwargs):
+        """``alpha M x`` by ``gbmv``, of ``M``'s type, with its further options in ``kwargs``."""
+        n = M.shape[1]
+        return gbmv(n, n, self.kl, self.kl + self.ku, alpha, M, x, **kwargs)
 
 
 class _ShiftPencil:
-    """The shifted or saddle matrices ``M(sigma)`` of one system.
+    """The shifted or saddle matrices ``M(sigma) = -sigma E - S`` of one system.
 
     ``M(sigma)`` is ``-sigma E - A`` or, with constraint blocks, the saddle
-    matrix ``[[-sigma E - A, A12], [A21, 0]]``.  The union pattern of the
-    blocks is measured once, here, and alone picks the storage of every
-    ``M(sigma)``: a narrow one (:meth:`_Band.fit`) keeps ``E`` and the
-    shift-free part in band storage, so each shift costs O(band * rows);
-    a wide one keeps the dense blocks as given.  ``source`` holds the blocks
-    as passed, so a factor given this pencil can check that it was measured
-    from the very matrices it is asked to shift.
+    matrix ``[[-sigma E - A, A12], [A21, 0]]``: ``E`` zero-padded and ``S =
+    [[A, -A12], [-A21, 0]]``.  The union pattern of the blocks, measured once
+    here, alone picks the one storage of ``E`` and ``S``: band when narrow
+    (:meth:`_Band.fit`), so each shift costs O(band * rows), else dense.
+    ``source`` holds the blocks as passed, so a factor given this pencil can
+    check that it was measured from the very matrices it is asked to shift.
     """
 
     def __init__(self, E, A, A12=None, A21=None):
@@ -326,29 +337,24 @@ class _ShiftPencil:
         E, A = np.asarray(E), np.asarray(A)
         self.n = n = A.shape[0]
         self.saddle = A12 is not None
-        blocks = [(E, (0, 0)), (A, (0, 0))]
+        blocks = [(A, (0, 0))]
         if self.saddle:
             A12, A21 = np.asarray(A12), np.asarray(A21)
             blocks += [(-A12, (0, n)), (-A21, (n, 0))]
-        self.rows = n + (A12.shape[1] if self.saddle else 0)
-        self.band = _Band.fit(self.rows, [_Band.diagonals(M, at) for M, at in blocks])
-        if self.band is None:
-            self._E, self._A, self._A12, self._A21 = E, A, A12, A21
+        self.rows = rows = n + (A12.shape[1] if self.saddle else 0)
+        self.band = _Band.fit(rows, [_Band.diagonals(M, at) for M, at in [(E, (0, 0))] + blocks])
+        if self.band is not None:
+            self._E, self._S = self.band.store(E, rows), None
+            for M, at in blocks:
+                self._S = self.band.store(M, rows, at, self._S)
         else:
-            # the shift-free part [[A, -A12], [-A21, 0]], so M = -sigma E - A
-            self._E = self.band.store(E, self.rows)
-            self._A = self.band.store(A, self.rows)
-            for M, at in blocks[2:]:
-                self.band.store(M, self.rows, at=at, out=self._A)
+            Z = np.zeros((rows - n, rows - n))
+            self._E = la.block_diag(E, Z) if self.saddle else E
+            self._S = np.block([[A, -A12], [-A21, Z]]) if self.saddle else A
 
     def matrix(self, sigma):
-        """``M(sigma)``, dense ``(rows, rows)`` or a ``(kl + ku + 1, rows)`` band."""
-        M = -sigma * self._E - self._A
-        if self.saddle and self.band is None:
-            n_p = self.rows - self.n
-            M = np.block([[M, self._A12],
-                          [self._A21, np.zeros((n_p, n_p), dtype=M.dtype)]])
-        return M
+        """``M(sigma)``, dense ``(rows, rows)`` or in :class:`_Band` storage."""
+        return -sigma * self._E - self._S
 
 
 class _ShiftFactor:
@@ -357,9 +363,9 @@ class _ShiftFactor:
     ``M`` is ``-sigma E - A`` or, with constraint blocks, the saddle matrix
     ``[[-sigma E - A, A12], [A21, 0]]``, stored as its ``pencil``
     (:class:`_ShiftPencil`, measured here when not given) picks: dense and
-    factored by ``getrf``, or as a band factored by ``gbtrf``, which forms
-    no n-by-n array.  ``solve(rhs, trans)`` solves with ``M`` or its plain
-    (unconjugated) transpose, refined once, and gates the residual
+    factored by ``getrf``, or as a band factored by ``gbtrf`` on a copy,
+    which forms no n-by-n array.  ``solve(rhs, trans)`` solves with ``M`` or
+    its plain (unconjugated) transpose, refined once, and gates the residual
     ``rhs - M z``, taken against the stored ``M`` (band products with
     ``gbmv`` for a band), over the whole right-hand side; ``rhs`` has
     ``n + n_p`` rows or ``n``, zero-padded over the constraint rows.  A shift
@@ -386,11 +392,9 @@ class _ShiftFactor:
                 raise SolverError(f"{self._failure()}: {exc}") from exc
             self._getrs, = la.get_lapack_funcs(("getrs",), (self.lu[0],))
             return
-        ab = np.zeros((2 * band.kl + band.ku + 1, M.shape[1]), dtype=M.dtype, order="F")
-        ab[band.kl:] = M
-        gbtrf, self._gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-        self._gbmv, = get_blas_funcs(("gbmv",), (ab,))
-        lu, piv, info = gbtrf(ab, band.kl, band.ku, overwrite_ab=True)
+        gbtrf, self._gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (M,))
+        self._gbmv, = get_blas_funcs(("gbmv",), (M,))
+        lu, piv, info = gbtrf(M, band.kl, band.ku)
         if info:
             # an exactly zero pivot: the band solve would divide by it
             raise SolverError(self._failure())
@@ -409,13 +413,13 @@ class _ShiftFactor:
         if self.band is None:
             return b - (M.T if t else M) @ z
         # in a Fortran copy of b, one gbmv per column
-        rows, kl, ku = M.shape[1], self.band.kl, self.band.ku
+        rows = M.shape[1]
         r = np.array(b, dtype=np.result_type(b, z), order="F")
         r_flat = r.reshape(-1, order="F")
         z_flat = np.asfortranarray(z).reshape(-1, order="F")
         for off in range(0, r_flat.size, rows):
-            self._gbmv(rows, rows, kl, ku, -1.0, M, z_flat, offx=off, beta=1.0, y=r_flat,
-                       offy=off, overwrite_y=True, trans=t)
+            self.band.matvec(self._gbmv, M, z_flat, -1.0, offx=off, beta=1.0, y=r_flat,
+                             offy=off, overwrite_y=True, trans=t)
         return r
 
     def _failure(self):

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .dense_solvers import SolverError, record_residuals, solve_lyapunov
-from .system_model import QbOdeSystem
+from .system_model import QbOdeSystem, _bilinear_terms
 from .tensor_kron import (
     HessianTensor,
     hessian_congruence,  # noqa: F401  (bench/tracer.py wraps it by this name)
@@ -92,7 +92,7 @@ def linear_gramians(sys):
 def _p_rhs(sys, P):
     """``B B^T + H (P kron P) H^T + sum N_k P N_k^T``, symmetrized."""
     rhs = sys.B @ sys.B.T + hessian_gram(sys.H, 1, P, P)
-    for Nk in sys.N:
+    for _, Nk in _bilinear_terms(sys.N):
         rhs = rhs + Nk @ P @ Nk.T
     # the quadratic additions are Gramian-like sums, symmetric up to roundoff
     return 0.5 * (rhs + rhs.T)
@@ -101,7 +101,7 @@ def _p_rhs(sys, P):
 def _q_rhs(sys, P, Q):
     """``C^T C + H2 (P kron Q) H2^T + sum N_k^T Q N_k``, symmetrized."""
     rhs = sys.C.T @ sys.C + hessian_gram(sys.H, 2, P, Q)
-    for Nk in sys.N:
+    for _, Nk in _bilinear_terms(sys.N):
         rhs = rhs + Nk.T @ Q @ Nk
     return 0.5 * (rhs + rhs.T)
 

@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dgbsv, dgesv
 from .dae_transform import recover_pressure
 from .dense_solvers import SolverError, _Band
 from .mmio import _read_table, atomic_open
-from .system_model import ReducedQbSystem
+from .system_model import ReducedQbSystem, _bilinear_terms
 from .tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
 
 __all__ = [
@@ -43,40 +43,34 @@ class InputSignal:
     """Control input ``u(t)`` with ``m`` channels and a time derivative.
 
     Presets are analytic; tabulated inputs interpolate linearly and
-    differentiate by central differences (one-sided at the ends).  The
-    library's own signals sample a whole time grid in one call; a signal
-    built from user callables calls them once per time.
+    differentiate by central differences (one-sided at the ends).  A signal
+    holds its value and derivative as grid functions from a (T,) time array
+    to (T, m) rows: the library's own sample a whole grid in one call, user
+    callables of one time are called once per time, and a single time is a
+    one-point grid.
     """
 
     def __init__(self, m, sample, derivative, kind="custom"):
         self.m = int(m)
-        self._sample = sample
-        self._derivative = derivative
         self.kind = kind
-        self._batch = None
+        self._batch = (_rows(sample, self.m), _rows(derivative, self.m))
 
     @classmethod
     def _batched(cls, m, sample, derivative, kind):
         """Signal whose ``sample`` and ``derivative`` map a (T,) time array to (T, m) rows."""
-        sig = cls(m, lambda t: sample(np.array([t], dtype=float))[0],
-                  lambda t: derivative(np.array([t], dtype=float))[0], kind)
+        sig = cls(m, None, None, kind)
         sig._batch = (sample, derivative)
         return sig
 
     def sample(self, t):
-        return np.broadcast_to(
-            np.asarray(self._sample(t), dtype=float), (self.m,)
-        ).copy()
+        return self._batch[0](np.array([t], dtype=float))[0]
 
     def on_grid(self, t):
         """Samples at the times ``t`` as the rows of a (len(t), m) array."""
-        t = np.asarray(t, dtype=float)
-        return self._batch[0](t) if self._batch else _rows(self._sample, t, self.m)
+        return self._batch[0](np.asarray(t, dtype=float))
 
     def derivative(self, t):
-        return np.broadcast_to(
-            np.asarray(self._derivative(t), dtype=float), (self.m,)
-        ).copy()
+        return self._batch[1](np.array([t], dtype=float))[0]
 
     @classmethod
     def zero(cls, m):
@@ -136,13 +130,12 @@ class InputSignal:
         per time.
         """
         m = self.m
-        batched = self._batch[1] if self._batch and derivative is None else None
-        deriv = self._derivative if derivative is None else derivative
+        deriv = self._batch[1] if derivative is None else _rows(derivative, m)
 
         def u(t):
             base = self.on_grid(t)
             return np.hstack([base, (base[:, :, None] * base[:, None, :]).reshape(t.size, m * m),
-                              batched(t) if batched else _rows(deriv, t, m)])
+                              deriv(t)])
 
         def du(t, h=1e-6):
             return (u(t + h) - u(t - h)) / (2.0 * h)
@@ -150,10 +143,10 @@ class InputSignal:
         return InputSignal._batched(2 * m + m * m, u, du, kind=f"augmented:{self.kind}")
 
 
-def _rows(f, t, m):
-    """``f`` called once per time of ``t``, as the rows of a (len(t), m) array."""
-    return np.array([np.broadcast_to(np.asarray(f(tk), dtype=float), (m,))
-                     for tk in t]).reshape(t.size, m)
+def _rows(f, m):
+    """Grid function calling ``f`` once per time, with its ``m`` values as (T, m) rows."""
+    return lambda t: np.array([np.broadcast_to(np.asarray(f(tk), dtype=float), (m,))
+                               for tk in t]).reshape(t.size, m)
 
 
 @dataclass(frozen=True)
@@ -241,10 +234,10 @@ class _NewtonStep:
     ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
     and band layout that :class:`qbmor.dense_solvers._Band` also applies to
     the shift factorizations.  When its band of ``kl + ku + 1`` diagonals
-    spans at most half the columns, ``K`` lives in LAPACK band storage
-    (``gbsv`` layout): residuals are band products (``gbmv``), the
-    Jacobian is scattered into its band positions and each iteration solves
-    with ``gbsv``.  Any wider pattern keeps dense storage and ``gesv``.
+    spans at most half the columns, ``K`` lives in that band storage:
+    residuals are band products (``gbmv``), the Jacobian is scattered into
+    its band positions and each iteration solves with ``gbsv``.  Any wider
+    pattern keeps dense storage and ``gesv``.
     """
 
     def __init__(self, E, A, H, N, B, dt, A12=None, A21=None, B2=None):
@@ -252,7 +245,7 @@ class _NewtonStep:
         n_c = 0 if A12 is None else A12.shape[1]
         size = n + n_c
         self.n, self.dt, self.H, self.B = n, dt, H, B
-        N = [(q, Nq) for q, Nq in enumerate(N) if np.any(Nq)]
+        N = _bilinear_terms(N)
         self._mB2 = np.zeros((0, B.shape[1])) if B2 is None else -B2
         K = np.zeros((size, size), order="F")
         K[:n, :n] = E - dt * A
@@ -262,27 +255,21 @@ class _NewtonStep:
         col, row = np.divmod(H._jacobian_pattern()[0], n)
         band = _Band.fit(size, [*map(_Band.diagonals, (E, K, *(Nq for _, Nq in N))),
                                 row - col])
+        self._band = band
         if band is not None:
-            kl, ku = band.kl, band.ku
-
-            def store(M, cols=size):
-                return band.store(M, cols, pad=kl)
-
-            self._E, self._S = store(E, n), store(K)
-            self._N = tuple((q, store(Nq)) for q, Nq in N)
-            self._K = np.empty_like(self._S)
-            self._Kv, self._J = self._K, np.empty_like(self._K)
+            self._E, self._S = band.store(E, n), band.store(K, size)
+            self._N = tuple((q, band.store(Nq, size)) for q, Nq in N)
+            self._K = self._Kv = np.empty_like(self._S)
+            self._J = np.empty_like(self._S)
             self._Jv = self._J[:, :n]
-            self._band = (kl, ku)
-            self._mv = lambda M, v: dgbmv(v.size, v.size, kl, kl + ku, 1.0, M, v)
-            self._solve = partial(dgbsv, kl, ku, overwrite_ab=True, overwrite_b=True)
+            self._mv = partial(band.matvec, dgbmv)
+            self._solve = partial(dgbsv, *band, overwrite_ab=True, overwrite_b=True)
         else:
             self._E, self._S = E, K[:n, :n].copy(order="F")
             self._N = tuple((q, np.asfortranarray(Nq)) for q, Nq in N)
             self._K = K
             self._Kv, self._J = K[:n, :n], np.empty_like(K)
             self._Jv = self._J[:n, :n]
-            self._band = None
             self._mv = operator.matmul
             self._solve = partial(dgesv, overwrite_a=True, overwrite_b=True)
 

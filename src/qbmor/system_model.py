@@ -319,20 +319,27 @@ def validate_ode(sys):
     )
 
 
+def _bilinear_terms(N):
+    """``(k, N_k)`` for each input ``k`` whose ``N_k`` is not all zero: the one skipping rule."""
+    return [(k, Nk) for k, Nk in enumerate(N) if np.any(Nk)]
+
+
 def project_realization(E, A, H, N, B, C, V, W):
     """Petrov-Galerkin projection of the matrices of a QB realization.
 
     Returns ``(W^T E V, W^T A V, W^T H (V kron V), (W^T N_k V)_k, W^T B,
     C V)`` with the reduced Hessian symmetrized; no ``(W^T V)^{-1}``
-    normalization is applied, the generalized mass matrix is kept.
+    normalization is applied, the generalized mass matrix is kept.  An
+    all-zero ``N_k`` is not multiplied; its ``W^T N_k V`` is a zero matrix.
     """
     r = V.shape[1]
     T = (W.T @ hessian_congruence(H, 1, V, V)).reshape(r, r, r)
+    Nhat = dict((k, W.T @ Nk @ V) for k, Nk in _bilinear_terms(N))
     return (
         W.T @ E @ V,
         W.T @ A @ V,
         (0.5 * (T + np.transpose(T, (0, 2, 1)))).reshape(r, r * r),
-        tuple(W.T @ Nk @ V for Nk in N),
+        tuple(Nhat.get(k, np.zeros((r, r))) for k in range(len(N))),
         W.T @ B,
         C @ V,
     )

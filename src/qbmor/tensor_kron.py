@@ -24,6 +24,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
+from .dense_solvers import _Band
+
 __all__ = [
     "HessianTensor",
     "vec",
@@ -180,14 +182,14 @@ class HessianTensor:
                        np.concatenate([k, j]),
                        np.concatenate([self._v, self._v]))
         else:
-            kl, ku = band
+            band = _Band(*band)
             flat, operand, values = self._jacobian_pattern()
             col, row = np.divmod(flat, self.n)
             off = row - col
-            if off.size and not (-ku <= off.min() and off.max() <= kl):
+            if off.size and not (-band.ku <= off.min() and off.max() <= band.kl):
                 raise ValueError(f"tensor Jacobian pattern exceeds the band "
-                                 f"(kl, ku) = ({kl}, {ku})")
-            pattern = (col * (2 * kl + ku + 1) + kl + ku + off, operand, values)
+                                 f"(kl, ku) = ({band.kl}, {band.ku})")
+            pattern = (col * band.rows + band.row(row, col), operand, values)
         self._jac[band] = pattern
         return pattern
 
@@ -353,11 +355,9 @@ def quadratic_jacobian(t, x, band=None):
     a high stored fill forms it as ``G x`` from its dense Jacobian operator;
     any other sums its stored entries.
 
-    With ``band=(kl, ku)`` the matrix is returned in the LAPACK ``gbsv`` band
-    storage instead: a Fortran (2 kl + ku + 1, n) array with entry ``(i, j)``
-    at row ``kl + ku + i - j`` of column ``j`` and zeros in the first ``kl``
-    rows, summed from the stored entries.  The Jacobian pattern must lie in
-    the band.
+    With ``band=(kl, ku)`` the matrix is returned, summed from the stored
+    entries, in the band storage of :class:`qbmor.dense_solvers._Band`
+    instead; the Jacobian pattern must lie in the band.
     """
     x = np.asarray(x)
     if x.shape != (t.n,):
@@ -368,7 +368,7 @@ def quadratic_jacobian(t, x, band=None):
             return (dense[1] @ x).reshape(t.n, t.n, order="F")
         rows = t.n
     else:
-        rows = 2 * band[0] + band[1] + 1
+        rows = _Band(*band).rows
     flat, operand, values = t._jacobian_pattern(band)
     return _scatter_sum(flat, values * x[operand], rows * t.n).reshape(
         rows, t.n, order="F")

@@ -33,16 +33,16 @@ import numpy as np
 from .dae_transform import build_projectors, output_realization
 from .dense_solvers import (
     SolverError,
+    _realify,
     _ShiftPencil,
-    conjugate_pairs,
     pencil_eig,
-    realify_paired_columns,
     record_residuals,
     solve_saddle,
     solve_saddle_adjoint,  # noqa: F401  (bench/tracer.py wraps it by this name)
     solve_shifted,
 )
-from .system_model import ReducedQbSystem, project_dae_outputs, project_realization
+from .system_model import (ReducedQbSystem, _bilinear_terms, project_dae_outputs,
+                           project_realization)
 from .tensor_kron import apply_unfolded, hessian_congruence
 
 __all__ = [
@@ -158,7 +158,7 @@ def _shift_solver(factor, lam, n, nudged):
 def _solve_family(solve, RHS, split, trans=False):
     """One column per shift via ``solve(idx, rhs, trans)``, mirroring pairs.
 
-    ``split`` is ``(real_indices, pairs)`` from :func:`conjugate_pairs`; of
+    ``split`` is ``(real_indices, pairs)``, a factorization's ``split``; of
     each pair only the negative-imaginary column is solved and its partner
     is the conjugate, exact for conjugate-paired right-hand-side columns.
     """
@@ -184,22 +184,22 @@ def _run_iteration(state, factor, data, fact, nudged):
     Ht = X @ apply_unfolded(Hh, Y, Y)        # r x r^2, complex
     Ht2 = np.transpose(Ht.reshape(r, r, r), (1, 2, 0)).reshape(r, r * r)  # mode 2
     solve = _shift_solver(factor, lam, B.shape[0], nudged)
-    lam_split = conjugate_pairs(lam)
+    bilinear = _bilinear_terms(N)
 
-    V1 = _solve_family(solve, (B @ Bt.T).astype(complex), lam_split)
+    V1 = _solve_family(solve, (B @ Bt.T).astype(complex), fact.split)
     rhs_v2 = hessian_congruence(H, 1, V1, V1) @ Ht.T
-    for Nk, Ntk in zip(N, Nt):
-        rhs_v2 = rhs_v2 + Nk @ V1 @ Ntk.T
-    V2 = _solve_family(solve, rhs_v2, lam_split)
+    for k, Nk in bilinear:
+        rhs_v2 = rhs_v2 + Nk @ V1 @ Nt[k].T
+    V2 = _solve_family(solve, rhs_v2, fact.split)
 
-    W1 = _solve_family(solve, (C.T @ Ct).astype(complex), lam_split, trans=True)
+    W1 = _solve_family(solve, (C.T @ Ct).astype(complex), fact.split, trans=True)
     rhs_w2 = 2.0 * hessian_congruence(H, 2, V1, W1) @ Ht2.T
-    for Nk, Ntk in zip(N, Nt):
-        rhs_w2 = rhs_w2 + Nk.T @ W1 @ Ntk
-    W2 = _solve_family(solve, rhs_w2, lam_split, trans=True)
+    for k, Nk in bilinear:
+        rhs_w2 = rhs_w2 + Nk.T @ W1 @ Nt[k]
+    W2 = _solve_family(solve, rhs_w2, fact.split, trans=True)
 
-    V = realify_paired_columns(lam, V1 + V2)
-    W = realify_paired_columns(lam, W1 + W2)
+    V = _realify(fact.split, V1 + V2)
+    W = _realify(fact.split, W1 + W2)
     V, _ = np.linalg.qr(V)
     W, _ = np.linalg.qr(W)
     return project_realization(*data, V, W), V, W

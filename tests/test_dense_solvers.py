@@ -10,6 +10,7 @@ from qbmor.dense_solvers import (
     SADDLE_TOL,
     ResidualError,
     SolverError,
+    _realify,
     _ShiftPencil,
     conjugate_pairs,
     pencil_eig,
@@ -79,6 +80,40 @@ def test_pencil_eig_sorts_after_pairing(seed):
     lam = pencil_eig(np.eye(4), A).eigenvalues
     assert conjugate_pairs(lam) is not None
     assert np.array_equal(np.lexsort((lam.imag, lam.real)), np.arange(4))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-11])
+def test_near_real_pair_stays_a_pair(eps):
+    # a conjugate pair this close to the real axis is still a pair: snapping
+    # it to two real eigenvalues would give two identical eigenvectors
+    A = np.array([[-1.0, eps, 0.0], [-eps, -1.0, 0.0], [0.0, 0.0, -3.0]])
+    fact = pencil_eig(np.eye(3), A)
+    assert np.array_equal(fact.eigenvalues, [-3.0, complex(-1.0, -eps), complex(-1.0, eps)])
+    assert fact.split == ([0], [(1, 2)])
+    assert np.linalg.norm(fact.X @ fact.Y - np.eye(3)) <= 1e-10
+
+
+@pytest.mark.parametrize("case", [("stable", 1, 6), ("stable", 2, 7), ("stable", 4, 9),
+                                  ("standard", 14, 4), ("standard", 26, 4),
+                                  ("standard", 41, 4), ("real", 0, 5)])
+def test_split_is_the_matched_pairing(case):
+    kind, seed, r = case
+    if kind == "stable":
+        E, A = stable_pencil(seed, r)
+    elif kind == "standard":
+        E, A = np.eye(r), np.random.default_rng(seed).standard_normal((r, r))
+    else:
+        E, A = np.eye(r), -np.diag(np.arange(1.0, r + 1))
+    fact = pencil_eig(E, A)
+    assert fact.split == conjugate_pairs(fact.eigenvalues)
+    real_idx, pairs = fact.split
+    expect = np.empty(fact.Y.shape)
+    for idx in real_idx:
+        expect[:, idx] = fact.Y[:, idx].real
+    for neg, pos in pairs:
+        expect[:, neg], expect[:, pos] = fact.Y[:, neg].real, fact.Y[:, neg].imag
+    assert np.array_equal(_realify(fact.split, fact.Y), expect)
+    assert np.array_equal(realify_paired_columns(fact.eigenvalues, fact.Y), expect)
 
 
 def test_pencil_eig_singular_mass():
@@ -209,6 +244,16 @@ def test_wrong_size_right_hand_side_is_a_value_error(kind, rows, expected):
     with pytest.raises(ValueError, match=f"right-hand side has {rows} rows, "
                                          f"expected {expected}$"):
         fact.solve(np.ones(rows))
+
+
+@pytest.mark.parametrize("sigma", [-0.4, 0.3 - 1.1j])
+def test_dense_saddle_matrix_is_the_block_assembly(sigma):
+    sys = gen_synthetic_dae(10, 3, m=2, p=2, seed=8, quad_scale=0.1)
+    pencil = _ShiftPencil(sys.E11, sys.A11, sys.A12, sys.A21)
+    K = np.block([[-sigma * sys.E11 - sys.A11, sys.A12],
+                  [sys.A21, np.zeros((3, 3))]])
+    assert pencil.band is None
+    assert np.array_equal(pencil.matrix(sigma), K)
 
 
 def test_realify_paired_columns_rejects_unpaired():

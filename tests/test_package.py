@@ -15,3 +15,24 @@ def test_package_names_are_public_in_their_modules():
             unlisted += [f"{node.module}.{alias.name}" for alias in node.names
                          if alias.name not in module.__all__]
     assert unlisted == []
+
+
+def test_modules_use_every_name_they_import():
+    # a module of the package imports no name it never uses; a line marked
+    # ``# noqa: F401`` keeps a name for code that looks it up on the module
+    stale = []
+    for path in sorted(pathlib.Path(qbmor.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imported = [alias for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        stale += [f"{path.stem}: {alias.name}" for alias in imported
+                  if (alias.asname or alias.name.split(".")[0]) not in used
+                  and "# noqa: F401" not in lines[alias.lineno - 1]]
+    assert stale == []

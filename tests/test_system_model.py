@@ -12,6 +12,7 @@ from qbmor.system_model import (
     ReducedQbSystem,
     project_dae_outputs,
     project_ode,
+    project_realization,
     validate_ode,
 )
 from qbmor.tensor_kron import HessianTensor, apply_hessian, matricize
@@ -249,6 +250,19 @@ def test_project_linearity_in_system_matrices():
     scaled = QbOdeSystem(E=s1.E, A=3.0 * s1.A, H=s1.H, N=s1.N, B=s1.B, C=s1.C)
     assert np.allclose(project_ode(scaled, V, W).Ahat,
                        3.0 * project_ode(s1, V, W).Ahat)
+
+
+def test_zero_bilinear_matrix_projects_to_exact_zero_on_its_channel():
+    rng = np.random.default_rng(8)
+    sys = random_stable_ode(8, 6, m=3)
+    V, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    W, _ = np.linalg.qr(rng.standard_normal((6, 2)))
+    N = (sys.N[0], np.zeros((6, 6)), sys.N[2])
+    Nhat = project_realization(sys.E, sys.A, sys.H, N, sys.B, sys.C, V, W)[3]
+    assert len(Nhat) == 3
+    assert np.array_equal(Nhat[1], np.zeros((2, 2)))
+    for k in (0, 2):
+        assert np.array_equal(Nhat[k], W.T @ N[k] @ V)
 
 
 def test_project_rank_deficient_basis_rejected():

@@ -328,19 +328,27 @@ def tensor_and_operands(draw):
 @example((HessianTensor.zero(3), np.ones(3), np.ones(3)))
 @example((HessianTensor(1, [0], [0], [0], [2.5]), np.array([1.0 + 2.0j]),
           np.array([3.0 - 1.0j])))
+# a product that underflows to a subnormal, which the two contractions
+# round one unit apart
+@example((HessianTensor(1, [0], [0], [0], [1.1305]), np.array([1.22180796e-159]),
+          np.array([1.22180796e-159])))
 def test_kernels_match_dense_oracle(case):
     t, a, b = case
     T = t.to_dense()
+    # relative to the summed magnitudes, plus a few subnormal units per summed term
+    unit = 4 * np.finfo(float).smallest_subnormal
     dtype = np.result_type(T, a, b)
     got = apply_hessian(t, a, b)
     expect = np.einsum("ijk,j,k->i", T, a, b)
-    bound = 1e-13 * np.einsum("ijk,j,k->i", np.abs(T), np.abs(a), np.abs(b))
+    bound = (1e-13 * np.einsum("ijk,j,k->i", np.abs(T), np.abs(a), np.abs(b))
+             + unit * t.n ** 2)
     assert got.dtype == dtype and got.shape == (t.n,)
     assert np.all(np.abs(got - expect) <= bound)
     J = quadratic_jacobian(t, a)
     expect = np.einsum("ijk,k->ij", T, a) + np.einsum("ijk,j->ik", T, a)
-    bound = 1e-13 * (np.einsum("ijk,k->ij", np.abs(T), np.abs(a))
-                     + np.einsum("ijk,j->ik", np.abs(T), np.abs(a)))
+    bound = (1e-13 * (np.einsum("ijk,k->ij", np.abs(T), np.abs(a))
+                      + np.einsum("ijk,j->ik", np.abs(T), np.abs(a)))
+             + unit * 2 * t.n)
     assert J.dtype == np.result_type(T, a) and J.shape == (t.n, t.n)
     assert np.all(np.abs(J - expect) <= bound)
 

@@ -419,6 +419,8 @@ def test_pencil_refinement_keeps_conjugate_spectrum():
     assert np.array_equal(np.lexsort((lam.imag, lam.real)), np.arange(10))
     assert [tag for tag, _ in log] == ["pencil"]
     assert np.linalg.norm(fact.X @ Ehat @ fact.Y - np.eye(10)) <= 1e-9
+    # the refined pairing is read off the refining eigensolve
+    assert fact.split == conjugate_pairs(lam) and fact.split[1]
 
 
 def test_burgers_reproducer_converges():
