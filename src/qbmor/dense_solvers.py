@@ -492,9 +492,12 @@ class _LyapunovFactor:
 
     Built only for a stable pencil: the diagonal of ``T`` carries the real
     parts of the eigenvalues (standardized 2x2 blocks have the pair's real
-    part on the diagonal).  ``solve(RHS, trans)`` reuses both factors for
-    ``A P E^T + E P A^T + RHS = 0`` or, with ``trans``, for the dual
-    ``A^T Q E + E^T Q A + RHS = 0``.
+    part on the diagonal).  :meth:`sylvester` is the one Bartels-Stewart
+    routine: on the factors of this pencil and of ``other``, a factor of a
+    second pencil ``(Ah, Eh)``, it solves ``A X Eh^T + E X Ah^T + RHS = 0``
+    or, with ``trans``, the dual ``A^T X Eh + E^T X Ah + RHS = 0``.
+    Without ``other`` it is the Lyapunov equation of this pencil, and
+    ``solve(RHS, trans)`` is that square case, gated on its residual.
     """
 
     def __init__(self, A, E):
@@ -515,6 +518,37 @@ class _LyapunovFactor:
                 f"unstable pencil: spectral abscissa {abscissa:.3e} >= 0"
             )
 
+    def sylvester(self, RHS, other=None, trans=False):
+        """``(X, |residual|_F)``, ungated; without ``other``, ``X`` is symmetrized.
+
+        ``RHS`` is n-by-r for an ``other`` of order r.
+        """
+        square = other is None
+        other = self if square else other
+        RHS = np.asarray(RHS, dtype=float)
+        if RHS.shape != (self.A.shape[0], other.A.shape[0]):
+            raise ValueError("lyapunov operands must be square and matching")
+        lu, T, Z = self.lu, self.T, self.Z
+        luh, Th, Zh = other.lu, other.T, other.Z
+        # trsyl solves op(T) Y + Y op(Th) = scale * C, scale <= 1 guarding
+        # overflow; info = 1 (eigenvalues perturbed) is left to the residual
+        # gate of the caller
+        if trans:
+            # W = E^T X Eh solves F^T W + W Fh + RHS = 0 with F = E^{-1} A
+            Y, scale, _ = la.lapack.dtrsyl(T, Th, Z.T @ (-RHS @ Zh), trana="T")
+            W = Z @ (Y / scale) @ Zh.T
+            X = la.lu_solve(luh, la.lu_solve(lu, W, trans=1).T, trans=1).T
+            A, E, Ah, Eh = self.A.T, self.E.T, other.A.T, other.E.T
+        else:
+            # F X + X Fh^T + G = 0 with G = E^{-1} RHS Eh^{-T}
+            G = la.lu_solve(luh, la.lu_solve(lu, RHS).T).T
+            Y, scale, _ = la.lapack.dtrsyl(T, Th, Z.T @ (-G @ Zh), tranb="T")
+            X = Z @ (Y / scale) @ Zh.T
+            A, E, Ah, Eh = self.A, self.E, other.A, other.E
+        if square:
+            X = 0.5 * (X + X.T)
+        return X, _fro(A @ X @ Eh.T + E @ X @ Ah.T + RHS)
+
     def solve(self, RHS, trans=False):
         """Symmetric solution for symmetric ``RHS``, gated on its residual."""
         RHS = np.asarray(RHS, dtype=float)
@@ -523,30 +557,18 @@ class _LyapunovFactor:
         asym = _fro(RHS - RHS.T)
         if asym > 1e-10 * max(_fro(RHS), 1.0):
             raise ValueError(f"right-hand side not symmetric (|R - R^T| = {asym:.3e})")
-        lu, T, Z = self.lu, self.T, self.Z
-        # trsyl solves op(T) Y + Y op(T) = scale * C, scale <= 1 guarding
-        # overflow; info = 1 (eigenvalues perturbed) is left to the residual
-        # gate below
-        if trans:
-            # W = E^T Q E solves F^T W + W F + RHS = 0 with F = E^{-1} A
-            Y, scale, _ = la.lapack.dtrsyl(T, T, Z.T @ (-RHS @ Z), trana="T")
-            W = Z @ (Y / scale) @ Z.T
-            X = la.lu_solve(lu, la.lu_solve(lu, W, trans=1).T, trans=1).T
-            A, E = self.A.T, self.E.T
-        else:
-            # F P + P F^T + G = 0 with G = E^{-1} RHS E^{-T}
-            G = la.lu_solve(lu, la.lu_solve(lu, RHS).T).T
-            Y, scale, _ = la.lapack.dtrsyl(T, T, Z.T @ (-G @ Z), tranb="T")
-            X = Z @ (Y / scale) @ Z.T
-            A, E = self.A, self.E
-        X = 0.5 * (X + X.T)
-        res = _fro(A @ X @ E.T + E @ X @ A.T + RHS) / max(_fro(RHS), _TINY)
-        if res > LYAPUNOV_TOL:
-            raise ResidualError(
-                f"lyapunov solve residual {res:.3e} exceeds {LYAPUNOV_TOL:.0e}"
-            )
-        _note("lyapunov", res)
+        X, res = self.sylvester(RHS, trans=trans)
+        _gate_lyapunov(res / max(_fro(RHS), _TINY))
         return X
+
+
+def _gate_lyapunov(res):
+    """Raise past ``LYAPUNOV_TOL`` on the relative residual ``res``, else record it."""
+    if res > LYAPUNOV_TOL:
+        raise ResidualError(
+            f"lyapunov solve residual {res:.3e} exceeds {LYAPUNOV_TOL:.0e}"
+        )
+    _note("lyapunov", res)
 
 
 def solve_lyapunov(A, E, RHS):
@@ -562,7 +584,10 @@ def solve_lyapunov(A, E, RHS):
     With ``RHS=None`` the factorization is returned instead, as in
     :func:`solve_shifted`: an object whose ``solve(RHS, trans=False)``
     reuses the LU and the Schur form, with ``trans`` for the dual equation
-    ``A^T Q E + E^T Q A + RHS = 0``.
+    ``A^T Q E + E^T Q A + RHS = 0``.  Its ``sylvester(RHS, other, trans)``
+    runs the same Bartels-Stewart steps on the factors of two pencils,
+    ``trsyl`` on ``(T, That)``: the cross blocks of the Gramians of a
+    block-diagonal (error) system, O(n^2 r) for a second pencil of order r.
     """
     fact = _LyapunovFactor(A, E)
     return fact if RHS is None else fact.solve(RHS)

@@ -13,22 +13,30 @@ all Lyapunov equations of one system are solved on one factorization of its
 pencil (``solve_lyapunov(A, E, None)``), the dual ones with ``trans=True``.
 The truncated H2 norm is ``sqrt(trace(C P_T C^T))`` and must agree with
 ``sqrt(trace(B^T Q_T B))``.
+
+The error system of a full model and a reduced one is block diagonal, so
+each of its Gramians is ``[[X_full, X_cross], [X_cross^T, X_red]]`` and its
+squared norm is ``|full|^2 - 2 <full, red> + |red|^2``.
+:func:`error_system_norm` keeps what depends on the full model alone on
+that model's instance, built on the first call: the LU of ``E``, the Schur
+form of ``E^{-1} A``, ``P1, Q1, P_T, Q_T`` with their residual norms, the
+two traces and the nonzero ``N_k``, with read-only copies of the arrays it
+was built from, so that a system whose arrays were edited in place is
+solved again.  Each call then solves the r-by-r Gramians of the reduced
+model and four n-by-r Sylvester equations for the cross blocks, O(n^2 r)
+in all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-import scipy.linalg as la
 
-from .dense_solvers import SolverError, record_residuals, solve_lyapunov
+from .dense_solvers import SolverError, _gate_lyapunov, solve_lyapunov
 from .system_model import QbOdeSystem, _bilinear_terms
-from .tensor_kron import (
-    HessianTensor,
-    hessian_congruence,  # noqa: F401  (bench/tracer.py wraps it by this name)
-    hessian_gram,
-)
+from .tensor_kron import hessian_congruence, hessian_gram
 
 __all__ = [
     "GramianPair",
@@ -40,6 +48,7 @@ __all__ = [
 ]
 
 TRACE_TOL = 1e-8
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -68,25 +77,35 @@ def _lyap_residual(A, E, P, RHS):
     return float(num / max(np.linalg.norm(RHS), np.finfo(float).tiny))
 
 
-def _gramian_pair(lyap, rhs_p, rhs_q, kind):
-    """Solve ``A P E^T + E P A^T + rhs_p = 0`` and its dual with ``rhs_q``.
+def _solve(lyap, rhs, trans=False, other=None):
+    """``(X, (|R|, |G|))`` of one equation on ``lyap`` (and ``other``), ungated.
 
-    ``lyap`` is the factorization of the system's pencil; the pair's
-    residual is the larger of the two that its solves computed and gated.
+    ``|R|`` and ``|G|`` are the Frobenius norms of the equation's residual
+    and of its right-hand side ``rhs``; see ``_LyapunovFactor.sylvester``.
     """
-    with record_residuals() as log:
-        P = lyap.solve(rhs_p)
-        Q = lyap.solve(rhs_q, trans=True)
-    return GramianPair(P=P, Q=Q, kind=kind, residual=max(res for _, res in log))
+    X, res = lyap.sylvester(rhs, other, trans)
+    return X, (res, float(np.linalg.norm(rhs)))
 
 
-def _linear_pair(lyap, sys):
-    return _gramian_pair(lyap, sys.B @ sys.B.T, sys.C.T @ sys.C, "linear")
+def _gramian_pair(P, Q, norms, kind):
+    """:class:`GramianPair` of ``P`` and ``Q`` once their residuals pass the gate.
+
+    ``norms`` holds ``(|R|, |G|)`` of the two equations; each relative
+    residual ``|R| / |G|`` is gated and recorded (tag ``"lyapunov"``) before
+    the pair's own checks, and the pair keeps the larger.
+    """
+    residuals = [res / max(rhs, _TINY) for res, rhs in norms]
+    for res in residuals:
+        _gate_lyapunov(res)
+    return GramianPair(P=P, Q=Q, kind=kind, residual=max(residuals))
 
 
 def linear_gramians(sys):
     """Gramians of the linear part: ``A P E^T + E P A^T + B B^T = 0`` and dual."""
-    return _linear_pair(solve_lyapunov(sys.A, sys.E, None), sys)
+    lyap = solve_lyapunov(sys.A, sys.E, None)
+    P, norms_p = _solve(lyap, sys.B @ sys.B.T)
+    Q, norms_q = _solve(lyap, sys.C.T @ sys.C, True)
+    return _gramian_pair(P, Q, (norms_p, norms_q), "linear")
 
 
 def _p_rhs(sys, P):
@@ -106,12 +125,20 @@ def _q_rhs(sys, P, Q):
     return 0.5 * (rhs + rhs.T)
 
 
+def _pairs(gramians, norms):
+    """The linear and the truncated :class:`GramianPair` of ``(P1, Q1, P_T, Q_T)``.
+
+    ``norms`` holds ``(|R|, |G|)`` of their four equations, in that order.
+    """
+    P1, Q1, PT, QT = gramians
+    return (_gramian_pair(P1, Q1, norms[:2], "linear"),
+            _gramian_pair(PT, QT, norms[2:], "truncated"))
+
+
 def truncated_gramians(sys):
     """Truncated Gramians: four Lyapunov solves on one factorization of the pencil."""
-    lyap = solve_lyapunov(sys.A, sys.E, None)
-    lin = _linear_pair(lyap, sys)
-    return _gramian_pair(lyap, _p_rhs(sys, lin.P), _q_rhs(sys, lin.P, lin.Q),
-                         "truncated")
+    g = _system_gramians(sys)
+    return _pairs(g.gramians, g.norms)[1]
 
 
 def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
@@ -161,23 +188,17 @@ def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
     )
 
 
-def truncated_h2_norm(sys):
-    """Truncated H2 norm ``sqrt(trace(C P_T C^T))``.
+def _resolved_norm(tc, tb, c2, P, b2, Q):
+    """``sqrt(max(tc, 0))`` for a primal trace ``tc`` that its dual ``tb`` confirms.
 
-    The dual value ``sqrt(trace(B^T Q_T B))`` is computed alongside and the
-    two must agree to ``TRACE_TOL`` relative, otherwise the Gramian pair is
-    inconsistent and an error is raised.
+    The two must agree to ``TRACE_TOL`` relative, otherwise the Gramian pair
+    is inconsistent and an error is raised.  ``c2`` and ``b2`` are the
+    squared Frobenius norms of ``C`` and ``B``, and ``P``, ``Q`` the Gramians.
     """
-    tg = truncated_gramians(sys)
-    tc = float(np.trace(sys.C @ tg.P @ sys.C.T))
-    tb = float(np.trace(sys.B.T @ tg.Q @ sys.B))
     # roundoff floor: when both traces cancel below the noise of their own
     # evaluation (e.g. exact-copy error systems), they count as equal
-    noise = 100.0 * np.finfo(float).eps * (
-        np.linalg.norm(sys.C) ** 2 * np.linalg.norm(tg.P)
-        + np.linalg.norm(sys.B) ** 2 * np.linalg.norm(tg.Q)
-    )
-    scale = max(abs(tc), abs(tb), np.finfo(float).tiny)
+    noise = 100.0 * np.finfo(float).eps * (c2 * np.linalg.norm(P) + b2 * np.linalg.norm(Q))
+    scale = max(abs(tc), abs(tb), _TINY)
     if abs(tc - tb) > TRACE_TOL * scale + noise:
         raise SolverError(
             f"Gramian inconsistency: trace(C P C^T) = {tc:.12e} but "
@@ -186,30 +207,99 @@ def truncated_h2_norm(sys):
     return float(np.sqrt(max(tc, 0.0)))
 
 
-def _augmented_error_system(full, red):
-    n = full.n
-    Hf, Hr = full.H, HessianTensor.from_mode1(red.Hhat)
-    H = HessianTensor(
-        n + red.r,
-        np.concatenate([Hf._i, Hr._i + n]),
-        np.concatenate([Hf._j, Hr._j + n]),
-        np.concatenate([Hf._k, Hr._k + n]),
-        np.concatenate([Hf._v, Hr._v]),
-    )
-    E = la.block_diag(full.E, red.Ehat)
-    A = la.block_diag(full.A, red.Ahat)
-    N = tuple(la.block_diag(Nk, Nhat_k) for Nk, Nhat_k in zip(full.N, red.Nhat))
-    B = np.vstack([full.B, red.Bhat])
-    C = np.hstack([full.C, -red.Chat])
-    return QbOdeSystem(E=E, A=A, H=H, N=N, B=B, C=C)
+def truncated_h2_norm(sys):
+    """Truncated H2 norm ``sqrt(trace(C P_T C^T))``.
+
+    The dual value ``sqrt(trace(B^T Q_T B))`` is computed alongside and the
+    two must agree to ``TRACE_TOL`` relative, otherwise the Gramian pair is
+    inconsistent and an error is raised.
+    """
+    g = _system_gramians(sys)
+    tg = _pairs(g.gramians, g.norms)[1]
+    return _resolved_norm(g.tc, g.tb, np.linalg.norm(sys.C) ** 2, tg.P,
+                          np.linalg.norm(sys.B) ** 2, tg.Q)
+
+
+@dataclass(frozen=True)
+class _SystemGramians:
+    """What the truncated-H2 norm needs of one realization alone.
+
+    ``lyap`` factors its pencil and ``bilinear`` lists its nonzero ``N_k``
+    (:func:`~qbmor.system_model._bilinear_terms`).  ``gramians`` holds
+    ``(P1, Q1, P_T, Q_T)``, and ``norms`` the Frobenius norms ``(|R|, |G|)``
+    of the residual and the right-hand side of each of their four
+    equations, which are not gated here.  ``tc`` and ``tb`` are
+    ``trace(C P_T C^T)`` and ``trace(B^T Q_T B)``.
+    """
+
+    lyap: object
+    bilinear: list
+    gramians: tuple
+    norms: tuple
+    tc: float
+    tb: float
+
+
+def _system_gramians(sys):
+    """:class:`_SystemGramians` of ``sys``: one factorization, four solves."""
+    lyap = solve_lyapunov(sys.A, sys.E, None)
+    P1, n1 = _solve(lyap, sys.B @ sys.B.T)
+    Q1, n2 = _solve(lyap, sys.C.T @ sys.C, True)
+    PT, n3 = _solve(lyap, _p_rhs(sys, P1))
+    QT, n4 = _solve(lyap, _q_rhs(sys, P1, Q1), True)
+    return _SystemGramians(
+        lyap, _bilinear_terms(sys.N), (P1, Q1, PT, QT), (n1, n2, n3, n4),
+        float(np.trace(sys.C @ PT @ sys.C.T)), float(np.trace(sys.B.T @ QT @ sys.B)))
+
+
+def _record_inputs(sys):
+    """The arrays of ``sys`` that its :class:`_SystemGramians` is built from.
+
+    ``H`` is left out: a :class:`~qbmor.tensor_kron.HessianTensor` is
+    immutable, and its own caches already rely on that.
+    """
+    return (sys.E, sys.A, sys.B, sys.C) + tuple(sys.N)
+
+
+def _kept_gramians(sys):
+    """:func:`_system_gramians` of ``sys``, built on its first use and kept on it.
+
+    The record sits in the instance's ``__dict__`` beside its dims, so it
+    is freed with the system, and its arrays are read-only.  It is kept
+    with read-only copies of :func:`_record_inputs`, because a system holds
+    its caller's arrays and those may be edited in place; a record whose
+    copies differ from the arrays is rebuilt.  A failed build raises and
+    stores nothing.
+    """
+    kept = vars(sys).get("_gramians")
+    inputs = _record_inputs(sys)
+    if kept is not None and all(np.array_equal(M, M0) for M, M0 in zip(inputs, kept[0])):
+        return kept[1]
+    record = _system_gramians(sys)
+    copies = tuple(np.array(M) for M in inputs)
+    for M in copies + record.gramians + (*record.lyap.lu, record.lyap.T, record.lyap.Z):
+        M.flags.writeable = False
+    object.__setattr__(sys, "_gramians", (copies, record))
+    return record
 
 
 def error_system_norm(full, red):
     """Truncated H2 norm of the block-diagonal error system.
 
-    The augmented system pairs the full and reduced realizations with output
+    The error system pairs the full and reduced realizations with output
     ``[C, -Chat]``; nonlinear output corrections of the reduced model are not
-    part of the (linear-output) norm.
+    part of the (linear-output) norm.  Its four Gramians are assembled from
+    blocks, ``[[X_full, X_cross], [X_cross^T, X_red]]``: the full blocks are
+    kept on ``full`` (:func:`_kept_gramians`), the reduced ones are solved on
+    the reduced pencil, and the n-by-r cross blocks by ``trsyl`` on the two
+    Schur forms, ``X1`` and ``X_T`` from ``B Bhat^T`` and ``B Bhat^T +
+    H (X1 kron X1) Hhat^T + sum N_k X1 Nhat_k^T``, ``Y1`` and ``Y_T`` from
+    ``-C^T Chat`` and its dual terms.  Each assembled equation is gated on
+    ``sqrt(|R11|^2 + 2 |R12|^2 + |R22|^2) / sqrt(|G11|^2 + 2 |G12|^2 +
+    |G22|^2)``, its residual ``R`` against its right-hand side ``G``, and the
+    traces are ``tc = tr(C P_T C^T) - 2 tr(C X_T Chat^T) + tr(Chat Phat_T
+    Chat^T)`` and ``tb = tr(B^T Q_T B) + 2 tr(B^T Y_T Bhat) + tr(Bhat^T
+    Qhat_T Bhat)``.
     """
     if red.m != full.m:
         raise ValueError(
@@ -219,4 +309,32 @@ def error_system_norm(full, red):
         raise ValueError(
             f"output dimensions differ: full has {full.p}, reduced has {red.p}"
         )
-    return truncated_h2_norm(_augmented_error_system(full, red))
+    big = _kept_gramians(full)
+    small_sys = QbOdeSystem(E=red.Ehat, A=red.Ahat, H=red.Hhat, N=red.Nhat,
+                            B=red.Bhat, C=red.Chat)
+    small = _system_gramians(small_sys)
+    B, C, Bh, Ch = full.B, full.C, red.Bhat, red.Chat
+    Nh = dict(small.bilinear)
+    bilinear = [(Nk, Nh[k]) for k, Nk in big.bilinear if k in Nh]
+    solve = partial(_solve, big.lyap, other=small.lyap)
+
+    X1, n1 = solve(B @ Bh.T)
+    Y1, n2 = solve(-C.T @ Ch, True)
+    rhs = B @ Bh.T + hessian_congruence(full.H, 1, X1, X1) @ small_sys.H.mode(1).T
+    for Nk, Nhk in bilinear:
+        rhs = rhs + Nk @ X1 @ Nhk.T
+    XT, n3 = solve(rhs)
+    rhs = -C.T @ Ch + hessian_congruence(full.H, 2, X1, Y1) @ small_sys.H.mode(2).T
+    for Nk, Nhk in bilinear:
+        rhs = rhs + Nk.T @ Y1 @ Nhk
+    YT, n4 = solve(rhs, True)
+
+    _, tg = _pairs(
+        [np.block([[Xf, Xc], [Xc.T, Xr]])
+         for Xf, Xr, Xc in zip(big.gramians, small.gramians, (X1, Y1, XT, YT))],
+        [(np.sqrt(rf ** 2 + 2.0 * rc ** 2 + rr ** 2), np.sqrt(gf ** 2 + 2.0 * gc ** 2 + gr ** 2))
+         for (rf, gf), (rr, gr), (rc, gc) in zip(big.norms, small.norms, (n1, n2, n3, n4))])
+    tc = big.tc - 2.0 * float(np.trace(C @ XT @ Ch.T)) + small.tc
+    tb = big.tb + 2.0 * float(np.trace(B.T @ YT @ Bh)) + small.tb
+    return _resolved_norm(tc, tb, np.linalg.norm(C) ** 2 + np.linalg.norm(Ch) ** 2, tg.P,
+                          np.linalg.norm(B) ** 2 + np.linalg.norm(Bh) ** 2, tg.Q)

@@ -5,6 +5,7 @@ import scipy.linalg as la
 
 from qbmor import HessianTensor, QbOdeSystem, symmetrize
 from qbmor.dense_solvers import solve_lyapunov
+from qbmor.gramians_norms import truncated_h2_norm
 from qbmor.tensor_kron import apply_hessian, hessian_congruence, quadratic_jacobian
 
 
@@ -53,6 +54,31 @@ def congruence_truncated_gramians(sys):
         rhs_p = rhs_p + Nk @ P1 @ Nk.T
         rhs_q = rhs_q + Nk.T @ Q1 @ Nk
     return lyap(A, E, rhs_p), lyap(A.T, E.T, rhs_q)
+
+
+def _augmented_error_system(full, red):
+    """The block-diagonal error system ``[full; red]`` with output ``[C, -Chat]``."""
+    n = full.n
+    Hf, Hr = full.H, HessianTensor.from_mode1(red.Hhat)
+    H = HessianTensor(
+        n + red.r,
+        np.concatenate([Hf._i, Hr._i + n]),
+        np.concatenate([Hf._j, Hr._j + n]),
+        np.concatenate([Hf._k, Hr._k + n]),
+        np.concatenate([Hf._v, Hr._v]),
+    )
+    E = la.block_diag(full.E, red.Ehat)
+    A = la.block_diag(full.A, red.Ahat)
+    N = tuple(la.block_diag(Nk, Nhat_k) for Nk, Nhat_k in zip(full.N, red.Nhat))
+    B = np.vstack([full.B, red.Bhat])
+    C = np.hstack([full.C, -red.Chat])
+    return QbOdeSystem(E=E, A=A, H=H, N=N, B=B, C=C)
+
+
+def assembled_error_norm(full, red):
+    """Oracle of ``error_system_norm``: the truncated-H2 norm of the whole
+    (n + r) error system, four dense Lyapunov solves on its pencil."""
+    return truncated_h2_norm(_augmented_error_system(full, red))
 
 
 def dae_steady_state(sys, u_const, v_guess=None, tol=1e-12, max_iters=50):

@@ -1,10 +1,14 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
+from qbmor import gramians_norms
 from qbmor.dense_solvers import SolverError, record_residuals
 from qbmor.gramians_norms import (
-    _augmented_error_system,
     _p_rhs,
     _q_rhs,
     error_system_norm,
@@ -16,7 +20,12 @@ from qbmor.gramians_norms import (
 from qbmor.system_model import QbOdeSystem, project_ode
 from qbmor.tensor_kron import HessianTensor
 
-from helpers import congruence_truncated_gramians, random_stable_ode
+from helpers import (
+    _augmented_error_system,
+    assembled_error_norm,
+    congruence_truncated_gramians,
+    random_stable_ode,
+)
 
 
 def scalar_system():
@@ -245,3 +254,125 @@ def test_error_system_norm_dimension_checks():
     red = project_ode(other, np.eye(6), np.eye(6))
     with pytest.raises(ValueError, match="input dimensions"):
         error_system_norm(sys, red)
+
+
+# -- the error norm by blocks against the assembled (n + r) oracle -----------
+
+
+def galerkin(sys, r, seed):
+    """One-sided projection onto a random basis, whose pencil stays stable
+    because the random systems have a definite symmetric part."""
+    V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((sys.n, r)))
+    return project_ode(sys, V, V)
+
+
+def bench_model():
+    from qbmor.problems import gen_burgers
+    from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
+
+    full = gen_burgers(100, 0.01)
+    red, trace = tqb_irka_ode(full, IrkaConfig(r=10, seed=1, tol=1e-5, max_iters=50))
+    assert trace.converged
+    return full, red
+
+
+def bilinear_model():
+    full = random_stable_ode(15, 12, m=2, p=2, quad_scale=0.08, bilinear_scale=0.15)
+    red = galerkin(full, 4, 15)
+    assert all(Nk.any() for Nk in full.N) and all(Nk.any() for Nk in red.Nhat)
+    return full, red
+
+
+def order_one_model():
+    full = random_stable_ode(16, 8, m=1, p=2, quad_scale=0.08)
+    return full, galerkin(full, 1, 16)
+
+
+def dae_model():
+    from qbmor.dae_transform import build_projectors, explicit_ode
+    from qbmor.problems import gen_synthetic_dae
+    from qbmor.tqb_irka import IrkaConfig, tqb_irka_dae_saddle
+
+    sys = gen_synthetic_dae(24, 5, m=2, p=2, seed=2, quad_scale=0.1)
+    red, trace = tqb_irka_dae_saddle(sys, IrkaConfig(r=4, seed=2, max_iters=100))
+    assert trace.converged
+    return explicit_ode(sys, build_projectors(sys))[0], red
+
+
+@pytest.mark.parametrize("model", [bench_model, bilinear_model, order_one_model, dae_model])
+def test_error_norm_by_blocks_matches_the_assembled_oracle(model):
+    full, red = model()
+    err = error_system_norm(full, red)
+    assert err > 0.0
+    # the bound of the congruence test above, on the scale of ||full||^2
+    assert abs(err ** 2 - assembled_error_norm(full, red) ** 2) <= (
+        1e-10 * truncated_h2_norm(full) ** 2)
+
+
+def test_error_norm_factors_the_full_pencil_once_per_system(monkeypatch):
+    full, red = bilinear_model()
+    calls = counted_schur(monkeypatch)
+    with record_residuals() as log:
+        first = error_system_norm(full, red)
+    assert calls == [(12, 12), (4, 4)]
+    # one gated residual per assembled equation, on every call
+    assert [tag for tag, _ in log] == ["lyapunov"] * 4
+    calls.clear()
+    with record_residuals() as log:
+        assert error_system_norm(full, red) == first
+    assert calls == [(4, 4)]
+    assert [tag for tag, _ in log] == ["lyapunov"] * 4
+    # the record belongs to the instance, not to equal arrays
+    twin = QbOdeSystem(E=full.E.copy(), A=full.A.copy(), H=full.H,
+                       N=tuple(Nk.copy() for Nk in full.N), B=full.B.copy(),
+                       C=full.C.copy())
+    calls.clear()
+    assert error_system_norm(twin, red) == first
+    assert calls == [(12, 12), (4, 4)]
+
+
+def test_kept_gramians_are_read_only_and_freed_with_the_system():
+    full, red = bilinear_model()
+    error_system_norm(full, red)
+    kept = gramians_norms._kept_gramians(full)
+    arrays = kept.gramians + (*kept.lyap.lu, kept.lyap.T, kept.lyap.Z)
+    assert not any(M.flags.writeable for M in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        kept.gramians[0][0, 0] = 0.0
+    refs = [weakref.ref(M) for M in arrays]
+    del kept, arrays
+    assert all(r() is not None for r in refs)
+    del full
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
+def test_kept_gramians_follow_in_place_edits_of_the_full_model(monkeypatch):
+    full, red = bilinear_model()
+    first = error_system_norm(full, red)
+    calls = counted_schur(monkeypatch)
+    full.C[0] *= 2.0
+    edited = error_system_norm(full, red)
+    assert calls == [(12, 12), (4, 4)]
+    assert edited != first
+    assert edited == pytest.approx(assembled_error_norm(full, red), rel=1e-8)
+    full.N[1][0, 0] += 0.1
+    calls.clear()
+    assert error_system_norm(full, red) != edited
+    assert calls == [(12, 12), (4, 4)]
+    # the record keeps copies, so editing them is refused
+    with pytest.raises(ValueError, match="read-only"):
+        vars(full)["_gramians"][0][3][0, 0] = 0.0
+
+
+def test_unstable_models_raise_on_every_call():
+    full, red = bilinear_model()
+    unstable_red = dataclasses.replace(red, Ahat=-red.Ahat)
+    unstable_full = dataclasses.replace(full, A=-full.A)
+    for _ in range(2):
+        with pytest.raises(SolverError, match="unstable pencil"):
+            error_system_norm(full, unstable_red)
+        with pytest.raises(SolverError, match="unstable pencil"):
+            error_system_norm(unstable_full, red)
+    assert "_gramians" not in vars(unstable_full)
+    assert error_system_norm(full, red) > 0.0

@@ -178,6 +178,15 @@ def test_determinism_bit_identical():
             == json.dumps(t2.to_json_dict(), sort_keys=True))
 
 
+def test_burgers_start_that_broke_the_conjugate_pairing_converges():
+    # this initial model once raised "real pencil produced a non-conjugate
+    # spectrum" at sweep 8; with the pairing read off the eigensolver's
+    # order it converges (in 20 sweeps when this test was written)
+    _, trace = tqb_irka_ode(gen_burgers(150, 0.01),
+                            IrkaConfig(r=10, tol=1e-5, max_iters=50, seed=1742692731))
+    assert trace.converged
+
+
 # -- descriptor variants -------------------------------------------------------
 
 
