@@ -3,19 +3,20 @@
 Generalized pencil eigendecomposition, shifted and saddle-point solves
 (one factorization per shift serves plain and transposed solves; a system
 whose pattern is narrow is factored in LAPACK band storage, any other
-dense), and
-generalized Lyapunov solves (Bartels-Stewart on the pencil reduced by one
-LU of the mass matrix).
-Every solver computes the residual of its own output, raises
+dense), and generalized Lyapunov solves (Bartels-Stewart on the pencil
+reduced by one LU of the mass matrix).  Every LU is one raw ``getrf`` or
+``gbtrf`` from ``get_lapack_funcs``, whose ``info`` is checked before any
+triangular solve: a zero pivot raises :class:`SolverError`, never a
+warning.  Every solver computes the residual of its own output, raises
 :class:`ResidualError` when the stated bound is exceeded, and reports the
 value to any active :func:`record_residuals` context.
 """
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -83,15 +84,6 @@ def _note(tag, value):
 
 def _fro(M):
     return float(np.linalg.norm(np.asarray(M)))
-
-
-@contextmanager
-def _quiet_singular():
-    """Silence LU warnings on deliberately probed near-singular systems."""
-    with warnings.catch_warnings(), np.errstate(invalid="ignore", over="ignore"):
-        warnings.simplefilter("ignore", la.LinAlgWarning)
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield
 
 
 @dataclass(frozen=True)
@@ -197,13 +189,17 @@ def _canonical_eigenbasis(w, Y):
 def _left_inverse(EY):
     """``X`` with ``X @ EY = I``, refined on that (left) residual."""
     r = EY.shape[0]
-    lu = la.lu_factor(EY)
-    X = la.lu_solve(lu, np.eye(r, dtype=EY.dtype), trans=1).T
+    getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (EY,))
+    lu, piv, info = getrf(EY)
+    if info:
+        raise SolverError("pencil eigenvector matrix singular")
+    solve_t = partial(getrs, lu, piv, trans=1)
+    X = solve_t(np.eye(r, dtype=EY.dtype))[0].T
     for _ in range(3):
         R = np.eye(r) - X @ EY
         if _fro(R) <= 0.1 * PENCIL_TOL:
             break
-        X = X + la.lu_solve(lu, R.T, trans=1).T
+        X = X + solve_t(R.T)[0].T
     return X
 
 
@@ -234,10 +230,7 @@ def pencil_eig(Ehat, Ahat):
 
     def factor(w, Y):
         w, Y, split = _canonical_eigenbasis(w, Y)
-        try:
-            X = _left_inverse(Ehat @ Y)
-        except (la.LinAlgError, ValueError) as exc:
-            raise SolverError(f"pencil eigenvector matrix singular: {exc}") from exc
+        X = _left_inverse(Ehat @ Y)
         res_a = _fro(X @ Ahat @ Y - np.diag(w)) / max(_fro(Ahat), _TINY)
         res_e = _fro(X @ Ehat @ Y - np.eye(r))
         return SpectralFactorization(X, Y, w, split), max(res_a, res_e)
@@ -319,6 +312,17 @@ class _Band(NamedTuple):
         n = M.shape[1]
         return gbmv(n, n, self.kl, self.kl + self.ku, alpha, M, x, **kwargs)
 
+    def residual(self, gbmv, M, b, z, trans=0):
+        """``b - M z`` (``M^T`` with ``trans = 1``) in a Fortran copy of ``b``, by columns."""
+        rows = M.shape[1]
+        r = np.array(b, dtype=np.result_type(b, z), order="F")
+        r_flat = r.reshape(-1, order="F")
+        z_flat = np.asfortranarray(z).reshape(-1, order="F")
+        for off in range(0, r_flat.size, rows):
+            self.matvec(gbmv, M, z_flat, -1.0, offx=off, beta=1.0, y=r_flat, offy=off,
+                        overwrite_y=True, trans=trans)
+        return r
+
 
 class _ShiftPencil:
     """The shifted or saddle matrices ``M(sigma) = -sigma E - S`` of one system.
@@ -364,14 +368,15 @@ class _ShiftFactor:
     ``[[-sigma E - A, A12], [A21, 0]]``, stored as its ``pencil``
     (:class:`_ShiftPencil`, measured here when not given) picks: dense and
     factored by ``getrf``, or as a band factored by ``gbtrf`` on a copy,
-    which forms no n-by-n array.  ``solve(rhs, trans)`` solves with ``M`` or
-    its plain (unconjugated) transpose, refined once, and gates the residual
-    ``rhs - M z``, taken against the stored ``M`` (band products with
-    ``gbmv`` for a band), over the whole right-hand side; ``rhs`` has
-    ``n + n_p`` rows or ``n``, zero-padded over the constraint rows.  A shift
-    with zero imaginary part is factored in real arithmetic; complex
-    right-hand sides are then solved as real views with twice the columns,
-    so no complex copy of ``M`` or its LU is made.
+    which forms no n-by-n array; a zero pivot raises :class:`SolverError`.
+    The storage binds the triangular solve and the residual once, here.
+    ``solve(rhs, trans)`` solves with ``M`` or its plain (unconjugated)
+    transpose, refined once, and gates the residual ``rhs - M z``, taken
+    against the stored ``M`` (by ``gbmv`` for a band), over the whole
+    right-hand side; ``rhs`` has ``n + n_p`` rows or ``n``, zero-padded over
+    the constraint rows.  A shift with zero imaginary part is factored in
+    real arithmetic; complex right-hand sides are then solved as real views
+    with twice the columns, so no complex copy of ``M`` or its LU is made.
     """
 
     def __init__(self, E, A, sigma, A12=None, A21=None, pencil=None):
@@ -385,42 +390,20 @@ class _ShiftFactor:
         self.M = M = pencil.matrix(sigma)
         self.band = band = pencil.band
         if band is None:
-            try:
-                with _quiet_singular():
-                    self.lu = la.lu_factor(M)
-            except (la.LinAlgError, ValueError) as exc:
-                raise SolverError(f"{self._failure()}: {exc}") from exc
-            self._getrs, = la.get_lapack_funcs(("getrs",), (self.lu[0],))
-            return
-        gbtrf, self._gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (M,))
-        self._gbmv, = get_blas_funcs(("gbmv",), (M,))
-        lu, piv, info = gbtrf(M, band.kl, band.ku)
+            getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (M,))
+            lu, piv, info = getrf(M)
+            self._trs = partial(getrs, lu, piv)
+            self._residual = lambda b, z, t: b - (M.T if t else M) @ z
+        else:
+            gbtrf, gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (M,))
+            gbmv, = get_blas_funcs(("gbmv",), (M,))
+            lu, piv, info = gbtrf(M, band.kl, band.ku)
+            self._trs = partial(gbtrs, lu, band.kl, band.ku, ipiv=piv)
+            self._residual = partial(band.residual, gbmv, M)
         if info:
-            # an exactly zero pivot: the band solve would divide by it
+            # an exactly zero pivot: a triangular solve would divide by it
             raise SolverError(self._failure())
         self.lu = (lu, piv)
-
-    def _trs(self, b, t):
-        """``M^{-1} b`` (``M^{-T} b`` with ``t = 1``) from the LU factors."""
-        if self.band is None:
-            return self._getrs(*self.lu, b, trans=t)[0]
-        return self._gbtrs(self.lu[0], self.band.kl, self.band.ku, b, self.lu[1],
-                           trans=t)[0]
-
-    def _residual(self, b, z, t):
-        """``b - M z`` (``b - M^T z`` with ``t = 1``), against the stored ``M``."""
-        M = self.M
-        if self.band is None:
-            return b - (M.T if t else M) @ z
-        # in a Fortran copy of b, one gbmv per column
-        rows = M.shape[1]
-        r = np.array(b, dtype=np.result_type(b, z), order="F")
-        r_flat = r.reshape(-1, order="F")
-        z_flat = np.asfortranarray(z).reshape(-1, order="F")
-        for off in range(0, r_flat.size, rows):
-            self.band.matvec(self._gbmv, M, z_flat, -1.0, offx=off, beta=1.0, y=r_flat,
-                             offy=off, overwrite_y=True, trans=t)
-        return r
 
     def _failure(self):
         if self.saddle:
@@ -440,11 +423,11 @@ class _ShiftFactor:
         shape, split = b.shape, np.iscomplexobj(b) and not np.iscomplexobj(self.M)
         if split:
             b = np.ascontiguousarray(b.reshape(rows, -1)).view(float)
-        z = self._trs(b, t)
-        # a singular factor yields inf/nan here; stop before any product with it
+        z = self._trs(b, trans=t)[0]
+        # a pivot too small for the data overflows here; stop before any product with it
         if not np.all(np.isfinite(z)):
             raise SolverError(self._failure())
-        z = z + self._trs(self._residual(b, z, t), t)
+        z = z + self._trs(self._residual(b, z, t), trans=t)[0]
         r = self._residual(b, z, t)
         res = _fro(r) / max(_fro(b), _TINY)
         if self.saddle and res > SADDLE_TOL:
@@ -488,16 +471,17 @@ def solve_shifted(E, A, sigma, rhs, pencil=None):
 
 
 class _LyapunovFactor:
-    """One LU of ``E`` and one real Schur form ``E^{-1} A = Z T Z^T``.
+    """One LU of ``E`` (``getrf``) and one real Schur form ``E^{-1} A = Z T Z^T``.
 
     Built only for a stable pencil: the diagonal of ``T`` carries the real
     parts of the eigenvalues (standardized 2x2 blocks have the pair's real
-    part on the diagonal).  :meth:`sylvester` is the one Bartels-Stewart
-    routine: on the factors of this pencil and of ``other``, a factor of a
-    second pencil ``(Ah, Eh)``, it solves ``A X Eh^T + E X Ah^T + RHS = 0``
-    or, with ``trans``, the dual ``A^T X Eh + E^T X Ah + RHS = 0``.
-    Without ``other`` it is the Lyapunov equation of this pencil, and
-    ``solve(RHS, trans)`` is that square case, gated on its residual.
+    part on the diagonal), a check that a singular ``E`` fails.
+    :meth:`sylvester` is the one Bartels-Stewart routine: on the factors of
+    this pencil and of ``other``, a factor of a second pencil ``(Ah, Eh)``,
+    it solves ``A X Eh^T + E X Ah^T + RHS = 0`` or, with ``trans``, the dual
+    ``A^T X Eh + E^T X Ah + RHS = 0``.  Without ``other`` it is the Lyapunov
+    equation of this pencil, and ``solve(RHS, trans)`` is that square case,
+    gated on its residual.
     """
 
     def __init__(self, A, E):
@@ -506,20 +490,27 @@ class _LyapunovFactor:
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.E.shape != (n, n):
             raise ValueError("lyapunov operands must be square and matching")
-        with _quiet_singular():
-            self.lu = la.lu_factor(self.E)
-            F = la.lu_solve(self.lu, self.A)
+        getrf, self._getrs = la.get_lapack_funcs(("getrf", "getrs"), (self.E,))
+        lu, piv, info = getrf(self.E)
+        self.lu = (lu, piv)
         abscissa = np.inf
-        if np.all(np.isfinite(F)):
-            self.T, self.Z = la.schur(F, output="real")
-            abscissa = float(np.diag(self.T).max())
+        # a zero pivot leaves E^{-1} A undefined, an overflow leaves it non-finite
+        if not info:
+            F = self._solve_e(self.A)
+            if np.all(np.isfinite(F)):
+                self.T, self.Z = la.schur(F, output="real")
+                abscissa = float(np.diag(self.T).max())
         if abscissa >= 0.0:
             raise SolverError(
                 f"unstable pencil: spectral abscissa {abscissa:.3e} >= 0"
             )
 
+    def _solve_e(self, b, trans=0):
+        """``E^{-1} b`` (``E^{-T} b`` with ``trans = 1``)."""
+        return self._getrs(*self.lu, b, trans=trans)[0]
+
     def sylvester(self, RHS, other=None, trans=False):
-        """``(X, |residual|_F)``, ungated; without ``other``, ``X`` is symmetrized.
+        """``(X, (|residual|_F, |RHS|_F))``, ungated; without ``other``, ``X`` is symmetrized.
 
         ``RHS`` is n-by-r for an ``other`` of order r.
         """
@@ -528,8 +519,7 @@ class _LyapunovFactor:
         RHS = np.asarray(RHS, dtype=float)
         if RHS.shape != (self.A.shape[0], other.A.shape[0]):
             raise ValueError("lyapunov operands must be square and matching")
-        lu, T, Z = self.lu, self.T, self.Z
-        luh, Th, Zh = other.lu, other.T, other.Z
+        T, Z, Th, Zh = self.T, self.Z, other.T, other.Z
         # trsyl solves op(T) Y + Y op(Th) = scale * C, scale <= 1 guarding
         # overflow; info = 1 (eigenvalues perturbed) is left to the residual
         # gate of the caller
@@ -537,17 +527,17 @@ class _LyapunovFactor:
             # W = E^T X Eh solves F^T W + W Fh + RHS = 0 with F = E^{-1} A
             Y, scale, _ = la.lapack.dtrsyl(T, Th, Z.T @ (-RHS @ Zh), trana="T")
             W = Z @ (Y / scale) @ Zh.T
-            X = la.lu_solve(luh, la.lu_solve(lu, W, trans=1).T, trans=1).T
+            X = other._solve_e(self._solve_e(W, 1).T, 1).T
             A, E, Ah, Eh = self.A.T, self.E.T, other.A.T, other.E.T
         else:
             # F X + X Fh^T + G = 0 with G = E^{-1} RHS Eh^{-T}
-            G = la.lu_solve(luh, la.lu_solve(lu, RHS).T).T
+            G = other._solve_e(self._solve_e(RHS).T).T
             Y, scale, _ = la.lapack.dtrsyl(T, Th, Z.T @ (-G @ Zh), tranb="T")
             X = Z @ (Y / scale) @ Zh.T
             A, E, Ah, Eh = self.A, self.E, other.A, other.E
         if square:
             X = 0.5 * (X + X.T)
-        return X, _fro(A @ X @ Eh.T + E @ X @ Ah.T + RHS)
+        return X, (_fro(A @ X @ Eh.T + E @ X @ Ah.T + RHS), _fro(RHS))
 
     def solve(self, RHS, trans=False):
         """Symmetric solution for symmetric ``RHS``, gated on its residual."""
@@ -557,14 +547,14 @@ class _LyapunovFactor:
         asym = _fro(RHS - RHS.T)
         if asym > 1e-10 * max(_fro(RHS), 1.0):
             raise ValueError(f"right-hand side not symmetric (|R - R^T| = {asym:.3e})")
-        X, res = self.sylvester(RHS, trans=trans)
-        _gate_lyapunov(res / max(_fro(RHS), _TINY))
+        X, (res, rhs) = self.sylvester(RHS, trans=trans)
+        _gate_lyapunov(res / max(rhs, _TINY))
         return X
 
 
 def _gate_lyapunov(res):
-    """Raise past ``LYAPUNOV_TOL`` on the relative residual ``res``, else record it."""
-    if res > LYAPUNOV_TOL:
+    """Raise past ``LYAPUNOV_TOL`` (or on NaN) on the relative residual ``res``, else record it."""
+    if not res <= LYAPUNOV_TOL:
         raise ResidualError(
             f"lyapunov solve residual {res:.3e} exceeds {LYAPUNOV_TOL:.0e}"
         )
@@ -575,11 +565,12 @@ def solve_lyapunov(A, E, RHS):
     """Solve ``A P E^T + E P A^T + RHS = 0`` for symmetric ``RHS``.
 
     The pencil ``(A, E)`` must be stable.  One LU factorization of ``E``
-    gives ``F = E^{-1} A`` and ``G = E^{-1} RHS E^{-T}``; the standard
-    equation ``F P + P F^T + G = 0`` is solved by Bartels-Stewart: one real
-    Schur form ``F = Z T Z^T``, whose diagonal carries the real parts of the
-    eigenvalues (the stability check), then ``trsyl`` on ``T``.  No
-    n^2-by-n^2 operator is formed.
+    (``getrf``) gives ``F = E^{-1} A`` and ``G = E^{-1} RHS E^{-T}``; the
+    standard equation ``F P + P F^T + G = 0`` is solved by Bartels-Stewart:
+    one real Schur form ``F = Z T Z^T``, whose diagonal carries the real
+    parts of the eigenvalues (the stability check, which a singular ``E``
+    fails as an unstable pencil), then ``trsyl`` on ``T``.  No n^2-by-n^2
+    operator is formed.
 
     With ``RHS=None`` the factorization is returned instead, as in
     :func:`solve_shifted`: an object whose ``solve(RHS, trans=False)``
@@ -588,6 +579,8 @@ def solve_lyapunov(A, E, RHS):
     runs the same Bartels-Stewart steps on the factors of two pencils,
     ``trsyl`` on ``(T, That)``: the cross blocks of the Gramians of a
     block-diagonal (error) system, O(n^2 r) for a second pencil of order r.
+    It returns the solution ungated with the Frobenius norms of its residual
+    and of ``RHS``, ``(X, (|R|, |RHS|))``.
     """
     fact = _LyapunovFactor(A, E)
     return fact if RHS is None else fact.solve(RHS)

@@ -20,11 +20,10 @@ squared norm is ``|full|^2 - 2 <full, red> + |red|^2``.
 :func:`error_system_norm` keeps what depends on the full model alone on
 that model's instance, built on the first call: the LU of ``E``, the Schur
 form of ``E^{-1} A``, ``P1, Q1, P_T, Q_T`` with their residual norms, the
-two traces and the nonzero ``N_k``, with read-only copies of the arrays it
-was built from, so that a system whose arrays were edited in place is
-solved again.  Each call then solves the r-by-r Gramians of the reduced
-model and four n-by-r Sylvester equations for the cross blocks, O(n^2 r)
-in all.
+two traces and the nonzero ``N_k``; a system's arrays are read-only, so
+the record holds as long as the instance.  Each call then solves the
+r-by-r Gramians of the reduced model and four n-by-r Sylvester equations
+for the cross blocks, O(n^2 r) in all.
 """
 
 from __future__ import annotations
@@ -77,16 +76,6 @@ def _lyap_residual(A, E, P, RHS):
     return float(num / max(np.linalg.norm(RHS), np.finfo(float).tiny))
 
 
-def _solve(lyap, rhs, trans=False, other=None):
-    """``(X, (|R|, |G|))`` of one equation on ``lyap`` (and ``other``), ungated.
-
-    ``|R|`` and ``|G|`` are the Frobenius norms of the equation's residual
-    and of its right-hand side ``rhs``; see ``_LyapunovFactor.sylvester``.
-    """
-    X, res = lyap.sylvester(rhs, other, trans)
-    return X, (res, float(np.linalg.norm(rhs)))
-
-
 def _gramian_pair(P, Q, norms, kind):
     """:class:`GramianPair` of ``P`` and ``Q`` once their residuals pass the gate.
 
@@ -103,8 +92,8 @@ def _gramian_pair(P, Q, norms, kind):
 def linear_gramians(sys):
     """Gramians of the linear part: ``A P E^T + E P A^T + B B^T = 0`` and dual."""
     lyap = solve_lyapunov(sys.A, sys.E, None)
-    P, norms_p = _solve(lyap, sys.B @ sys.B.T)
-    Q, norms_q = _solve(lyap, sys.C.T @ sys.C, True)
+    P, norms_p = lyap.sylvester(sys.B @ sys.B.T)
+    Q, norms_q = lyap.sylvester(sys.C.T @ sys.C, trans=True)
     return _gramian_pair(P, Q, (norms_p, norms_q), "linear")
 
 
@@ -243,44 +232,29 @@ class _SystemGramians:
 def _system_gramians(sys):
     """:class:`_SystemGramians` of ``sys``: one factorization, four solves."""
     lyap = solve_lyapunov(sys.A, sys.E, None)
-    P1, n1 = _solve(lyap, sys.B @ sys.B.T)
-    Q1, n2 = _solve(lyap, sys.C.T @ sys.C, True)
-    PT, n3 = _solve(lyap, _p_rhs(sys, P1))
-    QT, n4 = _solve(lyap, _q_rhs(sys, P1, Q1), True)
+    P1, n1 = lyap.sylvester(sys.B @ sys.B.T)
+    Q1, n2 = lyap.sylvester(sys.C.T @ sys.C, trans=True)
+    PT, n3 = lyap.sylvester(_p_rhs(sys, P1))
+    QT, n4 = lyap.sylvester(_q_rhs(sys, P1, Q1), trans=True)
     return _SystemGramians(
         lyap, _bilinear_terms(sys.N), (P1, Q1, PT, QT), (n1, n2, n3, n4),
         float(np.trace(sys.C @ PT @ sys.C.T)), float(np.trace(sys.B.T @ QT @ sys.B)))
-
-
-def _record_inputs(sys):
-    """The arrays of ``sys`` that its :class:`_SystemGramians` is built from.
-
-    ``H`` is left out: a :class:`~qbmor.tensor_kron.HessianTensor` is
-    immutable, and its own caches already rely on that.
-    """
-    return (sys.E, sys.A, sys.B, sys.C) + tuple(sys.N)
 
 
 def _kept_gramians(sys):
     """:func:`_system_gramians` of ``sys``, built on its first use and kept on it.
 
     The record sits in the instance's ``__dict__`` beside its dims, so it
-    is freed with the system, and its arrays are read-only.  It is kept
-    with read-only copies of :func:`_record_inputs`, because a system holds
-    its caller's arrays and those may be edited in place; a record whose
-    copies differ from the arrays is rebuilt.  A failed build raises and
-    stores nothing.
+    is freed with the system, and its arrays are read-only like the
+    system's own.  A failed build raises and stores nothing.
     """
     kept = vars(sys).get("_gramians")
-    inputs = _record_inputs(sys)
-    if kept is not None and all(np.array_equal(M, M0) for M, M0 in zip(inputs, kept[0])):
-        return kept[1]
-    record = _system_gramians(sys)
-    copies = tuple(np.array(M) for M in inputs)
-    for M in copies + record.gramians + (*record.lyap.lu, record.lyap.T, record.lyap.Z):
-        M.flags.writeable = False
-    object.__setattr__(sys, "_gramians", (copies, record))
-    return record
+    if kept is None:
+        kept = _system_gramians(sys)
+        for M in kept.gramians + (*kept.lyap.lu, kept.lyap.T, kept.lyap.Z):
+            M.flags.writeable = False
+        object.__setattr__(sys, "_gramians", kept)
+    return kept
 
 
 def error_system_norm(full, red):
@@ -316,10 +290,10 @@ def error_system_norm(full, red):
     B, C, Bh, Ch = full.B, full.C, red.Bhat, red.Chat
     Nh = dict(small.bilinear)
     bilinear = [(Nk, Nh[k]) for k, Nk in big.bilinear if k in Nh]
-    solve = partial(_solve, big.lyap, other=small.lyap)
+    solve = partial(big.lyap.sylvester, other=small.lyap)
 
     X1, n1 = solve(B @ Bh.T)
-    Y1, n2 = solve(-C.T @ Ch, True)
+    Y1, n2 = solve(-C.T @ Ch, trans=True)
     rhs = B @ Bh.T + hessian_congruence(full.H, 1, X1, X1) @ small_sys.H.mode(1).T
     for Nk, Nhk in bilinear:
         rhs = rhs + Nk @ X1 @ Nhk.T
@@ -327,7 +301,7 @@ def error_system_norm(full, red):
     rhs = -C.T @ Ch + hessian_congruence(full.H, 2, X1, Y1) @ small_sys.H.mode(2).T
     for Nk, Nhk in bilinear:
         rhs = rhs + Nk.T @ Y1 @ Nhk
-    YT, n4 = solve(rhs, True)
+    YT, n4 = solve(rhs, trans=True)
 
     _, tg = _pairs(
         [np.block([[Xf, Xc], [Xc.T, Xr]])

@@ -1,13 +1,14 @@
 """Domain types for full and reduced quadratic-bilinear systems.
 
-All types are immutable value objects validated at construction.  Each
-realization class lists its matrix fields, their shapes and what an absent
-field means once, in its ``FIELDS`` table; one ingestion function walks that
-table for every class, coercing each field to a float matrix, reading the
-dims off the first field that names them, checking every shape and filling
-absent optional fields with zeros.  ``__post_init__`` then adds only the
-checks beyond shape.  Hessians are symmetrized on ingestion so that
-downstream formulas may rely on ``H(a kron b) == H(b kron a)``.
+All types are immutable value objects validated at construction, holding
+read-only private copies of their arrays.  Each realization class lists
+its matrix fields, their shapes and what an absent field means once, in
+its ``FIELDS`` table; one ingestion function walks that table for every
+class, coercing each field to a float matrix, reading the dims off the
+first field that names them, checking every shape and filling absent
+optional fields with zeros.  ``__post_init__`` then adds only the checks
+beyond shape.  Hessians are symmetrized on ingestion so that downstream
+formulas may rely on ``H(a kron b) == H(b kron a)``.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ def _coerce(name, value, axes, dims):
     """``value`` as a float matrix of shape ``axes``; fixes the dims not yet in ``dims``.
 
     A field named ``H`` becomes a symmetrized :class:`HessianTensor` (from a
-    tensor, a dense (n, n, n) array or a mode-1 unfolding, dense or sparse).
-    A 1-D value is a column, or a row when only its second axis is known; a
+    tensor, a dense (n, n, n) array or a mode-1 unfolding, dense or sparse),
+    which is immutable.  Any other value is a read-only private copy.  A
+    1-D value is a column, or a row when only its second axis is known; a
     field whose second axis is the literal 1 is stored as a vector.
     """
     if name == "H":
@@ -82,7 +84,8 @@ def _coerce(name, value, axes, dims):
         value = symmetrize(value)
         shape = (value.n, value.n * value.n)
     else:
-        value = np.asarray(value.toarray() if sp.issparse(value) else value, dtype=float)
+        value = np.array(value.toarray() if sp.issparse(value) else value, dtype=float)
+        value.flags.writeable = False
         if value.ndim == 1:
             row = axes[0] not in dims and axes[1] in dims
             value = value.reshape((1, -1) if row else (-1, 1))
@@ -380,4 +383,4 @@ def project_dae_outputs(corr, V):
         )
     CHhat = apply_unfolded(corr.CH, V, V)
     CNhat = tuple(M @ V for M in corr.CN)
-    return CHhat, CNhat, corr.D.copy()
+    return CHhat, CNhat, corr.D

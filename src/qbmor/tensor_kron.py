@@ -51,7 +51,7 @@ _DENSE_FILL = 0.25
 class HessianTensor:
     """Sparse third-order tensor of shape (n, n, n).
 
-    Stored as canonical coordinate triplets ``(i, j, k, value)``, sorted
+    Stored as read-only canonical triplets ``(i, j, k, value)``, sorted
     lexicographically and with duplicates summed.  With ``symmetric=True``
     the given triplets are first averaged with their (2,3)-swap, so that
     ``t[i, j, k] == t[i, k, j]`` holds entry-wise; data that is already
@@ -70,10 +70,8 @@ class HessianTensor:
         n = int(n)
         if n < 1:
             raise ValueError(f"tensor dimension must be positive, got {n}")
-        i = np.asarray(i, dtype=np.int64).ravel()
-        j = np.asarray(j, dtype=np.int64).ravel()
-        k = np.asarray(k, dtype=np.int64).ravel()
-        v = np.asarray(v, dtype=np.float64).ravel()
+        i, j, k = (np.array(a, dtype=np.int64).ravel() for a in (i, j, k))
+        v = np.array(v, dtype=np.float64).ravel()
         if not (i.size == j.size == k.size == v.size):
             raise ValueError("index and value arrays must have equal length")
         if i.size and (
@@ -96,6 +94,8 @@ class HessianTensor:
             v = vals
         self.n = n
         self.symmetric = bool(symmetric)
+        for a in (i, j, k, v):
+            a.flags.writeable = False
         self._i, self._j, self._k, self._v = i, j, k, v
         self._modes = {}
         self._stored = {}

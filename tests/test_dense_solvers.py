@@ -483,11 +483,7 @@ def narrow_saddle_blocks(n_v, seed=0):
 def lapack_routines(monkeypatch):
     """Names of the LAPACK routines that shift factors call, one entry per call."""
     calls = []
-    lu_factor, fetch = la.lu_factor, la.get_lapack_funcs
-
-    def counted_lu_factor(*args, **kwargs):
-        calls.append("getrf")
-        return lu_factor(*args, **kwargs)
+    fetch = la.get_lapack_funcs
 
     def counted_fetch(names, arrays=(), dtype=None):
         def counted(f):
@@ -497,7 +493,6 @@ def lapack_routines(monkeypatch):
             return call
         return [counted(f) for f in fetch(names, arrays, dtype)]
 
-    monkeypatch.setattr(la, "lu_factor", counted_lu_factor)
     monkeypatch.setattr(la, "get_lapack_funcs", counted_fetch)
     return calls
 
@@ -546,6 +541,54 @@ def test_band_collision_raises_the_shift_collision_error(lapack_routines):
     with pytest.raises(SolverError, match=r"^shift collides with spectrum \(sigma=1\.0\)$"):
         solve_shifted(np.eye(20), -np.diag(np.arange(1.0, 21.0)), 1.0, np.ones(20))
     assert lapack_routines == ["gbtrf"]
+
+
+def test_dense_collision_raises_before_any_solve(lapack_routines):
+    # -sigma E - A has a zero column in a dense pattern: getrf's info refuses it
+    rng = np.random.default_rng(42)
+    A = rng.standard_normal((20, 20))
+    A[:, 7] = 0.0
+    A[7, 7] = -1.0
+    fact = None
+    with pytest.raises(SolverError, match=r"^shift collides with spectrum \(sigma=1\.0\)$"):
+        fact = solve_shifted(np.eye(20), A, 1.0, None)
+    assert fact is None and lapack_routines == ["getrf"]
+
+
+def test_dense_singular_saddle_raises_before_any_solve(lapack_routines):
+    # a zero column of A12 leaves a zero column in the dense saddle matrix
+    rng = np.random.default_rng(43)
+    E11, A11 = np.eye(10) + 0.1 * rng.standard_normal((10, 10)), rng.standard_normal((10, 10))
+    A12, A21 = rng.standard_normal((10, 2)), rng.standard_normal((2, 10))
+    A12[:, 1] = 0.0
+    with pytest.raises(SolverError, match=r"^singular saddle matrix at sigma=0\.5$"):
+        solve_saddle(E11, A11, A12, A21, 0.5, np.ones(10))
+    assert lapack_routines == ["getrf"]
+
+
+def test_lyapunov_with_singular_mass_matrix_is_an_unstable_pencil():
+    with pytest.raises(SolverError, match=r"^unstable pencil: spectral abscissa inf >= 0$"):
+        solve_lyapunov(-np.eye(3), np.diag([1.0, 0.0, 1.0]), None)
+
+
+def test_lyapunov_gate_refuses_a_non_finite_residual():
+    # the raw getrs checks no input for NaN: the residual gate must refuse it
+    E, A = stable_pencil(46, 5)
+    with pytest.raises(ResidualError, match=r"^lyapunov solve residual nan exceeds 1e-09$"):
+        solve_lyapunov(A, E, np.full((5, 5), np.nan))
+
+
+def test_sylvester_returns_the_residual_and_rhs_norms():
+    E, A = stable_pencil(44, 8)
+    Eh, Ah = stable_pencil(45, 3)
+    fact, other = solve_lyapunov(A, E, None), solve_lyapunov(Ah, Eh, None)
+    rng = np.random.default_rng(44)
+    for RHS, lyap, (Ar, Er) in ((np.eye(8), None, (A, E)),
+                                (rng.standard_normal((8, 3)), other, (Ah, Eh))):
+        X, (res, rhs) = fact.sylvester(RHS, lyap)
+        assert rhs == np.linalg.norm(RHS)
+        assert res == np.linalg.norm(A @ X @ Er.T + E @ X @ Ar.T + RHS)
+        assert res <= 1e-12 * rhs
 
 
 @pytest.mark.parametrize("kind, message", [

@@ -347,22 +347,33 @@ def test_kept_gramians_are_read_only_and_freed_with_the_system():
     assert all(r() is None for r in refs)
 
 
-def test_kept_gramians_follow_in_place_edits_of_the_full_model(monkeypatch):
+def held_arrays(system):
+    """Every array a system holds: its fields, per-input tuples and Hessian triplets."""
+    for f in dataclasses.fields(system):
+        value = getattr(system, f.name)
+        for M in value if isinstance(value, tuple) else (value,):
+            yield from ((M._i, M._j, M._k, M._v) if isinstance(M, HessianTensor) else (M,))
+
+
+def test_systems_own_read_only_arrays(monkeypatch):
+    from qbmor.problems import gen_synthetic_dae
+
     full, red = bilinear_model()
-    first = error_system_norm(full, red)
+    for system in (full, red, gen_synthetic_dae(10, 2, m=2, p=2, seed=1, with_c2=True)):
+        for M in held_arrays(system):
+            with pytest.raises(ValueError, match="read-only"):
+                M[...] = 0.0
+    # a system built from the caller's arrays keeps none of them
+    mine = {"E": full.E.copy(), "A": full.A.copy(), "B": full.B.copy(),
+            "C": full.C.copy(), "N": [Nk.copy() for Nk in full.N]}
+    own = QbOdeSystem(H=full.H, **mine)
+    first = error_system_norm(own, red)
     calls = counted_schur(monkeypatch)
-    full.C[0] *= 2.0
-    edited = error_system_norm(full, red)
-    assert calls == [(12, 12), (4, 4)]
-    assert edited != first
-    assert edited == pytest.approx(assembled_error_norm(full, red), rel=1e-8)
-    full.N[1][0, 0] += 0.1
-    calls.clear()
-    assert error_system_norm(full, red) != edited
-    assert calls == [(12, 12), (4, 4)]
-    # the record keeps copies, so editing them is refused
-    with pytest.raises(ValueError, match="read-only"):
-        vars(full)["_gramians"][0][3][0, 0] = 0.0
+    for M in (mine["E"], mine["A"], mine["B"], mine["C"], *mine["N"]):
+        M[0] += 1.0
+    assert all(np.array_equal(M, M0) for M, M0 in zip(held_arrays(own), held_arrays(full)))
+    assert error_system_norm(own, red) == first
+    assert calls == [(4, 4)]
 
 
 def test_unstable_models_raise_on_every_call():

@@ -36,3 +36,13 @@ def test_modules_use_every_name_they_import():
                   if (alias.asname or alias.name.split(".")[0]) not in used
                   and "# noqa: F401" not in lines[alias.lineno - 1]]
     assert stale == []
+
+
+def test_every_lu_is_a_raw_lapack_call():
+    # one LU idiom: getrf or gbtrf with ``info`` checked, never the wrappers
+    # that warn on a zero pivot, and no warning filters around them
+    found = [f"{path.stem}: {word}"
+             for path in sorted(pathlib.Path(qbmor.__file__).parent.glob("*.py"))
+             for word in ("lu_factor", "lu_solve", "catch_warnings")
+             if word in path.read_text()]
+    assert found == []

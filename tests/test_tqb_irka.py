@@ -260,20 +260,15 @@ def user_model(Ahat, m, p, seed=0):
 
 def count_full_order_factorizations(monkeypatch, n):
     """Record every LU factorization of an ``n``-row matrix in dense_solvers,
-    dense (``lu_factor``) or banded (``gbtrf``, whose band has ``n`` columns)."""
+    dense (``getrf``) or banded (``gbtrf``, whose band has ``n`` columns)."""
     calls = []
-    lu_factor, fetch = dense_solvers.la.lu_factor, dense_solvers.la.get_lapack_funcs
+    fetch = dense_solvers.la.get_lapack_funcs
 
-    def counted(M, *args, **kwargs):
-        if M.shape[0] == n:
-            calls.append(M.shape)
-        return lu_factor(M, *args, **kwargs)
-
-    def counted_gbtrf(gbtrf):
-        def call(ab, *args, **kwargs):
-            if ab.shape[1] == n:
-                calls.append(ab.shape)
-            return gbtrf(ab, *args, **kwargs)
+    def counted(trf):
+        def call(a, *args, **kwargs):
+            if a.shape[1] == n:
+                calls.append(a.shape)
+            return trf(a, *args, **kwargs)
         return call
 
     def counted_fetch(names, *args, **kwargs):
@@ -281,10 +276,9 @@ def count_full_order_factorizations(monkeypatch, n):
         funcs = fetch(names, *args, **kwargs)
         if isinstance(names, str):
             return funcs
-        return [counted_gbtrf(f) if name == "gbtrf" else f
+        return [counted(f) if name in ("getrf", "gbtrf") else f
                 for name, f in zip(names, funcs)]
 
-    monkeypatch.setattr(dense_solvers.la, "lu_factor", counted)
     monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted_fetch)
     return calls
 
