@@ -116,6 +116,14 @@ def _cmd_simulate(args):
     simulate = simulate_dae if isinstance(system, QbDaeSystem) else simulate_ode
     traj = simulate(system, _make_input(args.input, system.m), args.t_final, args.dt)
     traj.to_csv(args.out)
+    # Newton linear solves and final residual per CSV row, beside the CSV
+    iters = traj.newton_iters
+    write_json(os.path.splitext(args.out)[0] + ".newton.json", {
+        "newton_iters": iters.tolist(),
+        "newton_residuals": traj.newton_residuals.tolist(),
+        "total_solves": int(iters.sum()),
+        "max_solves_per_step": int(iters.max()),
+    })
     print(args.out)
     return 0
 

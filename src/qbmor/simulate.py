@@ -3,11 +3,13 @@
 Fixed-step implicit Euler with an exact Newton corrector is used for both the
 unconstrained and the descriptor form; the descriptor steps solve the coupled
 velocity-multiplier saddle system including the constraint row.  Fixed steps
-keep runs reproducible.  Each simulation stores its Newton matrix banded
-(LAPACK ``gbsv``) when the system's pattern is narrow and dense (``gesv``)
-otherwise, by the band rule shared with the shift factorizations of
-:mod:`qbmor.dense_solvers`; input signals of the library are sampled over
-the whole grid at once.
+keep runs reproducible.  Each step's Newton iteration starts from the
+quadratic extrapolation of the last three states (multipliers included), so
+a smooth input takes one Newton solve per step.  Each simulation stores its
+Newton matrix banded (LAPACK ``gbsv``) when the system's pattern is narrow
+and dense (``gesv``) otherwise, by the band rule shared with the shift
+factorizations of :mod:`qbmor.dense_solvers`; input signals of the library
+are sampled over the whole grid at once.
 """
 
 from __future__ import annotations
@@ -153,9 +155,10 @@ def _rows(f, m):
 class Trajectory:
     """Uniform-grid trajectory with inputs, states and outputs per step.
 
-    ``newton_iters[k]`` and ``newton_residuals[k]`` are the Newton
-    iterations (linear solves) and the final residual norm of the step that
-    reached ``t[k]``; entry 0 is zero.  Neither is written to CSV.
+    ``newton_iters[k]`` counts the Newton linear solves, and
+    ``newton_residuals[k]`` is the final residual norm, of the step that
+    reached ``t[k]``; entry 0 is zero.  Neither is written to the CSV;
+    ``qbmor simulate`` writes both to a JSON file beside it.
     """
 
     t: np.ndarray
@@ -225,10 +228,15 @@ class _NewtonStep:
         K(u) = [[E - dt A - dt sum_k u_k N_k, -dt A12], [A21, 0]],
 
     by exact Newton.  An ODE has no multiplier block, and all-zero ``N_k``
-    are dropped.  ``E - dt A`` and the constraint blocks are written once per
-    simulation, the bilinear term once per step, and each iteration evaluates
-    ``quadratic_jacobian`` once, subtracts it from the velocity block of a
-    copy of ``K(u)`` and factors that copy.
+    are dropped.  Step ``k`` starts from ``Z[0]`` at ``k = 1``, from
+    ``2 Z[1] - Z[0]`` at ``k = 2`` and from the quadratic extrapolation
+    ``3 (Z[k-1] - Z[k-2]) + Z[k-3]`` after that, whose error is O(dt^3) on a
+    smooth trajectory, so one solve meets the tolerance; the right-hand
+    side and the tolerance ``NEWTON_TOL * max(1, |x_old|)`` come from the
+    previous state ``x_old``.  ``E - dt A`` and the constraint blocks are
+    written once per simulation, the bilinear term once per step, and each
+    iteration evaluates ``quadratic_jacobian`` once, subtracts it from the
+    velocity block of a copy of ``K(u)`` and factors that copy.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
     ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
@@ -280,10 +288,17 @@ class _NewtonStep:
         resid = np.zeros(t.size)
         Z[0] = z0
         for k in range(1, t.size):
-            Z[k], iters[k], resid[k] = self._newton(Z[k - 1], U[k], k, t[k])
+            if k == 1:
+                z = Z[0].copy()
+            elif k == 2:
+                z = 2.0 * Z[1] - Z[0]
+            else:
+                z = 3.0 * (Z[k - 1] - Z[k - 2]) + Z[k - 3]
+            Z[k], iters[k], resid[k] = self._newton(Z[k - 1], z, U[k], k, t[k])
         return Z, iters, resid
 
-    def _newton(self, z_old, u, k, tk):
+    def _newton(self, z_old, z, u, k, tk):
+        """Newton from the start ``z`` (overwritten) for the step that leaves ``z_old``."""
         n, dt, H, K, J, mv = self.n, self.dt, self.H, self._K, self._J, self._mv
         np.copyto(self._Kv, self._S)
         for q, Nq in self._N:
@@ -291,7 +306,6 @@ class _NewtonStep:
         x_old = z_old[:n]
         c = np.concatenate([mv(self._E, x_old) + dt * (self.B @ u), self._mB2 @ u])
         tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(x_old)))
-        z = z_old.copy()
         for it in range(NEWTON_MAX + 1):
             x = z[:n]
             res = mv(K, z) - c

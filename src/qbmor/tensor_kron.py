@@ -60,7 +60,8 @@ class HessianTensor:
     Caches built on first use live in slots, so they are freed with the
     tensor: the unfoldings and their stored-column restrictions, the
     Jacobian scatter pattern per layout and, for a tensor with a high stored
-    fill, its dense forms.
+    fill, its dense forms.  Their arrays are read-only like the triplets, so
+    every kernel reads the same tensor.
     """
 
     __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_stored", "_jac",
@@ -94,8 +95,7 @@ class HessianTensor:
             v = vals
         self.n = n
         self.symmetric = bool(symmetric)
-        for a in (i, j, k, v):
-            a.flags.writeable = False
+        _freeze(i, j, k, v)
         self._i, self._j, self._k, self._v = i, j, k, v
         self._modes = {}
         self._stored = {}
@@ -151,9 +151,8 @@ class HessianTensor:
             rows, cols = self._j, self._k * n + self._i
         else:
             rows, cols = self._k, self._j * n + self._i
-        M = sp.csr_matrix(
-            (self._v.copy(), (rows, cols)), shape=(n, n * n)
-        )
+        M = sp.csr_matrix((self._v, (rows, cols)), shape=(n, n * n))
+        _freeze(M.data, M.indices, M.indptr)
         self._modes[mode] = M
         return M
 
@@ -162,6 +161,7 @@ class HessianTensor:
         cached = self._stored.get(mode)
         if cached is None:
             cached = self._stored[mode] = _stored_columns(self.mode(mode), self.n)
+            _freeze(cached.Hc.data, cached.Hc.indices, cached.Hc.indptr, cached.a, cached.b)
         return cached
 
     def _jacobian_pattern(self, band=None):
@@ -190,6 +190,7 @@ class HessianTensor:
                 raise ValueError(f"tensor Jacobian pattern exceeds the band "
                                  f"(kl, ku) = ({band.kl}, {band.ku})")
             pattern = (col * band.rows + band.row(row, col), operand, values)
+        _freeze(*pattern)
         self._jac[band] = pattern
         return pattern
 
@@ -208,6 +209,7 @@ class HessianTensor:
             else:
                 T = self.to_dense()
                 G = (T + T.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(n * n, n)
+                _freeze(T, G)
                 self._dense = (T.reshape(n, n * n), G)
         return self._dense or None
 
@@ -394,6 +396,12 @@ def _stored_columns(M, n):
     a, b = np.divmod(cols, n)
     Hc = sp.csr_matrix((M.data, pos, M.indptr), shape=(M.shape[0], cols.size))
     return _StoredColumns(Hc, a, b, M.shape)
+
+
+def _freeze(*arrays):
+    """Mark ``arrays`` read-only, so that no kernel sees a cache another has edited."""
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _scatter_sum(index, weights, size):

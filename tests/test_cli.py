@@ -149,6 +149,35 @@ def test_simulate_preset_first_row_zero(tmp_path):
     assert first[header.index("u_1")] == 0.0  # preset input vanishes at t = 0
 
 
+@pytest.mark.parametrize("problem", ["burgers", "dae"])
+def test_simulate_writes_newton_counts_beside_the_csv(tmp_path, problem):
+    from qbmor.problems import gen_synthetic_dae, load_system
+    from qbmor.simulate import InputSignal, simulate_dae, simulate_ode
+
+    sysdir = tmp_path / "sys"
+    if problem == "burgers":
+        save_system(gen_burgers(12, 0.1), sysdir)
+    else:
+        save_system(gen_synthetic_dae(12, 3, seed=1, with_b2=True), sysdir)
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", "--system", str(sysdir / "manifest.json"),
+                "--t-final", "1", "--dt", "0.01", "--out", str(out)]) == 0
+    system = load_system(sysdir / "manifest.json")
+    simulate = simulate_ode if problem == "burgers" else simulate_dae
+    traj = simulate(system, InputSignal.preset_cavity(system.m), 1.0, 0.01)
+    counts = json.loads((tmp_path / "traj.newton.json").read_text())
+    assert sorted(counts) == ["max_solves_per_step", "newton_iters", "newton_residuals",
+                              "total_solves"]
+    assert counts["newton_iters"] == traj.newton_iters.tolist()
+    assert counts["newton_residuals"] == traj.newton_residuals.tolist()
+    assert counts["total_solves"] == traj.newton_iters.sum()
+    assert counts["max_solves_per_step"] == traj.newton_iters.max()
+    assert len(counts["newton_iters"]) == traj.t.size
+    # the CSV is the library's own, with nothing added
+    traj.to_csv(tmp_path / "library.csv")
+    assert out.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
 def test_compare_identical_files(tmp_path):
     sysdir = tmp_path / "sys"
     save_system(gen_burgers(12, 0.1), sysdir)

@@ -19,6 +19,7 @@ from qbmor.simulate import (
 )
 from qbmor.system_model import QbDaeSystem, QbOdeSystem, project_ode
 from qbmor.tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
+from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
 
 from helpers import random_stable_ode
 
@@ -178,12 +179,28 @@ def test_non_finite_input_fails_newton():
         simulate_ode(gen_burgers(8, 0.5), u, 1.0, 0.1)
 
 
-def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2):
-    """Implicit Euler written from the definition, one dense Newton solve at a time."""
+def extrapolated_start(Z):
+    """Quadratic extrapolation of the states so far, linear after two and constant after one."""
+    if len(Z) == 1:
+        return Z[0].copy()
+    if len(Z) == 2:
+        return 2.0 * Z[1] - Z[0]
+    return 3.0 * (Z[-1] - Z[-2]) + Z[-3]
+
+
+def previous_start(Z):
+    return Z[-1].copy()
+
+
+def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_start):
+    """Implicit Euler written from the definition, one dense Newton solve at a time.
+
+    Each step's Newton iteration starts from ``start(Z)``, the states so far.
+    """
     n, n_c = A.shape[0], A12.shape[1]
     Z = [z0]
     for u in U[1:]:
-        x_old, z = Z[-1][:n], Z[-1].copy()
+        x_old, z = Z[-1][:n], start(Z)
         for _ in range(NEWTON_MAX):
             x, p = z[:n], z[n:]
             f = (A @ x + A12 @ p + apply_hessian(H, x, x) + B @ u
@@ -212,8 +229,9 @@ def test_newton_step_matches_reference(kind, lapack_calls):
         traj = simulate_dae(sys, u, 1.0, dt)
         z0 = np.concatenate([sys.v0, recover_pressure(sys, sys.v0, u.sample(0.0),
                                                       udot=u.derivative(0.0))])
-        Z = reference_euler(sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt, traj.inputs,
-                            z0, sys.A12, sys.A21, sys.B2)
+        args = (sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt, traj.inputs,
+                z0, sys.A12, sys.A21, sys.B2)
+        Z = reference_euler(*args)
         V, P = Z[:, :n], Z[:, n:]
         Y = V @ sys.C1.T + P @ sys.C2.T
         cres = np.linalg.norm(V @ sys.A21.T + traj.inputs @ sys.B2.T, axis=1)
@@ -235,9 +253,10 @@ def test_newton_step_matches_reference(kind, lapack_calls):
             H = HessianTensor.from_mode1(sys.Hhat)
         u = InputSignal.preset_cavity(B.shape[1])
         traj = simulate_ode(sys, u, 1.0, dt)
-        Z = reference_euler(E, A, H, N, B, dt, traj.inputs, np.zeros(A.shape[0]),
-                            np.zeros((A.shape[0], 0)), np.zeros((0, A.shape[0])),
-                            np.zeros((0, B.shape[1])))
+        args = (E, A, H, N, B, dt, traj.inputs, np.zeros(A.shape[0]),
+                np.zeros((A.shape[0], 0)), np.zeros((0, A.shape[0])),
+                np.zeros((0, B.shape[1])))
+        Z = reference_euler(*args)
         Y = Z @ C.T
         if kind == "reduced":
             Y = Y + np.array([sys.CHhat @ np.kron(x, x) + sys.Dhat @ uk
@@ -246,6 +265,52 @@ def test_newton_step_matches_reference(kind, lapack_calls):
     assert set(lapack_calls) == {solver}
     assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
     assert np.linalg.norm(traj.outputs - Y) <= 1e-12 * np.linalg.norm(Y)
+    # the start moves the states by no more than the Newton tolerance allows
+    Z_prev = reference_euler(*args, start=previous_start)
+    assert np.linalg.norm(traj.states - Z_prev) <= 1e-8 * np.linalg.norm(Z_prev)
+
+
+def step_input(m):
+    """Tabulated input on every channel: 0, then 1 from t = 0.5, then -0.5 from t = 1."""
+    t = np.array([0.0, 0.5, 0.5 + 1e-9, 1.0, 1.0 + 1e-9, 2.0])
+    return InputSignal.from_table(t, np.repeat([[0.0], [0.0], [1.0], [1.0], [-0.5], [-0.5]],
+                                               m, axis=1))
+
+
+@pytest.mark.parametrize("kind, dt", [("burgers", 0.01), ("burgers", 0.2),
+                                      ("dae", 0.01), ("dae", 0.1)])
+def test_step_inputs_converge_from_the_extrapolated_start(kind, dt):
+    if kind == "burgers":
+        sys = gen_burgers(100, 0.01)
+        u = step_input(1)
+        traj = simulate_ode(sys, u, 2.0, dt)
+        n = sys.n
+        args = (sys.E, sys.A, sys.H, sys.N, sys.B, dt, traj.inputs, np.zeros(n),
+                np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, 1)))
+    else:
+        sys = gen_synthetic_dae(60, 12, with_b2=True)
+        u = step_input(2)
+        traj = simulate_dae(sys, u, 2.0, dt)
+        n = sys.n_v
+        z0 = np.concatenate([sys.v0, recover_pressure(sys, sys.v0, u.sample(0.0),
+                                                      udot=u.derivative(0.0))])
+        args = (sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt, traj.inputs, z0,
+                sys.A12, sys.A21, sys.B2)
+    x_old = traj.states[:-1, :n]
+    tol = NEWTON_TOL * np.maximum(1.0, np.linalg.norm(x_old, axis=1))
+    assert np.all(traj.newton_residuals[1:] <= tol)
+    Z_prev = reference_euler(*args, start=previous_start)
+    assert np.linalg.norm(traj.states - Z_prev) <= 1e-8 * np.linalg.norm(Z_prev)
+
+
+def test_smooth_input_takes_one_newton_solve_per_step():
+    burgers = gen_burgers(100, 0.01)
+    red, _ = tqb_irka_ode(burgers, IrkaConfig(r=10, tol=1e-5, max_iters=50, seed=0))
+    cavity = InputSignal.preset_cavity
+    for traj in (simulate_ode(burgers, cavity(1), 10.0, 0.01),
+                 simulate_ode(red, cavity(1), 10.0, 0.01),
+                 simulate_dae(gen_synthetic_dae(60, 12), cavity(2), 10.0, 0.01)):
+        assert traj.newton_iters.sum() <= 1.05 * (traj.t.size - 1)
 
 
 def test_input_channel_mismatch():

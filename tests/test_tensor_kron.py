@@ -541,3 +541,33 @@ def test_stored_column_restriction_is_kept_per_mode(monkeypatch):
     # a dense unfolding is contracted as it is, with no restriction
     apply_unfolded(t.mode1.toarray(), L, L)
     assert len(calls) == 2
+
+
+def test_cached_forms_are_read_only():
+    from qbmor.problems import gen_burgers
+
+    burgers = gen_burgers(12, 0.01).H
+    x = np.linspace(-1.0, 1.0, 12)
+    before = (apply_hessian(burgers, x, x), hessian_congruence(burgers, 1, x[:, None], x[:, None]))
+    full = counting_tensor(4)
+    assert burgers._dense_forms() is None and full._dense_forms() is not None
+    cached = []
+    for t in (burgers, full):
+        for mode in (1, 2, 3):
+            M = t.mode(mode)
+            cached += [M.data, M.indices, M.indptr]
+        for mode in (1, 2):
+            Hc, a, b, _ = t._restriction(mode)
+            cached += [Hc.data, Hc.indices, Hc.indptr, a, b]
+        cached += [*t._jacobian_pattern(), *t._jacobian_pattern((t.n - 1, t.n - 1))]
+    H1, G = full._dense_forms()
+    cached += [H1, H1.base, G]
+    for arr in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        burgers.mode(1).data *= 2.0
+    # both kernels still read the same tensor
+    after = (apply_hessian(burgers, x, x), hessian_congruence(burgers, 1, x[:, None], x[:, None]))
+    assert all(np.array_equal(p, q) for p, q in zip(before, after))
+    assert np.allclose(after[0], after[1][:, 0], rtol=1e-14, atol=1e-15)
