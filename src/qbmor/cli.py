@@ -24,7 +24,7 @@ from .gramians_norms import truncated_h2_norm
 from .mmio import _read_table, write_json
 from .problems import gen_burgers, gen_synthetic_dae, load_system, save_system
 from .simulate import InputSignal, Trajectory, compare, simulate_dae, simulate_ode
-from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
+from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem, _reduced_ode
 from .tqb_irka import IrkaConfig, tqb_irka_dae_saddle, tqb_irka_ode
 
 USAGE_ERROR = 2
@@ -147,9 +147,7 @@ def _cmd_norm(args):
         ode, _ = explicit_ode(system, build_projectors(system))
         value = truncated_h2_norm(ode)
     elif isinstance(system, ReducedQbSystem):
-        ode = QbOdeSystem(E=system.Ehat, A=system.Ahat, H=system.Hhat,
-                          N=system.Nhat, B=system.Bhat, C=system.Chat)
-        value = truncated_h2_norm(ode)
+        value = truncated_h2_norm(_reduced_ode(system))
     else:
         value = truncated_h2_norm(system)
     print(f"{value:.12f}")

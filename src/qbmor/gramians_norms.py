@@ -8,7 +8,8 @@ Gramians:
     ``A^T Q_T E + E^T Q_T A = -C^T C - H2 (P1 kron Q1) H2^T - sum N_k^T Q1 N_k``
 
 with ``H2`` the mode-2 unfolding.  The quadratic terms come from
-:func:`~qbmor.tensor_kron.hessian_gram`, which forms no n-by-n^2 array, and
+:func:`~qbmor.tensor_kron.hessian_gram`, which forms no ``P kron P`` and,
+unless the tensor keeps dense forms, no n-by-n^2 array, and
 all Lyapunov equations of one system are solved on one factorization of its
 pencil (``solve_lyapunov(A, E, None)``), the dual ones with ``trans=True``.
 The truncated H2 norm is ``sqrt(trace(C P_T C^T))`` and must agree with
@@ -23,7 +24,9 @@ form of ``E^{-1} A``, ``P1, Q1, P_T, Q_T`` with their residual norms, the
 two traces and the nonzero ``N_k``; a system's arrays are read-only, so
 the record holds as long as the instance.  Each call then solves the
 r-by-r Gramians of the reduced model and four n-by-r Sylvester equations
-for the cross blocks, O(n^2 r) in all.
+for the cross blocks, O(n^2 r) in all, on the realization the reduced
+model keeps (:func:`~qbmor.system_model._reduced_ode`), whose tensor is
+built once per reduced model.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .dense_solvers import SolverError, _gate_lyapunov, solve_lyapunov
-from .system_model import QbOdeSystem, _bilinear_terms
+from .system_model import _bilinear_terms, _reduced_ode
 from .tensor_kron import hessian_congruence, hessian_gram
 
 __all__ = [
@@ -284,8 +287,7 @@ def error_system_norm(full, red):
             f"output dimensions differ: full has {full.p}, reduced has {red.p}"
         )
     big = _kept_gramians(full)
-    small_sys = QbOdeSystem(E=red.Ehat, A=red.Ahat, H=red.Hhat, N=red.Nhat,
-                            B=red.Bhat, C=red.Chat)
+    small_sys = _reduced_ode(red)
     small = _system_gramians(small_sys)
     B, C, Bh, Ch = full.B, full.C, red.Bhat, red.Chat
     Nh = dict(small.bilinear)

@@ -10,6 +10,12 @@ Newton matrix banded (LAPACK ``gbsv``) when the system's pattern is narrow
 and dense (``gesv``) otherwise, by the band rule shared with the shift
 factorizations of :mod:`qbmor.dense_solvers`; input signals of the library
 are sampled over the whole grid at once.
+
+The Newton matrix and every step's input terms are bound once per
+simulation, ``E x_old`` and any bilinear terms once per step, and each
+iteration forms only a fresh residual and the exact Jacobian with its one
+factorization (:class:`_NewtonStep`).  A reduced model is simulated through
+the :class:`~qbmor.system_model.QbOdeSystem` of its matrices that it keeps.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from scipy.linalg.lapack import dgbsv, dgesv
 from .dae_transform import recover_pressure
 from .dense_solvers import SolverError, _Band
 from .mmio import _read_table, atomic_open
-from .system_model import ReducedQbSystem, _bilinear_terms
-from .tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
+from .system_model import ReducedQbSystem, _bilinear_terms, _reduced_ode
+from .tensor_kron import apply_hessian, quadratic_jacobian
 
 __all__ = [
     "InputSignal",
@@ -233,10 +239,19 @@ class _NewtonStep:
     ``3 (Z[k-1] - Z[k-2]) + Z[k-3]`` after that, whose error is O(dt^3) on a
     smooth trajectory, so one solve meets the tolerance; the right-hand
     side and the tolerance ``NEWTON_TOL * max(1, |x_old|)`` come from the
-    previous state ``x_old``.  ``E - dt A`` and the constraint blocks are
-    written once per simulation, the bilinear term once per step, and each
-    iteration evaluates ``quadratic_jacobian`` once, subtracts it from the
-    velocity block of a copy of ``K(u)`` and factors that copy.
+    previous state ``x_old``.
+
+    What is fixed is bound once.  Per simulation: ``K`` with ``E - dt A``
+    and the constraint blocks, written once, and the input part of every
+    step's right-hand side, ``[dt B; -B2] u``, in one product over the grid,
+    staged in the rows of the state array, with the coefficients
+    ``dt u_k`` of the nonzero ``N_k``.  Per step: ``E x_old`` added to the
+    staged row and, only when a nonzero ``N_k`` exists, the velocity block
+    of ``K`` rewritten.  Per iteration: ``dx = dt x`` once, a residual from
+    scratch with ``apply_hessian(H, dx, x) = dt H (x kron x)``, and
+    ``quadratic_jacobian(H, dx) = dt J_H(x)`` subtracted from the velocity
+    block of a copy of ``K`` that is then factored; both kernels are linear
+    in ``dx``, so no Jacobian-sized array is scaled.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
     ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
@@ -252,9 +267,10 @@ class _NewtonStep:
         n = A.shape[0]
         n_c = 0 if A12 is None else A12.shape[1]
         size = n + n_c
-        self.n, self.dt, self.H, self.B = n, dt, H, B
+        self.n, self.dt, self.H = n, dt, H
+        self._B = dt * B if B2 is None else np.vstack([dt * B, -B2])
         N = _bilinear_terms(N)
-        self._mB2 = np.zeros((0, B.shape[1])) if B2 is None else -B2
+        self._q = [q for q, _ in N]
         K = np.zeros((size, size), order="F")
         K[:n, :n] = E - dt * A
         if n_c:
@@ -265,28 +281,40 @@ class _NewtonStep:
                                 row - col])
         self._band = band
         if band is not None:
-            self._E, self._S = band.store(E, n), band.store(K, size)
-            self._N = tuple((q, band.store(Nq, size)) for q, Nq in N)
-            self._K = self._Kv = np.empty_like(self._S)
-            self._J = np.empty_like(self._S)
+            self._E, self._K = band.store(E, n), band.store(K, size)
+            self._N = tuple(band.store(Nq, size) for _, Nq in N)
+            self._Kv = self._K
+            self._J = np.empty_like(self._K)
             self._Jv = self._J[:, :n]
             self._mv = partial(band.matvec, dgbmv)
             self._solve = partial(dgbsv, *band, overwrite_ab=True, overwrite_b=True)
         else:
-            self._E, self._S = E, K[:n, :n].copy(order="F")
-            self._N = tuple((q, np.asfortranarray(Nq)) for q, Nq in N)
-            self._K = K
+            self._E, self._K = E, K
+            self._N = tuple(np.asfortranarray(Nq) for _, Nq in N)
             self._Kv, self._J = K[:n, :n], np.empty_like(K)
             self._Jv = self._J[:n, :n]
             self._mv = operator.matmul
             self._solve = partial(dgesv, overwrite_a=True, overwrite_b=True)
+        # the velocity block without the bilinear terms, which each step rewrites
+        self._S = self._Kv.copy(order="F") if N else None
 
     def run(self, z0, U, t):
-        """States at every grid time with per-step Newton counts and residuals."""
+        """States at every grid time with per-step Newton counts and residuals.
+
+        ``U`` holds the input at every grid time as rows.
+        """
+        n, dt, H, band = self.n, self.dt, self.H, self._band
+        E, K, Kv, S, Ns, J, Jv = (self._E, self._K, self._Kv, self._S, self._N,
+                                  self._J, self._Jv)
+        mv, solve = self._mv, self._solve
+        hess, jac = apply_hessian, quadratic_jacobian
         Z = np.empty((t.size, z0.size))
         iters = np.zeros(t.size, dtype=int)
         resid = np.zeros(t.size)
         Z[0] = z0
+        # row k holds the input part of step k's right-hand side until step k ends
+        np.matmul(U[1:], self._B.T, out=Z[1:])
+        W = dt * U[:, self._q]
         for k in range(1, t.size):
             if k == 1:
                 z = Z[0].copy()
@@ -294,39 +322,38 @@ class _NewtonStep:
                 z = 2.0 * Z[1] - Z[0]
             else:
                 z = 3.0 * (Z[k - 1] - Z[k - 2]) + Z[k - 3]
-            Z[k], iters[k], resid[k] = self._newton(Z[k - 1], z, U[k], k, t[k])
+            if Ns:
+                np.copyto(Kv, S)
+                for w, Nq in zip(W[k], Ns):
+                    Kv -= w * Nq
+            x_old, c = Z[k - 1, :n], Z[k]
+            c[:n] += mv(E, x_old)
+            tol = NEWTON_TOL * max(1.0, math.sqrt(x_old @ x_old))
+            for it in range(NEWTON_MAX + 1):
+                x = z[:n]
+                dx = dt * x
+                res = mv(K, z)
+                res -= c
+                res[:n] -= hess(H, dx, x)
+                norm = math.sqrt(res @ res)
+                if norm <= tol:
+                    break
+                if it == NEWTON_MAX:
+                    raise RuntimeError(
+                        f"Newton failed to converge at step {k} "
+                        f"(t={t[k]:.6g}, residual={norm:.3e})"
+                    )
+                np.copyto(J, K)
+                Jv -= jac(H, dx, band=band)
+                _, _, dz, info = solve(J, res)
+                if info:
+                    raise SolverError(
+                        f"singular Newton matrix at step {k} (t={t[k]:.6g}): "
+                        f"zero pivot {info} in the LU factorization"
+                    )
+                z -= dz
+            Z[k], iters[k], resid[k] = z, it, norm
         return Z, iters, resid
-
-    def _newton(self, z_old, z, u, k, tk):
-        """Newton from the start ``z`` (overwritten) for the step that leaves ``z_old``."""
-        n, dt, H, K, J, mv = self.n, self.dt, self.H, self._K, self._J, self._mv
-        np.copyto(self._Kv, self._S)
-        for q, Nq in self._N:
-            self._Kv -= (dt * u[q]) * Nq
-        x_old = z_old[:n]
-        c = np.concatenate([mv(self._E, x_old) + dt * (self.B @ u), self._mB2 @ u])
-        tol = NEWTON_TOL * max(1.0, float(np.linalg.norm(x_old)))
-        for it in range(NEWTON_MAX + 1):
-            x = z[:n]
-            res = mv(K, z) - c
-            res[:n] -= dt * apply_hessian(H, x, x)
-            norm = math.sqrt(res @ res)
-            if norm <= tol:
-                return z, it, norm
-            if it == NEWTON_MAX:
-                raise RuntimeError(
-                    f"Newton failed to converge at step {k} "
-                    f"(t={tk:.6g}, residual={norm:.3e})"
-                )
-            np.copyto(J, K)
-            self._Jv -= dt * quadratic_jacobian(H, x, band=self._band)
-            _, _, dz, info = self._solve(J, res)
-            if info:
-                raise SolverError(
-                    f"singular Newton matrix at step {k} (t={tk:.6g}): "
-                    f"zero pivot {info} in the LU factorization"
-                )
-            z -= dz
 
 
 def simulate_ode(sys, u, t_final, dt):
@@ -339,16 +366,14 @@ def simulate_ode(sys, u, t_final, dt):
     """
     red = sys if isinstance(sys, ReducedQbSystem) else None
     if red is not None:
-        E, A, N, B, C = red.Ehat, red.Ahat, red.Nhat, red.Bhat, red.Chat
-        H = HessianTensor.from_mode1(red.Hhat)
-    else:
-        E, A, H, N, B, C = sys.E, sys.A, sys.H, sys.N, sys.B, sys.C
-    if u.m != B.shape[1]:
-        raise ValueError(f"input has {u.m} channels, system expects {B.shape[1]}")
+        sys = _reduced_ode(red)
+    if u.m != sys.m:
+        raise ValueError(f"input has {u.m} channels, system expects {sys.m}")
     t, _ = _grid(t_final, dt)
     U = u.on_grid(t)
-    X, iters, resid = _NewtonStep(E, A, H, N, B, dt).run(np.zeros(A.shape[0]), U, t)
-    Y = X @ C.T
+    X, iters, resid = _NewtonStep(sys.E, sys.A, sys.H, sys.N, sys.B, dt).run(
+        np.zeros(sys.n), U, t)
+    Y = X @ sys.C.T
     if red is not None and red.has_output_corrections():
         r = red.r
         Y += (X[:, :, None] * X[:, None, :]).reshape(t.size, r * r) @ red.CHhat.T

@@ -322,6 +322,22 @@ def validate_ode(sys):
     )
 
 
+def _reduced_ode(red):
+    """The :class:`QbOdeSystem` of ``red``'s reduced matrices, built on first use and kept.
+
+    Simulation and the error-system norm both take it, so a reduced model's
+    symmetrized tensor and its cached forms are built once.  It sits in the
+    instance's ``__dict__`` beside its dims and is freed with it; its arrays
+    are read-only like ``red``'s own.
+    """
+    ode = vars(red).get("_ode")
+    if ode is None:
+        ode = QbOdeSystem(E=red.Ehat, A=red.Ahat, H=red.Hhat, N=red.Nhat,
+                          B=red.Bhat, C=red.Chat)
+        object.__setattr__(red, "_ode", ode)
+    return ode
+
+
 def _bilinear_terms(N):
     """``(k, N_k)`` for each input ``k`` whose ``N_k`` is not all zero: the one skipping rule."""
     return [(k, Nk) for k, Nk in enumerate(N) if np.any(Nk)]

@@ -165,13 +165,14 @@ class HessianTensor:
         return cached
 
     def _jacobian_pattern(self, band=None):
-        """``(flat, operand, values)`` of the two Jacobian terms of every entry.
+        """``(flat, operand, values, rows)`` of the two Jacobian terms of every entry.
 
         Entry ``(i, j, k, v)`` adds ``v x[k]`` at ``(i, j)`` and ``v x[j]`` at
         ``(i, k)``, all first terms before all second terms.  ``flat`` holds
-        those positions in column-major order (``col*n + row``), or with
-        ``band=(kl, ku)`` in the LAPACK ``gbsv`` band storage of
-        :func:`quadratic_jacobian` (``col*(2 kl + ku + 1) + kl + ku + row - col``).
+        those positions in column-major order (``col*n + row``) of ``rows = n``
+        rows, or with ``band=(kl, ku)`` in the LAPACK ``gbsv`` band storage of
+        :func:`quadratic_jacobian` (``col*rows + kl + ku + row - col`` with
+        ``rows = 2 kl + ku + 1``).
         """
         cached = self._jac.get(band)
         if cached is not None:
@@ -181,18 +182,20 @@ class HessianTensor:
             pattern = (np.concatenate([j * n + i, k * n + i]),
                        np.concatenate([k, j]),
                        np.concatenate([self._v, self._v]))
+            rows = n
         else:
             band = _Band(*band)
-            flat, operand, values = self._jacobian_pattern()
+            flat, operand, values, _ = self._jacobian_pattern()
             col, row = np.divmod(flat, self.n)
             off = row - col
             if off.size and not (-band.ku <= off.min() and off.max() <= band.kl):
                 raise ValueError(f"tensor Jacobian pattern exceeds the band "
                                  f"(kl, ku) = ({band.kl}, {band.ku})")
             pattern = (col * band.rows + band.row(row, col), operand, values)
+            rows = band.rows
         _freeze(*pattern)
-        self._jac[band] = pattern
-        return pattern
+        self._jac[band] = cached = (*pattern, rows)
+        return cached
 
     def _dense_forms(self):
         """``(H1, G)`` for a tensor with a high stored fill, else ``None``.
@@ -324,12 +327,16 @@ def hessian_congruence(t, mode, L, R):
 def hessian_gram(t, mode, L, R):
     """Evaluate ``H^(mode) (L kron R) H^(mode)^T`` for ``mode`` in {1, 2}.
 
-    ``L`` and ``R`` are n-by-n; the result is dense n-by-n.  With ``Hc`` the
-    restriction of ``H`` to its stored columns ``c = a*n + b``, kept on the
-    tensor and shared with :func:`hessian_congruence`, the result is the
-    sparse congruence ``Hc Z Hc^T``, ``Z[c, c'] = L[a_c, a_c'] R[b_c, b_c']``.
-    ``Z`` is formed ``_GRAM_BLOCK`` columns at a time, so scratch is
-    O(|stored columns| * _GRAM_BLOCK + n^2) and no n-by-n^2 array is formed.
+    ``L`` and ``R`` are n-by-n; the result is dense n-by-n.  A tensor with a
+    high stored fill contracts its dense (n, n, n) form ``D``, in the index
+    order of the unfolding, with ``L`` and then ``R`` (two ``tensordot``) and
+    multiplies the (n, n^2) result by the dense unfolding's transpose.  Any
+    other uses ``Hc``, the restriction of ``H`` to its stored columns ``c =
+    a*n + b``, kept on the tensor and shared with :func:`hessian_congruence`:
+    the result is the sparse congruence ``Hc Z Hc^T``, ``Z[c, c'] = L[a_c,
+    a_c'] R[b_c, b_c']``.  ``Z`` is formed ``_GRAM_BLOCK`` columns at a time,
+    so scratch is O(|stored columns| * _GRAM_BLOCK + n^2).  Neither route
+    forms ``L kron R``.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode!r}")
@@ -339,6 +346,14 @@ def hessian_gram(t, mode, L, R):
     if L.shape != (n, n) or R.shape != (n, n):
         raise ValueError(
             f"L and R must be {n}-by-{n}, got {L.shape} and {R.shape}")
+    dense = t._dense_forms()
+    if dense is not None:
+        # D[i, a, b] is the unfolding's entry at row i and column a*n + b
+        D = dense[0].reshape(n, n, n)
+        if mode == 2:
+            D = D.transpose(1, 2, 0)
+        DLR = np.tensordot(np.tensordot(D, L, axes=(1, 0)), R, axes=(1, 0))
+        return DLR.reshape(n, n * n) @ D.reshape(n, n * n).T
     Hc, a, b, _ = t._restriction(mode)
     HcT = Hc.T.tocsr()
     out = np.zeros((n, n), dtype=np.result_type(Hc.dtype, L.dtype, R.dtype))
@@ -362,18 +377,15 @@ def quadratic_jacobian(t, x, band=None):
     instead; the Jacobian pattern must lie in the band.
     """
     x = np.asarray(x)
-    if x.shape != (t.n,):
-        raise ValueError(f"operand shape {x.shape} does not match n={t.n}")
+    n = t.n
+    if x.shape != (n,):
+        raise ValueError(f"operand shape {x.shape} does not match n={n}")
     if band is None:
         dense = t._dense_forms()
         if dense is not None:
-            return (dense[1] @ x).reshape(t.n, t.n, order="F")
-        rows = t.n
-    else:
-        rows = _Band(*band).rows
-    flat, operand, values = t._jacobian_pattern(band)
-    return _scatter_sum(flat, values * x[operand], rows * t.n).reshape(
-        rows, t.n, order="F")
+            return (dense[1] @ x).reshape(n, n, order="F")
+    flat, operand, values, rows = t._jacobian_pattern(band)
+    return _scatter_sum(flat, values * x[operand], rows * n).reshape(rows, n, order="F")
 
 
 class _StoredColumns(NamedTuple):

@@ -7,6 +7,7 @@ import scipy.linalg as la
 import qbmor.simulate as simulate
 from qbmor.dae_transform import recover_pressure
 from qbmor.dense_solvers import SolverError
+from qbmor.gramians_norms import error_system_norm
 from qbmor.problems import gen_burgers, gen_synthetic_dae
 from qbmor.simulate import (
     NEWTON_MAX,
@@ -124,17 +125,27 @@ def test_reduced_identity_projection_bit_identical(n):
     assert np.array_equal(a.outputs, b.outputs)
 
 
-@pytest.mark.parametrize("kind", ["ode", "dae", "banded"])
-def test_newton_counts_match_jacobian_calls(kind, monkeypatch):
-    calls = []
-    kernel = simulate.quadratic_jacobian
+def count_calls(monkeypatch, module, name, calls):
+    """Replace ``module.name`` by a wrapper that appends ``name`` to ``calls``."""
+    kernel = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(name)
         return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(simulate, "quadratic_jacobian", counted)
-    if kind != "dae":
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("kind", ["ode", "dae", "banded", "narrow-bilinear"])
+def test_newton_counts_match_jacobian_calls(kind, monkeypatch):
+    calls = []
+    for name in ("apply_hessian", "quadratic_jacobian"):
+        count_calls(monkeypatch, simulate, name, calls)
+    if kind == "narrow-bilinear":
+        # banded storage with nonzero N_k, rewritten in the band every step
+        traj = simulate_ode(narrow_ode(30), InputSignal.preset_cavity(2), 1.0, 0.01)
+        x = traj.states
+    elif kind != "dae":
         n = 10 if kind == "ode" else 40
         traj = simulate_ode(gen_burgers(n, 0.1), InputSignal.preset_cavity(1), 1.0, 0.01)
         x = traj.states
@@ -144,7 +155,9 @@ def test_newton_counts_match_jacobian_calls(kind, monkeypatch):
         x = traj.states[:, :12]
     assert traj.newton_iters.shape == traj.newton_residuals.shape == traj.t.shape
     assert traj.newton_iters[0] == 0
-    assert len(calls) == traj.newton_iters.sum()
+    assert calls.count("quadratic_jacobian") == traj.newton_iters.sum()
+    # one residual per iterate: one per solve and the one that meets the tolerance
+    assert calls.count("apply_hessian") == traj.newton_iters.sum() + traj.t.size - 1
     tol = NEWTON_TOL * np.maximum(1.0, np.linalg.norm(x[:-1], axis=1))
     assert np.all(traj.newton_residuals[1:] <= tol)
 
@@ -215,11 +228,11 @@ def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_s
     return np.array(Z)
 
 
-@pytest.mark.parametrize("kind", ["ode", "dae", "reduced", "burgers", "narrow-ode",
-                                  "narrow-dae"])
+@pytest.mark.parametrize("kind", ["ode", "dae", "reduced", "reduced-burgers", "burgers",
+                                  "narrow-ode", "narrow-dae"])
 def test_newton_step_matches_reference(kind, lapack_calls):
-    # the first three are wide and solve dense, the others are narrow and solve banded
-    solver = "gesv" if kind in ("ode", "dae", "reduced") else "gbsv"
+    # the first four are wide and solve dense, the others are narrow and solve banded
+    solver = "gesv" if kind in ("ode", "dae", "reduced", "reduced-burgers") else "gbsv"
     dt = 0.01
     if kind in ("dae", "narrow-dae"):
         sys = (narrow_dae(30) if kind == "narrow-dae" else
@@ -239,18 +252,26 @@ def test_newton_step_matches_reference(kind, lapack_calls):
     else:
         sys = {"ode": lambda: random_stable_ode(3, 7, m=2, p=2),
                "reduced": lambda: random_stable_ode(3, 7, m=2, p=2),
+               "reduced-burgers": lambda: gen_burgers(40, 0.05),
                "burgers": lambda: gen_burgers(40, 0.05),
                "narrow-ode": lambda: narrow_ode(30)}[kind]()
         E, A, H, N, B, C = sys.E, sys.A, sys.H, sys.N, sys.B, sys.C
-        if kind == "reduced":
+        if kind.startswith("reduced"):
             rng = np.random.default_rng(3)
-            Q = la.qr(rng.standard_normal((7, 4)), mode="economic")[0]
-            sys = dataclasses.replace(
-                project_ode(sys, Q, Q), CHhat=rng.standard_normal((2, 16)),
-                CNhat=tuple(rng.standard_normal((2, 4)) for _ in range(2)),
-                Dhat=rng.standard_normal((2, 2)))
+            r = 4 if kind == "reduced" else 10
+            Q = la.qr(rng.standard_normal((sys.n, r)), mode="economic")[0]
+            sys = project_ode(sys, Q, Q)
+            if kind == "reduced":
+                sys = dataclasses.replace(
+                    sys, CHhat=rng.standard_normal((2, 16)),
+                    CNhat=tuple(rng.standard_normal((2, 4)) for _ in range(2)),
+                    Dhat=rng.standard_normal((2, 2)))
             E, A, N, B, C = sys.Ehat, sys.Ahat, sys.Nhat, sys.Bhat, sys.Chat
             H = HessianTensor.from_mode1(sys.Hhat)
+            assert H._dense_forms() is not None
+        if kind == "reduced-burgers":
+            # the benchmark's reduced path: no bilinear term, dense Hessian forms
+            assert not any(Nk.any() for Nk in N)
         u = InputSignal.preset_cavity(B.shape[1])
         traj = simulate_ode(sys, u, 1.0, dt)
         args = (E, A, H, N, B, dt, traj.inputs, np.zeros(A.shape[0]),
@@ -268,6 +289,49 @@ def test_newton_step_matches_reference(kind, lapack_calls):
     # the start moves the states by no more than the Newton tolerance allows
     Z_prev = reference_euler(*args, start=previous_start)
     assert np.linalg.norm(traj.states - Z_prev) <= 1e-8 * np.linalg.norm(Z_prev)
+
+
+@pytest.mark.parametrize("kind", ["narrow-ode", "reduced", "dae"])
+def test_back_to_back_simulations_are_bit_identical(kind):
+    # no buffer of one run carries state into the next
+    u = InputSignal.preset_cavity(2)
+    if kind == "dae":
+        sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1, with_b2=True)
+        first, second = (simulate_dae(sys, u, 1.0, 0.01) for _ in range(2))
+    else:
+        sys = narrow_ode(30)
+        if kind == "reduced":
+            Q = la.qr(np.random.default_rng(5).standard_normal((30, 6)), mode="economic")[0]
+            sys = project_ode(sys, Q, Q)
+        first, second = (simulate_ode(sys, u, 1.0, 0.01) for _ in range(2))
+    for field in ("states", "outputs", "newton_iters", "newton_residuals"):
+        assert np.array_equal(getattr(first, field), getattr(second, field))
+
+
+def test_reduced_model_builds_one_tensor(monkeypatch):
+    import qbmor.gramians_norms as gramians_norms
+
+    full = gen_burgers(30, 0.05)
+    Q = la.qr(np.random.default_rng(6).standard_normal((30, 6)), mode="economic")[0]
+    red = project_ode(full, Q, Q)
+    seen = []
+
+    def recording(module, name):
+        kernel = getattr(module, name)
+
+        def call(t, *args, **kwargs):
+            if t.n == red.r:
+                seen.append(t)
+            return kernel(t, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    recording(simulate, "apply_hessian")
+    recording(gramians_norms, "hessian_gram")
+    for _ in range(2):
+        simulate_ode(red, InputSignal.preset_cavity(1), 0.5, 0.01)
+        error_system_norm(full, red)
+    assert len(seen) > 4 and all(t is seen[0] for t in seen)
 
 
 def step_input(m):

@@ -408,8 +408,8 @@ def test_hessian_gram_matches_congruence_route(case):
 @pytest.mark.parametrize("mode", [1, 2])
 @pytest.mark.parametrize("n, nnz", [(150, 1500), (30, None)])
 def test_hessian_gram_across_column_windows(n, nnz, mode):
-    # more stored columns than _GRAM_BLOCK, so Z is formed in several
-    # windows, the last one partial (sparse n = 150, dense n = 30)
+    # sparse n = 150: more stored columns than _GRAM_BLOCK, so Z is formed
+    # in several windows, the last one partial; full-fill n = 30: dense forms
     rng = np.random.default_rng(n)
     if nnz is None:
         t = random_tensor(n, n, symmetric=True)
@@ -419,6 +419,24 @@ def test_hessian_gram_across_column_windows(n, nnz, mode):
     R = rng.standard_normal((n, n))
     got = hessian_gram(t, mode, L, R)
     expect = hessian_congruence(t, mode, L, R) @ t.mode(mode).T
+    assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("mode", [1, 2])
+def test_hessian_gram_dense_route_matches_sparse_route(mode, monkeypatch):
+    import qbmor.tensor_kron as tk
+
+    rng = np.random.default_rng(10 + mode)
+    T = rng.standard_normal((10, 10, 10))
+    L, R = rng.standard_normal((2, 10, 10))
+    full = HessianTensor.from_dense(T)
+    assert full._dense_forms() is not None
+    got = hessian_gram(full, mode, L, R)
+    # the same entries with no dense forms take the sparse congruence
+    monkeypatch.setattr(tk, "_DENSE_FILL", 2.0)
+    sparse = HessianTensor.from_dense(T)
+    assert sparse._dense_forms() is None
+    expect = hessian_gram(sparse, mode, L, R)
     assert np.linalg.norm(got - expect) <= 1e-13 * np.linalg.norm(expect)
 
 
@@ -510,6 +528,8 @@ def test_apply_unfolded_and_hessian_gram_share_one_restriction(monkeypatch):
         return restrict(M, n)
 
     monkeypatch.setattr(tk, "_stored_columns", counted)
+    # no dense forms, so that hessian_gram takes the sparse route
+    monkeypatch.setattr(tk, "_DENSE_FILL", 2.0)
     t = random_tensor(6, 4)
     L = np.random.default_rng(3).standard_normal((4, 4))
     apply_unfolded(t.mode1, L[:, :2], L)
@@ -559,7 +579,7 @@ def test_cached_forms_are_read_only():
         for mode in (1, 2):
             Hc, a, b, _ = t._restriction(mode)
             cached += [Hc.data, Hc.indices, Hc.indptr, a, b]
-        cached += [*t._jacobian_pattern(), *t._jacobian_pattern((t.n - 1, t.n - 1))]
+        cached += [*t._jacobian_pattern()[:3], *t._jacobian_pattern((t.n - 1, t.n - 1))[:3]]
     H1, G = full._dense_forms()
     cached += [H1, H1.base, G]
     for arr in cached:
