@@ -25,7 +25,6 @@ from .dense_solvers import (
 from .gramians_norms import (
     GramianPair,
     error_system_norm,
-    full_gramians_fixed_point,
     linear_gramians,
     truncated_gramians,
     truncated_h2_norm,

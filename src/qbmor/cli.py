@@ -24,7 +24,7 @@ from .gramians_norms import truncated_h2_norm
 from .mmio import _read_table, write_json
 from .problems import gen_burgers, gen_synthetic_dae, load_system, save_system
 from .simulate import InputSignal, Trajectory, compare, simulate_dae, simulate_ode
-from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem, _reduced_ode
+from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
 from .tqb_irka import IrkaConfig, tqb_irka_dae_saddle, tqb_irka_ode
 
 USAGE_ERROR = 2
@@ -82,7 +82,8 @@ def _cmd_reduce(args):
     system = load_system(args.system)
     if isinstance(system, ReducedQbSystem):
         return _fail("cannot reduce an already-reduced model")
-    n = system.n if isinstance(system, QbOdeSystem) else system.n_v
+    # a descriptor system's reduced basis lies in ker A21, of dimension n_v - n_p
+    n = system.n if isinstance(system, QbOdeSystem) else system.n_v - system.n_p
     if args.order >= n:
         print("qbmor reduce: error: order must be < state dimension "
               f"({args.order} >= {n})", file=sys.stderr)
@@ -146,8 +147,6 @@ def _cmd_norm(args):
             return _fail("norm of a B2 != 0 descriptor system: homogenize first")
         ode, _ = explicit_ode(system, build_projectors(system))
         value = truncated_h2_norm(ode)
-    elif isinstance(system, ReducedQbSystem):
-        value = truncated_h2_norm(_reduced_ode(system))
     else:
         value = truncated_h2_norm(system)
     print(f"{value:.12f}")

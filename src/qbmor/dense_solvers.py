@@ -33,8 +33,6 @@ __all__ = [
     "solve_lyapunov",
     "solve_saddle",
     "solve_saddle_adjoint",
-    "conjugate_pairs",
-    "realify_paired_columns",
 ]
 
 # residual bounds (relative, Frobenius)
@@ -44,8 +42,6 @@ SADDLE_TOL = 1e-10
 PENCIL_TOL = 1e-10
 
 _TINY = np.finfo(float).tiny
-# a shift is real, or two shifts a conjugate pair, within this relative distance
-_PAIR_TOL = 1e-8
 
 
 class SolverError(RuntimeError):
@@ -93,7 +89,9 @@ class SpectralFactorization:
     Eigenvalues are sorted ascending by (real, imag); for real input pencils
     complex eigenvalues occur in exactly conjugate pairs and the paired
     eigenvector columns are exact conjugates.  ``split`` is that pairing,
-    read off the eigensolver's order, in the form of :func:`conjugate_pairs`.
+    read off the eigensolver's order: ``(real_indices, pairs)``, each pair
+    ``(neg, pos)`` the positions of one conjugate pair with
+    ``Im(eigenvalues[neg]) < 0 < Im(eigenvalues[pos])``.
     """
 
     X: np.ndarray
@@ -102,53 +100,16 @@ class SpectralFactorization:
     split: tuple
 
 
-def conjugate_pairs(lam):
-    """Partition shifts into real indices and conjugate pairs.
-
-    Returns ``(real_indices, pairs)`` where each pair is ``(neg, pos)`` with
-    ``Im(lam[neg]) < 0 < Im(lam[pos])``, or ``None`` if some complex shift
-    has no conjugate partner within ``_PAIR_TOL``.  A :func:`pencil_eig`
-    spectrum carries its pairing as ``split``.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    free = list(range(lam.size))
-    real_idx, pairs = [], []
-    while free:
-        idx = free.pop(0)
-        target, tol = lam[idx].conjugate(), _PAIR_TOL * (1.0 + abs(lam[idx]))
-        if abs(target.imag) <= tol:
-            real_idx.append(idx)
-            continue
-        # the nearest unused partner, the first of equals
-        best = min(free, key=lambda j: abs(lam[j] - target), default=None)
-        if best is None or abs(lam[best] - target) > tol:
-            return None
-        free.remove(best)
-        pairs.append((idx, best) if target.imag > 0 else (best, idx))
-    return real_idx, pairs
-
-
 def _realify(split, M):
-    """:func:`realify_paired_columns` with the pairing ``split`` of the shifts."""
+    """``M`` with the column pairs of ``split`` (:class:`SpectralFactorization`)
+    replaced by (real part, imaginary part) of the negative-imaginary member,
+    which keeps their span real; the other columns keep their real part.
+    """
     M = np.asarray(M)
     neg, pos = np.array(split[1], dtype=int).reshape(-1, 2).T
     out = np.array(M.real, dtype=float)
     out[:, pos] = M[:, neg].imag
     return out
-
-
-def realify_paired_columns(lam, M):
-    """Replace conjugate column pairs of ``M`` by (real part, imaginary part).
-
-    ``lam`` must be conjugate-closed; the column of the negative-imaginary
-    member supplies both parts, so the real span of the result equals the
-    complex span of the original pair.  Real-shift columns keep their real
-    part.
-    """
-    split = conjugate_pairs(lam)
-    if split is None:
-        raise ValueError("shift set is not closed under conjugation")
-    return _realify(split, M)
 
 
 def _canonical_eigenbasis(w, Y):

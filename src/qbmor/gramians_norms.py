@@ -9,24 +9,20 @@ Gramians:
 
 with ``H2`` the mode-2 unfolding.  The quadratic terms come from
 :func:`~qbmor.tensor_kron.hessian_gram`, which forms no ``P kron P`` and,
-unless the tensor keeps dense forms, no n-by-n^2 array, and
-all Lyapunov equations of one system are solved on one factorization of its
-pencil (``solve_lyapunov(A, E, None)``), the dual ones with ``trans=True``.
+unless the tensor keeps dense forms, no n-by-n^2 array, and all Lyapunov
+equations of one system are solved on one factorization of its pencil
+(:func:`~qbmor.dense_solvers.solve_lyapunov`), the dual ones with ``trans=True``.
 The truncated H2 norm is ``sqrt(trace(C P_T C^T))`` and must agree with
 ``sqrt(trace(B^T Q_T B))``.
 
+Every entry point reads one record per realization, built on its first use
+and kept on its instance (:func:`_kept_gramians`), a reduced model's on the
+realization it keeps; each call gates its residuals from the kept norms.
 The error system of a full model and a reduced one is block diagonal, so
 each of its Gramians is ``[[X_full, X_cross], [X_cross^T, X_red]]`` and its
-squared norm is ``|full|^2 - 2 <full, red> + |red|^2``.
-:func:`error_system_norm` keeps what depends on the full model alone on
-that model's instance, built on the first call: the LU of ``E``, the Schur
-form of ``E^{-1} A``, ``P1, Q1, P_T, Q_T`` with their residual norms, the
-two traces and the nonzero ``N_k``; a system's arrays are read-only, so
-the record holds as long as the instance.  Each call then solves the
-r-by-r Gramians of the reduced model and four n-by-r Sylvester equations
-for the cross blocks, O(n^2 r) in all, on the realization the reduced
-model keeps (:func:`~qbmor.system_model._reduced_ode`), whose tensor is
-built once per reduced model.
+squared norm is ``|full|^2 - 2 <full, red> + |red|^2``:
+:func:`error_system_norm` reads both records and solves only the four n-by-r
+cross blocks, O(n^2 r) in all.
 """
 
 from __future__ import annotations
@@ -37,14 +33,13 @@ from functools import partial
 import numpy as np
 
 from .dense_solvers import SolverError, _gate_lyapunov, solve_lyapunov
-from .system_model import _bilinear_terms, _reduced_ode
+from .system_model import ReducedQbSystem, _bilinear_terms, _reduced_ode
 from .tensor_kron import hessian_congruence, hessian_gram
 
 __all__ = [
     "GramianPair",
     "linear_gramians",
     "truncated_gramians",
-    "full_gramians_fixed_point",
     "truncated_h2_norm",
     "error_system_norm",
 ]
@@ -61,8 +56,6 @@ class GramianPair:
     Q: np.ndarray
     kind: str
     residual: float
-    iterations: int = 0
-    converged: bool = True
 
     def __post_init__(self):
         for name, M in (("P", self.P), ("Q", self.Q)):
@@ -72,11 +65,6 @@ class GramianPair:
             lo = float(np.linalg.eigvalsh(M).min())
             if lo < -1e-10 * max(np.linalg.norm(M), 1.0):
                 raise SolverError(f"gramian {name} indefinite (min eig = {lo:.3e})")
-
-
-def _lyap_residual(A, E, P, RHS):
-    num = np.linalg.norm(A @ P @ E.T + E @ P @ A.T + RHS)
-    return float(num / max(np.linalg.norm(RHS), np.finfo(float).tiny))
 
 
 def _gramian_pair(P, Q, norms, kind):
@@ -94,10 +82,8 @@ def _gramian_pair(P, Q, norms, kind):
 
 def linear_gramians(sys):
     """Gramians of the linear part: ``A P E^T + E P A^T + B B^T = 0`` and dual."""
-    lyap = solve_lyapunov(sys.A, sys.E, None)
-    P, norms_p = lyap.sylvester(sys.B @ sys.B.T)
-    Q, norms_q = lyap.sylvester(sys.C.T @ sys.C, trans=True)
-    return _gramian_pair(P, Q, (norms_p, norms_q), "linear")
+    g = _kept_gramians(sys)
+    return _gramian_pair(*g.gramians[:2], g.norms[:2], "linear")
 
 
 def _p_rhs(sys, P):
@@ -129,55 +115,8 @@ def _pairs(gramians, norms):
 
 def truncated_gramians(sys):
     """Truncated Gramians: four Lyapunov solves on one factorization of the pencil."""
-    g = _system_gramians(sys)
+    g = _kept_gramians(sys)
     return _pairs(g.gramians, g.norms)[1]
-
-
-def full_gramians_fixed_point(sys, max_iters=100, tol=1e-10):
-    """Fixed-point iteration for the full quadratic Lyapunov equations.
-
-    Each sweep refreezes the quadratic and bilinear terms at the previous
-    iterate and solves the resulting linear equation; all solves share one
-    factorization of the pencil.  Convergence requires the quadratic terms
-    to be contractive; the iterate norm growing by more than 1e6 over its
-    start is treated as divergence.
-    """
-    lyap = solve_lyapunov(sys.A, sys.E, None)
-    P = lyap.solve(sys.B @ sys.B.T)
-    guard = 1e6 * max(np.linalg.norm(P), 1.0)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        try:
-            P_new = lyap.solve(_p_rhs(sys, P))
-        except SolverError as exc:
-            raise SolverError(f"fixed point diverged: {exc}") from exc
-        if np.linalg.norm(P_new) > guard:
-            raise SolverError(
-                f"fixed point diverged: iterate norm {np.linalg.norm(P_new):.3e}"
-            )
-        delta = np.linalg.norm(P_new - P) / max(np.linalg.norm(P), 1e-300)
-        P = P_new
-        if delta <= tol:
-            converged = True
-            break
-    res_p = _lyap_residual(sys.A, sys.E, P, _p_rhs(sys, P))
-    # observability side with the converged P frozen in the cross term
-    Q = lyap.solve(sys.C.T @ sys.C, trans=True)
-    q_conv = False
-    for _ in range(max_iters):
-        Q_new = lyap.solve(_q_rhs(sys, P, Q), trans=True)
-        if np.linalg.norm(Q_new) > guard * 1e6:
-            raise SolverError("fixed point diverged on the observability side")
-        dq = np.linalg.norm(Q_new - Q) / max(np.linalg.norm(Q), 1e-300)
-        Q = Q_new
-        if dq <= tol:
-            q_conv = True
-            break
-    return GramianPair(
-        P=P, Q=Q, kind="full-fixed-point", residual=res_p,
-        iterations=iterations, converged=converged and q_conv,
-    )
 
 
 def _resolved_norm(tc, tb, c2, P, b2, Q):
@@ -206,17 +145,18 @@ def truncated_h2_norm(sys):
     two must agree to ``TRACE_TOL`` relative, otherwise the Gramian pair is
     inconsistent and an error is raised.
     """
-    g = _system_gramians(sys)
+    g = _kept_gramians(sys)
     tg = _pairs(g.gramians, g.norms)[1]
-    return _resolved_norm(g.tc, g.tb, np.linalg.norm(sys.C) ** 2, tg.P,
-                          np.linalg.norm(sys.B) ** 2, tg.Q)
+    return _resolved_norm(g.tc, g.tb, np.linalg.norm(g.C) ** 2, tg.P,
+                          np.linalg.norm(g.B) ** 2, tg.Q)
 
 
 @dataclass(frozen=True)
 class _SystemGramians:
     """What the truncated-H2 norm needs of one realization alone.
 
-    ``lyap`` factors its pencil and ``bilinear`` lists its nonzero ``N_k``
+    ``lyap`` factors its pencil, ``B``, ``C`` and ``H`` are its own and
+    ``bilinear`` lists its nonzero ``N_k``
     (:func:`~qbmor.system_model._bilinear_terms`).  ``gramians`` holds
     ``(P1, Q1, P_T, Q_T)``, and ``norms`` the Frobenius norms ``(|R|, |G|)``
     of the residual and the right-hand side of each of their four
@@ -225,6 +165,9 @@ class _SystemGramians:
     """
 
     lyap: object
+    B: np.ndarray
+    C: np.ndarray
+    H: object
     bilinear: list
     gramians: tuple
     norms: tuple
@@ -232,29 +175,28 @@ class _SystemGramians:
     tb: float
 
 
-def _system_gramians(sys):
-    """:class:`_SystemGramians` of ``sys``: one factorization, four solves."""
-    lyap = solve_lyapunov(sys.A, sys.E, None)
-    P1, n1 = lyap.sylvester(sys.B @ sys.B.T)
-    Q1, n2 = lyap.sylvester(sys.C.T @ sys.C, trans=True)
-    PT, n3 = lyap.sylvester(_p_rhs(sys, P1))
-    QT, n4 = lyap.sylvester(_q_rhs(sys, P1, Q1), trans=True)
-    return _SystemGramians(
-        lyap, _bilinear_terms(sys.N), (P1, Q1, PT, QT), (n1, n2, n3, n4),
-        float(np.trace(sys.C @ PT @ sys.C.T)), float(np.trace(sys.B.T @ QT @ sys.B)))
-
-
 def _kept_gramians(sys):
-    """:func:`_system_gramians` of ``sys``, built on its first use and kept on it.
+    """:class:`_SystemGramians` of ``sys``, built on its first use and kept on it.
 
-    The record sits in the instance's ``__dict__`` beside its dims, so it
-    is freed with the system, and its arrays are read-only like the
-    system's own.  A failed build raises and stores nothing.
+    The one place that solves Gramians; a :class:`ReducedQbSystem` is read
+    as the realization it keeps (:func:`_reduced_ode`).  The record sits in
+    that instance's ``__dict__``, so it is freed with it, and its arrays
+    are read-only like the system's own.  A failed build stores nothing.
     """
+    if isinstance(sys, ReducedQbSystem):
+        sys = _reduced_ode(sys)
     kept = vars(sys).get("_gramians")
     if kept is None:
-        kept = _system_gramians(sys)
-        for M in kept.gramians + (*kept.lyap.lu, kept.lyap.T, kept.lyap.Z):
+        lyap = solve_lyapunov(sys.A, sys.E, None)
+        P1, n1 = lyap.sylvester(sys.B @ sys.B.T)
+        Q1, n2 = lyap.sylvester(sys.C.T @ sys.C, trans=True)
+        PT, n3 = lyap.sylvester(_p_rhs(sys, P1))
+        QT, n4 = lyap.sylvester(_q_rhs(sys, P1, Q1), trans=True)
+        kept = _SystemGramians(
+            lyap, sys.B, sys.C, sys.H, _bilinear_terms(sys.N), (P1, Q1, PT, QT),
+            (n1, n2, n3, n4), float(np.trace(sys.C @ PT @ sys.C.T)),
+            float(np.trace(sys.B.T @ QT @ sys.B)))
+        for M in kept.gramians + (*lyap.lu, lyap.T, lyap.Z):
             M.flags.writeable = False
         object.__setattr__(sys, "_gramians", kept)
     return kept
@@ -266,17 +208,17 @@ def error_system_norm(full, red):
     The error system pairs the full and reduced realizations with output
     ``[C, -Chat]``; nonlinear output corrections of the reduced model are not
     part of the (linear-output) norm.  Its four Gramians are assembled from
-    blocks, ``[[X_full, X_cross], [X_cross^T, X_red]]``: the full blocks are
-    kept on ``full`` (:func:`_kept_gramians`), the reduced ones are solved on
-    the reduced pencil, and the n-by-r cross blocks by ``trsyl`` on the two
-    Schur forms, ``X1`` and ``X_T`` from ``B Bhat^T`` and ``B Bhat^T +
-    H (X1 kron X1) Hhat^T + sum N_k X1 Nhat_k^T``, ``Y1`` and ``Y_T`` from
-    ``-C^T Chat`` and its dual terms.  Each assembled equation is gated on
-    ``sqrt(|R11|^2 + 2 |R12|^2 + |R22|^2) / sqrt(|G11|^2 + 2 |G12|^2 +
-    |G22|^2)``, its residual ``R`` against its right-hand side ``G``, and the
-    traces are ``tc = tr(C P_T C^T) - 2 tr(C X_T Chat^T) + tr(Chat Phat_T
-    Chat^T)`` and ``tb = tr(B^T Q_T B) + 2 tr(B^T Y_T Bhat) + tr(Bhat^T
-    Qhat_T Bhat)``.
+    blocks, ``[[X_full, X_cross], [X_cross^T, X_red]]``: the full and the
+    reduced blocks are the records kept on ``full`` and ``red``
+    (:func:`_kept_gramians`), and the n-by-r cross blocks are solved by
+    ``trsyl`` on their two Schur forms, ``X1`` and ``X_T`` from ``B Bhat^T``
+    and ``B Bhat^T + H (X1 kron X1) Hhat^T + sum N_k X1 Nhat_k^T``, ``Y1``
+    and ``Y_T`` from ``-C^T Chat`` and its dual terms.  Each assembled
+    equation is gated on ``sqrt(|R11|^2 + 2 |R12|^2 + |R22|^2) /
+    sqrt(|G11|^2 + 2 |G12|^2 + |G22|^2)``, its residual ``R`` against its
+    right-hand side ``G``, and the traces are ``tc = tr(C P_T C^T) - 2 tr(C
+    X_T Chat^T) + tr(Chat Phat_T Chat^T)`` and ``tb = tr(B^T Q_T B) + 2
+    tr(B^T Y_T Bhat) + tr(Bhat^T Qhat_T Bhat)``.
     """
     if red.m != full.m:
         raise ValueError(
@@ -286,21 +228,19 @@ def error_system_norm(full, red):
         raise ValueError(
             f"output dimensions differ: full has {full.p}, reduced has {red.p}"
         )
-    big = _kept_gramians(full)
-    small_sys = _reduced_ode(red)
-    small = _system_gramians(small_sys)
-    B, C, Bh, Ch = full.B, full.C, red.Bhat, red.Chat
+    big, small = _kept_gramians(full), _kept_gramians(red)
+    B, C, Bh, Ch = big.B, big.C, small.B, small.C
     Nh = dict(small.bilinear)
     bilinear = [(Nk, Nh[k]) for k, Nk in big.bilinear if k in Nh]
     solve = partial(big.lyap.sylvester, other=small.lyap)
 
     X1, n1 = solve(B @ Bh.T)
     Y1, n2 = solve(-C.T @ Ch, trans=True)
-    rhs = B @ Bh.T + hessian_congruence(full.H, 1, X1, X1) @ small_sys.H.mode(1).T
+    rhs = B @ Bh.T + hessian_congruence(big.H, 1, X1, X1) @ small.H.mode(1).T
     for Nk, Nhk in bilinear:
         rhs = rhs + Nk @ X1 @ Nhk.T
     XT, n3 = solve(rhs)
-    rhs = -C.T @ Ch + hessian_congruence(full.H, 2, X1, Y1) @ small_sys.H.mode(2).T
+    rhs = -C.T @ Ch + hessian_congruence(big.H, 2, X1, Y1) @ small.H.mode(2).T
     for Nk, Nhk in bilinear:
         rhs = rhs + Nk.T @ Y1 @ Nhk
     YT, n4 = solve(rhs, trans=True)

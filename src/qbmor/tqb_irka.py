@@ -271,6 +271,16 @@ class _Lifted:
         return self.theta_r @ self.fact.solve(self.phi_l.T @ rhs)
 
 
+def _dae_outputs(sys, cfg, output_corr):
+    """Output realization of a descriptor reduction with ``B2 = 0`` and ``r <= dim ker A21``."""
+    if sys.B2.any():
+        raise ValueError("reduction requires B2 = 0; homogenize first")
+    if cfg.r > sys.n_v - sys.n_p:
+        raise ValueError(f"reduced order {cfg.r} exceeds the constrained dimension "
+                         f"n_v - n_p = {sys.n_v - sys.n_p}")
+    return output_corr if output_corr is not None else output_realization(sys)
+
+
 def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
     """Oracle reduction path using explicit projector factorizations.
 
@@ -279,10 +289,8 @@ def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
     lifted back, while the final projection applies the original matrices.
     Requires ``B2 = 0`` and desk-scale ``n_v``.
     """
-    if sys.B2.any():
-        raise ValueError("reduction requires B2 = 0; homogenize first")
+    corr = _dae_outputs(sys, cfg, output_corr)
     proj = build_projectors(sys)
-    corr = output_corr if output_corr is not None else output_realization(sys)
     Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
     Abar = proj.phi_l.T @ sys.A11 @ proj.theta_r
     pencil = _ShiftPencil(Ebar, Abar)
@@ -302,9 +310,7 @@ def tqb_irka_dae_saddle(sys, cfg, output_corr=None):
     every ``W`` column in the kernel of ``A12^T`` without ever forming the
     projectors.  Requires ``B2 = 0`` (homogenize first).
     """
-    if sys.B2.any():
-        raise ValueError("reduction requires B2 = 0; homogenize first")
-    corr = output_corr if output_corr is not None else output_realization(sys)
+    corr = _dae_outputs(sys, cfg, output_corr)
     E11, A11, A12, A21 = sys.E11, sys.A11, sys.A12, sys.A21
     pencil = _ShiftPencil(E11, A11, A12, A21)
     state, trace, V, W = _drive(

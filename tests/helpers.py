@@ -28,6 +28,37 @@ def random_stable_ode(seed, n, m=1, p=1, quad_scale=0.05, bilinear_scale=0.1,
     return QbOdeSystem(E=E, A=A, H=H, N=N, B=B, C=C)
 
 
+# a shift is real, or two shifts a conjugate pair, within this relative distance
+_PAIR_TOL = 1e-8
+
+
+def conjugate_pairs(lam):
+    """Partition shifts into real indices and conjugate pairs, by nearest match.
+
+    Returns ``(real_indices, pairs)`` where each pair is ``(neg, pos)`` with
+    ``Im(lam[neg]) < 0 < Im(lam[pos])``, or ``None`` if some complex shift
+    has no conjugate partner within ``_PAIR_TOL``: the oracle of the
+    ``split`` that :func:`~qbmor.dense_solvers.pencil_eig` reads off the
+    eigensolver's order.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    free = list(range(lam.size))
+    real_idx, pairs = [], []
+    while free:
+        idx = free.pop(0)
+        target, tol = lam[idx].conjugate(), _PAIR_TOL * (1.0 + abs(lam[idx]))
+        if abs(target.imag) <= tol:
+            real_idx.append(idx)
+            continue
+        # the nearest unused partner, the first of equals
+        best = min(free, key=lambda j: abs(lam[j] - target), default=None)
+        if best is None or abs(lam[best] - target) > tol:
+            return None
+        free.remove(best)
+        pairs.append((idx, best) if target.imag > 0 else (best, idx))
+    return real_idx, pairs
+
+
 def random_tensor(seed, n, symmetric=False):
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((n, n, n))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qbmor.cli import main
-from qbmor.problems import gen_burgers, save_system
+from qbmor.gramians_norms import truncated_h2_norm
+from qbmor.problems import gen_burgers, load_system, save_system
 
 
 def run(args):
@@ -60,6 +61,17 @@ def test_reduce_order_too_large(tmp_path, capsys):
                 "--order", "8", "--out", str(tmp_path / "r")])
     assert code == 2
     assert "order must be < state dimension" in capsys.readouterr().err
+
+
+def test_reduce_dae_order_is_measured_against_the_constraint_kernel(tmp_path, capsys):
+    from qbmor.problems import gen_synthetic_dae
+    sysdir = tmp_path / "dae"
+    save_system(gen_synthetic_dae(20, 8, seed=0), sysdir)
+    code = run(["reduce", "--system", str(sysdir / "manifest.json"),
+                "--order", "14", "--out", str(tmp_path / "r")])
+    assert code == 2
+    assert "order must be < state dimension (14 >= 12)" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_reduce_nonpositive_tol(tmp_path):
@@ -298,6 +310,8 @@ def test_norm_on_reduced_model(tmp_path, capsys):
     full_norm = float(capsys.readouterr().out.strip())
     # a convergent reduction carries most of the system energy
     assert reduced_norm == pytest.approx(full_norm, rel=0.1)
+    # the library reads a reduced model as the command does
+    assert float(f"{truncated_h2_norm(load_system(red / 'manifest.json')):.12f}") == reduced_norm
 
 
 def test_runtime_error_exit_code(tmp_path):

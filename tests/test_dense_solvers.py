@@ -12,9 +12,7 @@ from qbmor.dense_solvers import (
     SolverError,
     _realify,
     _ShiftPencil,
-    conjugate_pairs,
     pencil_eig,
-    realify_paired_columns,
     record_residuals,
     solve_lyapunov,
     solve_saddle,
@@ -23,7 +21,7 @@ from qbmor.dense_solvers import (
 )
 from qbmor.problems import gen_synthetic_dae
 
-from helpers import random_stable_ode
+from helpers import conjugate_pairs, random_stable_ode
 
 
 def stable_pencil(seed, r):
@@ -113,7 +111,6 @@ def test_split_is_the_matched_pairing(case):
     for neg, pos in pairs:
         expect[:, neg], expect[:, pos] = fact.Y[:, neg].real, fact.Y[:, neg].imag
     assert np.array_equal(_realify(fact.split, fact.Y), expect)
-    assert np.array_equal(realify_paired_columns(fact.eigenvalues, fact.Y), expect)
 
 
 def test_pencil_eig_singular_mass():
@@ -254,11 +251,6 @@ def test_dense_saddle_matrix_is_the_block_assembly(sigma):
                   [sys.A21, np.zeros((3, 3))]])
     assert pencil.band is None
     assert np.array_equal(pencil.matrix(sigma), K)
-
-
-def test_realify_paired_columns_rejects_unpaired():
-    with pytest.raises(ValueError):
-        realify_paired_columns(np.array([1j]), np.ones((2, 1), dtype=complex))
 
 
 # -- solve_lyapunov ----------------------------------------------------------

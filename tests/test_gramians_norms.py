@@ -12,7 +12,6 @@ from qbmor.gramians_norms import (
     _p_rhs,
     _q_rhs,
     error_system_norm,
-    full_gramians_fixed_point,
     linear_gramians,
     truncated_gramians,
     truncated_h2_norm,
@@ -129,14 +128,6 @@ def test_truncated_gramians_factor_the_pencil_once(monkeypatch):
     assert [tag for tag, _ in log] == ["lyapunov"] * 4
 
 
-def test_fixed_point_factors_the_pencil_once(monkeypatch):
-    sys = random_stable_ode(7, 8, m=1, p=1, quad_scale=1e-3)
-    calls = counted_schur(monkeypatch)
-    fp = full_gramians_fixed_point(sys, max_iters=200, tol=1e-12)
-    assert fp.converged and fp.iterations > 1
-    assert calls == [(8, 8)]
-
-
 def test_truncated_gramians_match_congruence_oracle_on_burgers():
     from qbmor.problems import gen_burgers
     from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
@@ -154,29 +145,6 @@ def test_truncated_gramians_match_congruence_oracle_on_burgers():
     oracle_sq = np.trace(err.C @ P @ err.C.T)
     assert abs(error_system_norm(full, red) ** 2 - oracle_sq) <= (
         1e-10 * truncated_h2_norm(full) ** 2)
-
-
-def test_fixed_point_linear_converges_immediately():
-    sys = linear_system(6, 7, m=2)
-    fp = full_gramians_fixed_point(sys)
-    assert fp.converged and fp.iterations == 1
-    assert np.allclose(fp.P, linear_gramians(sys).P, rtol=1e-12, atol=1e-14)
-
-
-def test_fixed_point_small_quadratic_converges():
-    sys = random_stable_ode(7, 8, m=1, p=1, quad_scale=1e-3)
-    fp = full_gramians_fixed_point(sys, max_iters=200, tol=1e-12)
-    assert fp.converged
-    assert fp.residual <= 1e-8
-
-
-def test_fixed_point_large_quadratic_diverges():
-    base = random_stable_ode(7, 8, m=1, p=1, quad_scale=1e-3)
-    big = HessianTensor(8, base.H._i, base.H._j, base.H._k, base.H._v * 1e6,
-                        symmetric=True)
-    strong = QbOdeSystem(E=base.E, A=base.A, H=big, N=base.N, B=base.B, C=base.C)
-    with pytest.raises(SolverError, match="diverged"):
-        full_gramians_fixed_point(strong, max_iters=200)
 
 
 def test_truncated_h2_norm_zero_output():
@@ -320,7 +288,7 @@ def test_error_norm_factors_the_full_pencil_once_per_system(monkeypatch):
     calls.clear()
     with record_residuals() as log:
         assert error_system_norm(full, red) == first
-    assert calls == [(4, 4)]
+    assert calls == []
     assert [tag for tag, _ in log] == ["lyapunov"] * 4
     # the record belongs to the instance, not to equal arrays
     twin = QbOdeSystem(E=full.E.copy(), A=full.A.copy(), H=full.H,
@@ -328,7 +296,46 @@ def test_error_norm_factors_the_full_pencil_once_per_system(monkeypatch):
                        C=full.C.copy())
     calls.clear()
     assert error_system_norm(twin, red) == first
-    assert calls == [(12, 12), (4, 4)]
+    assert calls == [(12, 12)]
+
+
+def test_every_entry_point_reads_the_kept_record(monkeypatch):
+    full, red = bilinear_model()
+    error_system_norm(full, red)
+    calls = counted_schur(monkeypatch)
+    for system in (full, red):
+        with record_residuals() as log:
+            truncated_h2_norm(system)
+            pairs = (linear_gramians(system), truncated_gramians(system))
+        assert calls == []
+        # each call still gates the residuals it reads, from the kept norms
+        assert [tag for tag, _ in log] == ["lyapunov"] * 10
+        assert all(np.array_equal(a, b) for a, b in zip(
+            (pairs[0].P, pairs[0].Q, pairs[1].P, pairs[1].Q),
+            gramians_norms._kept_gramians(system).gramians))
+    twin = QbOdeSystem(E=full.E.copy(), A=full.A.copy(), H=full.H,
+                       N=tuple(Nk.copy() for Nk in full.N), B=full.B.copy(),
+                       C=full.C.copy())
+    assert truncated_h2_norm(full) == truncated_h2_norm(twin)
+    assert calls == [(12, 12)]
+
+
+def test_reduced_models_read_as_the_realization_they_keep():
+    full, red = bilinear_model()
+    ode = QbOdeSystem(E=red.Ehat, A=red.Ahat, H=red.Hhat, N=red.Nhat, B=red.Bhat,
+                      C=red.Chat)
+    assert truncated_h2_norm(red) == truncated_h2_norm(ode)
+    for entry in (linear_gramians, truncated_gramians):
+        got, want = entry(red), entry(ode)
+        assert np.array_equal(got.P, want.P) and np.array_equal(got.Q, want.Q)
+
+
+def test_returned_gramians_are_read_only():
+    sys = random_stable_ode(17, 7, m=2, p=2, quad_scale=0.05)
+    for pair in (linear_gramians(sys), truncated_gramians(sys)):
+        for M in (pair.P, pair.Q):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 0.0
 
 
 def test_kept_gramians_are_read_only_and_freed_with_the_system():
@@ -373,7 +380,7 @@ def test_systems_own_read_only_arrays(monkeypatch):
         M[0] += 1.0
     assert all(np.array_equal(M, M0) for M, M0 in zip(held_arrays(own), held_arrays(full)))
     assert error_system_norm(own, red) == first
-    assert calls == [(4, 4)]
+    assert calls == []
 
 
 def test_unstable_models_raise_on_every_call():

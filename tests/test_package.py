@@ -46,3 +46,24 @@ def test_every_lu_is_a_raw_lapack_call():
              for word in ("lu_factor", "lu_solve", "catch_warnings")
              if word in path.read_text()]
     assert found == []
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a top-level private function, class or constant that no code of the
+    # package reads beyond its own definition is an orphan of deleted code
+    trees = [ast.parse(path.read_text())
+             for path in sorted(pathlib.Path(qbmor.__file__).parent.glob("*.py"))]
+    defined = []
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [t.id for t in targets if isinstance(t, ast.Name)]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    orphans = [name for name in defined
+               if name.startswith("_") and not name.startswith("__") and name not in read]
+    assert orphans == []

@@ -9,7 +9,6 @@ from qbmor.dae_transform import build_projectors, explicit_ode
 from qbmor import dense_solvers, tqb_irka
 from qbmor.dense_solvers import (
     SolverError,
-    conjugate_pairs,
     pencil_eig,
     record_residuals,
     solve_shifted,
@@ -25,7 +24,7 @@ from qbmor.tqb_irka import (
     tqb_irka_ode,
 )
 
-from helpers import random_stable_ode
+from helpers import conjugate_pairs, random_stable_ode
 
 
 def linear_siso(seed=5, n=12):
@@ -194,6 +193,18 @@ def test_dae_saddle_rejects_inhomogeneous():
     sys = gen_synthetic_dae(12, 3, seed=0, with_b2=True)
     with pytest.raises(ValueError, match="homogenize"):
         tqb_irka_dae_saddle(sys, IrkaConfig(r=2))
+
+
+@pytest.mark.parametrize("driver", [tqb_irka_dae_saddle, tqb_irka_dae_explicit])
+def test_dae_order_is_bounded_by_the_constraint_kernel(driver):
+    # every V column lies in ker A21, of dimension n_v - n_p = 12: an order
+    # above it once ran all sweeps and returned a basis outside that kernel
+    sys = gen_synthetic_dae(20, 8, seed=0)
+    with pytest.raises(ValueError, match="n_v - n_p = 12"):
+        driver(sys, IrkaConfig(r=14))
+    red, trace = driver(sys, IrkaConfig(r=12))
+    assert trace.converged
+    assert np.linalg.norm(sys.A21 @ red.V) <= 1e-10 * np.linalg.norm(sys.A21)
 
 
 def test_dae_explicit_matches_bar_system_route():
