@@ -91,13 +91,15 @@ class SpectralFactorization:
     eigenvector columns are exact conjugates.  ``split`` is that pairing,
     read off the eigensolver's order: ``(real_indices, pairs)``, each pair
     ``(neg, pos)`` the positions of one conjugate pair with
-    ``Im(eigenvalues[neg]) < 0 < Im(eigenvalues[pos])``.
+    ``Im(eigenvalues[neg]) < 0 < Im(eigenvalues[pos])``.  ``kappa`` is the
+    basis condition ``|X|_F |Ehat Y|_F``.
     """
 
     X: np.ndarray
     Y: np.ndarray
     eigenvalues: np.ndarray
     split: tuple
+    kappa: float
 
 
 def _realify(split, M):
@@ -191,10 +193,11 @@ def pencil_eig(Ehat, Ahat):
 
     def factor(w, Y):
         w, Y, split = _canonical_eigenbasis(w, Y)
-        X = _left_inverse(Ehat @ Y)
+        EY = Ehat @ Y
+        X = _left_inverse(EY)
         res_a = _fro(X @ Ahat @ Y - np.diag(w)) / max(_fro(Ahat), _TINY)
         res_e = _fro(X @ Ehat @ Y - np.eye(r))
-        return SpectralFactorization(X, Y, w, split), max(res_a, res_e)
+        return SpectralFactorization(X, Y, w, split, _fro(X) * _fro(EY)), max(res_a, res_e)
 
     fact, res = factor(w, Y)
     if res > PENCIL_TOL:
@@ -208,7 +211,7 @@ def pencil_eig(Ehat, Ahat):
             refined, res_r = factor(w2, Yr @ Z)
             if res_r < res:
                 fact, res = refined, res_r
-    kappa = _fro(fact.X) * _fro(Ehat @ fact.Y)
+    kappa = fact.kappa
     tol_eff = max(PENCIL_TOL, 50.0 * np.finfo(float).eps * kappa)
     if not np.isfinite(res) or res > tol_eff:
         raise SolverError(

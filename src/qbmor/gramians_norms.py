@@ -28,7 +28,7 @@ cross blocks, O(n^2 r) in all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -67,23 +67,31 @@ class GramianPair:
                 raise SolverError(f"gramian {name} indefinite (min eig = {lo:.3e})")
 
 
-def _gramian_pair(P, Q, norms, kind):
-    """:class:`GramianPair` of ``P`` and ``Q`` once their residuals pass the gate.
-
-    ``norms`` holds ``(|R|, |G|)`` of the two equations; each relative
-    residual ``|R| / |G|`` is gated and recorded (tag ``"lyapunov"``) before
-    the pair's own checks, and the pair keeps the larger.
-    """
+def _gate(norms):
+    """The relative residuals ``|R| / |G|`` of ``norms``, pairs ``(|R|, |G|)``,
+    each gated and recorded (tag ``"lyapunov"``)."""
     residuals = [res / max(rhs, _TINY) for res, rhs in norms]
     for res in residuals:
         _gate_lyapunov(res)
-    return GramianPair(P=P, Q=Q, kind=kind, residual=max(residuals))
+    return residuals
+
+
+def _pairs(gramians, residuals):
+    """The linear and the truncated :class:`GramianPair` of ``(P1, Q1, P_T, Q_T)``.
+
+    ``residuals`` holds the relative residuals of their four equations, in
+    that order; each pair keeps the larger of its two.
+    """
+    P1, Q1, PT, QT = gramians
+    return (GramianPair(P=P1, Q=Q1, kind="linear", residual=max(residuals[:2])),
+            GramianPair(P=PT, Q=QT, kind="truncated", residual=max(residuals[2:])))
 
 
 def linear_gramians(sys):
     """Gramians of the linear part: ``A P E^T + E P A^T + B B^T = 0`` and dual."""
     g = _kept_gramians(sys)
-    return _gramian_pair(*g.gramians[:2], g.norms[:2], "linear")
+    _gate(g.norms[:2])
+    return g.pairs[0]
 
 
 def _p_rhs(sys, P):
@@ -103,20 +111,11 @@ def _q_rhs(sys, P, Q):
     return 0.5 * (rhs + rhs.T)
 
 
-def _pairs(gramians, norms):
-    """The linear and the truncated :class:`GramianPair` of ``(P1, Q1, P_T, Q_T)``.
-
-    ``norms`` holds ``(|R|, |G|)`` of their four equations, in that order.
-    """
-    P1, Q1, PT, QT = gramians
-    return (_gramian_pair(P1, Q1, norms[:2], "linear"),
-            _gramian_pair(PT, QT, norms[2:], "truncated"))
-
-
 def truncated_gramians(sys):
     """Truncated Gramians: four Lyapunov solves on one factorization of the pencil."""
     g = _kept_gramians(sys)
-    return _pairs(g.gramians, g.norms)[1]
+    _gate(g.norms)
+    return g.pairs[1]
 
 
 def _resolved_norm(tc, tb, c2, P, b2, Q):
@@ -146,7 +145,8 @@ def truncated_h2_norm(sys):
     inconsistent and an error is raised.
     """
     g = _kept_gramians(sys)
-    tg = _pairs(g.gramians, g.norms)[1]
+    _gate(g.norms)
+    tg = g.pairs[1]
     return _resolved_norm(g.tc, g.tb, np.linalg.norm(g.C) ** 2, tg.P,
                           np.linalg.norm(g.B) ** 2, tg.Q)
 
@@ -160,8 +160,8 @@ class _SystemGramians:
     (:func:`~qbmor.system_model._bilinear_terms`).  ``gramians`` holds
     ``(P1, Q1, P_T, Q_T)``, and ``norms`` the Frobenius norms ``(|R|, |G|)``
     of the residual and the right-hand side of each of their four
-    equations, which are not gated here.  ``tc`` and ``tb`` are
-    ``trace(C P_T C^T)`` and ``trace(B^T Q_T B)``.
+    equations, which every call that reads the record gates.  ``tc`` and
+    ``tb`` are ``trace(C P_T C^T)`` and ``trace(B^T Q_T B)``.
     """
 
     lyap: object
@@ -173,6 +173,11 @@ class _SystemGramians:
     norms: tuple
     tc: float
     tb: float
+
+    @cached_property
+    def pairs(self):
+        """The linear and the truncated :class:`GramianPair`, checked once, on first use."""
+        return _pairs(self.gramians, [res / max(rhs, _TINY) for res, rhs in self.norms])
 
 
 def _kept_gramians(sys):
@@ -248,8 +253,10 @@ def error_system_norm(full, red):
     _, tg = _pairs(
         [np.block([[Xf, Xc], [Xc.T, Xr]])
          for Xf, Xr, Xc in zip(big.gramians, small.gramians, (X1, Y1, XT, YT))],
-        [(np.sqrt(rf ** 2 + 2.0 * rc ** 2 + rr ** 2), np.sqrt(gf ** 2 + 2.0 * gc ** 2 + gr ** 2))
-         for (rf, gf), (rr, gr), (rc, gc) in zip(big.norms, small.norms, (n1, n2, n3, n4))])
+        _gate([(np.sqrt(rf ** 2 + 2.0 * rc ** 2 + rr ** 2),
+                np.sqrt(gf ** 2 + 2.0 * gc ** 2 + gr ** 2))
+               for (rf, gf), (rr, gr), (rc, gc) in zip(big.norms, small.norms,
+                                                        (n1, n2, n3, n4))]))
     tc = big.tc - 2.0 * float(np.trace(C @ XT @ Ch.T)) + small.tc
     tb = big.tb + 2.0 * float(np.trace(B.T @ YT @ Bh)) + small.tb
     return _resolved_norm(tc, tb, np.linalg.norm(C) ** 2 + np.linalg.norm(Ch) ** 2, tg.P,

@@ -19,13 +19,17 @@ shift factorization they pass:
   path).
 
 Each reduced pencil is diagonalized once, by :func:`pencil_eig`: its sorted
-spectrum is both the convergence spectrum of the sweep that produced it and
-the source of the next sweep's shifts.  Convergence is declared when that
-spectrum changes by less than ``tol`` (relative, 2-norm) between sweeps.
+spectrum ends the convergence test of the sweep that produced it (a change
+below ``tol``, relative, 2-norm, against the shifts that sweep used), and
+its eigenbasis, gauged to unit input directions, gives the next sweep's
+shifts and tangential data.  The fixed point contracts linearly in its tail,
+so below a change of 1e-2 a sweep starts from an Anderson mix of the last
+sweeps' data (:func:`_drive`); every returned model is still a projection.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +56,13 @@ __all__ = [
     "tqb_irka_dae_explicit",
     "tqb_irka_dae_saddle",
 ]
+
+# Anderson acceleration: the differences kept, and the spectrum change
+# below which a sweep starts from mixed data
+_ANDERSON_MEMORY = 3
+_ANDERSON_START = 1e-2
+# a |(X Bhat)[i, 0]| at most this times |X[i]| |Bhat[:, 0]| admits no gauge
+_GAUGE_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,11 @@ class IrkaConfig:
 
 @dataclass
 class IrkaTrace:
-    """Per-sweep convergence record, with the count of nudged shifts."""
+    """Per sweep: the new spectrum, its change against the shifts used, the
+    largest solver residual, the nudged shifts, whether the shifts were
+    Anderson-mixed (``accelerated``), the contraction ``change_k /
+    change_{k-1}`` and the two-step distance ``|lam_k - lam_{k-2}| / |lam_k|``
+    (``None`` on the first sweep), and the new pencil's ``kappa``."""
 
     converged: bool = False
     iterations: int = 0
@@ -91,6 +106,10 @@ class IrkaTrace:
     relative_changes: list = field(default_factory=list)
     max_residuals: list = field(default_factory=list)
     nudged_shifts: list = field(default_factory=list)
+    accelerated: list = field(default_factory=list)
+    contraction: list = field(default_factory=list)
+    two_step_distances: list = field(default_factory=list)
+    kappa: list = field(default_factory=list)
     bases: list = field(default_factory=list)
 
     def to_json_dict(self):
@@ -104,6 +123,11 @@ class IrkaTrace:
             "relative_changes": [float(x) for x in self.relative_changes],
             "max_residuals": [float(x) for x in self.max_residuals],
             "nudged_shifts": [int(k) for k in self.nudged_shifts],
+            # recorded as Python bools, floats and None
+            "accelerated": list(self.accelerated),
+            "contraction": list(self.contraction),
+            "two_step_distances": list(self.two_step_distances),
+            "kappa": list(self.kappa),
         }
 
 
@@ -172,37 +196,78 @@ def _solve_family(solve, RHS, split, trans=False):
     return V
 
 
-def _run_iteration(state, factor, data, fact, nudged):
-    """One sweep: interpolation data, four solve families, projection."""
+# what a sweep reads of a model: ``z``, the shifts and tangential data
+# (lam, Bt, Ct, Ht, Nt) of order ``r`` raveled into one complex vector, the
+# pencil's ``split``, and whether the gauge ``Bt[:, 0] = 1`` holds
+_Interpolation = namedtuple("_Interpolation", "z r split gauged")
+
+
+def _interpolation_data(state, fact):
+    """The :class:`_Interpolation` of the model ``state``, diagonalized by ``fact``,
+    with eigenvector ``i`` scaled so that ``(X Bhat)[i, 0] = 1``, a gauge that
+    makes the data continuous in the model; ungauged where some
+    ``|(X Bhat)[i, 0]|`` is negligible against ``|X[i]| |Bhat[:, 0]|``."""
     Eh, Ah, Hh, Nh, Bh, Ch = state
+    X, Y = fact.X, fact.Y
+    d = X @ Bh[:, 0]
+    gauged = bool(np.all(np.abs(d) > _GAUGE_FLOOR * np.linalg.norm(X, axis=1)
+                         * np.linalg.norm(Bh[:, 0])))
+    if gauged:
+        X, Y = X / d[:, None], Y * d
+    blocks = [fact.eigenvalues, X @ Bh, Ch @ Y, X @ apply_unfolded(Hh, Y, Y)]
+    z = np.concatenate([np.ravel(M) for M in blocks + [X @ Nk @ Y for Nk in Nh]])
+    return _Interpolation(z, Ah.shape[0], fact.split, gauged)
+
+
+def _anderson(history):
+    """Type-II Anderson step from ``history``, pairs ``(x, g)`` of data vectors,
+    ``g`` the data after a sweep from ``x``, oldest first: real coefficients,
+    fitted to the residuals ``g - x`` by least squares on their stacked real
+    and imaginary parts, combine the ``g`` entry by entry (pairs stay exact)."""
+    X, G = (np.array([np.concatenate([z.real, z.imag]) for z in col]) for col in zip(*history))
+    F = G - X
+    gamma = np.linalg.lstsq(np.diff(F, axis=0).T, F[-1], rcond=None)[0]
+    out = G[-1].copy()
+    for c, dg in zip(gamma, np.diff(G, axis=0)):
+        out -= c * dg
+    return out[:out.size // 2] + 1j * out[out.size // 2:]
+
+
+def _run_iteration(factor, data, x, nudged):
+    """One sweep from the :class:`_Interpolation` ``x``: four solve families, projection.
+
+    Gauge-covariant: scaling eigenvector ``i`` of ``x`` scales column ``i``
+    of each family, so the spans of ``V`` and ``W`` do not change.
+    """
     E, A, H, N, B, C = data
-    r = Ah.shape[0]
-    X, Y, lam = fact.X, fact.Y, fact.eigenvalues
-    Bt = X @ Bh                              # r x m
-    Ct = Ch @ Y                              # p x r
-    Nt = [X @ Nk @ Y for Nk in Nh]
-    Ht = X @ apply_unfolded(Hh, Y, Y)        # r x r^2, complex
+    m, p, r, split = B.shape[1], C.shape[0], x.r, x.split
+    lam, Bt, Ct, Ht, Nt = np.split(x.z, np.cumsum([r, r * m, p * r, r ** 3]))
+    Bt, Ct, Ht, Nt = Bt.reshape(r, m), Ct.reshape(p, r), Ht.reshape(r, r * r), Nt.reshape(m, r, r)
     Ht2 = np.transpose(Ht.reshape(r, r, r), (1, 2, 0)).reshape(r, r * r)  # mode 2
     solve = _shift_solver(factor, lam, B.shape[0], nudged)
     bilinear = _bilinear_terms(N)
 
-    V1 = _solve_family(solve, (B @ Bt.T).astype(complex), fact.split)
+    V1 = _solve_family(solve, (B @ Bt.T).astype(complex), split)
     rhs_v2 = hessian_congruence(H, 1, V1, V1) @ Ht.T
     for k, Nk in bilinear:
         rhs_v2 = rhs_v2 + Nk @ V1 @ Nt[k].T
-    V2 = _solve_family(solve, rhs_v2, fact.split)
+    V2 = _solve_family(solve, rhs_v2, split)
 
-    W1 = _solve_family(solve, (C.T @ Ct).astype(complex), fact.split, trans=True)
+    W1 = _solve_family(solve, (C.T @ Ct).astype(complex), split, trans=True)
     rhs_w2 = 2.0 * hessian_congruence(H, 2, V1, W1) @ Ht2.T
     for k, Nk in bilinear:
         rhs_w2 = rhs_w2 + Nk.T @ W1 @ Nt[k]
-    W2 = _solve_family(solve, rhs_w2, fact.split, trans=True)
+    W2 = _solve_family(solve, rhs_w2, split, trans=True)
 
-    V = _realify(fact.split, V1 + V2)
-    W = _realify(fact.split, W1 + W2)
+    V = _realify(split, V1 + V2)
+    W = _realify(split, W1 + W2)
     V, _ = np.linalg.qr(V)
     W, _ = np.linalg.qr(W)
     return project_realization(*data, V, W), V, W
+
+
+def _relative(d, ref):
+    return float(np.linalg.norm(d) / max(np.linalg.norm(ref), np.finfo(float).tiny))
 
 
 def _drive(factor, data, cfg):
@@ -211,8 +276,11 @@ def _drive(factor, data, cfg):
     ``data`` is the realization ``(E, A, H, N, B, C)`` that every sweep
     projects; ``factor(sigma).solve(rhs, trans)`` must return a solution
     whose first ``n`` rows are the state block.  Each reduced model, the
-    initial one included, is diagonalized once; its spectrum ends one sweep's
-    convergence test and gives the next sweep's shifts.
+    initial one included, is diagonalized once; its spectrum ends one
+    sweep's convergence test, and its data starts the next sweep, mixed with
+    the last sweeps' (:func:`_anderson`) while the change is below
+    ``_ANDERSON_START``: a nudge, a new ``split`` or an ungauged model
+    restarts that history.
     """
     B, C = data[4], data[5]
     n, m = B.shape
@@ -221,28 +289,41 @@ def _drive(factor, data, cfg):
         raise ValueError(f"reduced order {cfg.r} exceeds state dimension {n}")
     state = _initial_model(cfg, m, p)
     fact = pencil_eig(state[0], state[1])
+    x, mixed, history = _interpolation_data(state, fact), False, []
+    spectra = [fact.eigenvalues]
     trace = IrkaTrace()
     for it in range(1, cfg.max_iters + 1):
-        lam_prev, nudged = fact.eigenvalues, set()
+        nudged = set()
         try:
             with record_residuals() as rlog:
-                state, V, W = _run_iteration(state, factor, data, fact, nudged)
+                state, V, W = _run_iteration(factor, data, x, nudged)
                 fact = pencil_eig(state[0], state[1])
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
-        lam_new = fact.eigenvalues
-        change = float(np.linalg.norm(lam_new - lam_prev)
-                       / max(np.linalg.norm(lam_prev), np.finfo(float).tiny))
+        lam, used = fact.eigenvalues, x.z[:x.r]
+        change = _relative(lam - used, used)
+        spectra.append(lam)
         trace.iterations = it
-        trace.eigenvalues.append(lam_new.copy())
+        trace.eigenvalues.append(lam.copy())
         trace.relative_changes.append(change)
         trace.max_residuals.append(max((v for _, v in rlog), default=0.0))
         trace.nudged_shifts.append(len(nudged))
+        trace.accelerated.append(mixed)
+        trace.contraction.append(change / trace.relative_changes[-2] if it > 1 else None)
+        trace.two_step_distances.append(_relative(lam - spectra[-3], lam) if it > 1 else None)
+        trace.kappa.append(fact.kappa)
         if cfg.record_bases:
             trace.bases.append((V.copy(), W.copy()))
         if change < cfg.tol:
             trace.converged = True
             break
+        g = _interpolation_data(state, fact)
+        if (nudged or change >= _ANDERSON_START or g.split != x.split
+                or not (g.gauged and x.gauged)):
+            history = []
+        history = history[-_ANDERSON_MEMORY:] + [(x.z, g.z)]
+        mixed = len(history) > 1
+        x = g._replace(z=_anderson(history)) if mixed else g
     return state, trace, V, W
 
 

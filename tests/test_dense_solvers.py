@@ -54,6 +54,10 @@ def test_pencil_eig_residuals_seeded():
     res_e = np.linalg.norm(fact.X @ E @ fact.Y - np.eye(6))
     assert res_a <= 1e-10 * np.linalg.norm(A)
     assert res_e <= 1e-10
+    # the basis condition that scales the accepted residual is kept
+    assert fact.kappa == pytest.approx(
+        np.linalg.norm(fact.X) * np.linalg.norm(E @ fact.Y), rel=1e-12)
+    assert fact.kappa >= 6.0
 
 
 def test_pencil_eig_conjugate_closed():

@@ -330,6 +330,32 @@ def test_reduced_models_read_as_the_realization_they_keep():
         assert np.array_equal(got.P, want.P) and np.array_equal(got.Q, want.Q)
 
 
+def test_kept_gramian_pairs_are_checked_once(monkeypatch):
+    # the symmetry and PSD checks run once per record; a repeat call reads
+    # the checked pairs and only gates the kept residual norms again
+    full, red = bilinear_model()
+    error_system_norm(full, red)
+    for system in (full, red):
+        truncated_h2_norm(system)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape)
+        return eigvalsh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for system in (full, red):
+        with record_residuals() as log:
+            truncated_h2_norm(system)
+        assert calls == []
+        assert [tag for tag, _ in log] == ["lyapunov"] * 4
+        assert linear_gramians(system) is linear_gramians(system)
+    # the error system's Gramians are assembled anew, and checked, on every call
+    error_system_norm(full, red)
+    assert calls == [(16, 16)] * 4
+
+
 def test_returned_gramians_are_read_only():
     sys = random_stable_ode(17, 7, m=2, p=2, quad_scale=0.05)
     for pair in (linear_gramians(sys), truncated_gramians(sys)):

@@ -9,6 +9,7 @@ from qbmor.dae_transform import build_projectors, explicit_ode
 from qbmor import dense_solvers, tqb_irka
 from qbmor.dense_solvers import (
     SolverError,
+    SpectralFactorization,
     pencil_eig,
     record_residuals,
     solve_shifted,
@@ -447,10 +448,111 @@ def test_burgers_reproducer_converges():
 
 def test_order_one_start_converges():
     _, trace = tqb_irka_ode(gen_burgers(30, 0.05), IrkaConfig(r=1, seed=0))
-    assert trace.converged and trace.iterations == 32
+    assert trace.converged and trace.iterations == 17
     _, trace = tqb_irka_dae_saddle(gen_synthetic_dae(20, 4, seed=1),
                                    IrkaConfig(r=1, max_iters=100))
-    assert trace.converged and trace.iterations == 31
+    assert trace.converged and trace.iterations == 17
+
+
+# -- Anderson-accelerated sweeps on gauged data -------------------------------------
+
+
+def test_burgers_order_six_converges_in_few_sweeps():
+    # the undamped fixed point alternated here for 140 sweeps
+    _, trace = tqb_irka_ode(gen_burgers(400, 0.01), IrkaConfig(r=6, seed=0, max_iters=200))
+    assert trace.converged and trace.iterations <= 40
+    assert any(trace.accelerated)
+
+
+def qb_model_with_pair(seed=3, m=2, p=2):
+    """A reduced QB model with one conjugate pair and nonzero ``Hhat``, ``Nhat``."""
+    rng = np.random.default_rng(seed)
+    r = PAIR_AND_TWO_REAL.shape[0]
+    return (np.eye(r), PAIR_AND_TWO_REAL, 0.3 * rng.standard_normal((r, r * r)),
+            tuple(0.2 * rng.standard_normal((r, r)) for _ in range(m)),
+            rng.standard_normal((r, m)), rng.standard_normal((p, r)))
+
+
+def data_blocks(z, r, m, p):
+    """``(lam, Bt, Ct, Ht, Nt)`` of an interpolation data vector."""
+    lam, Bt, Ct, Ht, Nt = np.split(z, np.cumsum([r, r * m, p * r, r ** 3]))
+    return lam, Bt.reshape(r, m), Ct.reshape(p, r), Ht.reshape(r, r * r), Nt.reshape(m, r, r)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_is_gauge_covariant(monkeypatch, seed):
+    # scaling eigenvector i by d_i (row i of X by 1/d_i) only rescales
+    # column i of every solve family, so the spans of V and W do not move
+    sys = random_stable_ode(4, 14, m=2, p=2, quad_scale=0.2, bilinear_scale=0.2)
+    data = (sys.E, sys.A, sys.H, sys.N, sys.B, sys.C)
+    state = qb_model_with_pair()
+    fact = pencil_eig(state[0], state[1])
+    (neg, pos), = fact.split[1]
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.2, 5.0, 4) * rng.choice([-1.0, 1.0], 4) + 0j
+    d[neg] = d[neg] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    d[pos] = d[neg].conjugate()
+    scaled = SpectralFactorization(fact.X / d[:, None], fact.Y * d, fact.eigenvalues,
+                                   fact.split, fact.kappa)
+    gauged = tqb_irka._interpolation_data(state, fact)
+    assert gauged.gauged
+    assert np.allclose(data_blocks(gauged.z, 4, 2, 2)[1][:, 0], 1.0, rtol=0, atol=1e-12)
+    monkeypatch.setattr(tqb_irka, "_GAUGE_FLOOR", np.inf)  # data as the factors give it
+    runs = [tqb_irka._run_iteration(lambda s: solve_shifted(sys.E, sys.A, s, None), data,
+                                    x, set())
+            for x in (gauged, tqb_irka._interpolation_data(state, fact),
+                      tqb_irka._interpolation_data(state, scaled))]
+    for _, V, W in runs[1:]:
+        assert la.subspace_angles(V, runs[0][1]).max() <= 1e-10
+        assert la.subspace_angles(W, runs[0][2]).max() <= 1e-10
+
+
+def test_mixed_data_keeps_conjugate_pairs_exact():
+    # the data of four successive models, with the conjugate pairs of their
+    # shifts and tangential directions made exact; real coefficients mix
+    # them entry by entry
+    sys = random_stable_ode(0, 14, m=2, p=2, quad_scale=0.2, bilinear_scale=0.2)
+    data = (sys.E, sys.A, sys.H, sys.N, sys.B, sys.C)
+    state = qb_model_with_pair()
+    zs = []
+    for _ in range(4):
+        x = tqb_irka._interpolation_data(state, pencil_eig(state[0], state[1]))
+        assert x.split == ([0, 3], [(1, 2)])
+        z = x.z.copy()
+        _, Bt, Ct, _, _ = data_blocks(z, 4, 2, 2)  # views into z
+        Bt[2], Ct[:, 2] = Bt[1].conjugate(), Ct[:, 1].conjugate()
+        Bt[[0, 3]], Ct[:, [0, 3]] = Bt[[0, 3]].real, Ct[:, [0, 3]].real
+        zs.append(z)
+        state, _, _ = tqb_irka._run_iteration(
+            lambda s: solve_shifted(sys.E, sys.A, s, None), data, x, set())
+    lam, Bt, Ct, _, _ = data_blocks(tqb_irka._anderson(list(zip(zs, zs[1:]))), 4, 2, 2)
+    assert not np.array_equal(lam, data_blocks(zs[-1], 4, 2, 2)[0])
+    assert lam[2] == lam[1].conjugate()
+    assert np.array_equal(Bt[2], Bt[1].conjugate())
+    assert np.array_equal(Ct[:, 2], Ct[:, 1].conjugate())
+    assert not lam[[0, 3]].imag.any() and not Bt[[0, 3]].imag.any()
+    assert not Ct[:, [0, 3]].imag.any()
+
+
+def test_trace_records_contraction_and_pencil_condition():
+    sys = gen_burgers(60, 0.05)
+    red, trace = tqb_irka_ode(sys, IrkaConfig(r=6, seed=0))
+    assert trace.converged
+    k = trace.iterations
+    changes, lam = trace.relative_changes, [pencil_eig(np.eye(6), np.diag(
+        -np.logspace(2.0, -1.0, 6))).eigenvalues] + trace.eigenvalues
+    assert trace.contraction[0] is None and trace.two_step_distances[0] is None
+    for i in range(1, k):
+        assert trace.contraction[i] == changes[i] / changes[i - 1]
+        assert trace.two_step_distances[i] == pytest.approx(
+            np.linalg.norm(lam[i + 1] - lam[i - 1]) / np.linalg.norm(lam[i + 1]), rel=1e-12)
+    # the first sweeps change the spectrum by more than the mixing threshold
+    assert not trace.accelerated[0] and any(trace.accelerated)
+    assert trace.kappa[-1] == pencil_eig(red.Ehat, red.Ahat).kappa
+    payload = json.loads(json.dumps(trace.to_json_dict()))
+    assert [len(payload[key]) for key in ("accelerated", "contraction",
+                                          "two_step_distances", "kappa")] == [k] * 4
+    assert payload["contraction"][0] is None
 
 
 # -- band and dense shift storage agree --------------------------------------------
