@@ -1,15 +1,15 @@
 """Dense linear-algebra backends.
 
-Generalized pencil eigendecomposition, shifted and saddle-point solves
-(one factorization per shift serves plain and transposed solves; a system
-whose pattern is narrow is factored in LAPACK band storage, any other
-dense), and generalized Lyapunov solves (Bartels-Stewart on the pencil
-reduced by one LU of the mass matrix).  Every LU is one raw ``getrf`` or
-``gbtrf`` from ``get_lapack_funcs``, whose ``info`` is checked before any
-triangular solve: a zero pivot raises :class:`SolverError`, never a
-warning.  Every solver computes the residual of its own output, raises
-:class:`ResidualError` when the stated bound is exceeded, and reports the
-value to any active :func:`record_residuals` context.
+Generalized pencil eigendecomposition, shifted and saddle-point solves (one
+factorization per shift serves plain and transposed solves; a system whose
+pattern is narrow is factored in LAPACK band storage, any other dense), and
+generalized Lyapunov solves (Bartels-Stewart on the pencil reduced by one LU
+of the mass matrix).  Every LU is one raw ``getrf`` or ``gbtrf``, and every
+pencil eigensolve one ``ggev``, from ``get_lapack_funcs``: its ``info`` is
+checked first, so a zero pivot (before any triangular solve) or a failed QZ
+raises :class:`SolverError`, never a warning.  Every solver computes the
+residual of its own output, raises :class:`ResidualError` past the stated
+bound, and reports it to any active :func:`record_residuals` context.
 """
 
 from __future__ import annotations
@@ -114,43 +114,38 @@ def _realify(split, M):
     return out
 
 
-def _canonical_eigenbasis(w, Y):
+def _canonical_eigenbasis(w, V):
     """Exact conjugate pairs, fixed phases and (real, imag) order, with the pairing.
 
-    LAPACK lists a real eigenvalue of a real matrix or pencil with a zero
-    imaginary part and a complex pair as consecutive entries, positive member
-    first: that order names the pairs, each snapped from its negative member.
-    Sorting after the snap keeps pair members, whose computed real parts can
-    differ by roundoff, adjacent and in order.
+    ``ggev`` gives a real pencil's eigenvalues ``w`` with a real one's
+    eigenvector as a column of ``V``, and a complex pair as consecutive
+    entries, positive member first, whose columns are the real and imaginary
+    parts of its eigenvector: that order names the pairs, each snapped from
+    its negative member, and sorting after the snap keeps them adjacent.
     """
-
-    def normalized(y):
-        pivot = y[np.argmax(np.abs(y))]
-        y = y / pivot
-        return y / np.linalg.norm(y)
-
-    w, Y = w.astype(complex), Y.astype(complex)
     pos = np.flatnonzero(w.imag > 0)
-    if not np.array_equal(np.flatnonzero(w.imag < 0), pos + 1):
+    neg = pos + 1
+    if not np.array_equal(np.flatnonzero(w.imag < 0), neg):
         raise SolverError("real pencil produced a non-conjugate spectrum")
+    w, Y = np.where(w.imag == 0, w.real, w), V.astype(complex)
+    Y[:, neg] = V[:, pos] - 1j * V[:, neg]
+    # each column divided by its largest entry, then to unit norm
+    Y /= Y[np.argmax(np.abs(Y), axis=0), np.arange(w.size)]
+    Y /= np.linalg.norm(Y, axis=0)
+    Y[:, pos] = Y[:, neg].conjugate()
+    w[pos] = w[neg].conjugate()
     mate = np.arange(w.size)  # each column's conjugate partner, itself when real
-    mate[pos], mate[pos + 1] = pos + 1, pos
-    for idx in np.flatnonzero(w.imag == 0):
-        w[idx] = w[idx].real
-        Y[:, idx] = normalized(Y[:, idx].real).astype(complex)
-    for neg in pos + 1:
-        w[neg - 1] = w[neg].conjugate()
-        Y[:, neg] = normalized(Y[:, neg])
-        Y[:, neg - 1] = Y[:, neg].conjugate()
+    mate[pos], mate[neg] = neg, pos
     order = np.lexsort((w.imag, w.real))
     # sorted positions; a pair shares its real part, so its negative member comes first
-    mate = np.argsort(order)[mate[order]].tolist()
-    return w[order], Y[:, order], ([i for i, j in enumerate(mate) if j == i],
-                                   [(i, j) for i, j in enumerate(mate) if j > i])
+    mate = np.argsort(order)[mate[order]]
+    idx = np.arange(w.size)
+    return w[order], Y[:, order], (idx[mate == idx].tolist(),
+                                   list(zip(idx[mate > idx].tolist(), mate[mate > idx].tolist())))
 
 
 def _left_inverse(EY):
-    """``X`` with ``X @ EY = I``, refined on that (left) residual."""
+    """``(X, |I - X EY|_F)`` with ``X @ EY = I``, refined on that (left) residual."""
     r = EY.shape[0]
     getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (EY,))
     lu, piv, info = getrf(EY)
@@ -158,12 +153,13 @@ def _left_inverse(EY):
         raise SolverError("pencil eigenvector matrix singular")
     solve_t = partial(getrs, lu, piv, trans=1)
     X = solve_t(np.eye(r, dtype=EY.dtype))[0].T
+    R = np.eye(r) - X @ EY
     for _ in range(3):
-        R = np.eye(r) - X @ EY
         if _fro(R) <= 0.1 * PENCIL_TOL:
             break
         X = X + solve_t(R.T)[0].T
-    return X
+        R = np.eye(r) - X @ EY
+    return X, _fro(R)
 
 
 def pencil_eig(Ehat, Ahat):
@@ -180,37 +176,37 @@ def pencil_eig(Ehat, Ahat):
     Ahat = np.asarray(Ahat, dtype=float)
     r = Ehat.shape[0]
     if Ehat.shape != (r, r) or Ahat.shape != (r, r):
-        raise ValueError(
-            f"pencil matrices must be square and matching, got "
-            f"{Ehat.shape} and {Ahat.shape}"
-        )
+        raise ValueError(f"pencil matrices must be square and matching, got "
+                         f"{Ehat.shape} and {Ahat.shape}")
     sing = la.svdvals(Ehat)
     if sing[-1] <= 1e-12 * max(sing[0], 1.0):
         raise SolverError("reduced mass matrix singular")
-    w, Y = la.eig(Ahat, Ehat)
-    if not np.all(np.isfinite(w)):
-        raise SolverError("pencil has non-finite eigenvalues")
+    ggev, = la.get_lapack_funcs(("ggev",), (Ahat, Ehat))
 
-    def factor(w, Y):
-        w, Y, split = _canonical_eigenbasis(w, Y)
+    def factor(A, E, basis=None):
+        alphar, alphai, beta, _, V, _, info = ggev(A, E, compute_vl=0)
+        if info:
+            raise SolverError(f"pencil eigensolve failed (ggev info={info})")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = (alphar + 1j * alphai) / beta
+        if not np.all(np.isfinite(w)):
+            raise SolverError("pencil has non-finite eigenvalues")
+        w, Y, split = _canonical_eigenbasis(w, V if basis is None else basis @ V)
         EY = Ehat @ Y
-        X = _left_inverse(EY)
+        X, res_e = _left_inverse(EY)
         res_a = _fro(X @ Ahat @ Y - np.diag(w)) / max(_fro(Ahat), _TINY)
-        res_e = _fro(X @ Ehat @ Y - np.eye(r))
         return SpectralFactorization(X, Y, w, split, _fro(X) * _fro(EY)), max(res_a, res_e)
 
-    fact, res = factor(w, Y)
+    fact, res = factor(Ahat, Ehat)
     if res > PENCIL_TOL:
         # refine: the computed basis nearly diagonalizes the pencil, so one
         # more (well-conditioned) eigensolve in that basis cleans up the
         # residual; the basis is made real first so that the refined
         # spectrum of the real pencil stays exactly conjugate-closed
         Yr = _realify(fact.split, fact.Y)
-        w2, Z = la.eig(_left_inverse(Ehat @ Yr) @ Ahat @ Yr)
-        if np.all(np.isfinite(w2)):
-            refined, res_r = factor(w2, Yr @ Z)
-            if res_r < res:
-                fact, res = refined, res_r
+        refined, res_r = factor(_left_inverse(Ehat @ Yr)[0] @ Ahat @ Yr, np.eye(r), Yr)
+        if res_r < res:
+            fact, res = refined, res_r
     kappa = fact.kappa
     tol_eff = max(PENCIL_TOL, 50.0 * np.finfo(float).eps * kappa)
     if not np.isfinite(res) or res > tol_eff:
@@ -394,23 +390,17 @@ class _ShiftFactor:
         z = z + self._trs(self._residual(b, z, t), trans=t)[0]
         r = self._residual(b, z, t)
         res = _fro(r) / max(_fro(b), _TINY)
-        if self.saddle and res > SADDLE_TOL:
+        # each gate reads ``not res <= tol``, so that a NaN residual fails it
+        if not res <= (SADDLE_TOL if self.saddle else SHIFTED_TOL):
             raise ResidualError(
-                f"saddle solve residual {res:.3e} exceeds {SADDLE_TOL:.0e} "
-                f"at sigma={self.sigma}"
-            )
-        if not self.saddle and res > SHIFTED_TOL:
-            raise ResidualError(
-                f"{self._failure()}: relative residual {res:.3e} exceeds "
-                f"{SHIFTED_TOL:.0e}"
-            )
+                f"saddle solve residual {res:.3e} exceeds {SADDLE_TOL:.0e} at sigma={self.sigma}"
+                if self.saddle else
+                f"{self._failure()}: relative residual {res:.3e} exceeds {SHIFTED_TOL:.0e}")
         # the constraint rows on their own, relative to z's top block or their rhs
         cres = (_fro(r[n:]) / max(_fro(z[:n]), _fro(b[n:]), _TINY)
                 if self.saddle else 0.0)
-        if cres > SADDLE_TOL:
-            raise ResidualError(
-                f"saddle constraint residual {cres:.3e} exceeds {SADDLE_TOL:.0e}"
-            )
+        if not cres <= SADDLE_TOL:
+            raise ResidualError(f"saddle constraint residual {cres:.3e} exceeds {SADDLE_TOL:.0e}")
         _note("saddle" if self.saddle else "shifted", max(res, cres))
         if split:
             z = np.ascontiguousarray(z).view(complex).reshape(shape)

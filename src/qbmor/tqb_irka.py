@@ -47,7 +47,8 @@ from .dense_solvers import (
 )
 from .system_model import (ReducedQbSystem, _bilinear_terms, project_dae_outputs,
                            project_realization)
-from .tensor_kron import apply_unfolded, hessian_congruence
+from .tensor_kron import (apply_unfolded,  # noqa: F401  (bench/tracer.py wraps it by this name)
+                          hessian_congruence)
 
 __all__ = [
     "IrkaConfig",
@@ -98,7 +99,8 @@ class IrkaTrace:
     largest solver residual, the nudged shifts, whether the shifts were
     Anderson-mixed (``accelerated``), the contraction ``change_k /
     change_{k-1}`` and the two-step distance ``|lam_k - lam_{k-2}| / |lam_k|``
-    (``None`` on the first sweep), and the new pencil's ``kappa``."""
+    (``None`` on the first sweep), the new pencil's ``kappa``, and what made
+    its data restart the Anderson history (``restarts``, :func:`_drive`)."""
 
     converged: bool = False
     iterations: int = 0
@@ -110,16 +112,15 @@ class IrkaTrace:
     contraction: list = field(default_factory=list)
     two_step_distances: list = field(default_factory=list)
     kappa: list = field(default_factory=list)
+    restarts: list = field(default_factory=list)
     bases: list = field(default_factory=list)
 
     def to_json_dict(self):
         return {
             "converged": self.converged,
             "iterations": self.iterations,
-            "eigenvalues": [
-                [[float(z.real), float(z.imag)] for z in lam]
-                for lam in self.eigenvalues
-            ],
+            "eigenvalues": [[[float(z.real), float(z.imag)] for z in lam]
+                            for lam in self.eigenvalues],
             "relative_changes": [float(x) for x in self.relative_changes],
             "max_residuals": [float(x) for x in self.max_residuals],
             "nudged_shifts": [int(k) for k in self.nudged_shifts],
@@ -128,6 +129,7 @@ class IrkaTrace:
             "contraction": list(self.contraction),
             "two_step_distances": list(self.two_step_distances),
             "kappa": list(self.kappa),
+            "restarts": list(self.restarts),
         }
 
 
@@ -208,15 +210,16 @@ def _interpolation_data(state, fact):
     makes the data continuous in the model; ungauged where some
     ``|(X Bhat)[i, 0]|`` is negligible against ``|X[i]| |Bhat[:, 0]|``."""
     Eh, Ah, Hh, Nh, Bh, Ch = state
-    X, Y = fact.X, fact.Y
+    X, Y, r = fact.X, fact.Y, Ah.shape[0]
     d = X @ Bh[:, 0]
     gauged = bool(np.all(np.abs(d) > _GAUGE_FLOOR * np.linalg.norm(X, axis=1)
                          * np.linalg.norm(Bh[:, 0])))
     if gauged:
         X, Y = X / d[:, None], Y * d
-    blocks = [fact.eigenvalues, X @ Bh, Ch @ Y, X @ apply_unfolded(Hh, Y, Y)]
+    # X Hh (Y kron Y) as two batched r^4 products, row i of X Hh folded to r x r
+    blocks = [fact.eigenvalues, X @ Bh, Ch @ Y, Y.T @ (X @ Hh).reshape(r, r, r) @ Y]
     z = np.concatenate([np.ravel(M) for M in blocks + [X @ Nk @ Y for Nk in Nh]])
-    return _Interpolation(z, Ah.shape[0], fact.split, gauged)
+    return _Interpolation(z, r, fact.split, gauged)
 
 
 def _anderson(history):
@@ -279,8 +282,11 @@ def _drive(factor, data, cfg):
     initial one included, is diagonalized once; its spectrum ends one
     sweep's convergence test, and its data starts the next sweep, mixed with
     the last sweeps' (:func:`_anderson`) while the change is below
-    ``_ANDERSON_START``: a nudge, a new ``split`` or an ungauged model
-    restarts that history.
+    ``_ANDERSON_START``.  The trace records what restarts that history first
+    (``None`` if nothing or converged): ``"change"`` at or above that, a
+    ``"nudge"``, a new ``"split"``, an ungauged model (``"gauge"``), or a
+    data ``"residual"`` ``|g - x|`` (``x`` the data a sweep starts from,
+    ``g`` its model's) larger than the previous sweep's.
     """
     B, C = data[4], data[5]
     n, m = B.shape
@@ -289,7 +295,7 @@ def _drive(factor, data, cfg):
         raise ValueError(f"reduced order {cfg.r} exceeds state dimension {n}")
     state = _initial_model(cfg, m, p)
     fact = pencil_eig(state[0], state[1])
-    x, mixed, history = _interpolation_data(state, fact), False, []
+    x, mixed, history, res = _interpolation_data(state, fact), False, [], np.inf
     spectra = [fact.eigenvalues]
     trace = IrkaTrace()
     for it in range(1, cfg.max_iters + 1):
@@ -316,12 +322,16 @@ def _drive(factor, data, cfg):
             trace.bases.append((V.copy(), W.copy()))
         if change < cfg.tol:
             trace.converged = True
+            trace.restarts.append(None)
             break
         g = _interpolation_data(state, fact)
-        if (nudged or change >= _ANDERSON_START or g.split != x.split
-                or not (g.gauged and x.gauged)):
-            history = []
-        history = history[-_ANDERSON_MEMORY:] + [(x.z, g.z)]
+        res, last = np.linalg.norm(g.z - x.z), res
+        restart = next((why for why, hit in (
+            ("change", change >= _ANDERSON_START), ("nudge", nudged),
+            ("split", g.split != x.split), ("gauge", not (g.gauged and x.gauged)),
+            ("residual", res > last)) if hit), None)
+        trace.restarts.append(restart)
+        history = ([] if restart else history[-_ANDERSON_MEMORY:]) + [(x.z, g.z)]
         mixed = len(history) > 1
         x = g._replace(z=_anderson(history)) if mixed else g
     return state, trace, V, W

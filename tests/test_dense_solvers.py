@@ -3,10 +3,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbmor.dae_transform import build_projectors
 from qbmor.dense_solvers import (
     LYAPUNOV_TOL,
+    PENCIL_TOL,
     SADDLE_TOL,
     ResidualError,
     SolverError,
@@ -120,6 +123,51 @@ def test_split_is_the_matched_pairing(case):
 def test_pencil_eig_singular_mass():
     with pytest.raises(SolverError, match="singular"):
         pencil_eig(np.zeros((2, 2)), np.eye(2))
+
+
+@pytest.mark.parametrize("seed, r", [(1, 6), (2, 7), (4, 9)])
+def test_pencil_eig_basis_matches_the_per_column_reference(seed, r):
+    # the per-column construction from scipy's complex eigenvectors: each
+    # column divided by its largest entry, then scaled to unit norm
+    E, A = stable_pencil(seed, r)
+    w, Y = la.eig(A, E)
+    for j in range(r):
+        y = Y[:, j] / Y[np.argmax(np.abs(Y[:, j])), j]
+        Y[:, j] = y / np.linalg.norm(y)
+    order = np.lexsort((w.imag, np.round(w.real, 8)))
+    fact = pencil_eig(E, A)
+    assert fact.split[1]
+    assert np.abs(fact.eigenvalues - w[order]).max() <= 1e-12 * np.abs(w).max()
+    assert np.abs(fact.Y - Y[:, order]).max() <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), pairs=st.integers(0, 3), reals=st.integers(0, 3))
+def test_pencil_eig_on_real_pencils_with_forced_pairs(seed, pairs, reals):
+    # (P J Q, P Q) with J block diagonal: 2x2 blocks [[a, b], [-b, a]] force
+    # the conjugate pairs a -+ bi, 1x1 blocks the real eigenvalues; the real
+    # parts of different blocks lie on a grid of step 1/4, so the order is robust
+    rng = np.random.default_rng(seed)
+    r = max(2 * pairs + reals, 1)
+    re = -0.25 * rng.choice(np.arange(1, 40), pairs + max(reals, r - 2 * pairs), replace=False)
+    blocks = [np.array([[a, b], [-b, a]]) for a, b in zip(re, rng.uniform(0.2, 3.0, pairs))]
+    J = la.block_diag(*blocks, *[[[c]] for c in re[pairs:]])
+    P, Q = (np.eye(r) + 0.3 * rng.standard_normal((r, r)) / np.sqrt(r) for _ in range(2))
+    A, E = P @ J @ Q, P @ Q
+    fact = pencil_eig(E, A)
+    lam, X, Y = fact.eigenvalues, fact.X, fact.Y
+    ref = la.eigvals(A, E)
+    ref = ref[np.lexsort((ref.imag, np.round(ref.real, 8)))]
+    assert np.abs(lam - ref).max() <= 1e-9 * np.abs(ref).max()
+    assert np.array_equal(np.lexsort((lam.imag, lam.real)), np.arange(r))
+    assert fact.split == conjugate_pairs(lam) and len(fact.split[1]) == pairs
+    real_idx, pair_idx = fact.split
+    assert not lam[real_idx].imag.any() and not Y[:, real_idx].imag.any()
+    for neg, pos in pair_idx:
+        assert lam[pos] == lam[neg].conjugate()
+        assert np.array_equal(Y[:, pos], Y[:, neg].conjugate())
+    assert np.linalg.norm(X @ A @ Y - np.diag(lam)) <= PENCIL_TOL * np.linalg.norm(A)
+    assert np.linalg.norm(X @ E @ Y - np.eye(r)) <= PENCIL_TOL
 
 
 # -- solve_shifted -----------------------------------------------------------
@@ -657,3 +705,29 @@ def test_band_factor_forms_no_square_matrix(sigma):
         tracemalloc.stop()
     assert fact.band is not None
     assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("kind", ["dense", "band", "saddle"])
+def test_nan_residual_fails_the_gate(kind):
+    # NaN compares false with any bound, so a gate written ``res > tol``
+    # returned the solution and recorded the NaN residual
+    if kind == "dense":
+        fact, _, n = shift_factor_case("ode", -0.4 + 0j)
+        assert fact.band is None
+    elif kind == "band":
+        fact, _, n = band_factor_case("ode", -0.4 + 0j)
+        assert fact.band is not None
+    else:
+        fact, _, n = shift_factor_case("saddle", -0.4 + 0j)
+    residual, calls = fact._residual, []
+
+    def nan_on_final(b, z, t):
+        # the first residual refines the solution, the second is gated
+        calls.append(t)
+        r = residual(b, z, t)
+        return r if len(calls) == 1 else np.full_like(r, np.nan)
+
+    fact._residual = nan_on_final
+    with record_residuals() as log, pytest.raises(ResidualError, match=r"residual nan exceeds"):
+        fact.solve(np.ones(n))
+    assert len(calls) == 2 and log == []

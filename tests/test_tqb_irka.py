@@ -549,10 +549,104 @@ def test_trace_records_contraction_and_pencil_condition():
     # the first sweeps change the spectrum by more than the mixing threshold
     assert not trace.accelerated[0] and any(trace.accelerated)
     assert trace.kappa[-1] == pencil_eig(red.Ehat, red.Ahat).kappa
+    # a sweep's data restart the history, or the next sweep starts mixed
+    assert trace.restarts[0] == "change" and trace.restarts[-1] is None
+    assert trace.accelerated[1:] == [why is None for why in trace.restarts[:-1]]
     payload = json.loads(json.dumps(trace.to_json_dict()))
-    assert [len(payload[key]) for key in ("accelerated", "contraction",
-                                          "two_step_distances", "kappa")] == [k] * 4
+    assert [len(payload[key]) for key in ("accelerated", "contraction", "two_step_distances",
+                                          "kappa", "restarts")] == [k] * 5
     assert payload["contraction"][0] is None
+    assert payload["restarts"] == trace.restarts
+
+
+def test_grown_data_residual_starts_no_mixed_step(monkeypatch):
+    # the data residual |g - x| of each sweep, x the data it started from and
+    # g the data of its model: where it grew, the next sweep is not mixed
+    starts, ends = [], []
+    run, data = tqb_irka._run_iteration, tqb_irka._interpolation_data
+
+    def recorded_run(factor, data_, x, nudged):
+        starts.append(x.z)
+        return run(factor, data_, x, nudged)
+
+    def recorded_data(state, fact):
+        ends.append(data(state, fact))
+        return ends[-1]
+
+    monkeypatch.setattr(tqb_irka, "_run_iteration", recorded_run)
+    monkeypatch.setattr(tqb_irka, "_interpolation_data", recorded_data)
+    sys = gen_synthetic_dae(30, 6, m=2, p=2, quad_scale=0.1, seed=2, with_c2=True)
+    _, trace = tqb_irka_dae_saddle(sys, IrkaConfig(r=6, seed=2, max_iters=200))
+    assert trace.converged
+    # ends[0] is the initial model's data; the converged last sweep takes none
+    res = [np.linalg.norm(g.z - x) for g, x in zip(ends[1:], starts)]
+    grew = [k for k in range(1, len(res)) if res[k] > res[k - 1]]
+    residual = [k for k, why in enumerate(trace.restarts) if why == "residual"]
+    assert residual and set(residual) <= set(grew)
+    assert not any(trace.accelerated[k + 1] for k in grew)
+
+
+@pytest.fixture(scope="module")
+def dae_reduce_traces():
+    """The traces of the benchmark's ``dae-reduce`` draws: draw s from init seed s."""
+    return [tqb_irka_dae_saddle(gen_synthetic_dae(60, 12, m=2, p=2, quad_scale=0.1, seed=s,
+                                                  with_c2=True),
+                                IrkaConfig(r=8, tol=1e-5, max_iters=200, seed=s))[1]
+            for s in range(12)]
+
+
+def test_dae_reduce_sweep_ledger(dae_reduce_traces):
+    # 324 sweeps with unchecked mixed steps, 281 with the residual restart
+    assert all(trace.converged for trace in dae_reduce_traces)
+    assert sum(trace.iterations for trace in dae_reduce_traces) <= 295
+
+
+def test_dae_draw_that_mixing_slowed_converges_in_few_sweeps(dae_reduce_traces):
+    # 63 sweeps without mixing, 75 with unchecked mixed steps, 41 with the restart
+    trace = dae_reduce_traces[3]
+    assert trace.converged and trace.iterations <= 50
+    assert "residual" in trace.restarts
+
+
+def test_failed_pencil_eigensolve_names_its_sweep(monkeypatch):
+    # the second reduced pencil's QZ reports failure: sweep 1 formed it
+    fetch, fetched = dense_solvers.la.get_lapack_funcs, []
+
+    def failing_fetch(names, *args, **kwargs):
+        funcs = fetch(names, *args, **kwargs)
+        if names != ("ggev",):
+            return funcs
+        fetched.append(names)
+        return funcs if len(fetched) < 2 else [lambda *a, **k: funcs[0](*a, **k)[:-1] + (3,)]
+
+    monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", failing_fetch)
+    with pytest.raises(SolverError,
+                       match=r"^iteration 1: pencil eigensolve failed \(ggev info=3\)$"):
+        tqb_irka_ode(linear_siso(), IrkaConfig(r=2, seed=0))
+
+
+@pytest.mark.parametrize("gauged", [True, False])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_interpolation_data_matches_kronecker_oracle(monkeypatch, seed, gauged):
+    rng = np.random.default_rng(seed)
+    r, m, p = 6, 2, 2
+    M, G = rng.standard_normal((r, r)), rng.standard_normal((r, r))
+    state = (np.eye(r) + 0.1 * G, -(M @ M.T) / r - np.eye(r) + 0.7 * (M - M.T),
+             rng.standard_normal((r, r * r)), tuple(rng.standard_normal((r, r)) for _ in range(m)),
+             rng.standard_normal((r, m)), rng.standard_normal((p, r)))
+    if not gauged:
+        monkeypatch.setattr(tqb_irka, "_GAUGE_FLOOR", np.inf)
+    fact = pencil_eig(state[0], state[1])
+    assert fact.split[1]
+    x = tqb_irka._interpolation_data(state, fact)
+    assert x.gauged == gauged
+    X, Y = fact.X, fact.Y
+    if gauged:
+        d = X @ state[4][:, 0]
+        X, Y = X / d[:, None], Y * d
+    oracle = X @ state[2] @ np.kron(Y, Y)
+    Ht = data_blocks(x.z, r, m, p)[3]
+    assert np.linalg.norm(Ht - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 # -- band and dense shift storage agree --------------------------------------------
