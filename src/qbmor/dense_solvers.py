@@ -114,6 +114,16 @@ def _realify(split, M):
     return out
 
 
+def _pair_map(split):
+    """The complex ``T`` with ``M = _realify(split, M) @ T`` for every ``M`` whose
+    columns are real but in the pairs of ``split``, whose members are conjugate:
+    a pair's (Re, Im) columns map back to ``Re + i Im`` and ``Re - i Im``."""
+    neg, pos = np.array(split[1], dtype=int).reshape(-1, 2).T
+    T = np.eye(len(split[0]) + 2 * neg.size, dtype=complex)
+    T[pos, neg], T[neg, pos], T[pos, pos] = 1j, 1.0, -1j
+    return T
+
+
 def _canonical_eigenbasis(w, V):
     """Exact conjugate pairs, fixed phases and (real, imag) order, with the pairing.
 

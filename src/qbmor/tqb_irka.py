@@ -6,7 +6,10 @@ shifted linear systems per side (a linear family and a quadratic/bilinear
 correction family), sums and orthonormalizes the results, and projects the
 full-order matrices.  Every distinct shift of a sweep is factored once, and that one
 factorization serves all four families: plain solves for ``V`` and
-transposed solves for ``W``.  Each entry point measures its system's
+transposed solves for ``W``.  The families are kept in the layout of
+:func:`_realify`, so n-sized work is real wherever the data is: a real shift
+solves a real column on its real factor, and the correction right-hand
+sides contract realified bases.  Each entry point measures its system's
 pattern once, and that alone picks band or dense storage for all its
 shifts.  The three entry points share this core and differ only in the
 shift factorization they pass:
@@ -37,6 +40,7 @@ import numpy as np
 from .dae_transform import build_projectors, output_realization
 from .dense_solvers import (
     SolverError,
+    _pair_map,
     _realify,
     _ShiftPencil,
     pencil_eig,
@@ -181,20 +185,21 @@ def _shift_solver(factor, lam, n, nudged):
     return solve
 
 
-def _solve_family(solve, RHS, split, trans=False):
-    """One column per shift via ``solve(idx, rhs, trans)``, mirroring pairs.
+def _solve_family(solve, R, split, trans=False):
+    """One column per shift via ``solve(idx, rhs, trans)``, realified in and out.
 
-    ``split`` is ``(real_indices, pairs)``, a factorization's ``split``; of
-    each pair only the negative-imaginary column is solved and its partner
-    is the conjugate, exact for conjugate-paired right-hand-side columns.
+    ``split`` is ``(real_indices, pairs)``, a factorization's ``split``; ``R``
+    and the result are conjugate-closed families laid out by :func:`_realify`.
+    A real shift solves its real column; of a pair only the negative member
+    is solved, on ``R[:, neg] + i R[:, pos]``, its (Re, Im) both columns.
     """
-    V = np.zeros(RHS.shape, dtype=complex)
+    V = np.empty(R.shape)
     real_idx, pairs = split
     for idx in real_idx:
-        V[:, idx] = solve(idx, RHS[:, idx], trans)
+        V[:, idx] = solve(idx, R[:, idx], trans)
     for neg, pos in pairs:
-        V[:, neg] = solve(neg, RHS[:, neg], trans)
-        V[:, pos] = V[:, neg].conjugate()
+        z = solve(neg, R[:, neg] + 1j * R[:, pos], trans)
+        V[:, neg], V[:, pos] = z.real, z.imag
     return V
 
 
@@ -239,33 +244,40 @@ def _anderson(history):
 def _run_iteration(factor, data, x, nudged):
     """One sweep from the :class:`_Interpolation` ``x``: four solve families, projection.
 
+    Each family ``F`` is held realified, as ``Fr`` with ``F = Fr T`` (``T``
+    the :func:`_pair_map`), so ``H (V1 kron V1) Ht^T = H (V1r kron V1r) (T kron
+    T) Ht^T`` and ``N_k V1 Nt_k^T = N_k V1r (T Nt_k^T)`` are real products
+    with realified r-sized coefficients; ``V``, ``W`` orthonormalize ``V1r +
+    V2r``, ``W1r + W2r``.
     Gauge-covariant: scaling eigenvector ``i`` of ``x`` scales column ``i``
     of each family, so the spans of ``V`` and ``W`` do not change.
     """
     E, A, H, N, B, C = data
     m, p, r, split = B.shape[1], C.shape[0], x.r, x.split
     lam, Bt, Ct, Ht, Nt = np.split(x.z, np.cumsum([r, r * m, p * r, r ** 3]))
-    Bt, Ct, Ht, Nt = Bt.reshape(r, m), Ct.reshape(p, r), Ht.reshape(r, r * r), Nt.reshape(m, r, r)
-    Ht2 = np.transpose(Ht.reshape(r, r, r), (1, 2, 0)).reshape(r, r * r)  # mode 2
+    Bt, Ct, Ht, Nt = Bt.reshape(r, m), Ct.reshape(p, r), Ht.reshape(r, r, r), Nt.reshape(m, r, r)
+    T = _pair_map(split)
     solve = _shift_solver(factor, lam, B.shape[0], nudged)
     bilinear = _bilinear_terms(N)
 
-    V1 = _solve_family(solve, (B @ Bt.T).astype(complex), split)
-    rhs_v2 = hessian_congruence(H, 1, V1, V1) @ Ht.T
-    for k, Nk in bilinear:
-        rhs_v2 = rhs_v2 + Nk @ V1 @ Nt[k].T
-    V2 = _solve_family(solve, rhs_v2, split)
+    def fold(K):
+        # realified (T kron T) K^T of an (r, r, r) K, as two batched r^4 products
+        return _realify(split, (T @ (K @ T.T)).reshape(r, r * r).T)
 
-    W1 = _solve_family(solve, (C.T @ Ct).astype(complex), split, trans=True)
-    rhs_w2 = 2.0 * hessian_congruence(H, 2, V1, W1) @ Ht2.T
+    V1 = _solve_family(solve, B @ _realify(split, Bt.T), split)
+    rhs = hessian_congruence(H, 1, V1, V1) @ fold(Ht)
     for k, Nk in bilinear:
-        rhs_w2 = rhs_w2 + Nk.T @ W1 @ Nt[k]
-    W2 = _solve_family(solve, rhs_w2, split, trans=True)
+        rhs += Nk @ V1 @ _realify(split, T @ Nt[k].T)
+    V2 = _solve_family(solve, rhs, split)
 
-    V = _realify(split, V1 + V2)
-    W = _realify(split, W1 + W2)
-    V, _ = np.linalg.qr(V)
-    W, _ = np.linalg.qr(W)
+    W1 = _solve_family(solve, C.T @ _realify(split, Ct), split, trans=True)
+    rhs = 2.0 * hessian_congruence(H, 2, V1, W1) @ fold(Ht.transpose(1, 2, 0))  # mode 2
+    for k, Nk in bilinear:
+        rhs += Nk.T @ W1 @ _realify(split, T @ Nt[k])
+    W2 = _solve_family(solve, rhs, split, trans=True)
+
+    V, _ = np.linalg.qr(V1 + V2)
+    W, _ = np.linalg.qr(W1 + W2)
     return project_realization(*data, V, W), V, W
 
 

@@ -13,6 +13,7 @@ from qbmor.dense_solvers import (
     SADDLE_TOL,
     ResidualError,
     SolverError,
+    _pair_map,
     _realify,
     _ShiftPencil,
     pencil_eig,
@@ -118,6 +119,23 @@ def test_split_is_the_matched_pairing(case):
     for neg, pos in pairs:
         expect[:, neg], expect[:, pos] = fact.Y[:, neg].real, fact.Y[:, neg].imag
     assert np.array_equal(_realify(fact.split, fact.Y), expect)
+
+
+@pytest.mark.parametrize("split", [([0, 3], [(1, 2)]), ([2], [(0, 3), (1, 4)]),
+                                   ([1, 4, 5], [(2, 3), (0, 6)]), ([0, 1], [])])
+def test_pair_map_rebuilds_conjugate_closed_columns(split):
+    # columns real at the real indices of a split and conjugate within its
+    # pairs come back from their realified form
+    real_idx, pairs = split
+    r = len(real_idx) + 2 * len(pairs)
+    rng = np.random.default_rng(r)
+    M = rng.standard_normal((11, r)) + 1j * rng.standard_normal((11, r))
+    M[:, real_idx] = M[:, real_idx].real
+    for neg, pos in pairs:
+        M[:, pos] = M[:, neg].conjugate()
+    T = _pair_map(split)
+    assert T.shape == (r, r)
+    assert np.linalg.norm(_realify(split, M) @ T - M) <= 1e-15 * np.linalg.norm(M)
 
 
 def test_pencil_eig_singular_mass():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from qbmor.dae_transform import build_projectors, explicit_ode
+from qbmor.dae_transform import build_projectors, explicit_ode, output_realization
 from qbmor import dense_solvers, tqb_irka
 from qbmor.dense_solvers import (
     SolverError,
@@ -17,7 +17,7 @@ from qbmor.dense_solvers import (
 from qbmor.gramians_norms import error_system_norm
 from qbmor.problems import gen_burgers, gen_synthetic_dae
 from qbmor.system_model import QbOdeSystem, ReducedQbSystem
-from qbmor.tensor_kron import HessianTensor
+from qbmor.tensor_kron import HessianTensor, hessian_congruence
 from qbmor.tqb_irka import (
     IrkaConfig,
     tqb_irka_dae_explicit,
@@ -376,24 +376,25 @@ def test_wrong_size_right_hand_side_is_not_nudged(monkeypatch):
 
 
 def test_family_solver_matches_kronecker_oracle():
-    # one real shift and one conjugate pair, conjugate-paired right-hand sides
+    # one real shift and one conjugate pair, conjugate-paired right-hand sides,
+    # handed over and returned realified
     rng = np.random.default_rng(6)
     sys = random_stable_ode(6, 8)
     E, A = sys.E, sys.A
     lam = np.array([-0.7, 1.2 - 0.8j, 1.2 + 0.8j])
-    RHS = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    RHS[:, 0] = RHS[:, 0].real
-    RHS[:, 2] = RHS[:, 1].conjugate()
     split = conjugate_pairs(lam)
     assert split == ([0], [(1, 2)])
+    R = rng.standard_normal((8, 3))
+    RHS = R @ dense_solvers._pair_map(split)
     solve = tqb_irka._shift_solver(lambda s: solve_shifted(E, A, s, None), lam, 8, set())
     for trans, (Eo, Ao) in ((False, (E, A)), (True, (E.T, A.T))):
-        V = tqb_irka._solve_family(solve, RHS, split, trans)
+        Vr = tqb_irka._solve_family(solve, R, split, trans)
+        assert Vr.dtype == float
+        V = Vr @ dense_solvers._pair_map(split)
         # -E V diag(lam) - A V = RHS, or its transpose, column-stacked
         K = -(np.kron(np.diag(lam), Eo) + np.kron(np.eye(3), Ao))
         res = K @ V.ravel(order="F") - RHS.ravel(order="F")
         assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(RHS)
-        assert np.array_equal(V[:, 2], V[:, 1].conjugate())
 
 
 def test_transposed_factor_solves_match_transposed_systems():
@@ -684,3 +685,111 @@ def test_band_and_dense_shift_storage_reduce_alike(seed):
     # sweep counts and spectra follow the roundoff path, so only the
     # backend-independent error norm is compared
     assert abs(norms[1] - norms[0]) <= 1e-3 * norms[0]
+
+
+# -- a real pencil's sweep in real arithmetic ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def burgers_reduce_runs():
+    """The benchmark's ``burgers-reduce`` reductions: Burgers n=150, init seeds 0-23."""
+    sys = gen_burgers(150, 0.01)
+    return sys, [tqb_irka_ode(sys, IrkaConfig(r=10, tol=1e-5, max_iters=50, seed=s))
+                 for s in range(24)]
+
+
+def test_burgers_reduce_sweep_ledger(burgers_reduce_runs):
+    # 348 sweeps in all, with complex or with realified families
+    traces = [trace for _, trace in burgers_reduce_runs[1]]
+    assert all(trace.converged for trace in traces)
+    assert sum(trace.iterations for trace in traces) <= 350
+
+
+def real_shift_imaginary_parts(red, B, C):
+    """Largest ``|Im b| / |b|`` over the first families' right-hand-side columns
+    ``b`` at the real shifts of the data of the reduced model ``red``."""
+    state = (red.Ehat, red.Ahat, red.Hhat, red.Nhat, red.Bhat, red.Chat)
+    x = tqb_irka._interpolation_data(state, pencil_eig(red.Ehat, red.Ahat))
+    real_idx = x.split[0]
+    assert real_idx
+    _, Bt, Ct, _, _ = data_blocks(x.z, red.r, B.shape[1], C.shape[0])
+    return max(np.linalg.norm(M[:, i].imag) / np.linalg.norm(M[:, i])
+               for M in (B @ Bt.T, C.T @ Ct) for i in real_idx)
+
+
+def test_real_shift_right_hand_sides_are_real_at_converged_models(burgers_reduce_runs):
+    # what a realified family drops at a real shift is roundoff
+    sys, runs = burgers_reduce_runs
+    red, trace = runs[0]
+    assert trace.converged
+    assert real_shift_imaginary_parts(red, sys.B, sys.C) <= 1e-12
+    dae = gen_synthetic_dae(60, 12, m=2, p=2, quad_scale=0.1, seed=0, with_c2=True)
+    red, trace = tqb_irka_dae_saddle(dae, IrkaConfig(r=8, tol=1e-5, max_iters=200, seed=0))
+    assert trace.converged
+    assert real_shift_imaginary_parts(red, dae.B1, output_realization(dae).C) <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["ode", "saddle"])
+def test_no_complex_right_hand_side_reaches_a_real_factor(monkeypatch, route):
+    seen = []  # (factor is complex, right-hand side is complex) per solve
+
+    class Recording:
+        def __init__(self, fact):
+            self.fact = fact
+
+        def solve(self, rhs, trans=False):
+            seen.append((np.iscomplexobj(self.fact.M), np.iscomplexobj(rhs)))
+            return self.fact.solve(rhs, trans)
+
+    name = "solve_shifted" if route == "ode" else "solve_saddle"
+    make = getattr(tqb_irka, name)
+    monkeypatch.setattr(tqb_irka, name, lambda *args: Recording(make(*args)))
+    if route == "ode":
+        _, trace = tqb_irka_ode(gen_burgers(60, 0.05), IrkaConfig(r=6, seed=0))
+    else:
+        sys = gen_synthetic_dae(30, 6, m=2, p=2, quad_scale=0.1, seed=2, with_c2=True)
+        _, trace = tqb_irka_dae_saddle(sys, IrkaConfig(r=6, seed=2, max_iters=200))
+    assert trace.converged
+    assert (True, True) in seen and (False, False) in seen
+    assert (False, True) not in seen
+
+
+@pytest.mark.parametrize("bilinear", [False, True])
+@pytest.mark.parametrize("tensor", ["burgers", "dae"])
+def test_folded_congruences_match_complex_right_hand_sides(monkeypatch, tensor, bilinear):
+    # the second families' right-hand sides, contracted from realified bases
+    # with folded coefficients, against H^(mode) (V1 kron .) Ht^T plus the
+    # bilinear terms of the complex bases V1 = V1r T, W1 = W1r T
+    if tensor == "burgers":
+        sys = gen_burgers(30, 0.05)
+        E, A = sys.E, sys.A
+    else:
+        sys = gen_synthetic_dae(30, 6, m=2, p=2, quad_scale=0.1, seed=1)
+        E, A = sys.E11, sys.A11
+    n, rng = E.shape[0], np.random.default_rng(7)
+    N = tuple(0.1 * bilinear * rng.standard_normal((n, n)) for _ in range(2))
+    data = (E, A, sys.H, N, rng.standard_normal((n, 2)), rng.standard_normal((2, n)))
+    state = qb_model_with_pair()
+    x = tqb_irka._interpolation_data(state, pencil_eig(state[0], state[1]))
+    calls, solve_family = [], tqb_irka._solve_family
+
+    def recorded(solve, R, split, trans=False):
+        calls.append((R, solve_family(solve, R, split, trans)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(tqb_irka, "_solve_family", recorded)
+    tqb_irka._run_iteration(lambda s: solve_shifted(E, A, s, None), data, x, set())
+    (_, V1r), (rhs_v, _), (_, W1r), (rhs_w, _) = calls
+    T = dense_solvers._pair_map(x.split)
+    V1, W1 = V1r @ T, W1r @ T
+    _, _, _, Ht, Nt = data_blocks(x.z, 4, 2, 2)
+    Ht2 = np.transpose(Ht.reshape(4, 4, 4), (1, 2, 0)).reshape(4, 16)
+    oracle_v = hessian_congruence(sys.H, 1, V1, V1) @ Ht.T
+    oracle_w = 2.0 * hessian_congruence(sys.H, 2, V1, W1) @ Ht2.T
+    for Nk, Ntk in zip(N, Nt):
+        oracle_v = oracle_v + Nk @ V1 @ Ntk.T
+        oracle_w = oracle_w + Nk.T @ W1 @ Ntk
+    for got, oracle in ((rhs_v, oracle_v), (rhs_w, oracle_w)):
+        assert got.dtype == float
+        assert (np.linalg.norm(got - dense_solvers._realify(x.split, oracle))
+                <= 1e-12 * np.linalg.norm(oracle))
