@@ -1,13 +1,14 @@
 """Dense linear-algebra backends.
 
 Generalized pencil eigendecomposition, shifted and saddle-point solves (one
-factorization per shift serves plain and transposed solves; a system whose
-pattern is narrow is factored in LAPACK band storage, any other dense), and
-generalized Lyapunov solves (Bartels-Stewart on the pencil reduced by one LU
-of the mass matrix).  Every LU is one raw ``getrf`` or ``gbtrf``, and every
-pencil eigensolve one ``ggev``, from ``get_lapack_funcs``: its ``info`` is
-checked first, so a zero pivot (before any triangular solve) or a failed QZ
-raises :class:`SolverError`, never a warning.  Every solver computes the
+factorization per family of shifts serves plain and transposed solves; a
+narrow pattern stacks a family's matrices in one LAPACK band, any other is
+dense), and generalized Lyapunov solves (Bartels-Stewart on the pencil
+reduced by one LU of the mass matrix).  Every LU is one raw ``getrf`` or
+``gbtrf``, and every pencil eigensolve one ``ggev``, from
+``get_lapack_funcs``: its ``info`` (a shift factor's pivots) is checked
+first, so a zero pivot (before any triangular solve) or a failed QZ raises
+:class:`SolverError`, never a warning.  Every solver computes the
 residual of its own output, raises :class:`ResidualError` past the stated
 bound, and reports it to any active :func:`record_residuals` context.
 """
@@ -45,7 +46,11 @@ _TINY = np.finfo(float).tiny
 
 
 class SolverError(RuntimeError):
-    """A dense solve failed (singularity, instability, defectiveness)."""
+    """A dense solve failed (singularity, instability, defectiveness).
+
+    A failed shift of a :class:`_ShiftFactor` sets ``block`` and ``factor``."""
+
+    block = factor = None
 
 
 class ResidualError(SolverError):
@@ -72,10 +77,10 @@ def record_residuals():
                 break
 
 
-def _note(tag, value):
+def _note(tag, *values):
     if _SINKS:
         for sink in _SINKS:
-            sink.append((tag, float(value)))
+            sink.extend((tag, float(v)) for v in values)
 
 
 def _fro(M):
@@ -284,13 +289,9 @@ class _Band(NamedTuple):
 
     def residual(self, gbmv, M, b, z, trans=0):
         """``b - M z`` (``M^T`` with ``trans = 1``) in a Fortran copy of ``b``, by columns."""
-        rows = M.shape[1]
         r = np.array(b, dtype=np.result_type(b, z), order="F")
-        r_flat = r.reshape(-1, order="F")
-        z_flat = np.asfortranarray(z).reshape(-1, order="F")
-        for off in range(0, r_flat.size, rows):
-            self.matvec(gbmv, M, z_flat, -1.0, offx=off, beta=1.0, y=r_flat, offy=off,
-                        overwrite_y=True, trans=trans)
+        for j in range(r.shape[1]):
+            self.matvec(gbmv, M, z[:, j], -1.0, beta=1.0, y=r[:, j], overwrite_y=True, trans=trans)
         return r
 
 
@@ -323,112 +324,153 @@ class _ShiftPencil:
                 self._S = self.band.store(M, rows, at, self._S)
         else:
             Z = np.zeros((rows - n, rows - n))
-            self._E = la.block_diag(E, Z) if self.saddle else E
-            self._S = np.block([[A, -A12], [-A21, Z]]) if self.saddle else A
+            # Fortran-ordered, so that M(sigma) is too, as LAPACK reads it
+            self._E = np.asfortranarray(la.block_diag(E, Z) if self.saddle else E)
+            self._S = np.asfortranarray(np.block([[A, -A12], [-A21, Z]]) if self.saddle else A)
 
     def matrix(self, sigma):
-        """``M(sigma)``, dense ``(rows, rows)`` or in :class:`_Band` storage."""
-        return -sigma * self._E - self._S
+        """``M(sigma)``, Fortran-ordered, dense ``(rows, rows)`` or in :class:`_Band` storage;
+        for k shifts stacked, dense ``(k, rows, rows)`` or side by side as one band."""
+        MT = -np.asarray(sigma)[..., None, None] * self._E.T - self._S.T
+        return MT.swapaxes(-1, -2) if self.band is None else MT.reshape(-1, self.band.rows).T
+
+
+def _block_norms(X, k):
+    """Frobenius norms of the ``k`` leading-axis blocks of ``X``, by batched dot products."""
+    Y = np.ascontiguousarray(X).reshape(k, 1, -1)
+    Y = Y.view(float) if Y.dtype.kind == "c" else Y
+    return np.sqrt(Y @ Y.transpose(0, 2, 1)).ravel()
 
 
 class _ShiftFactor:
-    """One shifted or saddle matrix ``M``, formed once per shift, and its LU.
+    """The matrices ``M(sigma_i)`` of a family of k shifts (:class:`_ShiftPencil`), and their LU.
 
-    ``M`` is ``-sigma E - A`` or, with constraint blocks, the saddle matrix
-    ``[[-sigma E - A, A12], [A21, 0]]``, stored as its ``pencil``
-    (:class:`_ShiftPencil`, measured here when not given) picks: dense and
-    factored by ``getrf``, or as a band factored by ``gbtrf`` on a copy,
-    which forms no n-by-n array; a zero pivot raises :class:`SolverError`.
-    The storage binds the triangular solve and the residual once, here.
-    ``solve(rhs, trans)`` solves with ``M`` or its plain (unconjugated)
-    transpose, refined once, and gates the residual ``rhs - M z``, taken
-    against the stored ``M`` (by ``gbmv`` for a band), over the whole
-    right-hand side; ``rhs`` has ``n + n_p`` rows or ``n``, zero-padded over
-    the constraint rows.  A shift with zero imaginary part is factored in
-    real arithmetic; complex right-hand sides are then solved as real views
-    with twice the columns, so no complex copy of ``M`` or its LU is made.
+    The family has one dtype, real when every imaginary part is zero (a
+    scalar ``sigma`` is k = 1).  A band lays the k matrices side by side as
+    one block-diagonal band for one ``gbtrf`` (no entry between blocks is
+    nonzero, so no pivot leaves its block) and one ``gbtrs`` pass; dense
+    storage keeps a ``getrf``/``getrs`` per block.  ``solve(rhs, trans)``
+    solves with each ``M_i`` or its plain transpose, refined once, block
+    ``i`` taking columns ``i c`` to ``(i + 1) c`` of the ``k c`` in ``rhs``
+    (of ``n + n_p`` or ``n`` rows; real views when complex on a real family),
+    and gates each block's residual and a saddle's constraint rows.  A zero
+    pivot, a non-finite solution or a missed gate in block ``i`` raises
+    :class:`SolverError` naming ``sigma_i``, with ``block = i`` and
+    ``factor``, so a caller can :meth:`refactor` block ``i`` alone.
     """
 
     def __init__(self, E, A, sigma, A12=None, A21=None, pencil=None):
-        if sigma.imag == 0:
-            sigma = sigma.real
+        sigma = np.atleast_1d(sigma)
+        self.sigma = sigma.astype(complex) if sigma.imag.any() else sigma.real.astype(float)
         if pencil is None:
             pencil = _ShiftPencil(E, A, A12, A21)
         elif any(p is not q for p, q in zip(pencil.source, (E, A, A12, A21))):
             raise ValueError("pencil was measured from other matrices")
-        self.sigma, self.saddle, self.n = sigma, pencil.saddle, pencil.n
-        self.M = M = pencil.matrix(sigma)
+        self.pencil, self.saddle, self.n, self.rows = pencil, pencil.saddle, pencil.n, pencil.rows
+        self.M = M = pencil.matrix(self.sigma)
         self.band = band = pencil.band
+        k, rows = self.sigma.size, self.rows
         if band is None:
             getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (M,))
-            lu, piv, info = getrf(M)
-            self._trs = partial(getrs, lu, piv)
-            self._residual = lambda b, z, t: b - (M.T if t else M) @ z
+            self._trf = getrf
+            # each block Fortran-ordered, as getrf (in place) and getrs read it
+            lu, piv = np.empty(M.shape, M.dtype).swapaxes(1, 2), np.empty((k, rows), np.int32)
+            lu[...] = M
+            for i in range(k):
+                piv[i] = getrf(lu[i], overwrite_a=1)[1]
+            self.lu = lu, piv
+            self._trs = lambda b, t: np.concatenate(
+                [getrs(a, p, bi, trans=t)[0] for a, p, bi in zip(lu, piv, b.reshape(k, rows, -1))])
+            self._residual = lambda b, z, t: b - (
+                (M.swapaxes(1, 2) if t else M) @ z.reshape(k, rows, -1)).reshape(b.shape)
         else:
             gbtrf, gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (M,))
             gbmv, = get_blas_funcs(("gbmv",), (M,))
-            lu, piv, info = gbtrf(M, band.kl, band.ku)
-            self._trs = partial(gbtrs, lu, band.kl, band.ku, ipiv=piv)
+            self._trf = lambda a: gbtrf(a, band.kl, band.ku)
+            self.lu = lu, piv = self._trf(M)[:2]
+            self._trs = lambda b, t: gbtrs(lu, band.kl, band.ku, b, piv, trans=t)[0]
             self._residual = partial(band.residual, gbmv, M)
-        if info:
-            # an exactly zero pivot: a triangular solve would divide by it
-            raise SolverError(self._failure())
-        self.lu = (lu, piv)
+        self._check_pivots()
 
-    def _failure(self):
-        if self.saddle:
-            return f"singular saddle matrix at sigma={self.sigma}"
-        return f"shift collides with spectrum (sigma={self.sigma})"
+    def _failure(self, i):
+        return (f"singular saddle matrix at sigma={self.sigma[i]}" if self.saddle
+                else f"shift collides with spectrum (sigma={self.sigma[i]})")
+
+    def _check_pivots(self):
+        # an exactly zero pivot: a triangular solve would divide by it
+        lu, band = self.lu[0], self.band
+        self._gate(np.diagonal(lu, axis1=1, axis2=2) if band is None else lu[band.kl + band.ku],
+                   SolverError, self._failure)
+
+    def refactor(self, i, sigma):
+        """Block ``i`` formed and factored again at ``sigma``; the others are kept."""
+        self.sigma[i], rows = sigma, self.rows
+        at = (i,) if self.band is None else (slice(None), slice(i * rows, (i + 1) * rows))
+        self.M[at] = self.pencil.matrix(self.sigma[i])
+        lu, piv, _ = self._trf(self.M[at])
+        # a band block's pivots index the rows of the whole band
+        self.lu[0][at], self.lu[1][at[-1]] = lu, piv + (0 if self.band is None else i * rows)
+        self._check_pivots()
+
+    def _gate(self, ok, cls, message):
+        """Raise ``cls(message(i))`` at the first block ``i`` of ``ok`` (split
+        along its first axis) with a false or zero entry."""
+        if not ok.all():
+            i = int(np.argmin(ok.reshape(self.sigma.size, -1).all(axis=1)))
+            exc = cls(message(i))
+            exc.block, exc.factor = i, self
+            raise exc
 
     def solve(self, rhs, trans=False):
-        """Solution of ``M z = rhs`` (``M^T`` with ``trans``), refined once."""
+        """Solutions of ``M_i z_i = rhs_i`` (``M_i^T`` with ``trans``), refined once."""
         b = np.asarray(rhs)
-        n, rows = self.n, self.M.shape[1]
+        k, n, rows = self.sigma.size, self.n, self.rows
         if b.shape[0] != rows:
             if b.shape[0] != n:
                 raise ValueError(f"right-hand side has {b.shape[0]} rows, "
                                  f"expected {n} or {rows}")
             b = np.concatenate([b, np.zeros((rows - n,) + b.shape[1:], dtype=b.dtype)])
+        shape = b.shape
+        # the blocks' right-hand sides stacked, block i in rows i rows to (i + 1) rows
+        b = b.reshape(rows, k, -1).transpose(1, 0, 2).reshape(k * rows, -1)
         t = 1 if trans else 0
-        shape, split = b.shape, np.iscomplexobj(b) and not np.iscomplexobj(self.M)
+        split = b.dtype.kind == "c" and self.M.dtype.kind != "c"
         if split:
-            b = np.ascontiguousarray(b.reshape(rows, -1)).view(float)
-        z = self._trs(b, trans=t)[0]
+            b = np.ascontiguousarray(b).view(float)
+        z = self._trs(b, t)
         # a pivot too small for the data overflows here; stop before any product with it
-        if not np.all(np.isfinite(z)):
-            raise SolverError(self._failure())
-        z = z + self._trs(self._residual(b, z, t), trans=t)[0]
+        self._gate(np.isfinite(z), SolverError, self._failure)
+        z = z + self._trs(self._residual(b, z, t), t)
         r = self._residual(b, z, t)
-        res = _fro(r) / max(_fro(b), _TINY)
+        res = _block_norms(r, k) / np.maximum(_block_norms(b, k), _TINY)
         # each gate reads ``not res <= tol``, so that a NaN residual fails it
-        if not res <= (SADDLE_TOL if self.saddle else SHIFTED_TOL):
-            raise ResidualError(
-                f"saddle solve residual {res:.3e} exceeds {SADDLE_TOL:.0e} at sigma={self.sigma}"
-                if self.saddle else
-                f"{self._failure()}: relative residual {res:.3e} exceeds {SHIFTED_TOL:.0e}")
-        # the constraint rows on their own, relative to z's top block or their rhs
-        cres = (_fro(r[n:]) / max(_fro(z[:n]), _fro(b[n:]), _TINY)
-                if self.saddle else 0.0)
-        if not cres <= SADDLE_TOL:
-            raise ResidualError(f"saddle constraint residual {cres:.3e} exceeds {SADDLE_TOL:.0e}")
-        _note("saddle" if self.saddle else "shifted", max(res, cres))
+        self._gate(res <= (SADDLE_TOL if self.saddle else SHIFTED_TOL), ResidualError, lambda i: (
+            f"saddle solve residual {res[i]:.3e} exceeds {SADDLE_TOL:.0e} at sigma={self.sigma[i]}"
+            if self.saddle else
+            f"{self._failure(i)}: relative residual {res[i]:.3e} exceeds {SHIFTED_TOL:.0e}"))
+        if self.saddle:
+            # the constraint rows on their own, relative to z's top block or their rhs
+            rb, zb, bb = (X.reshape(k, rows, -1) for X in (r, z, b))
+            cres = _block_norms(rb[:, n:], k) / np.maximum(
+                np.maximum(_block_norms(zb[:, :n], k), _block_norms(bb[:, n:], k)), _TINY)
+            self._gate(cres <= SADDLE_TOL, ResidualError, lambda i: (
+                f"saddle constraint residual {cres[i]:.3e} exceeds {SADDLE_TOL:.0e}"))
+            res = np.maximum(res, cres)
+        _note("saddle" if self.saddle else "shifted", *res)
         if split:
-            z = np.ascontiguousarray(z).view(complex).reshape(shape)
-        return z
+            z = np.ascontiguousarray(z).view(complex)
+        return z.reshape(k, rows, -1).transpose(1, 0, 2).reshape(shape)
 
 
 def solve_shifted(E, A, sigma, rhs, pencil=None):
     """Solve ``(-sigma E - A) Z = rhs`` with one step of iterative refinement.
 
-    With ``rhs=None`` the factorization is returned instead: an object whose
-    ``solve(rhs, trans=False)`` reuses the matrix, formed once, and its LU
-    for plain and transposed solves, gated on the residual against that
-    matrix; a real ``sigma`` solves complex ``rhs`` as real views.  The
-    pattern of ``E`` and ``A`` picks band (``gbtrf``/``gbtrs``) or dense
-    (``getrf``/``getrs``) storage; ``pencil``, a :class:`_ShiftPencil` of
-    the same ``E`` and ``A`` arrays (any others raise ``ValueError``),
-    carries that choice from an earlier measurement, so a reduction
-    measures its system once for all shifts.
+    With ``rhs=None`` the :class:`_ShiftFactor` is returned instead, reused
+    for plain and transposed solves; ``sigma`` may be a family of shifts.
+    The pattern of ``E`` and ``A`` picks band or dense storage; ``pencil``,
+    a :class:`_ShiftPencil` of the same ``E`` and ``A`` arrays (any others
+    raise ``ValueError``), carries that choice from an earlier measurement,
+    so a reduction measures its system once for all shifts.
     """
     fact = _ShiftFactor(E, A, sigma, pencil=pencil)
     return fact if rhs is None else fact.solve(rhs)
@@ -557,10 +599,8 @@ def solve_saddle(E11, A11, A12, A21, sigma, f, pencil=None):
     obliquely projected shifted solve used by the projector-free reduction
     iteration.  An ``f`` of ``n_v + n_p`` rows is the whole right-hand side
     ``[f_v; g]``, solving ``A21 v = g`` instead.  With ``f=None`` the saddle
-    factorization is returned, as in :func:`solve_shifted`: the saddle matrix
-    is formed once, in the storage its pattern picks (``pencil`` carries
-    that choice, as there), and the residual of every solve is taken
-    against it.
+    factorization is returned, as in :func:`solve_shifted` (with ``sigma``
+    and ``pencil`` as there).
     """
     fact = _ShiftFactor(E11, A11, sigma, A12, A21, pencil)
     if f is None:

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .dense_solvers import SolverError, _gate_lyapunov, solve_lyapunov
 from .system_model import ReducedQbSystem, _bilinear_terms, _reduced_ode
@@ -59,12 +60,15 @@ class GramianPair:
 
     def __post_init__(self):
         for name, M in (("P", self.P), ("Q", self.Q)):
+            scale = max(np.linalg.norm(M), 1.0)
             dev = np.linalg.norm(M - M.T)
-            if dev > 1e-12 * max(np.linalg.norm(M), 1.0):
+            if dev > 1e-12 * scale:
                 raise SolverError(f"gramian {name} not symmetric (|M - M^T| = {dev:.3e})")
-            lo = float(np.linalg.eigvalsh(M).min())
-            if lo < -1e-10 * max(np.linalg.norm(M), 1.0):
-                raise SolverError(f"gramian {name} indefinite (min eig = {lo:.3e})")
+            # M + d I has a Cholesky factor only if min eig(M) > -d; else eigvalsh decides
+            if dpotrf(M + 1e-10 * scale * np.eye(len(M)), clean=0)[1]:
+                lo = float(np.linalg.eigvalsh(M).min())
+                if lo < -1e-10 * scale:
+                    raise SolverError(f"gramian {name} indefinite (min eig = {lo:.3e})")
 
 
 def _gate(norms):

@@ -4,12 +4,13 @@ One iteration brings the reduced data into interpolation form with the
 diagonalization of the current reduced pencil, solves two families of
 shifted linear systems per side (a linear family and a quadratic/bilinear
 correction family), sums and orthonormalizes the results, and projects the
-full-order matrices.  Every distinct shift of a sweep is factored once, and that one
-factorization serves all four families: plain solves for ``V`` and
-transposed solves for ``W``.  The families are kept in the layout of
-:func:`_realify`, so n-sized work is real wherever the data is: a real shift
-solves a real column on its real factor, and the correction right-hand
-sides contract realified bases.  Each entry point measures its system's
+full-order matrices.  A sweep's real shifts are factored once, together,
+and so are the negative members of its conjugate pairs; those two factors
+serve all four families: plain solves for ``V`` and transposed solves for
+``W``.  The families are kept in the layout of :func:`_realify`, so n-sized
+work is real wherever the data is: the real shifts solve real columns on
+their real factor, and the correction right-hand sides contract realified
+bases.  Each entry point measures its system's
 pattern once, and that alone picks band or dense storage for all its
 shifts.  The three entry points share this core and differ only in the
 shift factorization they pass:
@@ -160,27 +161,36 @@ def _initial_model(cfg, m, p):
     return Eh, Ah, Hh, Nh, Bh, Ch
 
 
-def _shift_solver(factor, lam, n, nudged):
-    """Solves at ``lam[idx]`` through one factorization per shift.
+def _shift_solver(factor, lam, n, nudged, lift=None):
+    """Solves at the shifts ``lam[idx]``, a column each, on one ``factor(lam[idx])`` per family.
 
-    A shift whose factorization or any solve raises :class:`SolverError` is
-    refactored once at a deterministic nudge, keeps that factor for the
-    rest of the sweep, and has its index added to the set ``nudged``.
+    A shift whose block raises :class:`SolverError` is nudged once,
+    deterministically, and its block alone refactored; its index joins the
+    set ``nudged``.  ``lift = (theta_r, phi_l)`` maps into the factors'
+    coordinates and back: ``phi_l^T`` and ``theta_r``, transposed ``theta_r^T`` and ``phi_l``.
     """
     factors = {}
 
     def solve(idx, rhs, trans):
-        try:
-            if idx not in factors:
-                factors[idx] = factor(lam[idx])
-            return factors[idx].solve(rhs, trans)[:n]
-        except SolverError:
-            if idx in nudged:
-                raise
-            nudged.add(idx)
-            sigma = lam[idx]
-            factors[idx] = factor(sigma + 1e-8 * (1.0 + abs(sigma)))
-            return factors[idx].solve(rhs, trans)[:n]
+        key, retry = tuple(idx), None
+        if lift is not None:
+            into, out = lift if trans else lift[::-1]
+            rhs = into.T @ rhs
+        while True:
+            try:
+                if key not in factors:
+                    factors[key] = factor(lam[idx])
+                elif retry is not None:
+                    factors[key].refactor(*retry)
+                z = factors[key].solve(rhs, trans)
+                return z[:n] if lift is None else out @ z
+            except SolverError as exc:
+                i = exc.block
+                if i is None or idx[i] in nudged:
+                    raise
+                nudged.add(idx[i])
+                factors[key], sigma = exc.factor, exc.factor.sigma[i]
+                retry = (i, sigma + 1e-8 * (1.0 + abs(sigma)))
 
     return solve
 
@@ -190,14 +200,14 @@ def _solve_family(solve, R, split, trans=False):
 
     ``split`` is ``(real_indices, pairs)``, a factorization's ``split``; ``R``
     and the result are conjugate-closed families laid out by :func:`_realify`.
-    A real shift solves its real column; of a pair only the negative member
-    is solved, on ``R[:, neg] + i R[:, pos]``, its (Re, Im) both columns.
+    One call solves the real shifts' real columns, a second the negative pair
+    members, on ``R[:, neg] + i R[:, pos]``, whose (Re, Im) are both columns.
     """
-    V = np.empty(R.shape)
-    real_idx, pairs = split
-    for idx in real_idx:
-        V[:, idx] = solve(idx, R[:, idx], trans)
-    for neg, pos in pairs:
+    V, real_idx = np.empty(R.shape), np.array(split[0], dtype=int)
+    neg, pos = np.array(split[1], dtype=int).reshape(-1, 2).T
+    if real_idx.size:
+        V[:, real_idx] = solve(real_idx, R[:, real_idx], trans)
+    if neg.size:
         z = solve(neg, R[:, neg] + 1j * R[:, pos], trans)
         V[:, neg], V[:, pos] = z.real, z.imag
     return V
@@ -241,7 +251,7 @@ def _anderson(history):
     return out[:out.size // 2] + 1j * out[out.size // 2:]
 
 
-def _run_iteration(factor, data, x, nudged):
+def _run_iteration(factor, data, x, nudged, lift=None):
     """One sweep from the :class:`_Interpolation` ``x``: four solve families, projection.
 
     Each family ``F`` is held realified, as ``Fr`` with ``F = Fr T`` (``T``
@@ -257,7 +267,7 @@ def _run_iteration(factor, data, x, nudged):
     lam, Bt, Ct, Ht, Nt = np.split(x.z, np.cumsum([r, r * m, p * r, r ** 3]))
     Bt, Ct, Ht, Nt = Bt.reshape(r, m), Ct.reshape(p, r), Ht.reshape(r, r, r), Nt.reshape(m, r, r)
     T = _pair_map(split)
-    solve = _shift_solver(factor, lam, B.shape[0], nudged)
+    solve = _shift_solver(factor, lam, B.shape[0], nudged, lift)
     bilinear = _bilinear_terms(N)
 
     def fold(K):
@@ -285,13 +295,14 @@ def _relative(d, ref):
     return float(np.linalg.norm(d) / max(np.linalg.norm(ref), np.finfo(float).tiny))
 
 
-def _drive(factor, data, cfg):
-    """Iterate with shift factorizations ``factor(sigma)`` and projection data.
+def _drive(factor, data, cfg, lift=None):
+    """Iterate with shift factorizations ``factor(sigmas)`` and projection data.
 
     ``data`` is the realization ``(E, A, H, N, B, C)`` that every sweep
-    projects; ``factor(sigma).solve(rhs, trans)`` must return a solution
-    whose first ``n`` rows are the state block.  Each reduced model, the
-    initial one included, is diagonalized once; its spectrum ends one
+    projects; ``factor(sigmas)`` is a family's ``_ShiftFactor``, whose
+    solutions hold the state block in their first ``n`` rows or, with
+    ``lift``, in lifted coordinates (:func:`_shift_solver`).  Each reduced
+    model, the initial one included, is diagonalized once; its spectrum ends one
     sweep's convergence test, and its data starts the next sweep, mixed with
     the last sweeps' (:func:`_anderson`) while the change is below
     ``_ANDERSON_START``.  The trace records what restarts that history first
@@ -314,7 +325,7 @@ def _drive(factor, data, cfg):
         nudged = set()
         try:
             with record_residuals() as rlog:
-                state, V, W = _run_iteration(factor, data, x, nudged)
+                state, V, W = _run_iteration(factor, data, x, nudged, lift)
                 fact = pencil_eig(state[0], state[1])
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
@@ -362,18 +373,6 @@ def tqb_irka_ode(sys, cfg):
     return ReducedQbSystem(*state, V=V, W=W), trace
 
 
-class _Lifted:
-    """Factorization in explicit projector coordinates, lifted to ``n_v``."""
-
-    def __init__(self, fact, theta_r, phi_l):
-        self.fact, self.theta_r, self.phi_l = fact, theta_r, phi_l
-
-    def solve(self, rhs, trans=False):
-        if trans:
-            return self.phi_l @ self.fact.solve(self.theta_r.T @ rhs, True)
-        return self.theta_r @ self.fact.solve(self.phi_l.T @ rhs)
-
-
 def _dae_outputs(sys, cfg, output_corr):
     """Output realization of a descriptor reduction with ``B2 = 0`` and ``r <= dim ker A21``."""
     if sys.B2.any():
@@ -397,12 +396,9 @@ def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
     Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
     Abar = proj.phi_l.T @ sys.A11 @ proj.theta_r
     pencil = _ShiftPencil(Ebar, Abar)
-
-    def factor(s):
-        return _Lifted(solve_shifted(Ebar, Abar, s, None, pencil), proj.theta_r, proj.phi_l)
-
     state, trace, V, W = _drive(
-        factor, (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg)
+        lambda s: solve_shifted(Ebar, Abar, s, None, pencil),
+        (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg, (proj.theta_r, proj.phi_l))
     return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace
 
 

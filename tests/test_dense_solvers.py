@@ -749,3 +749,115 @@ def test_nan_residual_fails_the_gate(kind):
     with record_residuals() as log, pytest.raises(ResidualError, match=r"residual nan exceeds"):
         fact.solve(np.ones(n))
     assert len(calls) == 2 and log == []
+
+
+# -- shift families: one stacked band or one dense block per shift -------------
+
+
+def skewed_band_pencil(seed, n):
+    """A random pencil ``(E, A)`` with two sub- and one superdiagonal, not
+    diagonally dominant, so that partial pivoting swaps rows down to the
+    last ones of each block."""
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    band = (i - j <= 2) & (j - i <= 1)
+    E = np.eye(n) + 0.1 * band * rng.standard_normal((n, n))
+    return E, band * rng.standard_normal((n, n))
+
+
+def family_case(kind, sigmas):
+    """``(factor, M(sigma), rows)`` of a narrow ODE or saddle family."""
+    n = 12
+    E, A = skewed_band_pencil(51, n)
+    if kind == "ode":
+        return solve_shifted(E, A, np.array(sigmas), None), lambda s: -s * E - A, n
+    A12 = np.zeros((n, 2))
+    A12[n - 2, 0] = A12[n - 1, 1] = 1.0
+    return (solve_saddle(E, A, A12, A12.T, np.array(sigmas), None),
+            lambda s: np.block([[-s * E - A, A12], [A12.T, np.zeros((2, 2))]]), n + 2)
+
+
+@pytest.mark.parametrize("refactored", [False, True])
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("sigmas", [[-0.7, 0.4, 1.3, 2.2], [0.3 - 1.1j, -0.5 - 0.2j]])
+@pytest.mark.parametrize("kind", ["ode", "saddle"])
+def test_stacked_family_matches_per_block_solves(kind, sigmas, trans, refactored,
+                                                 lapack_routines):
+    fact, matrix, rows = family_case(kind, sigmas)
+    k = len(sigmas)
+    if refactored:
+        # block 1 alone, at a new shift: its pivots must index its own rows
+        sigmas = [s + 0.25 * (i == 1) for i, s in enumerate(sigmas)]
+        fact.refactor(1, sigmas[1])
+        del lapack_routines[1:]
+    assert fact.band is not None and fact.band.kl == 2
+    assert lapack_routines == ["gbtrf"]
+    piv = fact.lu[1].reshape(k, rows)
+    # every pivot stays in its block, and some swap reaches a block's last rows
+    assert np.all(piv // rows == np.arange(k)[:, None])
+    assert refactored or np.any(piv[:, -3:] % rows != np.arange(rows - 3, rows))
+    rng = np.random.default_rng(52)
+    R = rng.standard_normal((rows, k))
+    if np.iscomplexobj(sigmas):
+        R = R + 1j * rng.standard_normal((rows, k))
+    with record_residuals() as log:
+        Z = fact.solve(R, trans)
+    assert len(log) == k
+    assert set(lapack_routines[1:]) == {"gbtrs"} and len(lapack_routines) == 3
+    for i, s in enumerate(sigmas):
+        M = matrix(s)
+        expect = la.solve(M.T if trans else M, R[:, i])
+        assert np.linalg.norm(Z[:, i] - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def upper_bidiagonal_pencil(n):
+    """``E = I`` and an upper bidiagonal ``A``: ``M(sigma)`` has the exact pivots
+    ``j - sigma``, zero at ``sigma = j``."""
+    return np.eye(n), -np.diag(np.arange(1.0, n + 1)) + 0.3 * np.diag(np.ones(n - 1), 1)
+
+
+@pytest.mark.parametrize("storage", ["band", "dense"])
+def test_zero_pivot_names_its_shift_and_refactors_its_block_alone(storage):
+    n = 10
+    E, A = upper_bidiagonal_pencil(n)
+    if storage == "dense":
+        A = A + 1e-3 * np.triu(np.ones((n, n)), 2)  # upper triangular, wide
+    message = r"^shift collides with spectrum \(sigma=3\.0\)$"
+    with pytest.raises(SolverError, match=message) as info:
+        solve_shifted(E, A, np.array([0.5, 3.0, -1.0]), None)
+    fact = info.value.factor
+    assert info.value.block == 1 and (fact.band is None) == (storage == "dense")
+    lu, piv = (X.copy() for X in fact.lu)
+    fact.refactor(1, 3.5)
+    if storage == "band":
+        kept = np.r_[0:n, 2 * n:3 * n]
+        assert np.array_equal(fact.lu[0][:, kept], lu[:, kept])
+    else:
+        kept = [0, 2]
+        assert np.array_equal(fact.lu[0][kept], lu[kept])
+    assert np.array_equal(fact.lu[1][kept], piv[kept])
+    R = np.random.default_rng(53).standard_normal((n, 3))
+    Z = fact.solve(R)
+    for i, s in enumerate([0.5, 3.5, -1.0]):
+        assert np.allclose(Z[:, i], la.solve(-s * E - A, R[:, i]), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["ode", "saddle"])
+def test_nan_residual_in_one_block_fails_its_gate(kind):
+    sigmas = [-0.7, 0.4, 1.3]
+    fact, _, rows = family_case(kind, sigmas)
+    residual, calls = fact._residual, []
+
+    def nan_in_block_1(b, z, t):
+        calls.append(t)
+        r = residual(b, z, t)
+        if len(calls) == 2:
+            r[rows:2 * rows] = np.nan
+        return r
+
+    fact._residual = nan_in_block_1
+    message = (r"shift collides with spectrum \(sigma=0\.4\): relative residual nan"
+               if kind == "ode" else r"saddle solve residual nan exceeds 1e-10 at sigma=0\.4$")
+    with record_residuals() as log, pytest.raises(ResidualError, match=message) as info:
+        fact.solve(np.ones((rows, 3)))
+    assert info.value.block == 1 and log == []

@@ -9,6 +9,7 @@ import scipy.linalg as la
 from qbmor import gramians_norms
 from qbmor.dense_solvers import SolverError, record_residuals
 from qbmor.gramians_norms import (
+    GramianPair,
     _p_rhs,
     _q_rhs,
     error_system_norm,
@@ -337,23 +338,56 @@ def test_kept_gramian_pairs_are_checked_once(monkeypatch):
     error_system_norm(full, red)
     for system in (full, red):
         truncated_h2_norm(system)
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    calls, eigs = [], []
+    dpotrf, eigvalsh = gramians_norms.dpotrf, np.linalg.eigvalsh
 
     def counted(M, *args, **kwargs):
         calls.append(M.shape)
+        return dpotrf(M, *args, **kwargs)
+
+    def counted_eigs(M, *args, **kwargs):
+        eigs.append(M.shape)
         return eigvalsh(M, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(gramians_norms, "dpotrf", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigs)
     for system in (full, red):
         with record_residuals() as log:
             truncated_h2_norm(system)
         assert calls == []
         assert [tag for tag, _ in log] == ["lyapunov"] * 4
         assert linear_gramians(system) is linear_gramians(system)
-    # the error system's Gramians are assembled anew, and checked, on every call
+    # the error system's Gramians are assembled anew, and checked, on every
+    # call: each by one Cholesky, and no eigensolve while it succeeds
     error_system_norm(full, red)
-    assert calls == [(16, 16)] * 4
+    assert calls == [(16, 16)] * 4 and eigs == []
+
+
+def psd_bound_case(factor):
+    """A symmetric 4x4 Gramian whose smallest eigenvalue is ``factor`` times
+    the PSD bound ``-1e-10 max(|M|_F, 1)``, with that eigenvalue."""
+    U, _ = np.linalg.qr(np.random.default_rng(12).standard_normal((4, 4)))
+    e = np.array([2.0, 1.0, 0.5, 0.0])
+    e[3] = -factor * 1e-10 * np.linalg.norm(e)
+    M = U @ np.diag(e) @ U.T
+    M = 0.5 * (M + M.T)
+    return M, float(np.linalg.eigvalsh(M).min())
+
+
+def test_gramian_just_beyond_the_psd_bound_is_indefinite():
+    M, lo = psd_bound_case(1.01)
+    with pytest.raises(SolverError, match=rf"^gramian Q indefinite \(min eig = {lo:.3e}\)$"):
+        GramianPair(P=np.eye(4), Q=M, kind="linear", residual=0.0)
+
+
+def test_gramian_just_inside_the_psd_bound_passes():
+    M, _ = psd_bound_case(0.99)
+    GramianPair(P=M, Q=M, kind="linear", residual=0.0)
+
+
+def test_rank_deficient_psd_gramian_passes():
+    v = np.random.default_rng(13).standard_normal((6, 1))
+    GramianPair(P=v @ v.T, Q=np.zeros((6, 6)), kind="truncated", residual=0.0)
 
 
 def test_returned_gramians_are_read_only():

@@ -271,15 +271,16 @@ def user_model(Ahat, m, p, seed=0):
 
 
 def count_full_order_factorizations(monkeypatch, n):
-    """Record every LU factorization of an ``n``-row matrix in dense_solvers,
-    dense (``getrf``) or banded (``gbtrf``, whose band has ``n`` columns)."""
+    """Record every factored shift block of ``n`` rows in dense_solvers: one
+    per dense ``getrf`` of an ``n``-row matrix, and one per ``n`` columns of a
+    ``gbtrf`` band, which stacks a family's blocks side by side."""
     calls = []
     fetch = dense_solvers.la.get_lapack_funcs
 
     def counted(trf):
         def call(a, *args, **kwargs):
-            if a.shape[1] == n:
-                calls.append(a.shape)
+            if a.shape[1] % n == 0 and (a.shape[0] == n or trf.__name__.endswith("gbtrf")):
+                calls.extend([a.shape] * (a.shape[1] // n))
             return trf(a, *args, **kwargs)
         return call
 
@@ -346,6 +347,50 @@ def test_singular_shift_is_nudged_once(monkeypatch):
     assert len(calls) == 3 + 1
 
 
+@pytest.mark.parametrize("case", ["burgers", "singular shift"])
+def test_band_sweep_factors_each_family_with_one_gbtrf(monkeypatch, case):
+    # a sweep on the band route makes at most one real and one complex gbtrf
+    # call, one per family of shifts, plus one single-block call per nudge
+    calls = []  # (dtype kind, columns) per gbtrf call
+    fetch = dense_solvers.la.get_lapack_funcs
+
+    def counted(trf):
+        def call(a, *args, **kwargs):
+            calls.append((a.dtype.kind, a.shape[1]))
+            return trf(a, *args, **kwargs)
+        return call
+
+    def counted_fetch(names, *args, **kwargs):
+        funcs = fetch(names, *args, **kwargs)
+        if isinstance(names, str):
+            return funcs
+        return [counted(f) if name == "gbtrf" else f for name, f in zip(names, funcs)]
+
+    monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted_fetch)
+    if case == "burgers":
+        sys, cfg = gen_burgers(60, 0.05), IrkaConfig(r=6, seed=0)
+    else:
+        # the set-up of test_singular_shift_is_nudged_once
+        n = 8
+        rng = np.random.default_rng(2)
+        sys = QbOdeSystem(E=np.eye(n), A=-np.diag(np.arange(1.0, n + 1)),
+                          H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
+                          B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
+        cfg = IrkaConfig(r=3, max_iters=1,
+                         initial_model=user_model(np.diag([1.0, -2.5, -0.5]), 1, 1))
+    _, trace = tqb_irka_ode(sys, cfg)
+    n, nudges = sys.n, sum(trace.nudged_shifts)
+    assert dense_solvers._ShiftPencil(sys.E, sys.A).band is not None
+    for kind in "fc":
+        assert sum(k == kind for k, _ in calls) <= trace.iterations + nudges
+    assert len(calls) <= 2 * trace.iterations + nudges
+    assert sum(cols for _, cols in calls) % n == 0
+    if case == "burgers":
+        assert trace.converged and nudges == 0 and ("c", 2 * n) in calls
+    else:
+        assert calls == [("f", 3 * n), ("f", n)]
+
+
 def test_nudged_shifts_are_counted_per_sweep():
     # the set-up of test_singular_shift_is_nudged_once
     n = 8
@@ -371,7 +416,7 @@ def test_wrong_size_right_hand_side_is_not_nudged(monkeypatch):
     solve = tqb_irka._shift_solver(lambda s: solve_shifted(E, A, s, None),
                                    np.array([-0.5]), 5, nudged)
     with pytest.raises(ValueError, match="right-hand side has 6 rows"):
-        solve(0, np.ones(6), False)
+        solve([0], np.ones(6), False)
     assert len(calls) == 1 and not nudged
 
 
@@ -566,9 +611,9 @@ def test_grown_data_residual_starts_no_mixed_step(monkeypatch):
     starts, ends = [], []
     run, data = tqb_irka._run_iteration, tqb_irka._interpolation_data
 
-    def recorded_run(factor, data_, x, nudged):
+    def recorded_run(factor, data_, x, *args):
         starts.append(x.z)
-        return run(factor, data_, x, nudged)
+        return run(factor, data_, x, *args)
 
     def recorded_data(state, fact):
         ends.append(data(state, fact))
@@ -731,7 +776,7 @@ def test_real_shift_right_hand_sides_are_real_at_converged_models(burgers_reduce
 
 @pytest.mark.parametrize("route", ["ode", "saddle"])
 def test_no_complex_right_hand_side_reaches_a_real_factor(monkeypatch, route):
-    seen = []  # (factor is complex, right-hand side is complex) per solve
+    seen = []  # (factor is complex, right-hand side is complex) per family solve
 
     class Recording:
         def __init__(self, fact):
