@@ -59,7 +59,6 @@ from .tensor_kron import (
 from .tqb_irka import (
     IrkaConfig,
     IrkaTrace,
-    tqb_irka_dae_explicit,
     tqb_irka_dae_saddle,
     tqb_irka_ode,
 )

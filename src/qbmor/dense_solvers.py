@@ -2,15 +2,15 @@
 
 Generalized pencil eigendecomposition, shifted and saddle-point solves (one
 factorization per family of shifts serves plain and transposed solves; a
-narrow pattern stacks a family's matrices in one LAPACK band, any other is
-dense), and generalized Lyapunov solves (Bartels-Stewart on the pencil
-reduced by one LU of the mass matrix).  Every LU is one raw ``getrf`` or
-``gbtrf``, and every pencil eigensolve one ``ggev``, from
-``get_lapack_funcs``: its ``info`` (a shift factor's pivots) is checked
-first, so a zero pivot (before any triangular solve) or a failed QZ raises
-:class:`SolverError`, never a warning.  Every solver computes the
-residual of its own output, raises :class:`ResidualError` past the stated
-bound, and reports it to any active :func:`record_residuals` context.
+narrow pattern stacks a family's matrices in one LAPACK band, tridiagonal or
+general, any other is dense), and generalized Lyapunov solves
+(Bartels-Stewart on the pencil reduced by one LU of the mass matrix).  Every
+LU is one raw ``getrf``, ``gbtrf`` or ``gttrf``, and every pencil eigensolve
+one ``ggev``, from ``get_lapack_funcs``: its ``info`` (a shift factor's
+pivots) is checked first, so a zero pivot (before any triangular solve) or a
+failed QZ raises :class:`SolverError`, never a warning.  Every solver
+gates the residual of its own output (:class:`ResidualError` past the
+stated bound) and reports it to any active :func:`record_residuals`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
-from scipy.linalg.blas import get_blas_funcs
 
 __all__ = [
     "SolverError",
@@ -237,11 +236,12 @@ class _Band(NamedTuple):
     """A band of ``kl`` sub- and ``ku`` superdiagonals in LAPACK band storage.
 
     The package's one band layout, that of ``gbtrf`` and ``gbsv``: entry
-    ``(i, j)`` is at :meth:`row` of column ``j`` of a Fortran ``(rows, cols)``
-    array whose first ``kl`` rows, zero until a factorization fills them in,
-    :meth:`matvec` reads as more superdiagonals.  :meth:`fit` is the one rule
-    that picks band over dense storage, here and in :mod:`qbmor.simulate`.
-    A ``(kl, ku)`` tuple compares and hashes equal to its band.
+    ``(i, j)`` is at :meth:`row` of column ``j`` of a ``(rows, cols)`` array
+    (Fortran-ordered from :meth:`store`) whose first ``kl`` rows, zero until
+    a factorization fills them in, :meth:`matvec` reads as superdiagonals.
+    :meth:`fit` (band or dense storage) and :meth:`tridiagonal` (LAPACK's
+    tridiagonal or band routines) are the one rules, here and in
+    :mod:`qbmor.simulate`.  A ``(kl, ku)`` tuple equals its band.
     """
 
     kl: int
@@ -263,6 +263,23 @@ class _Band(NamedTuple):
         kl, ku = int(off.max(initial=0)), int(-off.min(initial=0))
         return cls(kl, ku) if 2 * (kl + ku + 1) <= size else None
 
+    def tridiagonal(self, size):
+        """Whether a ``size``-row band matrix is tridiagonal (``kl, ku <= 1``), solved
+        from its :meth:`tridiagonals`; scipy's ``gttrf`` and ``gttrs`` mis-size 2 rows."""
+        return self.kl <= 1 and self.ku <= 1 and size > 2
+
+    def tridiagonals(self, M):
+        """The sub-, main and superdiagonal of ``M`` in band storage, zero outside the band."""
+        c, zero = self.kl + self.ku, np.zeros(M.shape[1] - 1, M.dtype)
+        return M[c + 1, :-1] if self.kl else zero, M[c], M[c - 1, 1:] if self.ku else zero
+
+    def tridiagonal_lu(self, gttrf, M):
+        """``gttrf`` of ``M`` in band storage: ``lu`` holds the zero-padded ``dl, d, du, du2``."""
+        lu = np.zeros((4, M.shape[1]), M.dtype)
+        *f, piv, info = gttrf(*self.tridiagonals(M))
+        lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2] = f
+        return lu, piv, info
+
     @property
     def rows(self):
         return 2 * self.kl + self.ku + 1
@@ -272,10 +289,8 @@ class _Band(NamedTuple):
         return self.kl + self.ku + i - j
 
     def store(self, M, cols, at=(0, 0), out=None):
-        """The nonzeros of ``M``, placed at ``at``, scattered into band storage.
-
-        A new zeroed ``(rows, cols)`` array, or ``out``.
-        """
+        """The nonzeros of ``M``, placed at ``at``, scattered into band storage:
+        a new zeroed ``(rows, cols)`` array, or ``out``."""
         if out is None:
             out = np.zeros((self.rows, cols), dtype=np.result_type(M, float), order="F")
         i, j = np.nonzero(M)
@@ -287,12 +302,18 @@ class _Band(NamedTuple):
         n = M.shape[1]
         return gbmv(n, n, self.kl, self.kl + self.ku, alpha, M, x, **kwargs)
 
-    def residual(self, gbmv, M, b, z, trans=0):
-        """``b - M z`` (``M^T`` with ``trans = 1``) in a Fortran copy of ``b``, by columns."""
-        r = np.array(b, dtype=np.result_type(b, z), order="F")
-        for j in range(r.shape[1]):
-            self.matvec(gbmv, M, z[:, j], -1.0, beta=1.0, y=r[:, j], overwrite_y=True, trans=trans)
-        return r
+    def residual(self, M, b, z, trans=0):
+        """``b - M z`` (``M^T`` with ``trans = 1``), a diagonal at a time on all columns:
+        the main diagonal of ``M`` or ``M^T``, then its super- and its subdiagonals."""
+        n, c, zt = M.shape[1], self.kl + self.ku, z.T
+        sup, sub = [*range(-1, -self.ku - 1, -1)], [*range(1, self.kl + 1)]
+        # transposed, so that each product runs along a diagonal, a row of M
+        r = b.T - M[c] * zt
+        for o in sub + sup if trans else sup + sub:
+            # diagonal o of M holds its entries (j + o, j): columns j, rows i
+            i, j = slice(max(o, 0), n + min(o, 0)), slice(max(-o, 0), n - max(o, 0))
+            r[:, j if trans else i] -= M[c + o, j] * zt[:, i if trans else j]
+        return r.T
 
 
 class _ShiftPencil:
@@ -329,10 +350,11 @@ class _ShiftPencil:
             self._S = np.asfortranarray(np.block([[A, -A12], [-A21, Z]]) if self.saddle else A)
 
     def matrix(self, sigma):
-        """``M(sigma)``, Fortran-ordered, dense ``(rows, rows)`` or in :class:`_Band` storage;
-        for k shifts stacked, dense ``(k, rows, rows)`` or side by side as one band."""
+        """``M(sigma)``, dense ``(rows, rows)`` and Fortran-ordered or in :class:`_Band` storage
+        with contiguous rows; k shifts give dense ``(k, rows, rows)`` or k bands side by side."""
         MT = -np.asarray(sigma)[..., None, None] * self._E.T - self._S.T
-        return MT.swapaxes(-1, -2) if self.band is None else MT.reshape(-1, self.band.rows).T
+        return MT.swapaxes(-1, -2) if self.band is None else np.ascontiguousarray(
+            MT.reshape(-1, self.band.rows).T)
 
 
 def _block_norms(X, k):
@@ -348,15 +370,16 @@ class _ShiftFactor:
     The family has one dtype, real when every imaginary part is zero (a
     scalar ``sigma`` is k = 1).  A band lays the k matrices side by side as
     one block-diagonal band for one ``gbtrf`` (no entry between blocks is
-    nonzero, so no pivot leaves its block) and one ``gbtrs`` pass; dense
-    storage keeps a ``getrf``/``getrs`` per block.  ``solve(rhs, trans)``
-    solves with each ``M_i`` or its plain transpose, refined once, block
-    ``i`` taking columns ``i c`` to ``(i + 1) c`` of the ``k c`` in ``rhs``
-    (of ``n + n_p`` or ``n`` rows; real views when complex on a real family),
-    and gates each block's residual and a saddle's constraint rows.  A zero
-    pivot, a non-finite solution or a missed gate in block ``i`` raises
-    :class:`SolverError` naming ``sigma_i``, with ``block = i`` and
-    ``factor``, so a caller can :meth:`refactor` block ``i`` alone.
+    nonzero, so no pivot leaves its block) and one ``gbtrs`` pass, or, when
+    :meth:`_Band.tridiagonal`, one ``gttrf`` and one ``gttrs`` pass on its
+    diagonals; dense storage keeps a ``getrf``/``getrs`` per block.
+    ``solve(rhs, trans)`` solves with each ``M_i`` or its plain transpose,
+    refined once, block ``i`` taking columns ``i c`` to ``(i + 1) c`` of the
+    ``k c`` in ``rhs`` (of ``n + n_p`` or ``n`` rows; real views when complex
+    on a real family), and gates each block's residual and a saddle's
+    constraint rows.  A zero pivot, a non-finite solution or a missed gate in
+    block ``i`` raises :class:`SolverError` naming ``sigma_i``, with ``block
+    = i`` and ``factor``, so a caller can :meth:`refactor` block ``i`` alone.
     """
 
     def __init__(self, E, A, sigma, A12=None, A21=None, pencil=None):
@@ -370,6 +393,7 @@ class _ShiftFactor:
         self.M = M = pencil.matrix(self.sigma)
         self.band = band = pencil.band
         k, rows = self.sigma.size, self.rows
+        self.tri = band is not None and band.tridiagonal(rows)
         if band is None:
             getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (M,))
             self._trf = getrf
@@ -383,13 +407,19 @@ class _ShiftFactor:
                 [getrs(a, p, bi, trans=t)[0] for a, p, bi in zip(lu, piv, b.reshape(k, rows, -1))])
             self._residual = lambda b, z, t: b - (
                 (M.swapaxes(1, 2) if t else M) @ z.reshape(k, rows, -1)).reshape(b.shape)
+        elif self.tri:
+            gttrf, gttrs = la.get_lapack_funcs(("gttrf", "gttrs"), (M,))
+            self._trf = partial(band.tridiagonal_lu, gttrf)
+            self.lu = lu, piv = self._trf(M)[:2]
+            self._trs = lambda b, t: gttrs(lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2], piv, b,
+                                           trans="T" if t else "N")[0]
+            self._residual = partial(band.residual, M)
         else:
             gbtrf, gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (M,))
-            gbmv, = get_blas_funcs(("gbmv",), (M,))
             self._trf = lambda a: gbtrf(a, band.kl, band.ku)
             self.lu = lu, piv = self._trf(M)[:2]
             self._trs = lambda b, t: gbtrs(lu, band.kl, band.ku, b, piv, trans=t)[0]
-            self._residual = partial(band.residual, gbmv, M)
+            self._residual = partial(band.residual, M)
         self._check_pivots()
 
     def _failure(self, i):
@@ -399,8 +429,8 @@ class _ShiftFactor:
     def _check_pivots(self):
         # an exactly zero pivot: a triangular solve would divide by it
         lu, band = self.lu[0], self.band
-        self._gate(np.diagonal(lu, axis1=1, axis2=2) if band is None else lu[band.kl + band.ku],
-                   SolverError, self._failure)
+        self._gate(np.diagonal(lu, axis1=1, axis2=2) if band is None
+                   else lu[1 if self.tri else band.kl + band.ku], SolverError, self._failure)
 
     def refactor(self, i, sigma):
         """Block ``i`` formed and factored again at ``sigma``; the others are kept."""

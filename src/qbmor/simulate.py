@@ -6,10 +6,10 @@ velocity-multiplier saddle system including the constraint row.  Fixed steps
 keep runs reproducible.  Each step's Newton iteration starts from the
 quadratic extrapolation of the last three states (multipliers included), so
 a smooth input takes one Newton solve per step.  Each simulation stores its
-Newton matrix banded (LAPACK ``gbsv``) when the system's pattern is narrow
-and dense (``gesv``) otherwise, by the band rule shared with the shift
-factorizations of :mod:`qbmor.dense_solvers`; input signals of the library
-are sampled over the whole grid at once.
+Newton matrix banded when the system's pattern is narrow, solved by LAPACK's
+``gtsv`` when tridiagonal and ``gbsv`` otherwise, and dense (``gesv``) when
+wide, by the rules shared with the shift factorizations of
+:mod:`qbmor.dense_solvers`; the library's input signals sample a whole grid.
 
 The Newton matrix and every step's input terms are bound once per
 simulation, ``E x_old`` and any bilinear terms once per step, and each
@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbsv, dgesv
+from scipy.linalg.lapack import dgbsv, dgesv, dgtsv
 
 from .dae_transform import recover_pressure
 from .dense_solvers import SolverError, _Band
@@ -254,12 +254,13 @@ class _NewtonStep:
     in ``dx``, so no Jacobian-sized array is scaled.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
-    ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
+    ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rules
     and band layout that :class:`qbmor.dense_solvers._Band` also applies to
     the shift factorizations.  When its band of ``kl + ku + 1`` diagonals
     spans at most half the columns, ``K`` lives in that band storage:
     residuals are band products (``gbmv``), the Jacobian is scattered into
-    its band positions and each iteration solves with ``gbsv``.  Any wider
+    its band positions and each iteration solves with ``gbsv`` or, for a
+    tridiagonal band, ``gtsv`` on the three diagonals of ``J``.  Any wider
     pattern keeps dense storage and ``gesv``.
     """
 
@@ -283,11 +284,13 @@ class _NewtonStep:
         if band is not None:
             self._E, self._K = band.store(E, n), band.store(K, size)
             self._N = tuple(band.store(Nq, size) for _, Nq in N)
-            self._Kv = self._K
-            self._J = np.empty_like(self._K)
+            self._Kv, self._J = self._K, np.empty_like(self._K)
             self._Jv = self._J[:, :n]
             self._mv = partial(band.matvec, dgbmv)
-            self._solve = partial(dgbsv, *band, overwrite_ab=True, overwrite_b=True)
+            # gtsv returns (du2, d, du, x, info): without du2 it unpacks as gbsv's
+            self._solve = ((lambda J, b: dgtsv(*band.tridiagonals(J), b, overwrite_b=True)[1:])
+                           if band.tridiagonal(size) else
+                           partial(dgbsv, *band, overwrite_ab=True, overwrite_b=True))
         else:
             self._E, self._K = E, K
             self._N = tuple(np.asfortranarray(Nq) for _, Nq in N)

@@ -10,17 +10,12 @@ serve all four families: plain solves for ``V`` and transposed solves for
 ``W``.  The families are kept in the layout of :func:`_realify`, so n-sized
 work is real wherever the data is: the real shifts solve real columns on
 their real factor, and the correction right-hand sides contract realified
-bases.  Each entry point measures its system's
-pattern once, and that alone picks band or dense storage for all its
-shifts.  The three entry points share this core and differ only in the
-shift factorization they pass:
-
-* :func:`tqb_irka_ode` factors ``-sigma E - A``,
-* :func:`tqb_irka_dae_explicit` factors the projected pencil in explicit
-  projector coordinates and lifts each solve back (small-scale oracle path),
-* :func:`tqb_irka_dae_saddle` factors one saddle matrix in the original
-  sparse blocks, whose transpose is the adjoint saddle matrix (production
-  path).
+bases.  Each entry point measures its system's pattern once, and that alone
+picks tridiagonal, band or dense storage for all its shifts.  The two entry
+points share this core and differ only in the shift factorization they
+pass: :func:`tqb_irka_ode` factors ``-sigma E - A``,
+:func:`tqb_irka_dae_saddle` one saddle matrix in the original sparse blocks,
+whose transpose is the adjoint saddle matrix.
 
 Each reduced pencil is diagonalized once, by :func:`pencil_eig`: its sorted
 spectrum ends the convergence test of the sweep that produced it (a change
@@ -38,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dae_transform import build_projectors, output_realization
+from .dae_transform import output_realization
 from .dense_solvers import (
     SolverError,
     _pair_map,
@@ -59,7 +54,6 @@ __all__ = [
     "IrkaConfig",
     "IrkaTrace",
     "tqb_irka_ode",
-    "tqb_irka_dae_explicit",
     "tqb_irka_dae_saddle",
 ]
 
@@ -161,29 +155,23 @@ def _initial_model(cfg, m, p):
     return Eh, Ah, Hh, Nh, Bh, Ch
 
 
-def _shift_solver(factor, lam, n, nudged, lift=None):
+def _shift_solver(factor, lam, n, nudged):
     """Solves at the shifts ``lam[idx]``, a column each, on one ``factor(lam[idx])`` per family.
 
     A shift whose block raises :class:`SolverError` is nudged once,
-    deterministically, and its block alone refactored; its index joins the
-    set ``nudged``.  ``lift = (theta_r, phi_l)`` maps into the factors'
-    coordinates and back: ``phi_l^T`` and ``theta_r``, transposed ``theta_r^T`` and ``phi_l``.
+    deterministically, and its block alone refactored; its index joins ``nudged``.
     """
     factors = {}
 
     def solve(idx, rhs, trans):
         key, retry = tuple(idx), None
-        if lift is not None:
-            into, out = lift if trans else lift[::-1]
-            rhs = into.T @ rhs
         while True:
             try:
                 if key not in factors:
                     factors[key] = factor(lam[idx])
                 elif retry is not None:
                     factors[key].refactor(*retry)
-                z = factors[key].solve(rhs, trans)
-                return z[:n] if lift is None else out @ z
+                return factors[key].solve(rhs, trans)[:n]
             except SolverError as exc:
                 i = exc.block
                 if i is None or idx[i] in nudged:
@@ -251,7 +239,7 @@ def _anderson(history):
     return out[:out.size // 2] + 1j * out[out.size // 2:]
 
 
-def _run_iteration(factor, data, x, nudged, lift=None):
+def _run_iteration(factor, data, x, nudged):
     """One sweep from the :class:`_Interpolation` ``x``: four solve families, projection.
 
     Each family ``F`` is held realified, as ``Fr`` with ``F = Fr T`` (``T``
@@ -267,7 +255,7 @@ def _run_iteration(factor, data, x, nudged, lift=None):
     lam, Bt, Ct, Ht, Nt = np.split(x.z, np.cumsum([r, r * m, p * r, r ** 3]))
     Bt, Ct, Ht, Nt = Bt.reshape(r, m), Ct.reshape(p, r), Ht.reshape(r, r, r), Nt.reshape(m, r, r)
     T = _pair_map(split)
-    solve = _shift_solver(factor, lam, B.shape[0], nudged, lift)
+    solve = _shift_solver(factor, lam, B.shape[0], nudged)
     bilinear = _bilinear_terms(N)
 
     def fold(K):
@@ -295,13 +283,12 @@ def _relative(d, ref):
     return float(np.linalg.norm(d) / max(np.linalg.norm(ref), np.finfo(float).tiny))
 
 
-def _drive(factor, data, cfg, lift=None):
+def _drive(factor, data, cfg):
     """Iterate with shift factorizations ``factor(sigmas)`` and projection data.
 
     ``data`` is the realization ``(E, A, H, N, B, C)`` that every sweep
     projects; ``factor(sigmas)`` is a family's ``_ShiftFactor``, whose
-    solutions hold the state block in their first ``n`` rows or, with
-    ``lift``, in lifted coordinates (:func:`_shift_solver`).  Each reduced
+    solutions hold the state block in their first ``n`` rows.  Each reduced
     model, the initial one included, is diagonalized once; its spectrum ends one
     sweep's convergence test, and its data starts the next sweep, mixed with
     the last sweeps' (:func:`_anderson`) while the change is below
@@ -325,7 +312,7 @@ def _drive(factor, data, cfg, lift=None):
         nudged = set()
         try:
             with record_residuals() as rlog:
-                state, V, W = _run_iteration(factor, data, x, nudged, lift)
+                state, V, W = _run_iteration(factor, data, x, nudged)
                 fact = pencil_eig(state[0], state[1])
         except SolverError as exc:
             raise SolverError(f"iteration {it}: {exc}") from exc
@@ -381,25 +368,6 @@ def _dae_outputs(sys, cfg, output_corr):
         raise ValueError(f"reduced order {cfg.r} exceeds the constrained dimension "
                          f"n_v - n_p = {sys.n_v - sys.n_p}")
     return output_corr if output_corr is not None else output_realization(sys)
-
-
-def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
-    """Oracle reduction path using explicit projector factorizations.
-
-    Algebraically identical to :func:`tqb_irka_dae_saddle`; the projected
-    shifted solves run in the (n_v - n_p)-dimensional coordinates and are
-    lifted back, while the final projection applies the original matrices.
-    Requires ``B2 = 0`` and desk-scale ``n_v``.
-    """
-    corr = _dae_outputs(sys, cfg, output_corr)
-    proj = build_projectors(sys)
-    Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
-    Abar = proj.phi_l.T @ sys.A11 @ proj.theta_r
-    pencil = _ShiftPencil(Ebar, Abar)
-    state, trace, V, W = _drive(
-        lambda s: solve_shifted(Ebar, Abar, s, None, pencil),
-        (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg, (proj.theta_r, proj.phi_l))
-    return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace
 
 
 def tqb_irka_dae_saddle(sys, cfg, output_corr=None):

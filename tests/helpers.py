@@ -1,12 +1,16 @@
-"""Shared test fixtures: seeded random systems and an offline steady-state solver."""
+"""Shared test fixtures: seeded random systems, an offline steady-state solver and
+the explicit-projector reduction oracle."""
 
 import numpy as np
 import scipy.linalg as la
 
 from qbmor import HessianTensor, QbOdeSystem, symmetrize
-from qbmor.dense_solvers import solve_lyapunov
+from qbmor.dae_transform import build_projectors
+from qbmor.dense_solvers import SolverError, _ShiftPencil, solve_lyapunov, solve_shifted
 from qbmor.gramians_norms import truncated_h2_norm
+from qbmor.system_model import ReducedQbSystem, project_dae_outputs
 from qbmor.tensor_kron import apply_hessian, hessian_congruence, quadratic_jacobian
+from qbmor.tqb_irka import _dae_outputs, _drive
 
 
 def random_stable_ode(seed, n, m=1, p=1, quad_scale=0.05, bilinear_scale=0.1,
@@ -137,3 +141,57 @@ def dae_steady_state(sys, u_const, v_guess=None, tol=1e-12, max_iters=50):
         v = v + dz[:n_v]
         p = p + dz[n_v:]
     raise RuntimeError("steady-state Newton did not converge")
+
+
+class _LiftedFactor:
+    """A shift factor of the projected pencil ``(phi_l^T E11 theta_r, phi_l^T A11
+    theta_r)`` that solves in velocity coordinates: a plain solve maps its
+    right-hand side by ``phi_l^T`` and its solution by ``theta_r``, a
+    transposed one by ``theta_r^T`` and ``phi_l``.  A failed block's
+    :class:`SolverError` names this wrapper as its ``factor``, so the sweep's
+    nudge refactors the raw factor and keeps solving through the lift."""
+
+    def __init__(self, fact, maps):
+        self.fact, self.maps = fact, maps
+
+    @property
+    def sigma(self):
+        return self.fact.sigma
+
+    def refactor(self, i, sigma):
+        self.fact.refactor(i, sigma)
+
+    def solve(self, rhs, trans=False):
+        into, out = self.maps if trans else self.maps[::-1]
+        try:
+            return out @ self.fact.solve(into.T @ rhs, trans)
+        except SolverError as exc:
+            exc.factor = self
+            raise
+
+
+def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
+    """Oracle of :func:`~qbmor.tqb_irka.tqb_irka_dae_saddle` by explicit projectors.
+
+    The shifted solves run on the projected pencil in the (n_v - n_p)-dimensional
+    coordinates and are lifted back (:class:`_LiftedFactor`), while every
+    sweep projects the original matrices.  Requires ``B2 = 0`` and desk-scale
+    ``n_v``.
+    """
+    corr = _dae_outputs(sys, cfg, output_corr)
+    proj = build_projectors(sys)
+    maps = proj.theta_r, proj.phi_l
+    Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
+    Abar = proj.phi_l.T @ sys.A11 @ proj.theta_r
+    pencil = _ShiftPencil(Ebar, Abar)
+
+    def factor(s):
+        # a raw factor that fails as it is built is wrapped too
+        try:
+            return _LiftedFactor(solve_shifted(Ebar, Abar, s, None, pencil), maps)
+        except SolverError as exc:
+            exc.factor = _LiftedFactor(exc.factor, maps)
+            raise
+
+    state, trace, V, W = _drive(factor, (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg)
+    return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace

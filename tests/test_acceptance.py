@@ -30,12 +30,11 @@ from qbmor.tensor_kron import (
 )
 from qbmor.tqb_irka import (
     IrkaConfig,
-    tqb_irka_dae_explicit,
     tqb_irka_dae_saddle,
     tqb_irka_ode,
 )
 
-from helpers import random_stable_ode, random_tensor
+from helpers import random_stable_ode, random_tensor, tqb_irka_dae_explicit
 
 
 def report(num, name, detail):

@@ -594,15 +594,20 @@ def test_band_factor_solve_matches_assembled_solve(sigma, trans, kind, padded, d
     assert got.shape == expect.shape
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     assert [tag for tag, _ in log] == ["shifted" if kind == "ode" else "saddle"]
-    assert "getrf" not in lapack_routines
-    assert lapack_routines[0] == "gbtrf" and set(lapack_routines[1:]) == {"gbtrs"}
+    # the tridiagonal pencil takes the tridiagonal routines, the bandwidth-2 saddle the band ones
+    trf, trs = ("gttrf", "gttrs") if kind == "ode" else ("gbtrf", "gbtrs")
+    assert fact.tri == (kind == "ode")
+    assert lapack_routines[0] == trf and set(lapack_routines[1:]) == {trs}
 
 
 def test_band_collision_raises_the_shift_collision_error(lapack_routines):
-    # -sigma E - A = diag(0, 1, ..., 19): a zero pivot in the band LU
-    with pytest.raises(SolverError, match=r"^shift collides with spectrum \(sigma=1\.0\)$"):
-        solve_shifted(np.eye(20), -np.diag(np.arange(1.0, 21.0)), 1.0, np.ones(20))
-    assert lapack_routines == ["gbtrf"]
+    # -sigma E - A = diag(0, 1, ..., 19): a zero pivot in the tridiagonal LU;
+    # with a second superdiagonal, upper triangular, in the band LU
+    A = -np.diag(np.arange(1.0, 21.0))
+    for A in (A, A + 0.1 * np.eye(20, k=2)):
+        with pytest.raises(SolverError, match=r"^shift collides with spectrum \(sigma=1\.0\)$"):
+            solve_shifted(np.eye(20), A, 1.0, np.ones(20))
+    assert lapack_routines == ["gttrf", "gbtrf"]
 
 
 def test_dense_collision_raises_before_any_solve(lapack_routines):
@@ -667,10 +672,14 @@ def test_band_residual_gate_measures_the_band_matrix(kind, message):
         fact.solve(np.ones(n))
 
 
-@pytest.mark.parametrize("n, tridiagonal", [(2, False), (5, False), (6, True), (8, True)])
+@pytest.mark.parametrize("n, tridiagonal", [(2, False), (5, False), (6, True), (8, True),
+                                            (8, "wider")])
 def test_small_narrow_pencils_are_banded(n, tridiagonal, lapack_routines):
-    # the band rule 2(kl + ku + 1) <= rows holds at any size, however small
-    if tridiagonal:
+    # the band rule 2(kl + ku + 1) <= rows holds at any size, however small;
+    # a diagonal or tridiagonal band of at least 3 rows factors by gttrf
+    if tridiagonal == "wider":
+        E, A = skewed_band_pencil(40, n)
+    elif tridiagonal:
         E, A = tridiagonal_pencil(40, n)
     else:
         E, A = np.eye(n), -np.diag(np.arange(1.0, n + 1))
@@ -678,7 +687,8 @@ def test_small_narrow_pencils_are_banded(n, tridiagonal, lapack_routines):
     fact = solve_shifted(E, A, sigma, None)
     rhs = np.arange(1.0, n + 1)
     z = fact.solve(rhs)
-    assert fact.band is not None and lapack_routines[0] == "gbtrf"
+    trf = "gbtrf" if n == 2 or tridiagonal == "wider" else "gttrf"
+    assert fact.band is not None and lapack_routines[0] == trf
     assert np.allclose(z, la.solve(-sigma * E - A, rhs), rtol=1e-12, atol=0)
 
 
@@ -765,11 +775,23 @@ def skewed_band_pencil(seed, n):
     return E, band * rng.standard_normal((n, n))
 
 
+def pivoting_tridiagonal_pencil(seed, n):
+    """A tridiagonal pencil ``(E, A)`` whose off-diagonals outweigh its
+    diagonal, the last pair most, so that partial pivoting swaps rows down to
+    the last two of each block; skew off-diagonals keep its shifted matrices
+    well conditioned."""
+    rng = np.random.default_rng(seed)
+    off = 2.0 + 0.2 * rng.standard_normal(n - 1)
+    off[-1] = 8.0
+    E = np.eye(n) + 0.05 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return E, np.diag(0.2 * rng.standard_normal(n)) + np.diag(off, 1) - np.diag(off, -1)
+
+
 def family_case(kind, sigmas):
-    """``(factor, M(sigma), rows)`` of a narrow ODE or saddle family."""
+    """``(factor, M(sigma), rows)`` of a narrow ODE, tridiagonal or saddle family."""
     n = 12
-    E, A = skewed_band_pencil(51, n)
-    if kind == "ode":
+    E, A = (pivoting_tridiagonal_pencil if kind == "tridiagonal" else skewed_band_pencil)(51, n)
+    if kind in ("ode", "tridiagonal"):
         return solve_shifted(E, A, np.array(sigmas), None), lambda s: -s * E - A, n
     A12 = np.zeros((n, 2))
     A12[n - 2, 0] = A12[n - 1, 1] = 1.0
@@ -827,6 +849,8 @@ def test_zero_pivot_names_its_shift_and_refactors_its_block_alone(storage):
         solve_shifted(E, A, np.array([0.5, 3.0, -1.0]), None)
     fact = info.value.factor
     assert info.value.block == 1 and (fact.band is None) == (storage == "dense")
+    # the upper bidiagonal band, (kl, ku) = (0, 1), is tridiagonal
+    assert fact.tri == (storage == "band")
     lu, piv = (X.copy() for X in fact.lu)
     fact.refactor(1, 3.5)
     if storage == "band":
@@ -842,7 +866,7 @@ def test_zero_pivot_names_its_shift_and_refactors_its_block_alone(storage):
         assert np.allclose(Z[:, i], la.solve(-s * E - A, R[:, i]), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("kind", ["ode", "saddle"])
+@pytest.mark.parametrize("kind", ["ode", "saddle", "tridiagonal"])
 def test_nan_residual_in_one_block_fails_its_gate(kind):
     sigmas = [-0.7, 0.4, 1.3]
     fact, _, rows = family_case(kind, sigmas)
@@ -857,7 +881,57 @@ def test_nan_residual_in_one_block_fails_its_gate(kind):
 
     fact._residual = nan_in_block_1
     message = (r"shift collides with spectrum \(sigma=0\.4\): relative residual nan"
-               if kind == "ode" else r"saddle solve residual nan exceeds 1e-10 at sigma=0\.4$")
+               if kind != "saddle" else r"saddle solve residual nan exceeds 1e-10 at sigma=0\.4$")
     with record_residuals() as log, pytest.raises(ResidualError, match=message) as info:
         fact.solve(np.ones((rows, 3)))
     assert info.value.block == 1 and log == []
+
+
+# -- tridiagonal families: one gttrf over the stacked diagonals ----------------
+
+
+@pytest.mark.parametrize("trans", [False, True])
+@pytest.mark.parametrize("sigmas", [[-0.7, 0.4, 1.3, 2.2], [0.3 - 1.1j, -0.5 - 0.2j, 0.8 - 0.6j]])
+def test_tridiagonal_family_matches_per_block_solves(sigmas, trans, lapack_routines):
+    fact, matrix, n = family_case("tridiagonal", sigmas)
+    k = len(sigmas)
+    assert fact.tri and (fact.band.kl, fact.band.ku) == (1, 1)
+    assert lapack_routines == ["gttrf"]
+    piv = fact.lu[1].reshape(k, n) - 1  # gttrf counts rows from 1
+    # every pivot stays in its block, and every block swaps its last two rows
+    assert np.all(piv // n == np.arange(k)[:, None])
+    assert np.all(piv[:, -2] % n == n - 1)
+    rng = np.random.default_rng(55)
+    R = rng.standard_normal((n, k))
+    if np.iscomplexobj(sigmas):
+        R = R + 1j * rng.standard_normal((n, k))
+    with record_residuals() as log:
+        Z = fact.solve(R, trans)
+    assert len(log) == k
+    assert lapack_routines[1:] == ["gttrs", "gttrs"]
+    for i, s in enumerate(sigmas):
+        M = matrix(s)
+        expect = la.solve(M.T if trans else M, R[:, i])
+        assert np.linalg.norm(Z[:, i] - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def test_tridiagonal_refactor_keeps_the_other_blocks():
+    sigmas = [-0.7, 0.4, 1.3]
+    fact, matrix, n = family_case("tridiagonal", sigmas)
+    lu, piv = (X.copy() for X in fact.lu)
+    fact.refactor(1, 0.65)
+    kept = np.r_[0:n, 2 * n:3 * n]
+    assert np.array_equal(fact.lu[0][:, kept], lu[:, kept])
+    assert np.array_equal(fact.lu[1][kept], piv[kept])
+    # block 1's pivots are offset to its rows, and no factor entry couples two blocks:
+    # dl and du end each block in a zero, du2 its last two rows
+    assert np.all((fact.lu[1][n:2 * n] - 1) // n == 1)
+    ends = np.r_[n - 1:3 * n:n]
+    assert not fact.lu[0][[0, 2]][:, ends].any() and not fact.lu[0][3][np.r_[ends - 1, ends]].any()
+    fresh, _, _ = family_case("tridiagonal", [-0.7, 0.65, 1.3])
+    assert np.array_equal(fact.lu[0], fresh.lu[0]) and np.array_equal(fact.lu[1], fresh.lu[1])
+    R = np.random.default_rng(56).standard_normal((n, 3))
+    Z = fact.solve(R, trans=True)
+    for i, s in enumerate([-0.7, 0.65, 1.3]):
+        expect = la.solve(matrix(s).T, R[:, i])
+        assert np.linalg.norm(Z[:, i] - expect) <= 1e-12 * np.linalg.norm(expect)

@@ -6,7 +6,8 @@ import scipy.linalg as la
 
 import qbmor.simulate as simulate
 from qbmor.dae_transform import recover_pressure
-from qbmor.dense_solvers import SolverError
+import qbmor.dense_solvers as dense_solvers
+from qbmor.dense_solvers import SolverError, _ShiftPencil, solve_saddle, solve_shifted
 from qbmor.gramians_norms import error_system_norm
 from qbmor.problems import gen_burgers, gen_synthetic_dae
 from qbmor.simulate import (
@@ -36,7 +37,7 @@ def lapack_calls(monkeypatch):
             return kernel(*args, **kwargs)
         return call
 
-    for name in ("gesv", "gbsv"):
+    for name in ("gesv", "gbsv", "gtsv"):
         monkeypatch.setattr(simulate, "d" + name, counted(name, getattr(simulate, "d" + name)))
     return calls
 
@@ -172,18 +173,20 @@ def test_singular_newton_matrix_names_step_and_time():
 
 
 def test_singular_banded_newton_matrix_names_step_and_time(lapack_calls):
-    # column 5 of E - dt A is zero at dt = 0.5, and H = 0 keeps it singular
+    # column 5 of E - dt A is zero at dt = 0.5, and H = 0 keeps it singular,
+    # in a tridiagonal A and in one with a second superdiagonal
     n = 40
     A = -np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
-    A[:, 5] = 0.0
-    A[5, 5] = 2.0
-    sys = QbOdeSystem(E=np.eye(n), A=A, H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
-                      B=np.ones((n, 1)), C=np.ones((1, n)))
-    u = InputSignal(1, lambda t: 1.0, lambda t: 0.0)
-    with pytest.raises(SolverError, match=r"singular Newton matrix at step 1 \(t=0\.5\): "
-                                          r"zero pivot 6 in the LU factorization"):
-        simulate_ode(sys, u, 1.0, 0.5)
-    assert lapack_calls == ["gbsv"]
+    for A in (A, A + 0.1 * np.eye(n, k=2)):
+        A[:, 5] = 0.0
+        A[5, 5] = 2.0
+        sys = QbOdeSystem(E=np.eye(n), A=A, H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
+                          B=np.ones((n, 1)), C=np.ones((1, n)))
+        u = InputSignal(1, lambda t: 1.0, lambda t: 0.0)
+        with pytest.raises(SolverError, match=r"singular Newton matrix at step 1 \(t=0\.5\): "
+                                              r"zero pivot 6 in the LU factorization"):
+            simulate_ode(sys, u, 1.0, 0.5)
+    assert lapack_calls == ["gtsv", "gbsv"]
 
 
 def test_non_finite_input_fails_newton():
@@ -231,8 +234,10 @@ def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_s
 @pytest.mark.parametrize("kind", ["ode", "dae", "reduced", "reduced-burgers", "burgers",
                                   "narrow-ode", "narrow-dae"])
 def test_newton_step_matches_reference(kind, lapack_calls):
-    # the first four are wide and solve dense, the others are narrow and solve banded
-    solver = "gesv" if kind in ("ode", "dae", "reduced", "reduced-burgers") else "gbsv"
+    # the first four are wide and solve dense, the others are narrow: tridiagonal
+    # ones solve from their three diagonals, the bandwidth-2 saddle banded
+    solver = ("gesv" if kind in ("ode", "dae", "reduced", "reduced-burgers") else
+              "gbsv" if kind == "narrow-dae" else "gtsv")
     dt = 0.01
     if kind in ("dae", "narrow-dae"):
         sys = (narrow_dae(30) if kind == "narrow-dae" else
@@ -545,8 +550,49 @@ def test_zero_bilinear_matrices_are_dropped_without_shifting_channels(lapack_cal
     traj = simulate_ode(sys, u, 1.0, 0.01)
     Z = reference_euler(sys.E, sys.A, sys.H, sys.N, sys.B, 0.01, traj.inputs, np.zeros(30),
                         np.zeros((30, 0)), np.zeros((0, 30)), np.zeros((0, 2)))
+    assert set(lapack_calls) == {"gtsv"}
+    assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
+    # the saddle of bandwidth 2, with B2 = 0 so that the zero start is consistent
+    dae = narrow_dae(30)
+    dae = dataclasses.replace(dae, N=(np.zeros((30, 30)), dae.N[1]), B2=np.zeros((2, 2)))
+    del lapack_calls[:]
+    traj = simulate_dae(dae, u, 1.0, 0.01)
+    z0 = np.concatenate([dae.v0, recover_pressure(dae, dae.v0, u.sample(0.0))])
+    Z = reference_euler(dae.E11, dae.A11, dae.H, dae.N, dae.B1, 0.01, traj.inputs, z0,
+                        dae.A12, dae.A21, dae.B2)
     assert set(lapack_calls) == {"gbsv"}
     assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
+
+
+@pytest.mark.parametrize("case", ["burgers", "narrow-dae"])
+def test_one_band_rule_routes_shift_factors_and_newton_steps(case, lapack_calls, monkeypatch):
+    # the band's tridiagonal predicate alone picks LAPACK's tridiagonal routines,
+    # for the shift factors and for the Newton steps of the same system
+    fetched, fetch = [], dense_solvers.la.get_lapack_funcs
+
+    def recorded_fetch(names, *args, **kwargs):
+        fetched.extend([names] if isinstance(names, str) else names)
+        return fetch(names, *args, **kwargs)
+
+    monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", recorded_fetch)
+    u = InputSignal.preset_cavity(2 if case == "narrow-dae" else 1)
+    if case == "burgers":
+        sys = gen_burgers(40, 0.05)
+        blocks = (sys.E, sys.A)
+        fact = solve_shifted(*blocks, np.array([-0.5, -1.5]), None)
+        simulate_ode(sys, u, 0.1, 0.01)
+    else:
+        sys = narrow_dae(30)
+        blocks = (sys.E11, sys.A11, sys.A12, sys.A21)
+        fact = solve_saddle(*blocks, np.array([-0.5, -1.5]), None)
+        simulate_dae(sys, u, 0.1, 0.01)
+    pencil = _ShiftPencil(*blocks)
+    tridiagonal = pencil.band.tridiagonal(pencil.rows)
+    assert tridiagonal == (case == "burgers")
+    # a descriptor simulation adds the mass saddle solve of its initial multiplier
+    assert set(fetched) == ({"gttrf", "gttrs"} if tridiagonal else {"gbtrf", "gbtrs"})
+    assert fact.tri == tridiagonal
+    assert set(lapack_calls) == {"gtsv" if tridiagonal else "gbsv"}
 
 
 def test_table_input_single_row_needs_two_samples():

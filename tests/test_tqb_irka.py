@@ -20,12 +20,11 @@ from qbmor.system_model import QbOdeSystem, ReducedQbSystem
 from qbmor.tensor_kron import HessianTensor, hessian_congruence
 from qbmor.tqb_irka import (
     IrkaConfig,
-    tqb_irka_dae_explicit,
     tqb_irka_dae_saddle,
     tqb_irka_ode,
 )
 
-from helpers import conjugate_pairs, random_stable_ode
+from helpers import _LiftedFactor, conjugate_pairs, random_stable_ode, tqb_irka_dae_explicit
 
 
 def linear_siso(seed=5, n=12):
@@ -220,6 +219,40 @@ def test_dae_explicit_matches_bar_system_route():
     assert np.linalg.norm(lam2 - lam1) <= 1e-8 * np.linalg.norm(lam1)
 
 
+def test_explicit_route_keeps_lifting_a_nudged_shift():
+    # a block that fails on the projected pencil names the lifting wrapper as its
+    # factor, so the nudged shift's solve still maps into and out of its coordinates
+    sys = gen_synthetic_dae(16, 4, seed=3)
+    proj = build_projectors(sys)
+    Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
+    Abar = proj.phi_l.T @ sys.A11 @ proj.theta_r
+    lam, failed = np.array([-0.5, -1.5]), []
+
+    def factor(s):
+        raw = solve_shifted(Ebar, Abar, s, None)
+        residual = raw._residual
+
+        def nan_in_block_0_once(b, z, t):
+            r = residual(b, z, t)
+            if not failed and len(r) == 2 * raw.rows:
+                failed.append(True)
+                r[:raw.rows] = np.nan
+            return r
+
+        raw._residual = nan_in_block_0_once
+        return _LiftedFactor(raw, (proj.theta_r, proj.phi_l))
+
+    nudged = set()
+    solve = tqb_irka._shift_solver(factor, lam, sys.n_v, nudged)
+    rhs = np.random.default_rng(7).standard_normal((sys.n_v, 2))
+    Z = solve([0, 1], rhs, False)
+    assert failed and nudged == {0}
+    sigma = lam[0] + 1e-8 * (1.0 + abs(lam[0]))
+    for i, s in enumerate([sigma, lam[1]]):
+        expect = proj.theta_r @ la.solve(-s * Ebar - Abar, proj.phi_l.T @ rhs[:, i])
+        assert np.linalg.norm(Z[:, i] - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
 def test_dae_saddle_matches_explicit():
     # fixed sweep count so both routes compare the same iterates
     sys = gen_synthetic_dae(18, 4, m=2, p=2, seed=6, quad_scale=0.1)
@@ -272,15 +305,22 @@ def user_model(Ahat, m, p, seed=0):
 
 def count_full_order_factorizations(monkeypatch, n):
     """Record every factored shift block of ``n`` rows in dense_solvers: one
-    per dense ``getrf`` of an ``n``-row matrix, and one per ``n`` columns of a
-    ``gbtrf`` band, which stacks a family's blocks side by side."""
+    per dense ``getrf`` of an ``n``-row matrix, one per ``n`` columns of a
+    ``gbtrf`` band, which stacks a family's blocks side by side, and one per
+    ``n`` entries of the diagonal ``d`` that ``gttrf`` reads in ``(dl, d, du)``."""
     calls = []
     fetch = dense_solvers.la.get_lapack_funcs
 
-    def counted(trf):
+    def counted(name, trf):
         def call(a, *args, **kwargs):
-            if a.shape[1] % n == 0 and (a.shape[0] == n or trf.__name__.endswith("gbtrf")):
-                calls.extend([a.shape] * (a.shape[1] // n))
+            if name == "gttrf":
+                cols = args[0].size
+            elif a.shape[0] == n or name == "gbtrf":
+                cols = a.shape[1]
+            else:
+                cols = 0
+            if cols % n == 0:
+                calls.extend([(name, n)] * (cols // n))
             return trf(a, *args, **kwargs)
         return call
 
@@ -289,7 +329,7 @@ def count_full_order_factorizations(monkeypatch, n):
         funcs = fetch(names, *args, **kwargs)
         if isinstance(names, str):
             return funcs
-        return [counted(f) if name in ("getrf", "gbtrf") else f
+        return [counted(name, f) if name in ("getrf", "gbtrf", "gttrf") else f
                 for name, f in zip(names, funcs)]
 
     monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted_fetch)
@@ -347,16 +387,19 @@ def test_singular_shift_is_nudged_once(monkeypatch):
     assert len(calls) == 3 + 1
 
 
-@pytest.mark.parametrize("case", ["burgers", "singular shift"])
+@pytest.mark.parametrize("case", ["burgers", "singular shift", "wider singular shift"])
 def test_band_sweep_factors_each_family_with_one_gbtrf(monkeypatch, case):
-    # a sweep on the band route makes at most one real and one complex gbtrf
-    # call, one per family of shifts, plus one single-block call per nudge
-    calls = []  # (dtype kind, columns) per gbtrf call
+    # a sweep on the band route makes at most one real and one complex call of
+    # its factorization, gttrf for a tridiagonal band and gbtrf for a wider
+    # one, one per family of shifts, plus one single-block call per nudge
+    calls = []  # (routine, dtype kind, columns) per gttrf or gbtrf call
     fetch = dense_solvers.la.get_lapack_funcs
 
-    def counted(trf):
+    def counted(name, trf):
         def call(a, *args, **kwargs):
-            calls.append((a.dtype.kind, a.shape[1]))
+            # gttrf reads (dl, d, du), the band routine its storage
+            d = args[0] if name == "gttrf" else a[0]
+            calls.append((name, d.dtype.kind, d.size))
             return trf(a, *args, **kwargs)
         return call
 
@@ -364,23 +407,33 @@ def test_band_sweep_factors_each_family_with_one_gbtrf(monkeypatch, case):
         funcs = fetch(names, *args, **kwargs)
         if isinstance(names, str):
             return funcs
-        return [counted(f) if name == "gbtrf" else f for name, f in zip(names, funcs)]
+        return [counted(name, f) if name in ("gbtrf", "gttrf") else f
+                for name, f in zip(names, funcs)]
 
     monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted_fetch)
     if case == "burgers":
         sys, cfg = gen_burgers(60, 0.05), IrkaConfig(r=6, seed=0)
     else:
-        # the set-up of test_singular_shift_is_nudged_once
+        # the set-up of test_singular_shift_is_nudged_once, and with a second
+        # superdiagonal: -sigma E - A upper triangular, singular at sigma = 1
         n = 8
         rng = np.random.default_rng(2)
-        sys = QbOdeSystem(E=np.eye(n), A=-np.diag(np.arange(1.0, n + 1)),
+        A = -np.diag(np.arange(1.0, n + 1))
+        if case == "wider singular shift":
+            A += 0.1 * np.eye(n, k=2)
+        sys = QbOdeSystem(E=np.eye(n), A=A,
                           H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
                           B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
         cfg = IrkaConfig(r=3, max_iters=1,
                          initial_model=user_model(np.diag([1.0, -2.5, -0.5]), 1, 1))
     _, trace = tqb_irka_ode(sys, cfg)
     n, nudges = sys.n, sum(trace.nudged_shifts)
-    assert dense_solvers._ShiftPencil(sys.E, sys.A).band is not None
+    band = dense_solvers._ShiftPencil(sys.E, sys.A).band
+    assert band is not None
+    trf = "gttrf" if band.tridiagonal(n) else "gbtrf"
+    assert trf == ("gbtrf" if case.startswith("wider") else "gttrf")
+    assert {name for name, _, _ in calls} == {trf}
+    calls = [(kind, cols) for _, kind, cols in calls]
     for kind in "fc":
         assert sum(k == kind for k, _ in calls) <= trace.iterations + nudges
     assert len(calls) <= 2 * trace.iterations + nudges
