@@ -2,10 +2,10 @@
 
 Generalized pencil eigendecomposition, shifted and saddle-point solves (one
 factorization per family of shifts serves plain and transposed solves; a
-narrow pattern stacks a family's matrices in one LAPACK band, tridiagonal or
-general, any other is dense), and generalized Lyapunov solves
+tridiagonal pattern stacks a family's matrices side by side in one
+tridiagonal storage, any other is dense), and generalized Lyapunov solves
 (Bartels-Stewart on the pencil reduced by one LU of the mass matrix).  Every
-LU is one raw ``getrf``, ``gbtrf`` or ``gttrf``, and every pencil eigensolve
+LU is one raw ``getrf`` or ``gttrf``, and every pencil eigensolve
 one ``ggev``, from ``get_lapack_funcs``: its ``info`` (a shift factor's
 pivots) is checked first, so a zero pivot (before any triangular solve) or a
 failed QZ raises :class:`SolverError`, never a warning.  Every solver
@@ -18,7 +18,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as la
@@ -232,88 +231,64 @@ def pencil_eig(Ehat, Ahat):
     return fact
 
 
-class _Band(NamedTuple):
-    """A band of ``kl`` sub- and ``ku`` superdiagonals in LAPACK band storage.
+# The one narrow storage, tridiagonal: a ``(3, cols)`` array whose rows are the
+# super-, main and subdiagonal, entry ``(i, j)`` at row ``1 + i - j`` of column
+# ``j``, the band storage of ``gbmv`` with one sub- and one superdiagonal.
 
-    The package's one band layout, that of ``gbtrf`` and ``gbsv``: entry
-    ``(i, j)`` is at :meth:`row` of column ``j`` of a ``(rows, cols)`` array
-    (Fortran-ordered from :meth:`store`) whose first ``kl`` rows, zero until
-    a factorization fills them in, :meth:`matvec` reads as superdiagonals.
-    :meth:`fit` (band or dense storage) and :meth:`tridiagonal` (LAPACK's
-    tridiagonal or band routines) are the one rules, here and in
-    :mod:`qbmor.simulate`.  A ``(kl, ku)`` tuple equals its band.
-    """
 
-    kl: int
-    ku: int
+def _offsets(M, at=(0, 0)):
+    """Offsets ``i - j`` of the nonzeros of ``M`` placed with its top left at ``at``."""
+    i, j = np.nonzero(M)
+    return i - j + (at[0] - at[1])
 
-    @staticmethod
-    def diagonals(M, at=(0, 0)):
-        """Offsets ``i - j`` of the nonzeros of ``M`` placed with its top left at ``at``."""
-        i, j = np.nonzero(M)
-        return i - j + (at[0] - at[1])
 
-    @classmethod
-    def fit(cls, size, offsets):
-        """The band holding the diagonal ``offsets`` of a ``size``-row matrix.
+def _is_tridiagonal(size, offsets):
+    """The one storage rule, here and in :mod:`qbmor.simulate`: a ``size``-row matrix
+    of the diagonal ``offsets`` is stored tridiagonal when they lie in {-1, 0, 1}
+    and it has at least 3 rows (scipy's ``gttrf`` and ``gttrs`` mis-size 2), else dense."""
+    return size > 2 and np.abs(np.concatenate(offsets)).max(initial=0) <= 1
 
-        ``None`` when the band is wide, spanning more than half the columns.
-        """
-        off = np.concatenate(offsets)
-        kl, ku = int(off.max(initial=0)), int(-off.min(initial=0))
-        return cls(kl, ku) if 2 * (kl + ku + 1) <= size else None
 
-    def tridiagonal(self, size):
-        """Whether a ``size``-row band matrix is tridiagonal (``kl, ku <= 1``), solved
-        from its :meth:`tridiagonals`; scipy's ``gttrf`` and ``gttrs`` mis-size 2 rows."""
-        return self.kl <= 1 and self.ku <= 1 and size > 2
+def _tri_index(i, j):
+    """The ``(row, column)`` of entry ``(i, j)`` in tridiagonal storage."""
+    return 1 + i - j, j
 
-    def tridiagonals(self, M):
-        """The sub-, main and superdiagonal of ``M`` in band storage, zero outside the band."""
-        c, zero = self.kl + self.ku, np.zeros(M.shape[1] - 1, M.dtype)
-        return M[c + 1, :-1] if self.kl else zero, M[c], M[c - 1, 1:] if self.ku else zero
 
-    def tridiagonal_lu(self, gttrf, M):
-        """``gttrf`` of ``M`` in band storage: ``lu`` holds the zero-padded ``dl, d, du, du2``."""
-        lu = np.zeros((4, M.shape[1]), M.dtype)
-        *f, piv, info = gttrf(*self.tridiagonals(M))
-        lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2] = f
-        return lu, piv, info
+def _tri_store(M, cols, at=(0, 0), out=None):
+    """The nonzeros of ``M``, placed at ``at``, scattered into tridiagonal storage:
+    a new zeroed ``(3, cols)`` array, or ``out``."""
+    if out is None:
+        out = np.zeros((3, cols), dtype=np.result_type(M, float), order="F")
+    i, j = np.nonzero(M)
+    out[_tri_index(at[0] + i, at[1] + j)] = M[i, j]
+    return out
 
-    @property
-    def rows(self):
-        return 2 * self.kl + self.ku + 1
 
-    def row(self, i, j):
-        """The storage row of entry ``(i, j)``, in column ``j``."""
-        return self.kl + self.ku + i - j
+def _tridiagonals(M):
+    """The sub-, main and superdiagonal ``(dl, d, du)`` of ``M`` in tridiagonal storage."""
+    return M[2, :-1], M[1], M[0, 1:]
 
-    def store(self, M, cols, at=(0, 0), out=None):
-        """The nonzeros of ``M``, placed at ``at``, scattered into band storage:
-        a new zeroed ``(rows, cols)`` array, or ``out``."""
-        if out is None:
-            out = np.zeros((self.rows, cols), dtype=np.result_type(M, float), order="F")
-        i, j = np.nonzero(M)
-        out[self.row(at[0] + i, at[1] + j), at[1] + j] = M[i, j]
-        return out
 
-    def matvec(self, gbmv, M, x, alpha=1.0, **kwargs):
-        """``alpha M x`` by ``gbmv``, of ``M``'s type, with its further options in ``kwargs``."""
-        n = M.shape[1]
-        return gbmv(n, n, self.kl, self.kl + self.ku, alpha, M, x, **kwargs)
+def _tri_lu(gttrf, M):
+    """``gttrf`` of ``M`` in tridiagonal storage: ``lu`` holds the zero-padded ``dl, d, du, du2``."""
+    lu = np.zeros((4, M.shape[1]), M.dtype)
+    *f, piv, info = gttrf(*_tridiagonals(M))
+    lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2] = f
+    return lu, piv, info
 
-    def residual(self, M, b, z, trans=0):
-        """``b - M z`` (``M^T`` with ``trans = 1``), a diagonal at a time on all columns:
-        the main diagonal of ``M`` or ``M^T``, then its super- and its subdiagonals."""
-        n, c, zt = M.shape[1], self.kl + self.ku, z.T
-        sup, sub = [*range(-1, -self.ku - 1, -1)], [*range(1, self.kl + 1)]
-        # transposed, so that each product runs along a diagonal, a row of M
-        r = b.T - M[c] * zt
-        for o in sub + sup if trans else sup + sub:
-            # diagonal o of M holds its entries (j + o, j): columns j, rows i
-            i, j = slice(max(o, 0), n + min(o, 0)), slice(max(-o, 0), n - max(o, 0))
-            r[:, j if trans else i] -= M[c + o, j] * zt[:, i if trans else j]
-        return r.T
+
+def _tri_residual(M, b, z, trans):
+    """``b - M z`` (``M^T`` with ``trans = 1``) for ``M`` in tridiagonal storage, a
+    diagonal at a time on all columns: the main diagonal, then the super- and
+    the subdiagonal of ``M`` or ``M^T``."""
+    zt, up, low = z.T, M[0, 1:], M[2, :-1]
+    if trans:
+        up, low = low, up
+    # transposed, so that each product runs along a diagonal, a row of M
+    r = b.T - M[1] * zt
+    r[:, :-1] -= up * zt[:, 1:]
+    r[:, 1:] -= low * zt[:, :-1]
+    return r.T
 
 
 class _ShiftPencil:
@@ -322,8 +297,8 @@ class _ShiftPencil:
     ``M(sigma)`` is ``-sigma E - A`` or, with constraint blocks, the saddle
     matrix ``[[-sigma E - A, A12], [A21, 0]]``: ``E`` zero-padded and ``S =
     [[A, -A12], [-A21, 0]]``.  The union pattern of the blocks, measured once
-    here, alone picks the one storage of ``E`` and ``S``: band when narrow
-    (:meth:`_Band.fit`), so each shift costs O(band * rows), else dense.
+    here, alone picks the one storage of ``E`` and ``S``: tridiagonal when
+    :func:`_is_tridiagonal`, so each shift costs O(rows), else dense.
     ``source`` holds the blocks as passed, so a factor given this pencil can
     check that it was measured from the very matrices it is asked to shift.
     """
@@ -338,11 +313,11 @@ class _ShiftPencil:
             A12, A21 = np.asarray(A12), np.asarray(A21)
             blocks += [(-A12, (0, n)), (-A21, (n, 0))]
         self.rows = rows = n + (A12.shape[1] if self.saddle else 0)
-        self.band = _Band.fit(rows, [_Band.diagonals(M, at) for M, at in [(E, (0, 0))] + blocks])
-        if self.band is not None:
-            self._E, self._S = self.band.store(E, rows), None
+        self.tri = _is_tridiagonal(rows, [_offsets(M, at) for M, at in [(E, (0, 0))] + blocks])
+        if self.tri:
+            self._E, self._S = _tri_store(E, rows), None
             for M, at in blocks:
-                self._S = self.band.store(M, rows, at, self._S)
+                self._S = _tri_store(M, rows, at, self._S)
         else:
             Z = np.zeros((rows - n, rows - n))
             # Fortran-ordered, so that M(sigma) is too, as LAPACK reads it
@@ -350,11 +325,11 @@ class _ShiftPencil:
             self._S = np.asfortranarray(np.block([[A, -A12], [-A21, Z]]) if self.saddle else A)
 
     def matrix(self, sigma):
-        """``M(sigma)``, dense ``(rows, rows)`` and Fortran-ordered or in :class:`_Band` storage
-        with contiguous rows; k shifts give dense ``(k, rows, rows)`` or k bands side by side."""
+        """``M(sigma)``, dense ``(rows, rows)`` and Fortran-ordered or in tridiagonal storage
+        with contiguous rows; k shifts give dense ``(k, rows, rows)`` or k ``(3, rows)``
+        blocks side by side."""
         MT = -np.asarray(sigma)[..., None, None] * self._E.T - self._S.T
-        return MT.swapaxes(-1, -2) if self.band is None else np.ascontiguousarray(
-            MT.reshape(-1, self.band.rows).T)
+        return np.ascontiguousarray(MT.reshape(-1, 3).T) if self.tri else MT.swapaxes(-1, -2)
 
 
 def _block_norms(X, k):
@@ -368,11 +343,10 @@ class _ShiftFactor:
     """The matrices ``M(sigma_i)`` of a family of k shifts (:class:`_ShiftPencil`), and their LU.
 
     The family has one dtype, real when every imaginary part is zero (a
-    scalar ``sigma`` is k = 1).  A band lays the k matrices side by side as
-    one block-diagonal band for one ``gbtrf`` (no entry between blocks is
-    nonzero, so no pivot leaves its block) and one ``gbtrs`` pass, or, when
-    :meth:`_Band.tridiagonal`, one ``gttrf`` and one ``gttrs`` pass on its
-    diagonals; dense storage keeps a ``getrf``/``getrs`` per block.
+    scalar ``sigma`` is k = 1).  Tridiagonal storage lays the k matrices side
+    by side for one ``gttrf`` and one ``gttrs`` pass on their stacked
+    diagonals (no entry between blocks is nonzero, so no pivot leaves its
+    block); dense storage keeps a ``getrf``/``getrs`` per block.
     ``solve(rhs, trans)`` solves with each ``M_i`` or its plain transpose,
     refined once, block ``i`` taking columns ``i c`` to ``(i + 1) c`` of the
     ``k c`` in ``rhs`` (of ``n + n_p`` or ``n`` rows; real views when complex
@@ -391,10 +365,16 @@ class _ShiftFactor:
             raise ValueError("pencil was measured from other matrices")
         self.pencil, self.saddle, self.n, self.rows = pencil, pencil.saddle, pencil.n, pencil.rows
         self.M = M = pencil.matrix(self.sigma)
-        self.band = band = pencil.band
+        self.tri = pencil.tri
         k, rows = self.sigma.size, self.rows
-        self.tri = band is not None and band.tridiagonal(rows)
-        if band is None:
+        if self.tri:
+            gttrf, gttrs = la.get_lapack_funcs(("gttrf", "gttrs"), (M,))
+            self._trf = partial(_tri_lu, gttrf)
+            self.lu = lu, piv = self._trf(M)[:2]
+            self._trs = lambda b, t: gttrs(lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2], piv, b,
+                                           trans="T" if t else "N")[0]
+            self._residual = partial(_tri_residual, M)
+        else:
             getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (M,))
             self._trf = getrf
             # each block Fortran-ordered, as getrf (in place) and getrs read it
@@ -407,19 +387,6 @@ class _ShiftFactor:
                 [getrs(a, p, bi, trans=t)[0] for a, p, bi in zip(lu, piv, b.reshape(k, rows, -1))])
             self._residual = lambda b, z, t: b - (
                 (M.swapaxes(1, 2) if t else M) @ z.reshape(k, rows, -1)).reshape(b.shape)
-        elif self.tri:
-            gttrf, gttrs = la.get_lapack_funcs(("gttrf", "gttrs"), (M,))
-            self._trf = partial(band.tridiagonal_lu, gttrf)
-            self.lu = lu, piv = self._trf(M)[:2]
-            self._trs = lambda b, t: gttrs(lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2], piv, b,
-                                           trans="T" if t else "N")[0]
-            self._residual = partial(band.residual, M)
-        else:
-            gbtrf, gbtrs = la.get_lapack_funcs(("gbtrf", "gbtrs"), (M,))
-            self._trf = lambda a: gbtrf(a, band.kl, band.ku)
-            self.lu = lu, piv = self._trf(M)[:2]
-            self._trs = lambda b, t: gbtrs(lu, band.kl, band.ku, b, piv, trans=t)[0]
-            self._residual = partial(band.residual, M)
         self._check_pivots()
 
     def _failure(self, i):
@@ -428,18 +395,18 @@ class _ShiftFactor:
 
     def _check_pivots(self):
         # an exactly zero pivot: a triangular solve would divide by it
-        lu, band = self.lu[0], self.band
-        self._gate(np.diagonal(lu, axis1=1, axis2=2) if band is None
-                   else lu[1 if self.tri else band.kl + band.ku], SolverError, self._failure)
+        lu = self.lu[0]
+        self._gate(lu[1] if self.tri else np.diagonal(lu, axis1=1, axis2=2),
+                   SolverError, self._failure)
 
     def refactor(self, i, sigma):
         """Block ``i`` formed and factored again at ``sigma``; the others are kept."""
         self.sigma[i], rows = sigma, self.rows
-        at = (i,) if self.band is None else (slice(None), slice(i * rows, (i + 1) * rows))
+        at = (slice(None), slice(i * rows, (i + 1) * rows)) if self.tri else (i,)
         self.M[at] = self.pencil.matrix(self.sigma[i])
         lu, piv, _ = self._trf(self.M[at])
-        # a band block's pivots index the rows of the whole band
-        self.lu[0][at], self.lu[1][at[-1]] = lu, piv + (0 if self.band is None else i * rows)
+        # a tridiagonal block's pivots index the rows of the whole family
+        self.lu[0][at], self.lu[1][at[-1]] = lu, piv + (i * rows if self.tri else 0)
         self._check_pivots()
 
     def _gate(self, ok, cls, message):
@@ -497,7 +464,7 @@ def solve_shifted(E, A, sigma, rhs, pencil=None):
 
     With ``rhs=None`` the :class:`_ShiftFactor` is returned instead, reused
     for plain and transposed solves; ``sigma`` may be a family of shifts.
-    The pattern of ``E`` and ``A`` picks band or dense storage; ``pencil``,
+    The pattern of ``E`` and ``A`` picks tridiagonal or dense storage; ``pencil``,
     a :class:`_ShiftPencil` of the same ``E`` and ``A`` arrays (any others
     raise ``ValueError``), carries that choice from an earlier measurement,
     so a reduction measures its system once for all shifts.

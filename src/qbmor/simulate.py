@@ -5,11 +5,11 @@ unconstrained and the descriptor form; the descriptor steps solve the coupled
 velocity-multiplier saddle system including the constraint row.  Fixed steps
 keep runs reproducible.  Each step's Newton iteration starts from the
 quadratic extrapolation of the last three states (multipliers included), so
-a smooth input takes one Newton solve per step.  Each simulation stores its
-Newton matrix banded when the system's pattern is narrow, solved by LAPACK's
-``gtsv`` when tridiagonal and ``gbsv`` otherwise, and dense (``gesv``) when
-wide, by the rules shared with the shift factorizations of
-:mod:`qbmor.dense_solvers`; the library's input signals sample a whole grid.
+a smooth input takes one Newton solve per step.  Each simulation keeps a
+tridiagonal system's Newton matrix in tridiagonal storage, solved by LAPACK's
+``gtsv``, and any other dense (``gesv``), by the rule and layout shared with
+the shift factorizations of :mod:`qbmor.dense_solvers`; the library's input
+signals sample a whole grid.
 
 The Newton matrix and every step's input terms are bound once per
 simulation, ``E x_old`` and any bilinear terms once per step, and each
@@ -27,10 +27,10 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg.blas import dgbmv
-from scipy.linalg.lapack import dgbsv, dgesv, dgtsv
+from scipy.linalg.lapack import dgesv, dgtsv
 
 from .dae_transform import recover_pressure
-from .dense_solvers import SolverError, _Band
+from .dense_solvers import SolverError, _is_tridiagonal, _offsets, _tri_store, _tridiagonals
 from .mmio import _read_table, atomic_open
 from .system_model import ReducedQbSystem, _bilinear_terms, _reduced_ode
 from .tensor_kron import apply_hessian, quadratic_jacobian
@@ -254,14 +254,12 @@ class _NewtonStep:
     in ``dx``, so no Jacobian-sized array is scaled.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
-    ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rules
-    and band layout that :class:`qbmor.dense_solvers._Band` also applies to
-    the shift factorizations.  When its band of ``kl + ku + 1`` diagonals
-    spans at most half the columns, ``K`` lives in that band storage:
-    residuals are band products (``gbmv``), the Jacobian is scattered into
-    its band positions and each iteration solves with ``gbsv`` or, for a
-    tridiagonal band, ``gtsv`` on the three diagonals of ``J``.  Any wider
-    pattern keeps dense storage and ``gesv``.
+    ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
+    and tridiagonal layout that :mod:`qbmor.dense_solvers` also applies to
+    the shift factorizations.  A tridiagonal pattern keeps ``K`` in that
+    storage: residuals are band products (``gbmv``), the Jacobian is
+    scattered into its three diagonals and each iteration solves with
+    ``gtsv``.  Any other pattern keeps dense storage and ``gesv``.
     """
 
     def __init__(self, E, A, H, N, B, dt, A12=None, A21=None, B2=None):
@@ -278,19 +276,16 @@ class _NewtonStep:
             K[:n, n:] = -dt * A12
             K[n:, :n] = A21
         col, row = np.divmod(H._jacobian_pattern()[0], n)
-        band = _Band.fit(size, [*map(_Band.diagonals, (E, K, *(Nq for _, Nq in N))),
-                                row - col])
-        self._band = band
-        if band is not None:
-            self._E, self._K = band.store(E, n), band.store(K, size)
-            self._N = tuple(band.store(Nq, size) for _, Nq in N)
+        self._tri = _is_tridiagonal(size, [*map(_offsets, (E, K, *(Nq for _, Nq in N))),
+                                           row - col])
+        if self._tri:
+            self._E, self._K = _tri_store(E, n), _tri_store(K, size)
+            self._N = tuple(_tri_store(Nq, size) for _, Nq in N)
             self._Kv, self._J = self._K, np.empty_like(self._K)
             self._Jv = self._J[:, :n]
-            self._mv = partial(band.matvec, dgbmv)
-            # gtsv returns (du2, d, du, x, info): without du2 it unpacks as gbsv's
-            self._solve = ((lambda J, b: dgtsv(*band.tridiagonals(J), b, overwrite_b=True)[1:])
-                           if band.tridiagonal(size) else
-                           partial(dgbsv, *band, overwrite_ab=True, overwrite_b=True))
+            self._mv = lambda M, x: dgbmv(M.shape[1], M.shape[1], 1, 1, 1.0, M, x)
+            # gtsv returns (du2, d, du, x, info): without du2 it unpacks as gesv's
+            self._solve = lambda J, b: dgtsv(*_tridiagonals(J), b, overwrite_b=True)[1:]
         else:
             self._E, self._K = E, K
             self._N = tuple(np.asfortranarray(Nq) for _, Nq in N)
@@ -306,7 +301,7 @@ class _NewtonStep:
 
         ``U`` holds the input at every grid time as rows.
         """
-        n, dt, H, band = self.n, self.dt, self.H, self._band
+        n, dt, H, tri = self.n, self.dt, self.H, self._tri
         E, K, Kv, S, Ns, J, Jv = (self._E, self._K, self._Kv, self._S, self._N,
                                   self._J, self._Jv)
         mv, solve = self._mv, self._solve
@@ -347,7 +342,7 @@ class _NewtonStep:
                         f"(t={t[k]:.6g}, residual={norm:.3e})"
                     )
                 np.copyto(J, K)
-                Jv -= jac(H, dx, band=band)
+                Jv -= jac(H, dx, tridiagonal=tri)
                 _, _, dz, info = solve(J, res)
                 if info:
                     raise SolverError(

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dense_solvers import _Band
+from .dense_solvers import _tri_index
 
 __all__ = [
     "HessianTensor",
@@ -164,37 +164,34 @@ class HessianTensor:
             _freeze(cached.Hc.data, cached.Hc.indices, cached.Hc.indptr, cached.a, cached.b)
         return cached
 
-    def _jacobian_pattern(self, band=None):
+    def _jacobian_pattern(self, tridiagonal=False):
         """``(flat, operand, values, rows)`` of the two Jacobian terms of every entry.
 
         Entry ``(i, j, k, v)`` adds ``v x[k]`` at ``(i, j)`` and ``v x[j]`` at
         ``(i, k)``, all first terms before all second terms.  ``flat`` holds
         those positions in column-major order (``col*n + row``) of ``rows = n``
-        rows, or with ``band=(kl, ku)`` in the LAPACK ``gbsv`` band storage of
-        :func:`quadratic_jacobian` (``col*rows + kl + ku + row - col`` with
-        ``rows = 2 kl + ku + 1``).
+        rows, or with ``tridiagonal`` in the Fortran-ordered ``(3, n)``
+        tridiagonal storage of :mod:`qbmor.dense_solvers` (``rows = 3``).
         """
-        cached = self._jac.get(band)
+        cached = self._jac.get(tridiagonal)
         if cached is not None:
             return cached
-        if band is None:
+        if tridiagonal:
+            flat, operand, values, _ = self._jacobian_pattern()
+            col, row = np.divmod(flat, self.n)
+            if np.any(np.abs(row - col) > 1):
+                raise ValueError("tensor Jacobian pattern is not tridiagonal")
+            r, c = _tri_index(row, col)
+            pattern = (c * 3 + r, operand, values)
+            rows = 3
+        else:
             i, j, k, n = self._i, self._j, self._k, self.n
             pattern = (np.concatenate([j * n + i, k * n + i]),
                        np.concatenate([k, j]),
                        np.concatenate([self._v, self._v]))
             rows = n
-        else:
-            band = _Band(*band)
-            flat, operand, values, _ = self._jacobian_pattern()
-            col, row = np.divmod(flat, self.n)
-            off = row - col
-            if off.size and not (-band.ku <= off.min() and off.max() <= band.kl):
-                raise ValueError(f"tensor Jacobian pattern exceeds the band "
-                                 f"(kl, ku) = ({band.kl}, {band.ku})")
-            pattern = (col * band.rows + band.row(row, col), operand, values)
-            rows = band.rows
         _freeze(*pattern)
-        self._jac[band] = cached = (*pattern, rows)
+        self._jac[tridiagonal] = cached = (*pattern, rows)
         return cached
 
     def _dense_forms(self):
@@ -363,7 +360,7 @@ def hessian_gram(t, mode, L, R):
     return out
 
 
-def quadratic_jacobian(t, x, band=None):
+def quadratic_jacobian(t, x, tridiagonal=False):
     """Matrix of ``y -> H (x kron y) + H (y kron x)``.
 
     This is the Jacobian of ``x -> H (x kron x)`` and equals
@@ -372,19 +369,19 @@ def quadratic_jacobian(t, x, band=None):
     a high stored fill forms it as ``G x`` from its dense Jacobian operator;
     any other sums its stored entries.
 
-    With ``band=(kl, ku)`` the matrix is returned, summed from the stored
-    entries, in the band storage of :class:`qbmor.dense_solvers._Band`
-    instead; the Jacobian pattern must lie in the band.
+    With ``tridiagonal`` the matrix is returned, summed from the stored
+    entries, in the ``(3, n)`` tridiagonal storage of
+    :mod:`qbmor.dense_solvers` instead; the Jacobian pattern must lie in it.
     """
     x = np.asarray(x)
     n = t.n
     if x.shape != (n,):
         raise ValueError(f"operand shape {x.shape} does not match n={n}")
-    if band is None:
+    if not tridiagonal:
         dense = t._dense_forms()
         if dense is not None:
             return (dense[1] @ x).reshape(n, n, order="F")
-    flat, operand, values, rows = t._jacobian_pattern(band)
+    flat, operand, values, rows = t._jacobian_pattern(tridiagonal)
     return _scatter_sum(flat, values * x[operand], rows * n).reshape(rows, n, order="F")
 
 

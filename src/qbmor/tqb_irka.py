@@ -11,7 +11,7 @@ serve all four families: plain solves for ``V`` and transposed solves for
 work is real wherever the data is: the real shifts solve real columns on
 their real factor, and the correction right-hand sides contract realified
 bases.  Each entry point measures its system's pattern once, and that alone
-picks tridiagonal, band or dense storage for all its shifts.  The two entry
+picks tridiagonal or dense storage for all its shifts.  The two entry
 points share this core and differ only in the shift factorization they
 pass: :func:`tqb_irka_ode` factors ``-sigma E - A``,
 :func:`tqb_irka_dae_saddle` one saddle matrix in the original sparse blocks,

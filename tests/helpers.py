@@ -32,6 +32,17 @@ def random_stable_ode(seed, n, m=1, p=1, quad_scale=0.05, bilinear_scale=0.1,
     return QbOdeSystem(E=E, A=A, H=H, N=N, B=B, C=C)
 
 
+def skewed_band_pencil(seed, n):
+    """A random pencil ``(E, A)`` with two sub- and one superdiagonal, not
+    diagonally dominant, so that partial pivoting swaps rows down to the
+    last ones of each block: narrow, but not tridiagonal."""
+    rng = np.random.default_rng(seed)
+    i, j = np.indices((n, n))
+    band = (i - j <= 2) & (j - i <= 1)
+    E = np.eye(n) + 0.1 * band * rng.standard_normal((n, n))
+    return E, band * rng.standard_normal((n, n))
+
+
 # a shift is real, or two shifts a conjugate pair, within this relative distance
 _PAIR_TOL = 1e-8
 

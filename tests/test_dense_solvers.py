@@ -25,7 +25,7 @@ from qbmor.dense_solvers import (
 )
 from qbmor.problems import gen_synthetic_dae
 
-from helpers import conjugate_pairs, random_stable_ode
+from helpers import conjugate_pairs, random_stable_ode, skewed_band_pencil
 
 
 def stable_pencil(seed, r):
@@ -319,7 +319,7 @@ def test_dense_saddle_matrix_is_the_block_assembly(sigma):
     pencil = _ShiftPencil(sys.E11, sys.A11, sys.A12, sys.A21)
     K = np.block([[-sigma * sys.E11 - sys.A11, sys.A12],
                   [sys.A21, np.zeros((3, 3))]])
-    assert pencil.band is None
+    assert not pencil.tri
     assert np.array_equal(pencil.matrix(sigma), K)
 
 
@@ -518,7 +518,7 @@ def test_residual_recording_covers_all_solvers():
     assert all(v <= 1e-9 for _, v in log)
 
 
-# -- band shift factorizations -------------------------------------------------
+# -- narrow shift factorizations: tridiagonal, or dense when wider --------------
 
 
 def tridiagonal_pencil(seed, n):
@@ -534,7 +534,8 @@ def tridiagonal_pencil(seed, n):
 
 
 def narrow_saddle_blocks(n_v, seed=0):
-    """Tridiagonal ``(E11, A11)`` with the last two velocities constrained: bandwidth 2."""
+    """Tridiagonal ``(E11, A11)`` with the last two velocities constrained: bandwidth 2,
+    so stored dense."""
     E11, A11 = tridiagonal_pencil(seed, n_v)
     A12 = np.zeros((n_v, 2))
     A12[n_v - 2, 0] = A12[n_v - 1, 1] = 1.0
@@ -550,7 +551,7 @@ def lapack_routines(monkeypatch):
     def counted_fetch(names, arrays=(), dtype=None):
         def counted(f):
             def call(*args, **kwargs):
-                calls.append(f.__name__.split()[-1][1:])  # "function dgbtrf"
+                calls.append(f.__name__.split()[-1][1:])  # "function dgttrf"
                 return f(*args, **kwargs)
             return call
         return [counted(f) for f in fetch(names, arrays, dtype)]
@@ -578,7 +579,6 @@ def band_factor_case(kind, sigma):
 def test_band_factor_solve_matches_assembled_solve(sigma, trans, kind, padded, dtype,
                                                    layout, lapack_routines):
     fact, M, n = band_factor_case(kind, sigma)
-    assert (fact.band.kl, fact.band.ku) == ((1, 1) if kind == "ode" else (2, 2))
     assert fact.lu[0].dtype == (np.complex128 if sigma.imag else np.float64)
     rows = M.shape[0] if padded else n
     rng = np.random.default_rng(37)
@@ -594,20 +594,20 @@ def test_band_factor_solve_matches_assembled_solve(sigma, trans, kind, padded, d
     assert got.shape == expect.shape
     assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
     assert [tag for tag, _ in log] == ["shifted" if kind == "ode" else "saddle"]
-    # the tridiagonal pencil takes the tridiagonal routines, the bandwidth-2 saddle the band ones
-    trf, trs = ("gttrf", "gttrs") if kind == "ode" else ("gbtrf", "gbtrs")
+    # the tridiagonal pencil takes the tridiagonal routines, the bandwidth-2 saddle the dense ones
+    trf, trs = ("gttrf", "gttrs") if kind == "ode" else ("getrf", "getrs")
     assert fact.tri == (kind == "ode")
     assert lapack_routines[0] == trf and set(lapack_routines[1:]) == {trs}
 
 
 def test_band_collision_raises_the_shift_collision_error(lapack_routines):
     # -sigma E - A = diag(0, 1, ..., 19): a zero pivot in the tridiagonal LU;
-    # with a second superdiagonal, upper triangular, in the band LU
+    # with a second superdiagonal, upper triangular, in the dense LU
     A = -np.diag(np.arange(1.0, 21.0))
     for A in (A, A + 0.1 * np.eye(20, k=2)):
         with pytest.raises(SolverError, match=r"^shift collides with spectrum \(sigma=1\.0\)$"):
             solve_shifted(np.eye(20), A, 1.0, np.ones(20))
-    assert lapack_routines == ["gttrf", "gbtrf"]
+    assert lapack_routines == ["gttrf", "getrf"]
 
 
 def test_dense_collision_raises_before_any_solve(lapack_routines):
@@ -664,19 +664,20 @@ def test_sylvester_returns_the_residual_and_rhs_norms():
     ("saddle", r"saddle solve residual \S+ exceeds 1e-10 at sigma="),
 ])
 def test_band_residual_gate_measures_the_band_matrix(kind, message):
-    # as for dense factors: a perturbed LU leaves a residual against the
-    # stored band matrix that one refinement does not bring under the gate
+    # a perturbed LU, tridiagonal (ode) or dense (the bandwidth-2 saddle),
+    # leaves a residual against the stored matrix that one refinement does
+    # not bring under the gate
     fact, _, n = band_factor_case(kind, -0.4 + 0j)
     fact.lu[0][...] *= 1 + 1e-3
     with pytest.raises(ResidualError, match=message):
         fact.solve(np.ones(n))
 
 
-@pytest.mark.parametrize("n, tridiagonal", [(2, False), (5, False), (6, True), (8, True),
-                                            (8, "wider")])
+@pytest.mark.parametrize("n, tridiagonal", [(2, False), (5, False), (3, True), (4, True),
+                                            (6, True), (8, True), (8, "wider")])
 def test_small_narrow_pencils_are_banded(n, tridiagonal, lapack_routines):
-    # the band rule 2(kl + ku + 1) <= rows holds at any size, however small;
-    # a diagonal or tridiagonal band of at least 3 rows factors by gttrf
+    # the one rule holds at any size, however small: a diagonal or tridiagonal
+    # pencil of at least 3 rows factors by gttrf, any other by getrf
     if tridiagonal == "wider":
         E, A = skewed_band_pencil(40, n)
     elif tridiagonal:
@@ -687,8 +688,8 @@ def test_small_narrow_pencils_are_banded(n, tridiagonal, lapack_routines):
     fact = solve_shifted(E, A, sigma, None)
     rhs = np.arange(1.0, n + 1)
     z = fact.solve(rhs)
-    trf = "gbtrf" if n == 2 or tridiagonal == "wider" else "gttrf"
-    assert fact.band is not None and lapack_routines[0] == trf
+    trf = "getrf" if n == 2 or tridiagonal == "wider" else "gttrf"
+    assert fact.tri == (trf == "gttrf") and lapack_routines[0] == trf
     assert np.allclose(z, la.solve(-sigma * E - A, rhs), rtol=1e-12, atol=0)
 
 
@@ -712,7 +713,7 @@ def test_wide_patterns_factor_with_getrf(kind, lapack_routines):
         sys = gen_synthetic_dae(30, 4, seed=3)
         fact = solve_saddle(sys.E11, sys.A11, sys.A12, sys.A21, -0.5 + 0.5j, None)
     fact.solve(np.ones(fact.n), trans=True)
-    assert fact.band is None
+    assert not fact.tri
     assert lapack_routines == ["getrf", "getrs", "getrs"]
 
 
@@ -731,7 +732,7 @@ def test_band_factor_forms_no_square_matrix(sigma):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fact.band is not None
+    assert fact.tri
     assert peak < n * n * 8
 
 
@@ -741,10 +742,10 @@ def test_nan_residual_fails_the_gate(kind):
     # returned the solution and recorded the NaN residual
     if kind == "dense":
         fact, _, n = shift_factor_case("ode", -0.4 + 0j)
-        assert fact.band is None
+        assert not fact.tri
     elif kind == "band":
         fact, _, n = band_factor_case("ode", -0.4 + 0j)
-        assert fact.band is not None
+        assert fact.tri
     else:
         fact, _, n = shift_factor_case("saddle", -0.4 + 0j)
     residual, calls = fact._residual, []
@@ -761,18 +762,7 @@ def test_nan_residual_fails_the_gate(kind):
     assert len(calls) == 2 and log == []
 
 
-# -- shift families: one stacked band or one dense block per shift -------------
-
-
-def skewed_band_pencil(seed, n):
-    """A random pencil ``(E, A)`` with two sub- and one superdiagonal, not
-    diagonally dominant, so that partial pivoting swaps rows down to the
-    last ones of each block."""
-    rng = np.random.default_rng(seed)
-    i, j = np.indices((n, n))
-    band = (i - j <= 2) & (j - i <= 1)
-    E = np.eye(n) + 0.1 * band * rng.standard_normal((n, n))
-    return E, band * rng.standard_normal((n, n))
+# -- shift families: one stacked tridiagonal storage or one dense block per shift
 
 
 def pivoting_tridiagonal_pencil(seed, n):
@@ -788,7 +778,8 @@ def pivoting_tridiagonal_pencil(seed, n):
 
 
 def family_case(kind, sigmas):
-    """``(factor, M(sigma), rows)`` of a narrow ODE, tridiagonal or saddle family."""
+    """``(factor, M(sigma), rows)`` of a tridiagonal family, or of a narrow ODE or
+    saddle family that is not tridiagonal, so dense."""
     n = 12
     E, A = (pivoting_tridiagonal_pencil if kind == "tridiagonal" else skewed_band_pencil)(51, n)
     if kind in ("ode", "tridiagonal"):
@@ -808,16 +799,13 @@ def test_stacked_family_matches_per_block_solves(kind, sigmas, trans, refactored
     fact, matrix, rows = family_case(kind, sigmas)
     k = len(sigmas)
     if refactored:
-        # block 1 alone, at a new shift: its pivots must index its own rows
+        # block 1 alone, at a new shift
         sigmas = [s + 0.25 * (i == 1) for i, s in enumerate(sigmas)]
         fact.refactor(1, sigmas[1])
-        del lapack_routines[1:]
-    assert fact.band is not None and fact.band.kl == 2
-    assert lapack_routines == ["gbtrf"]
-    piv = fact.lu[1].reshape(k, rows)
-    # every pivot stays in its block, and some swap reaches a block's last rows
-    assert np.all(piv // rows == np.arange(k)[:, None])
-    assert refactored or np.any(piv[:, -3:] % rows != np.arange(rows - 3, rows))
+    # one getrf per block, and one more for the refactored block
+    assert not fact.tri
+    assert lapack_routines == ["getrf"] * (k + refactored)
+    del lapack_routines[:]
     rng = np.random.default_rng(52)
     R = rng.standard_normal((rows, k))
     if np.iscomplexobj(sigmas):
@@ -825,7 +813,7 @@ def test_stacked_family_matches_per_block_solves(kind, sigmas, trans, refactored
     with record_residuals() as log:
         Z = fact.solve(R, trans)
     assert len(log) == k
-    assert set(lapack_routines[1:]) == {"gbtrs"} and len(lapack_routines) == 3
+    assert lapack_routines == ["getrs"] * (2 * k)
     for i, s in enumerate(sigmas):
         M = matrix(s)
         expect = la.solve(M.T if trans else M, R[:, i])
@@ -848,9 +836,8 @@ def test_zero_pivot_names_its_shift_and_refactors_its_block_alone(storage):
     with pytest.raises(SolverError, match=message) as info:
         solve_shifted(E, A, np.array([0.5, 3.0, -1.0]), None)
     fact = info.value.factor
-    assert info.value.block == 1 and (fact.band is None) == (storage == "dense")
     # the upper bidiagonal band, (kl, ku) = (0, 1), is tridiagonal
-    assert fact.tri == (storage == "band")
+    assert info.value.block == 1 and fact.tri == (storage == "band")
     lu, piv = (X.copy() for X in fact.lu)
     fact.refactor(1, 3.5)
     if storage == "band":
@@ -895,7 +882,7 @@ def test_nan_residual_in_one_block_fails_its_gate(kind):
 def test_tridiagonal_family_matches_per_block_solves(sigmas, trans, lapack_routines):
     fact, matrix, n = family_case("tridiagonal", sigmas)
     k = len(sigmas)
-    assert fact.tri and (fact.band.kl, fact.band.ku) == (1, 1)
+    assert fact.tri
     assert lapack_routines == ["gttrf"]
     piv = fact.lu[1].reshape(k, n) - 1  # gttrf counts rows from 1
     # every pivot stays in its block, and every block swaps its last two rows

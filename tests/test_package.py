@@ -39,11 +39,12 @@ def test_modules_use_every_name_they_import():
 
 
 def test_every_lu_is_a_raw_lapack_call():
-    # one LU idiom: getrf or gbtrf with ``info`` checked, never the wrappers
-    # that warn on a zero pivot, and no warning filters around them
+    # one LU idiom: getrf or gttrf with ``info`` checked, never the wrappers
+    # that warn on a zero pivot, and no warning filters around them; and one
+    # narrow storage, tridiagonal, so no general-band routine
     found = [f"{path.stem}: {word}"
              for path in sorted(pathlib.Path(qbmor.__file__).parent.glob("*.py"))
-             for word in ("lu_factor", "lu_solve", "catch_warnings")
+             for word in ("lu_factor", "lu_solve", "catch_warnings", "gbtrf", "gbtrs", "gbsv")
              if word in path.read_text()]
     assert found == []
 

@@ -23,7 +23,7 @@ from qbmor.system_model import QbDaeSystem, QbOdeSystem, project_ode
 from qbmor.tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
 from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
 
-from helpers import random_stable_ode
+from helpers import random_stable_ode, skewed_band_pencil
 
 
 @pytest.fixture
@@ -37,7 +37,7 @@ def lapack_calls(monkeypatch):
             return kernel(*args, **kwargs)
         return call
 
-    for name in ("gesv", "gbsv", "gtsv"):
+    for name in ("gesv", "gtsv"):
         monkeypatch.setattr(simulate, "d" + name, counted(name, getattr(simulate, "d" + name)))
     return calls
 
@@ -60,7 +60,8 @@ def narrow_ode(n, seed=0):
 
 
 def narrow_dae(n_v, seed=0):
-    """``narrow_ode`` with the last two velocities constrained: a saddle of bandwidth 2."""
+    """``narrow_ode`` with the last two velocities constrained: a saddle of bandwidth 2,
+    so stored dense."""
     rng = np.random.default_rng(seed)
     ode = narrow_ode(n_v, seed)
     A12 = np.zeros((n_v, 2))
@@ -174,7 +175,7 @@ def test_singular_newton_matrix_names_step_and_time():
 
 def test_singular_banded_newton_matrix_names_step_and_time(lapack_calls):
     # column 5 of E - dt A is zero at dt = 0.5, and H = 0 keeps it singular,
-    # in a tridiagonal A and in one with a second superdiagonal
+    # in a tridiagonal A and in one with a second superdiagonal, stored dense
     n = 40
     A = -np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
     for A in (A, A + 0.1 * np.eye(n, k=2)):
@@ -186,7 +187,7 @@ def test_singular_banded_newton_matrix_names_step_and_time(lapack_calls):
         with pytest.raises(SolverError, match=r"singular Newton matrix at step 1 \(t=0\.5\): "
                                               r"zero pivot 6 in the LU factorization"):
             simulate_ode(sys, u, 1.0, 0.5)
-    assert lapack_calls == ["gtsv", "gbsv"]
+    assert lapack_calls == ["gtsv", "gesv"]
 
 
 def test_non_finite_input_fails_newton():
@@ -234,10 +235,9 @@ def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_s
 @pytest.mark.parametrize("kind", ["ode", "dae", "reduced", "reduced-burgers", "burgers",
                                   "narrow-ode", "narrow-dae"])
 def test_newton_step_matches_reference(kind, lapack_calls):
-    # the first four are wide and solve dense, the others are narrow: tridiagonal
-    # ones solve from their three diagonals, the bandwidth-2 saddle banded
-    solver = ("gesv" if kind in ("ode", "dae", "reduced", "reduced-burgers") else
-              "gbsv" if kind == "narrow-dae" else "gtsv")
+    # the tridiagonal ones solve from their three diagonals, the others (the
+    # bandwidth-2 saddle too) dense
+    solver = "gtsv" if kind in ("burgers", "narrow-ode") else "gesv"
     dt = 0.01
     if kind in ("dae", "narrow-dae"):
         sys = (narrow_dae(30) if kind == "narrow-dae" else
@@ -552,7 +552,7 @@ def test_zero_bilinear_matrices_are_dropped_without_shifting_channels(lapack_cal
                         np.zeros((30, 0)), np.zeros((0, 30)), np.zeros((0, 2)))
     assert set(lapack_calls) == {"gtsv"}
     assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
-    # the saddle of bandwidth 2, with B2 = 0 so that the zero start is consistent
+    # the saddle of bandwidth 2, dense, with B2 = 0 so that the zero start is consistent
     dae = narrow_dae(30)
     dae = dataclasses.replace(dae, N=(np.zeros((30, 30)), dae.N[1]), B2=np.zeros((2, 2)))
     del lapack_calls[:]
@@ -560,14 +560,17 @@ def test_zero_bilinear_matrices_are_dropped_without_shifting_channels(lapack_cal
     z0 = np.concatenate([dae.v0, recover_pressure(dae, dae.v0, u.sample(0.0))])
     Z = reference_euler(dae.E11, dae.A11, dae.H, dae.N, dae.B1, 0.01, traj.inputs, z0,
                         dae.A12, dae.A21, dae.B2)
-    assert set(lapack_calls) == {"gbsv"}
+    assert set(lapack_calls) == {"gesv"}
     assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
 
 
-@pytest.mark.parametrize("case", ["burgers", "narrow-dae"])
+@pytest.mark.parametrize("case", ["burgers", "narrow-dae", "skewed-band", "tridiagonal-2",
+                                  "tridiagonal-3"])
 def test_one_band_rule_routes_shift_factors_and_newton_steps(case, lapack_calls, monkeypatch):
-    # the band's tridiagonal predicate alone picks LAPACK's tridiagonal routines,
-    # for the shift factors and for the Newton steps of the same system
+    # one rule, diagonal offsets in {-1, 0, 1} on at least 3 rows, picks
+    # tridiagonal storage for the shift factors and for the Newton steps of
+    # the same system, and dense storage for any other pattern
+    tri = case in ("burgers", "tridiagonal-3")
     fetched, fetch = [], dense_solvers.la.get_lapack_funcs
 
     def recorded_fetch(names, *args, **kwargs):
@@ -576,23 +579,28 @@ def test_one_band_rule_routes_shift_factors_and_newton_steps(case, lapack_calls,
 
     monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", recorded_fetch)
     u = InputSignal.preset_cavity(2 if case == "narrow-dae" else 1)
-    if case == "burgers":
-        sys = gen_burgers(40, 0.05)
-        blocks = (sys.E, sys.A)
-        fact = solve_shifted(*blocks, np.array([-0.5, -1.5]), None)
-        simulate_ode(sys, u, 0.1, 0.01)
-    else:
+    if case == "narrow-dae":
         sys = narrow_dae(30)
         blocks = (sys.E11, sys.A11, sys.A12, sys.A21)
         fact = solve_saddle(*blocks, np.array([-0.5, -1.5]), None)
         simulate_dae(sys, u, 0.1, 0.01)
-    pencil = _ShiftPencil(*blocks)
-    tridiagonal = pencil.band.tridiagonal(pencil.rows)
-    assert tridiagonal == (case == "burgers")
+    else:
+        if case == "burgers":
+            sys = gen_burgers(40, 0.05)
+        else:
+            rng = np.random.default_rng(7)
+            n = int(case[-1]) if case.startswith("tridiagonal") else 30
+            E, A = (skewed_band_pencil(7, n) if case == "skewed-band" else
+                    (tridiagonal(rng, n, 1.0, 0.05), tridiagonal(rng, n, -2.0, 0.5)))
+            sys = QbOdeSystem(E=E, A=A, H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
+                              B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
+        blocks = (sys.E, sys.A)
+        fact = solve_shifted(*blocks, np.array([-0.5, -1.5]), None)
+        simulate_ode(sys, u, 0.1, 0.01)
+    assert _ShiftPencil(*blocks).tri == fact.tri == tri
     # a descriptor simulation adds the mass saddle solve of its initial multiplier
-    assert set(fetched) == ({"gttrf", "gttrs"} if tridiagonal else {"gbtrf", "gbtrs"})
-    assert fact.tri == tridiagonal
-    assert set(lapack_calls) == {"gtsv" if tridiagonal else "gbsv"}
+    assert set(fetched) == ({"gttrf", "gttrs"} if tri else {"getrf", "getrs"})
+    assert set(lapack_calls) == {"gtsv" if tri else "gesv"}
 
 
 def test_table_input_single_row_needs_two_samples():

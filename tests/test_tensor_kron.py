@@ -288,22 +288,23 @@ def test_dense_forms_are_freed_with_the_tensor():
 
 def test_banded_quadratic_jacobian_holds_the_band_of_the_dense_one():
     rng = np.random.default_rng(2)
-    n, kl, ku = 9, 2, 1
-    i = np.arange(2, n - 1)
-    t = HessianTensor(n, np.r_[i, i], np.r_[i - 2, i + 1], np.r_[i, i - 1],
-                      rng.standard_normal(2 * i.size))
+    n = 9
+    i = np.arange(1, n - 1)
+    t = HessianTensor(n, np.r_[i, i, i], np.r_[i - 1, i + 1, i], np.r_[i, i - 1, i + 1],
+                      rng.standard_normal(3 * i.size))
     x = rng.standard_normal(n)
     J = quadratic_jacobian(t, x)
-    Jb = quadratic_jacobian(t, x, band=(kl, ku))
-    assert Jb.shape == (2 * kl + ku + 1, n) and Jb.flags.f_contiguous
+    Jb = quadratic_jacobian(t, x, tridiagonal=True)
+    assert Jb.shape == (3, n) and Jb.flags.f_contiguous
     r, c = np.indices((n, n))
-    inside = (-ku <= r - c) & (r - c <= kl)
+    inside = abs(r - c) <= 1
     assert J.any() and not J[~inside].any()
     expect = np.zeros_like(Jb)
-    expect[(kl + ku + r - c)[inside], c[inside]] = J[inside]
+    expect[(1 + r - c)[inside], c[inside]] = J[inside]
     assert np.array_equal(Jb, expect)
-    with pytest.raises(ValueError, match=r"exceeds the band \(kl, ku\) = \(1, 1\)"):
-        quadratic_jacobian(t, x, band=(1, 1))
+    wide = HessianTensor(n, [4], [2], [4], [1.0])
+    with pytest.raises(ValueError, match="tensor Jacobian pattern is not tridiagonal"):
+        quadratic_jacobian(wide, x, tridiagonal=True)
 
 
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False,
@@ -579,7 +580,8 @@ def test_cached_forms_are_read_only():
         for mode in (1, 2):
             Hc, a, b, _ = t._restriction(mode)
             cached += [Hc.data, Hc.indices, Hc.indptr, a, b]
-        cached += [*t._jacobian_pattern()[:3], *t._jacobian_pattern((t.n - 1, t.n - 1))[:3]]
+        cached += [*t._jacobian_pattern()[:3]]
+    cached += [*burgers._jacobian_pattern(True)[:3]]
     H1, G = full._dense_forms()
     cached += [H1, H1.base, G]
     for arr in cached:

@@ -305,9 +305,9 @@ def user_model(Ahat, m, p, seed=0):
 
 def count_full_order_factorizations(monkeypatch, n):
     """Record every factored shift block of ``n`` rows in dense_solvers: one
-    per dense ``getrf`` of an ``n``-row matrix, one per ``n`` columns of a
-    ``gbtrf`` band, which stacks a family's blocks side by side, and one per
-    ``n`` entries of the diagonal ``d`` that ``gttrf`` reads in ``(dl, d, du)``."""
+    per dense ``getrf`` of an ``n``-row matrix and one per ``n`` entries of the
+    diagonal ``d`` that ``gttrf`` reads in ``(dl, d, du)``, which stacks a
+    family's blocks side by side."""
     calls = []
     fetch = dense_solvers.la.get_lapack_funcs
 
@@ -315,7 +315,7 @@ def count_full_order_factorizations(monkeypatch, n):
         def call(a, *args, **kwargs):
             if name == "gttrf":
                 cols = args[0].size
-            elif a.shape[0] == n or name == "gbtrf":
+            elif a.shape[0] == n:
                 cols = a.shape[1]
             else:
                 cols = 0
@@ -329,7 +329,7 @@ def count_full_order_factorizations(monkeypatch, n):
         funcs = fetch(names, *args, **kwargs)
         if isinstance(names, str):
             return funcs
-        return [counted(name, f) if name in ("getrf", "gbtrf", "gttrf") else f
+        return [counted(name, f) if name in ("getrf", "gttrf") else f
                 for name, f in zip(names, funcs)]
 
     monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted_fetch)
@@ -387,40 +387,33 @@ def test_singular_shift_is_nudged_once(monkeypatch):
     assert len(calls) == 3 + 1
 
 
-@pytest.mark.parametrize("case", ["burgers", "singular shift", "wider singular shift"])
-def test_band_sweep_factors_each_family_with_one_gbtrf(monkeypatch, case):
-    # a sweep on the band route makes at most one real and one complex call of
-    # its factorization, gttrf for a tridiagonal band and gbtrf for a wider
-    # one, one per family of shifts, plus one single-block call per nudge
-    calls = []  # (routine, dtype kind, columns) per gttrf or gbtrf call
+@pytest.mark.parametrize("case", ["burgers", "singular shift"])
+def test_tridiagonal_sweep_factors_each_family_with_one_gttrf(monkeypatch, case):
+    # a sweep on the tridiagonal route makes at most one real and one complex
+    # gttrf call, one per family of shifts, plus one single-block call per nudge
+    calls = []  # (dtype kind, columns) per gttrf call
     fetch = dense_solvers.la.get_lapack_funcs
 
-    def counted(name, trf):
-        def call(a, *args, **kwargs):
-            # gttrf reads (dl, d, du), the band routine its storage
-            d = args[0] if name == "gttrf" else a[0]
-            calls.append((name, d.dtype.kind, d.size))
-            return trf(a, *args, **kwargs)
+    def counted(trf):
+        def call(dl, d, *args, **kwargs):
+            calls.append((d.dtype.kind, d.size))
+            return trf(dl, d, *args, **kwargs)
         return call
 
     def counted_fetch(names, *args, **kwargs):
         funcs = fetch(names, *args, **kwargs)
         if isinstance(names, str):
             return funcs
-        return [counted(name, f) if name in ("gbtrf", "gttrf") else f
-                for name, f in zip(names, funcs)]
+        return [counted(f) if name == "gttrf" else f for name, f in zip(names, funcs)]
 
     monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted_fetch)
     if case == "burgers":
         sys, cfg = gen_burgers(60, 0.05), IrkaConfig(r=6, seed=0)
     else:
-        # the set-up of test_singular_shift_is_nudged_once, and with a second
-        # superdiagonal: -sigma E - A upper triangular, singular at sigma = 1
+        # the set-up of test_singular_shift_is_nudged_once
         n = 8
         rng = np.random.default_rng(2)
         A = -np.diag(np.arange(1.0, n + 1))
-        if case == "wider singular shift":
-            A += 0.1 * np.eye(n, k=2)
         sys = QbOdeSystem(E=np.eye(n), A=A,
                           H=HessianTensor.zero(n), N=(np.zeros((n, n)),),
                           B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
@@ -428,12 +421,7 @@ def test_band_sweep_factors_each_family_with_one_gbtrf(monkeypatch, case):
                          initial_model=user_model(np.diag([1.0, -2.5, -0.5]), 1, 1))
     _, trace = tqb_irka_ode(sys, cfg)
     n, nudges = sys.n, sum(trace.nudged_shifts)
-    band = dense_solvers._ShiftPencil(sys.E, sys.A).band
-    assert band is not None
-    trf = "gttrf" if band.tridiagonal(n) else "gbtrf"
-    assert trf == ("gbtrf" if case.startswith("wider") else "gttrf")
-    assert {name for name, _, _ in calls} == {trf}
-    calls = [(kind, cols) for _, kind, cols in calls]
+    assert dense_solvers._ShiftPencil(sys.E, sys.A).tri and calls
     for kind in "fc":
         assert sum(k == kind for k, _ in calls) <= trace.iterations + nudges
     assert len(calls) <= 2 * trace.iterations + nudges
@@ -769,8 +757,8 @@ def test_band_and_dense_shift_storage_reduce_alike(seed):
     sys = gen_burgers(60, 0.05)
     perm = np.random.default_rng(seed).permutation(sys.n)
     twin = permuted(sys, perm)
-    assert dense_solvers._ShiftPencil(sys.E, sys.A).band is not None
-    assert dense_solvers._ShiftPencil(twin.E, twin.A).band is None
+    assert dense_solvers._ShiftPencil(sys.E, sys.A).tri
+    assert not dense_solvers._ShiftPencil(twin.E, twin.A).tri
     cfg = IrkaConfig(r=6, seed=seed)
     norms = []
     for case in (sys, twin):
