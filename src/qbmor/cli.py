@@ -59,7 +59,10 @@ def _make_input(text, m):
         header, body = _read_table(path)
         if header[0] != "t":
             raise ValueError(f"{path}: input table must start with a 't' column")
-        return InputSignal.from_table(body[:, 0], body[:, 1:m + 1])
+        try:
+            return InputSignal.from_table(body[:, 0], body[:, 1:m + 1])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     raise ValueError(f"unknown input {text!r} "
                      "(use preset:cavity, zero, or csv:PATH)")
 

@@ -46,9 +46,9 @@ _TINY = np.finfo(float).tiny
 class SolverError(RuntimeError):
     """A dense solve failed (singularity, instability, defectiveness).
 
-    A failed shift of a :class:`_ShiftFactor` sets ``block`` and ``factor``."""
+    A failed shift of a :class:`_ShiftFactor` sets ``block``, its index in the family."""
 
-    block = factor = None
+    block = None
 
 
 class ResidualError(SolverError):
@@ -352,31 +352,30 @@ class _ShiftFactor:
     ``k c`` in ``rhs`` (of ``n + n_p`` or ``n`` rows; real views when complex
     on a real family), and gates each block's residual and a saddle's
     constraint rows.  A zero pivot, a non-finite solution or a missed gate in
-    block ``i`` raises :class:`SolverError` naming ``sigma_i``, with ``block
-    = i`` and ``factor``, so a caller can :meth:`refactor` block ``i`` alone.
+    block ``i`` raises :class:`SolverError` naming ``sigma_i``, with ``block = i``.
     """
 
     def __init__(self, E, A, sigma, A12=None, A21=None, pencil=None):
         sigma = np.atleast_1d(sigma)
+        if sigma.size == 0:
+            raise ValueError("a shift family needs at least one shift")
         self.sigma = sigma.astype(complex) if sigma.imag.any() else sigma.real.astype(float)
         if pencil is None:
             pencil = _ShiftPencil(E, A, A12, A21)
         elif any(p is not q for p, q in zip(pencil.source, (E, A, A12, A21))):
             raise ValueError("pencil was measured from other matrices")
-        self.pencil, self.saddle, self.n, self.rows = pencil, pencil.saddle, pencil.n, pencil.rows
+        self.saddle, self.n, self.rows = pencil.saddle, pencil.n, pencil.rows
         self.M = M = pencil.matrix(self.sigma)
         self.tri = pencil.tri
         k, rows = self.sigma.size, self.rows
         if self.tri:
             gttrf, gttrs = la.get_lapack_funcs(("gttrf", "gttrs"), (M,))
-            self._trf = partial(_tri_lu, gttrf)
-            self.lu = lu, piv = self._trf(M)[:2]
+            self.lu = lu, piv = _tri_lu(gttrf, M)[:2]
             self._trs = lambda b, t: gttrs(lu[0, :-1], lu[1], lu[2, :-1], lu[3, :-2], piv, b,
                                            trans="T" if t else "N")[0]
             self._residual = partial(_tri_residual, M)
         else:
             getrf, getrs = la.get_lapack_funcs(("getrf", "getrs"), (M,))
-            self._trf = getrf
             # each block Fortran-ordered, as getrf (in place) and getrs read it
             lu, piv = np.empty(M.shape, M.dtype).swapaxes(1, 2), np.empty((k, rows), np.int32)
             lu[...] = M
@@ -387,27 +386,13 @@ class _ShiftFactor:
                 [getrs(a, p, bi, trans=t)[0] for a, p, bi in zip(lu, piv, b.reshape(k, rows, -1))])
             self._residual = lambda b, z, t: b - (
                 (M.swapaxes(1, 2) if t else M) @ z.reshape(k, rows, -1)).reshape(b.shape)
-        self._check_pivots()
+        # an exactly zero pivot: a triangular solve would divide by it
+        self._gate(lu[1] if self.tri else np.diagonal(lu, axis1=1, axis2=2),
+                   SolverError, self._failure)
 
     def _failure(self, i):
         return (f"singular saddle matrix at sigma={self.sigma[i]}" if self.saddle
                 else f"shift collides with spectrum (sigma={self.sigma[i]})")
-
-    def _check_pivots(self):
-        # an exactly zero pivot: a triangular solve would divide by it
-        lu = self.lu[0]
-        self._gate(lu[1] if self.tri else np.diagonal(lu, axis1=1, axis2=2),
-                   SolverError, self._failure)
-
-    def refactor(self, i, sigma):
-        """Block ``i`` formed and factored again at ``sigma``; the others are kept."""
-        self.sigma[i], rows = sigma, self.rows
-        at = (slice(None), slice(i * rows, (i + 1) * rows)) if self.tri else (i,)
-        self.M[at] = self.pencil.matrix(self.sigma[i])
-        lu, piv, _ = self._trf(self.M[at])
-        # a tridiagonal block's pivots index the rows of the whole family
-        self.lu[0][at], self.lu[1][at[-1]] = lu, piv + (i * rows if self.tri else 0)
-        self._check_pivots()
 
     def _gate(self, ok, cls, message):
         """Raise ``cls(message(i))`` at the first block ``i`` of ``ok`` (split
@@ -415,7 +400,7 @@ class _ShiftFactor:
         if not ok.all():
             i = int(np.argmin(ok.reshape(self.sigma.size, -1).all(axis=1)))
             exc = cls(message(i))
-            exc.block, exc.factor = i, self
+            exc.block = i
             raise exc
 
     def solve(self, rhs, trans=False):
@@ -427,7 +412,10 @@ class _ShiftFactor:
                 raise ValueError(f"right-hand side has {b.shape[0]} rows, "
                                  f"expected {n} or {rows}")
             b = np.concatenate([b, np.zeros((rows - n,) + b.shape[1:], dtype=b.dtype)])
-        shape = b.shape
+        shape, cols = b.shape, b[0].size
+        if cols % k:
+            raise ValueError(f"right-hand side has {cols} columns, "
+                             f"not a multiple of the family's k={k} shifts")
         # the blocks' right-hand sides stacked, block i in rows i rows to (i + 1) rows
         b = b.reshape(rows, k, -1).transpose(1, 0, 2).reshape(k * rows, -1)
         t = 1 if trans else 0

@@ -113,6 +113,9 @@ class InputSignal:
             U = U.T
         if U.shape[0] != t.size:
             raise ValueError("table rows must match the time samples")
+        for name, X in (("times", t), ("samples", U)):
+            if not np.isfinite(X).all():
+                raise ValueError(f"table {name} must be finite")
         if t.size < 2:
             raise ValueError(
                 f"input table needs at least two samples, got {t.size}")

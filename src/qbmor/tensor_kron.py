@@ -286,8 +286,7 @@ def apply_unfolded(M, L, R):
     like ``L kron R`` rows, i.e. index ``a*n + b`` pairs row ``a`` of ``L``
     with row ``b`` of ``R``, or the stored-column restriction that a
     :class:`HessianTensor` keeps per mode.  Column ``p*rR + s`` of the result
-    equals ``M @ kron(L[:, p], R[:, s])``.  A dense ``M`` is contracted
-    directly as ``M @ (L kron R)``.  A sparse one is restricted to its stored
+    equals ``M @ kron(L[:, p], R[:, s])``.  ``M`` is restricted to its stored
     columns ``c = a*n + b``, ``Hc``, as in :func:`hessian_gram`, and the
     result is the one sparse product ``Hc @ (L kron R)[c]``, so scratch is
     O(|stored columns| rL rR) and nothing of size n^2 is formed.
@@ -302,8 +301,6 @@ def apply_unfolded(M, L, R):
             f"shape mismatch: M is {M.shape}, L has {L.shape[0]} rows, "
             f"R has {R.shape[0]} rows"
         )
-    if isinstance(M, np.ndarray):
-        return M @ np.kron(L, R)
     Hc, a, b, _ = M if isinstance(M, _StoredColumns) else _stored_columns(M, n)
     return Hc @ (L[a, :, None] * R[b, None, :]).reshape(a.size, L.shape[1] * R.shape[1])
 

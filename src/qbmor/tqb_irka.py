@@ -159,26 +159,25 @@ def _shift_solver(factor, lam, n, nudged):
     """Solves at the shifts ``lam[idx]``, a column each, on one ``factor(lam[idx])`` per family.
 
     A shift whose block raises :class:`SolverError` is nudged once,
-    deterministically, and its block alone refactored; its index joins ``nudged``.
+    deterministically, in a copy of ``lam`` (the caller's stays as it is), and
+    its family factored again; its index joins ``nudged``.
     """
-    factors = {}
+    lam, factors = lam.copy(), {}
 
     def solve(idx, rhs, trans):
-        key, retry = tuple(idx), None
+        key = tuple(idx)
         while True:
             try:
                 if key not in factors:
                     factors[key] = factor(lam[idx])
-                elif retry is not None:
-                    factors[key].refactor(*retry)
                 return factors[key].solve(rhs, trans)[:n]
             except SolverError as exc:
                 i = exc.block
                 if i is None or idx[i] in nudged:
                     raise
                 nudged.add(idx[i])
-                factors[key], sigma = exc.factor, exc.factor.sigma[i]
-                retry = (i, sigma + 1e-8 * (1.0 + abs(sigma)))
+                factors.pop(key, None)
+                lam[idx[i]] += 1e-8 * (1.0 + abs(lam[idx[i]]))
 
     return solve
 

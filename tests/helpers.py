@@ -6,7 +6,7 @@ import scipy.linalg as la
 
 from qbmor import HessianTensor, QbOdeSystem, symmetrize
 from qbmor.dae_transform import build_projectors
-from qbmor.dense_solvers import SolverError, _ShiftPencil, solve_lyapunov, solve_shifted
+from qbmor.dense_solvers import _ShiftPencil, solve_lyapunov, solve_shifted
 from qbmor.gramians_norms import truncated_h2_norm
 from qbmor.system_model import ReducedQbSystem, project_dae_outputs
 from qbmor.tensor_kron import apply_hessian, hessian_congruence, quadratic_jacobian
@@ -158,27 +158,14 @@ class _LiftedFactor:
     """A shift factor of the projected pencil ``(phi_l^T E11 theta_r, phi_l^T A11
     theta_r)`` that solves in velocity coordinates: a plain solve maps its
     right-hand side by ``phi_l^T`` and its solution by ``theta_r``, a
-    transposed one by ``theta_r^T`` and ``phi_l``.  A failed block's
-    :class:`SolverError` names this wrapper as its ``factor``, so the sweep's
-    nudge refactors the raw factor and keeps solving through the lift."""
+    transposed one by ``theta_r^T`` and ``phi_l``."""
 
     def __init__(self, fact, maps):
         self.fact, self.maps = fact, maps
 
-    @property
-    def sigma(self):
-        return self.fact.sigma
-
-    def refactor(self, i, sigma):
-        self.fact.refactor(i, sigma)
-
     def solve(self, rhs, trans=False):
         into, out = self.maps if trans else self.maps[::-1]
-        try:
-            return out @ self.fact.solve(into.T @ rhs, trans)
-        except SolverError as exc:
-            exc.factor = self
-            raise
+        return out @ self.fact.solve(into.T @ rhs, trans)
 
 
 def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
@@ -197,12 +184,7 @@ def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
     pencil = _ShiftPencil(Ebar, Abar)
 
     def factor(s):
-        # a raw factor that fails as it is built is wrapped too
-        try:
-            return _LiftedFactor(solve_shifted(Ebar, Abar, s, None, pencil), maps)
-        except SolverError as exc:
-            exc.factor = _LiftedFactor(exc.factor, maps)
-            raise
+        return _LiftedFactor(solve_shifted(Ebar, Abar, s, None, pencil), maps)
 
     state, trace, V, W = _drive(factor, (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg)
     return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace

@@ -297,6 +297,20 @@ def test_simulate_with_csv_input(tmp_path):
     assert float(rows[50][1]) == pytest.approx(np.sin(0.5), abs=1e-3)
 
 
+def test_simulate_refuses_a_non_finite_input_table(tmp_path, capsys):
+    sysdir = tmp_path / "sys"
+    save_system(gen_burgers(12, 0.1), sysdir)
+    table = tmp_path / "input.csv"
+    table.write_text("t,u_1\n0,0\n0.5,inf\n1,1\n")
+    out = tmp_path / "traj.csv"
+    capsys.readouterr()
+    assert run(["simulate", "--system", str(sysdir / "manifest.json"),
+                "--input", f"csv:{table}", "--t-final", "1", "--dt", "0.01",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"qbmor: error: {table}: table samples must be finite\n"
+    assert not out.exists()
+
+
 def test_norm_on_reduced_model(tmp_path, capsys):
     sysdir = tmp_path / "sys"
     save_system(gen_burgers(24, 0.1), sysdir)

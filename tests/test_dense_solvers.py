@@ -790,21 +790,15 @@ def family_case(kind, sigmas):
             lambda s: np.block([[-s * E - A, A12], [A12.T, np.zeros((2, 2))]]), n + 2)
 
 
-@pytest.mark.parametrize("refactored", [False, True])
 @pytest.mark.parametrize("trans", [False, True])
 @pytest.mark.parametrize("sigmas", [[-0.7, 0.4, 1.3, 2.2], [0.3 - 1.1j, -0.5 - 0.2j]])
 @pytest.mark.parametrize("kind", ["ode", "saddle"])
-def test_stacked_family_matches_per_block_solves(kind, sigmas, trans, refactored,
-                                                 lapack_routines):
+def test_stacked_family_matches_per_block_solves(kind, sigmas, trans, lapack_routines):
     fact, matrix, rows = family_case(kind, sigmas)
     k = len(sigmas)
-    if refactored:
-        # block 1 alone, at a new shift
-        sigmas = [s + 0.25 * (i == 1) for i, s in enumerate(sigmas)]
-        fact.refactor(1, sigmas[1])
-    # one getrf per block, and one more for the refactored block
+    # one getrf per block
     assert not fact.tri
-    assert lapack_routines == ["getrf"] * (k + refactored)
+    assert lapack_routines == ["getrf"] * k
     del lapack_routines[:]
     rng = np.random.default_rng(52)
     R = rng.standard_normal((rows, k))
@@ -827,7 +821,7 @@ def upper_bidiagonal_pencil(n):
 
 
 @pytest.mark.parametrize("storage", ["band", "dense"])
-def test_zero_pivot_names_its_shift_and_refactors_its_block_alone(storage):
+def test_zero_pivot_names_its_shift(storage):
     n = 10
     E, A = upper_bidiagonal_pencil(n)
     if storage == "dense":
@@ -835,22 +829,24 @@ def test_zero_pivot_names_its_shift_and_refactors_its_block_alone(storage):
     message = r"^shift collides with spectrum \(sigma=3\.0\)$"
     with pytest.raises(SolverError, match=message) as info:
         solve_shifted(E, A, np.array([0.5, 3.0, -1.0]), None)
-    fact = info.value.factor
     # the upper bidiagonal band, (kl, ku) = (0, 1), is tridiagonal
-    assert info.value.block == 1 and fact.tri == (storage == "band")
-    lu, piv = (X.copy() for X in fact.lu)
-    fact.refactor(1, 3.5)
-    if storage == "band":
-        kept = np.r_[0:n, 2 * n:3 * n]
-        assert np.array_equal(fact.lu[0][:, kept], lu[:, kept])
-    else:
-        kept = [0, 2]
-        assert np.array_equal(fact.lu[0][kept], lu[kept])
-    assert np.array_equal(fact.lu[1][kept], piv[kept])
-    R = np.random.default_rng(53).standard_normal((n, 3))
-    Z = fact.solve(R)
-    for i, s in enumerate([0.5, 3.5, -1.0]):
-        assert np.allclose(Z[:, i], la.solve(-s * E - A, R[:, i]), rtol=1e-12, atol=0)
+    assert info.value.block == 1 and _ShiftPencil(E, A).tri == (storage == "band")
+
+
+def test_shift_family_right_hand_side_needs_a_multiple_of_its_shifts():
+    E, A = upper_bidiagonal_pencil(5)
+    with pytest.raises(ValueError, match=r"^right-hand side has 1 columns, "
+                                         r"not a multiple of the family's k=2 shifts$"):
+        solve_shifted(E, A, np.array([0.5, 1.5]), np.ones(5))
+    with pytest.raises(ValueError, match=r"^right-hand side has 5 columns, "
+                                         r"not a multiple of the family's k=3 shifts$"):
+        solve_shifted(E, A, np.array([0.5, 1.5, 2.5]), np.ones((5, 5)))
+
+
+def test_empty_shift_family_is_refused():
+    E, A = upper_bidiagonal_pencil(5)
+    with pytest.raises(ValueError, match=r"^a shift family needs at least one shift$"):
+        solve_shifted(E, A, np.array([]), None)
 
 
 @pytest.mark.parametrize("kind", ["ode", "saddle", "tridiagonal"])
@@ -888,6 +884,10 @@ def test_tridiagonal_family_matches_per_block_solves(sigmas, trans, lapack_routi
     # every pivot stays in its block, and every block swaps its last two rows
     assert np.all(piv // n == np.arange(k)[:, None])
     assert np.all(piv[:, -2] % n == n - 1)
+    # no factor entry couples two blocks: dl and du end each block in a zero,
+    # du2 its last two rows
+    ends = np.r_[n - 1:k * n:n]
+    assert not fact.lu[0][[0, 2]][:, ends].any() and not fact.lu[0][3][np.r_[ends - 1, ends]].any()
     rng = np.random.default_rng(55)
     R = rng.standard_normal((n, k))
     if np.iscomplexobj(sigmas):
@@ -899,26 +899,4 @@ def test_tridiagonal_family_matches_per_block_solves(sigmas, trans, lapack_routi
     for i, s in enumerate(sigmas):
         M = matrix(s)
         expect = la.solve(M.T if trans else M, R[:, i])
-        assert np.linalg.norm(Z[:, i] - expect) <= 1e-12 * np.linalg.norm(expect)
-
-
-def test_tridiagonal_refactor_keeps_the_other_blocks():
-    sigmas = [-0.7, 0.4, 1.3]
-    fact, matrix, n = family_case("tridiagonal", sigmas)
-    lu, piv = (X.copy() for X in fact.lu)
-    fact.refactor(1, 0.65)
-    kept = np.r_[0:n, 2 * n:3 * n]
-    assert np.array_equal(fact.lu[0][:, kept], lu[:, kept])
-    assert np.array_equal(fact.lu[1][kept], piv[kept])
-    # block 1's pivots are offset to its rows, and no factor entry couples two blocks:
-    # dl and du end each block in a zero, du2 its last two rows
-    assert np.all((fact.lu[1][n:2 * n] - 1) // n == 1)
-    ends = np.r_[n - 1:3 * n:n]
-    assert not fact.lu[0][[0, 2]][:, ends].any() and not fact.lu[0][3][np.r_[ends - 1, ends]].any()
-    fresh, _, _ = family_case("tridiagonal", [-0.7, 0.65, 1.3])
-    assert np.array_equal(fact.lu[0], fresh.lu[0]) and np.array_equal(fact.lu[1], fresh.lu[1])
-    R = np.random.default_rng(56).standard_normal((n, 3))
-    Z = fact.solve(R, trans=True)
-    for i, s in enumerate([-0.7, 0.65, 1.3]):
-        expect = la.solve(matrix(s).T, R[:, i])
         assert np.linalg.norm(Z[:, i] - expect) <= 1e-12 * np.linalg.norm(expect)

@@ -50,11 +50,13 @@ def test_every_lu_is_a_raw_lapack_call():
 
 
 def test_every_private_name_is_used_in_the_package():
-    # a top-level private function, class or constant that no code of the
-    # package reads beyond its own definition is an orphan of deleted code
+    # a top-level private function, class or constant, or a method or ``self.``
+    # attribute of a private class, that no code of the package reads beyond
+    # its own definition is an orphan of deleted code; a member is read only
+    # where it is loaded as an attribute (``.name``)
     trees = [ast.parse(path.read_text())
              for path in sorted(pathlib.Path(qbmor.__file__).parent.glob("*.py"))]
-    defined = []
+    defined, members = [], []
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,9 +64,18 @@ def test_every_private_name_is_used_in_the_package():
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 defined += [t.id for t in targets if isinstance(t, ast.Name)]
-    read = {node.id if isinstance(node, ast.Name) else node.attr
-            for tree in trees for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                names = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                names += [a.attr for a in ast.walk(node) if isinstance(a, ast.Attribute)
+                          and isinstance(a.ctx, ast.Store)
+                          and isinstance(a.value, ast.Name) and a.value.id == "self"]
+                members += [(node.name, name) for name in dict.fromkeys(names)]
+    loads = [node for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    read = {node.id if isinstance(node, ast.Name) else node.attr for node in loads}
+    attributes = {node.attr for node in loads if isinstance(node, ast.Attribute)}
     orphans = [name for name in defined
                if name.startswith("_") and not name.startswith("__") and name not in read]
+    orphans += [f"{cls}.{name}" for cls, name in members
+                if not name.startswith("__") and name not in attributes]
     assert orphans == []

@@ -611,3 +611,10 @@ def test_table_input_single_row_needs_two_samples():
 def test_table_input_times_must_increase():
     with pytest.raises(ValueError, match="strictly increasing"):
         InputSignal.from_table([0.0, 1.0, 1.0], [[1.0], [2.0], [3.0]])
+
+
+@pytest.mark.parametrize("t, U, name", [([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], "times"),
+                                        ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0], "samples")])
+def test_table_input_must_be_finite(t, U, name):
+    with pytest.raises(ValueError, match=f"^table {name} must be finite$"):
+        InputSignal.from_table(t, U)

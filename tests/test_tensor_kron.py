@@ -559,9 +559,6 @@ def test_stored_column_restriction_is_kept_per_mode(monkeypatch):
     hessian_congruence(t, 2, L, L)
     hessian_gram(t, 2, np.eye(4), np.eye(4))
     assert calls == [(4, 16), (4, 16)]
-    # a dense unfolding is contracted as it is, with no restriction
-    apply_unfolded(t.mode1.toarray(), L, L)
-    assert len(calls) == 2
 
 
 def test_cached_forms_are_read_only():

@@ -220,8 +220,8 @@ def test_dae_explicit_matches_bar_system_route():
 
 
 def test_explicit_route_keeps_lifting_a_nudged_shift():
-    # a block that fails on the projected pencil names the lifting wrapper as its
-    # factor, so the nudged shift's solve still maps into and out of its coordinates
+    # a block that fails on the projected pencil is nudged and its family built again
+    # through the lifting wrapper, so the nudged shift still solves in its coordinates
     sys = gen_synthetic_dae(16, 4, seed=3)
     proj = build_projectors(sys)
     Ebar = proj.phi_l.T @ sys.E11 @ proj.theta_r
@@ -250,6 +250,41 @@ def test_explicit_route_keeps_lifting_a_nudged_shift():
     sigma = lam[0] + 1e-8 * (1.0 + abs(lam[0]))
     for i, s in enumerate([sigma, lam[1]]):
         expect = proj.theta_r @ la.solve(-s * Ebar - Abar, proj.phi_l.T @ rhs[:, i])
+        assert np.linalg.norm(Z[:, i] - expect) <= 1e-10 * np.linalg.norm(expect)
+
+
+@pytest.mark.parametrize("storage", ["tridiagonal", "dense"])
+def test_nudge_factors_the_family_again_at_a_copy_of_the_shifts(storage):
+    # sigma = 3 is a zero pivot of the upper bidiagonal pencil, on either storage
+    n = 10
+    E = np.eye(n)
+    A = -np.diag(np.arange(1.0, n + 1)) + 0.3 * np.diag(np.ones(n - 1), 1)
+    if storage == "dense":
+        A = A + 1e-3 * np.triu(np.ones((n, n)), 2)
+    pencil = dense_solvers._ShiftPencil(E, A)
+    assert pencil.tri == (storage == "tridiagonal")
+    calls, built = [], []
+
+    def factor(s):
+        calls.append(s)
+        built.append(solve_shifted(E, A, s, None, pencil))
+        return built[-1]
+
+    lam = np.array([0.5, 3.0, -1.0], dtype=complex)
+    before, nudged = lam.copy(), set()
+    solve = tqb_irka._shift_solver(factor, lam, n, nudged)
+    R = np.random.default_rng(8).standard_normal((n, 3))
+    Z = solve([0, 1, 2], R, False)
+    # the first family fails as it is built, the second is kept; the caller's shifts stay
+    assert nudged == {1} and len(calls) == 2 and len(built) == 1
+    assert lam.tobytes() == before.tobytes()
+    shifts = np.array([0.5, 3.0 + 1e-8 * (1.0 + 3.0), -1.0])
+    fresh, kept = solve_shifted(E, A, shifts, None, pencil), built[0]
+    assert kept.sigma.tobytes() == fresh.sigma.tobytes()
+    assert kept.lu[0].tobytes() == fresh.lu[0].tobytes()
+    assert kept.lu[1].tobytes() == fresh.lu[1].tobytes()
+    for i, s in enumerate(shifts):
+        expect = la.solve(-s * E - A, R[:, i])
         assert np.linalg.norm(Z[:, i] - expect) <= 1e-10 * np.linalg.norm(expect)
 
 
@@ -383,14 +418,14 @@ def test_singular_shift_is_nudged_once(monkeypatch):
     red, trace = tqb_irka_ode(sys, cfg)
     assert trace.iterations == 1
     assert np.all(np.isfinite(red.Ahat))
-    # three shifts, and the singular one refactored once at its nudge
-    assert len(calls) == 3 + 1
+    # three shifts, and the family of three factored again at its nudge
+    assert len(calls) == 3 + 3
 
 
 @pytest.mark.parametrize("case", ["burgers", "singular shift"])
 def test_tridiagonal_sweep_factors_each_family_with_one_gttrf(monkeypatch, case):
     # a sweep on the tridiagonal route makes at most one real and one complex
-    # gttrf call, one per family of shifts, plus one single-block call per nudge
+    # gttrf call, one per family of shifts, plus one family call per nudge
     calls = []  # (dtype kind, columns) per gttrf call
     fetch = dense_solvers.la.get_lapack_funcs
 
@@ -429,7 +464,7 @@ def test_tridiagonal_sweep_factors_each_family_with_one_gttrf(monkeypatch, case)
     if case == "burgers":
         assert trace.converged and nudges == 0 and ("c", 2 * n) in calls
     else:
-        assert calls == [("f", 3 * n), ("f", n)]
+        assert calls == [("f", 3 * n), ("f", 3 * n)]
 
 
 def test_nudged_shifts_are_counted_per_sweep():
