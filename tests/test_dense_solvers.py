@@ -790,28 +790,34 @@ def family_case(kind, sigmas):
             lambda s: np.block([[-s * E - A, A12], [A12.T, np.zeros((2, 2))]]), n + 2)
 
 
+@pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("trans", [False, True])
 @pytest.mark.parametrize("sigmas", [[-0.7, 0.4, 1.3, 2.2], [0.3 - 1.1j, -0.5 - 0.2j]])
 @pytest.mark.parametrize("kind", ["ode", "saddle"])
-def test_stacked_family_matches_per_block_solves(kind, sigmas, trans, lapack_routines):
+def test_stacked_family_matches_per_block_solves(kind, sigmas, trans, wide, lapack_routines):
     fact, matrix, rows = family_case(kind, sigmas)
     k = len(sigmas)
     # one getrf per block
     assert not fact.tri
     assert lapack_routines == ["getrf"] * k
     del lapack_routines[:]
+    # c columns per block: block i takes columns i c to (i + 1) c
+    c = 2 if wide else 1
     rng = np.random.default_rng(52)
-    R = rng.standard_normal((rows, k))
+    R = rng.standard_normal((rows, k * c))
     if np.iscomplexobj(sigmas):
-        R = R + 1j * rng.standard_normal((rows, k))
+        R = R + 1j * rng.standard_normal((rows, k * c))
     with record_residuals() as log:
         Z = fact.solve(R, trans)
+    assert Z.shape == R.shape
     assert len(log) == k
+    # one getrs and one refining getrs per block, whatever its column count
     assert lapack_routines == ["getrs"] * (2 * k)
     for i, s in enumerate(sigmas):
         M = matrix(s)
-        expect = la.solve(M.T if trans else M, R[:, i])
-        assert np.linalg.norm(Z[:, i] - expect) <= 1e-12 * np.linalg.norm(expect)
+        cols = slice(i * c, (i + 1) * c)
+        expect = la.solve(M.T if trans else M, R[:, cols])
+        assert np.linalg.norm(Z[:, cols] - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
 def upper_bidiagonal_pencil(n):
