@@ -352,7 +352,8 @@ class _ShiftFactor:
     ``k c`` in ``rhs`` (of ``n + n_p`` or ``n`` rows; real views when complex
     on a real family), and gates each block's residual and a saddle's
     constraint rows.  A zero pivot, a non-finite solution or a missed gate in
-    block ``i`` raises :class:`SolverError` naming ``sigma_i``, with ``block = i``.
+    block ``i`` raises :class:`SolverError` naming ``sigma_i``, with ``block = i``;
+    a non-finite right-hand side raises ``ValueError`` before any solve.
     """
 
     def __init__(self, E, A, sigma, A12=None, A21=None, pencil=None):
@@ -412,6 +413,8 @@ class _ShiftFactor:
                 raise ValueError(f"right-hand side has {b.shape[0]} rows, "
                                  f"expected {n} or {rows}")
             b = np.concatenate([b, np.zeros((rows - n,) + b.shape[1:], dtype=b.dtype)])
+        if not np.isfinite(b).all():
+            raise ValueError("right-hand side must be finite")
         shape, cols = b.shape, b[0].size
         if cols % k:
             raise ValueError(f"right-hand side has {cols} columns, "
@@ -481,6 +484,8 @@ class _LyapunovFactor:
         n = self.A.shape[0]
         if self.A.shape != (n, n) or self.E.shape != (n, n):
             raise ValueError("lyapunov operands must be square and matching")
+        if n == 0:
+            raise ValueError("lyapunov pencil must not be empty")
         getrf, self._getrs = la.get_lapack_funcs(("getrf", "getrs"), (self.E,))
         lu, piv, info = getrf(self.E)
         self.lu = (lu, piv)

@@ -14,14 +14,14 @@ signals sample a whole grid.
 The Newton matrix and every step's input terms are bound once per
 simulation, ``E x_old`` and any bilinear terms once per step, and each
 iteration forms only a fresh residual and the exact Jacobian with its one
-factorization (:class:`_NewtonStep`).  A reduced model is simulated through
-the :class:`~qbmor.system_model.QbOdeSystem` of its matrices that it keeps.
+factorization (:class:`_NewtonStep`), both terms written at their stored
+entries only.  A reduced model is simulated through the
+:class:`~qbmor.system_model.QbOdeSystem` of its matrices that it keeps.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,7 +30,8 @@ from scipy.linalg.blas import dgbmv
 from scipy.linalg.lapack import dgesv, dgtsv
 
 from .dae_transform import recover_pressure
-from .dense_solvers import SolverError, _is_tridiagonal, _offsets, _tri_store, _tridiagonals
+from .dense_solvers import (SolverError, _is_tridiagonal, _offsets, _tri_index, _tri_store,
+                            _tridiagonals)
 from .mmio import _read_table, atomic_open
 from .system_model import ReducedQbSystem, _bilinear_terms, _reduced_ode
 from .tensor_kron import apply_hessian, quadratic_jacobian
@@ -245,24 +246,24 @@ class _NewtonStep:
     previous state ``x_old``.
 
     What is fixed is bound once.  Per simulation: ``K`` with ``E - dt A``
-    and the constraint blocks, written once, and the input part of every
-    step's right-hand side, ``[dt B; -B2] u``, in one product over the grid,
-    staged in the rows of the state array, with the coefficients
-    ``dt u_k`` of the nonzero ``N_k``.  Per step: ``E x_old`` added to the
-    staged row and, only when a nonzero ``N_k`` exists, the velocity block
-    of ``K`` rewritten.  Per iteration: ``dx = dt x`` once, a residual from
-    scratch with ``apply_hessian(H, dx, x) = dt H (x kron x)``, and
-    ``quadratic_jacobian(H, dx) = dt J_H(x)`` subtracted from the velocity
-    block of a copy of ``K`` that is then factored; both kernels are linear
-    in ``dx``, so no Jacobian-sized array is scaled.
+    and the constraint blocks, written once; the input part of every step's
+    right-hand side, ``[dt B; -B2] u``, in one product over the grid, staged
+    in the rows of the state array; and the union pattern ``p`` of the
+    nonzero ``N_k``, with ``S = K[p]`` and each ``N_k[p]``.  Per step:
+    ``E x_old`` added to the staged row and ``K[p] = S - dt u_1 N_1[p] - ...``
+    in input order; no other entry of ``K`` changes.  Per iteration:
+    ``y = -dt x`` once, a residual from scratch with ``apply_hessian(H, y,
+    x) = -dt H (x kron x)``, and ``quadratic_jacobian(H, y, out=J)``, which
+    adds ``-dt J_H(x)`` to a copy ``J`` of ``K`` at the Jacobian's stored
+    positions only before ``J`` is factored.  Both kernels are linear in
+    ``y``, and no array of ``K``'s size is formed after the set-up.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
     ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
     and tridiagonal layout that :mod:`qbmor.dense_solvers` also applies to
     the shift factorizations.  A tridiagonal pattern keeps ``K`` in that
-    storage: residuals are band products (``gbmv``), the Jacobian is
-    scattered into its three diagonals and each iteration solves with
-    ``gtsv``.  Any other pattern keeps dense storage and ``gesv``.
+    storage: residuals are band products (``gbmv``) and each iteration
+    solves with ``gtsv``.  Any other pattern keeps dense storage and ``gesv``.
     """
 
     def __init__(self, E, A, H, N, B, dt, A12=None, A21=None, B2=None):
@@ -281,23 +282,23 @@ class _NewtonStep:
         col, row = np.divmod(H._jacobian_pattern()[0], n)
         self._tri = _is_tridiagonal(size, [*map(_offsets, (E, K, *(Nq for _, Nq in N))),
                                            row - col])
+        i, j = np.nonzero(np.reshape([Nq for _, Nq in N], (-1, n, n)).any(axis=0))
+        self._N = np.array([Nq[i, j] for _, Nq in N])
         if self._tri:
             self._E, self._K = _tri_store(E, n), _tri_store(K, size)
-            self._N = tuple(_tri_store(Nq, size) for _, Nq in N)
-            self._Kv, self._J = self._K, np.empty_like(self._K)
-            self._Jv = self._J[:, :n]
+            self._J, (i, j) = np.empty_like(self._K), _tri_index(i, j)
             self._mv = lambda M, x: dgbmv(M.shape[1], M.shape[1], 1, 1, 1.0, M, x)
-            # gtsv returns (du2, d, du, x, info): without du2 it unpacks as gesv's
-            self._solve = lambda J, b: dgtsv(*_tridiagonals(J), b, overwrite_b=True)[1:]
+            # gtsv reads views of J's diagonals, taken once (J is the one matrix it solves),
+            # and returns (du2, d, du, x, info): without du2 it unpacks as gesv's
+            diagonals = _tridiagonals(self._J)
+            self._solve = lambda J, b: dgtsv(*diagonals, b, overwrite_b=True)[1:]
         else:
-            self._E, self._K = E, K
-            self._N = tuple(np.asfortranarray(Nq) for _, Nq in N)
-            self._Kv, self._J = K[:n, :n], np.empty_like(K)
-            self._Jv = self._J[:n, :n]
-            self._mv = operator.matmul
+            self._E, self._K, self._J = E, K, np.empty_like(K)
+            self._mv = np.ndarray.dot  # the gemv of matmul, with less call overhead
             self._solve = partial(dgesv, overwrite_a=True, overwrite_b=True)
-        # the velocity block without the bilinear terms, which each step rewrites
-        self._S = self._Kv.copy(order="F") if N else None
+        # the N_k's union pattern as flat positions in K's Fortran storage, and K there
+        self._p = j * self._K.shape[0] + i
+        self._S = self._K.ravel("F")[self._p]
 
     def run(self, z0, U, t):
         """States at every grid time with per-step Newton counts and residuals.
@@ -305,8 +306,8 @@ class _NewtonStep:
         ``U`` holds the input at every grid time as rows.
         """
         n, dt, H, tri = self.n, self.dt, self.H, self._tri
-        E, K, Kv, S, Ns, J, Jv = (self._E, self._K, self._Kv, self._S, self._N,
-                                  self._J, self._Jv)
+        E, K, J, p, S, Ns = self._E, self._K, self._J, self._p, self._S, self._N
+        Kf = K.ravel("F")  # a view, K being Fortran-ordered
         mv, solve = self._mv, self._solve
         hess, jac = apply_hessian, quadratic_jacobian
         Z = np.empty((t.size, z0.size))
@@ -323,19 +324,20 @@ class _NewtonStep:
                 z = 2.0 * Z[1] - Z[0]
             else:
                 z = 3.0 * (Z[k - 1] - Z[k - 2]) + Z[k - 3]
-            if Ns:
-                np.copyto(Kv, S)
+            if Ns.size:
+                Kp = S.copy()
                 for w, Nq in zip(W[k], Ns):
-                    Kv -= w * Nq
+                    Kp -= w * Nq
+                Kf[p] = Kp
             x_old, c = Z[k - 1, :n], Z[k]
             c[:n] += mv(E, x_old)
             tol = NEWTON_TOL * max(1.0, math.sqrt(x_old @ x_old))
             for it in range(NEWTON_MAX + 1):
                 x = z[:n]
-                dx = dt * x
+                y = -dt * x  # the kernels are linear in it: no scaling of their results
                 res = mv(K, z)
                 res -= c
-                res[:n] -= hess(H, dx, x)
+                res[:n] += hess(H, y, x)
                 norm = math.sqrt(res @ res)
                 if norm <= tol:
                     break
@@ -345,7 +347,7 @@ class _NewtonStep:
                         f"(t={t[k]:.6g}, residual={norm:.3e})"
                     )
                 np.copyto(J, K)
-                Jv -= jac(H, dx, tridiagonal=tri)
+                jac(H, y, tridiagonal=tri, out=J)
                 _, _, dz, info = solve(J, res)
                 if info:
                     raise SolverError(

@@ -164,35 +164,33 @@ class HessianTensor:
             _freeze(cached.Hc.data, cached.Hc.indices, cached.Hc.indptr, cached.a, cached.b)
         return cached
 
-    def _jacobian_pattern(self, tridiagonal=False):
-        """``(flat, operand, values, rows)`` of the two Jacobian terms of every entry.
+    def _jacobian_pattern(self, tridiagonal=False, ld=None):
+        """``(flat, inverse, operand, values)`` of the two Jacobian terms of every entry.
 
         Entry ``(i, j, k, v)`` adds ``v x[k]`` at ``(i, j)`` and ``v x[j]`` at
-        ``(i, k)``, all first terms before all second terms.  ``flat`` holds
-        those positions in column-major order (``col*n + row``) of ``rows = n``
-        rows, or with ``tridiagonal`` in the Fortran-ordered ``(3, n)``
-        tridiagonal storage of :mod:`qbmor.dense_solvers` (``rows = 3``).
+        ``(i, k)``, all first terms before all second terms; term ``e`` lands
+        at ``flat[inverse[e]]``.  ``flat`` holds the unique positions in the
+        Fortran order of the ``(3, .)`` tridiagonal storage of
+        :mod:`qbmor.dense_solvers` with ``tridiagonal``, else of dense storage
+        of leading dimension ``ld`` (default n).  Each layout is cached, and
+        all share the ``inverse``, ``operand`` and ``values`` of the default.
         """
-        cached = self._jac.get(tridiagonal)
-        if cached is not None:
-            return cached
-        if tridiagonal:
-            flat, operand, values, _ = self._jacobian_pattern()
-            col, row = np.divmod(flat, self.n)
-            if np.any(np.abs(row - col) > 1):
+        n = self.n
+        ld = 3 if tridiagonal else ld or n
+        if (False, n) not in self._jac:
+            i, j, k, v = self._i, self._j, self._k, self._v
+            flat, inverse = np.unique(np.r_[j, k] * n + np.r_[i, i], return_inverse=True)
+            self._jac[False, n] = (flat, inverse, np.r_[k, j], np.r_[v, v])
+            _freeze(*self._jac[False, n])
+        if (tridiagonal, ld) not in self._jac:
+            flat, *shared = self._jac[False, n]
+            col, row = np.divmod(flat, n)
+            if tridiagonal and np.any(np.abs(row - col) > 1):
                 raise ValueError("tensor Jacobian pattern is not tridiagonal")
-            r, c = _tri_index(row, col)
-            pattern = (c * 3 + r, operand, values)
-            rows = 3
-        else:
-            i, j, k, n = self._i, self._j, self._k, self.n
-            pattern = (np.concatenate([j * n + i, k * n + i]),
-                       np.concatenate([k, j]),
-                       np.concatenate([self._v, self._v]))
-            rows = n
-        _freeze(*pattern)
-        self._jac[tridiagonal] = cached = (*pattern, rows)
-        return cached
+            row, col = _tri_index(row, col) if tridiagonal else (row, col)
+            self._jac[tridiagonal, ld] = (col * ld + row, *shared)
+            _freeze(self._jac[tridiagonal, ld][0])
+        return self._jac[tridiagonal, ld]
 
     def _dense_forms(self):
         """``(H1, G)`` for a tensor with a high stored fill, else ``None``.
@@ -357,29 +355,38 @@ def hessian_gram(t, mode, L, R):
     return out
 
 
-def quadratic_jacobian(t, x, tridiagonal=False):
+def quadratic_jacobian(t, x, tridiagonal=False, out=None):
     """Matrix of ``y -> H (x kron y) + H (y kron x)``.
 
     This is the Jacobian of ``x -> H (x kron x)`` and equals
     ``H (x kron I + I kron x)`` as an n-by-n matrix, returned in Fortran
-    (column-major) order, the layout LAPACK factors in place.  A tensor with
-    a high stored fill forms it as ``G x`` from its dense Jacobian operator;
-    any other sums its stored entries.
-
-    With ``tridiagonal`` the matrix is returned, summed from the stored
-    entries, in the ``(3, n)`` tridiagonal storage of
-    :mod:`qbmor.dense_solvers` instead; the Jacobian pattern must lie in it.
+    (column-major) order, the layout LAPACK factors in place, or with
+    ``tridiagonal`` in the ``(3, n)`` tridiagonal storage of
+    :mod:`qbmor.dense_solvers`, where the Jacobian pattern must lie.  With
+    ``out``, Fortran-ordered storage of that kind (dense of any leading
+    dimension) with at least n columns, it is added into the leading n-by-n
+    block of ``out`` in place, and ``out`` is returned.  A tensor with a high
+    stored fill forms it densely as ``G x`` from its dense Jacobian operator;
+    any other sums its stored entries once per position of its cached
+    pattern and adds them there only.
     """
     x = np.asarray(x)
     n = t.n
     if x.shape != (n,):
         raise ValueError(f"operand shape {x.shape} does not match n={n}")
-    if not tridiagonal:
-        dense = t._dense_forms()
-        if dense is not None:
-            return (dense[1] @ x).reshape(n, n, order="F")
-    flat, operand, values, rows = t._jacobian_pattern(tridiagonal)
-    return _scatter_sum(flat, values * x[operand], rows * n).reshape(rows, n, order="F")
+    if out is None:
+        out = np.zeros((3 if tridiagonal else n, n), np.result_type(x, float), order="F")
+    elif (not out.flags.f_contiguous or out.shape[1] < n
+          or (out.shape[0] != 3 if tridiagonal else out.shape[0] < n)):
+        raise ValueError(f"out of shape {out.shape} is not Fortran storage of a {n}x{n} block")
+    dense = None if tridiagonal else t._dense_forms()
+    if dense is not None:
+        out[:n, :n] += (dense[1] @ x).reshape(n, n, order="F")
+    else:
+        flat, inverse, operand, values = t._jacobian_pattern(tridiagonal, out.shape[0])
+        # ravel is a view of out's storage, Fortran-contiguous
+        out.ravel("F")[flat] += _scatter_sum(inverse, values * x[operand], flat.size)
+    return out
 
 
 class _StoredColumns(NamedTuple):

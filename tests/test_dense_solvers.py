@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -643,6 +644,37 @@ def test_lyapunov_gate_refuses_a_non_finite_residual():
     E, A = stable_pencil(46, 5)
     with pytest.raises(ResidualError, match=r"^lyapunov solve residual nan exceeds 1e-09$"):
         solve_lyapunov(A, E, np.full((5, 5), np.nan))
+
+
+@pytest.mark.parametrize("rhs", [np.zeros((0, 0)), None])
+def test_empty_lyapunov_pencil_is_refused_before_lapack(rhs, capfd):
+    # getrf of a 0x0 matrix prints an illegal-parameter message to stderr
+    with pytest.raises(ValueError, match=r"^lyapunov pencil must not be empty$"):
+        solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0)), rhs)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("kind", ["shifted", "saddle", "saddle-adjoint"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_right_hand_side_is_a_value_error(kind, bad):
+    # not a shift collision: refused before any triangular solve
+    if kind == "shifted":
+        E, A = np.eye(5), -np.diag(np.arange(1.0, 6.0))
+        fact, solve = solve_shifted(E, A, 0.5, None), lambda b: solve_shifted(E, A, 0.5, b)
+    else:
+        sys = gen_synthetic_dae(10, 2, seed=2)
+        blocks = (sys.E11, sys.A11, sys.A12, sys.A21, 0.5)
+        fact = solve_saddle(*blocks, None)
+        solve = partial(solve_saddle if kind == "saddle" else solve_saddle_adjoint, *blocks)
+    rhs = np.ones(fact.rows)
+    rhs[3] = bad
+    calls = []
+    trs = fact._trs
+    fact._trs = lambda *args: calls.append(args) or trs(*args)
+    for call in (partial(fact.solve, trans=kind == "saddle-adjoint"), solve):
+        with pytest.raises(ValueError, match=r"^right-hand side must be finite$"):
+            call(rhs)
+    assert not calls
 
 
 def test_sylvester_returns_the_residual_and_rhs_norms():

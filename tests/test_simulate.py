@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,90 @@ def test_non_finite_input_fails_newton():
     u = InputSignal(1, lambda t: np.nan if t > 0.25 else 0.0, lambda t: 0.0)
     with pytest.raises(RuntimeError, match=r"Newton failed to converge at step 3 \(t=0\.3,"):
         simulate_ode(gen_burgers(8, 0.5), u, 1.0, 0.1)
+    # a dense bilinear DAE, whose N_k carry the NaN into the Newton matrix too
+    dae = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1)
+    assert all(Nk.any() for Nk in dae.N)
+    u = InputSignal(2, lambda t: np.nan if t > 0.25 else 0.0, lambda t: 0.0)
+    with pytest.raises(RuntimeError, match=r"Newton failed to converge at step 3 \(t=0\.3,"):
+        simulate_dae(dae, u, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("kind", ["dense-dae", "narrow-ode"])
+def test_newton_matrix_is_assembled_from_its_definition(kind, monkeypatch):
+    # every matrix handed to the solver, copied before it is factored in place, is
+    # [[E - dt A - dt sum_k u_k N_k - dt J_H(x), -dt A12], [A21, 0]] at its iterate x,
+    # and off the pattern of the N_k and J_H it holds the constant blocks bit for bit
+    dt, iterate, seen = 0.01, [], []
+    if kind == "dense-dae":
+        sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1)
+        E, A, A12, A21 = sys.E11, sys.A11, sys.A12, sys.A21
+        H = sys.H
+        at = np.r_[H._i * 12 + H._j, H._i * 12 + H._k]
+        assert np.unique(at).size < at.size  # stored entries share Jacobian positions
+    else:
+        sys = narrow_ode(30)
+        E, A, A12, A21 = sys.E, sys.A, np.zeros((30, 0)), np.zeros((0, 30))
+    H, N, (n, n_c) = sys.H, sys.N, A12.shape
+    assert all(Nk.any() for Nk in N)
+    hess = simulate.apply_hessian
+
+    def recorded_hess(t, a, b):
+        iterate[:] = [b.copy()]  # the residual's iterate x, which a solve follows
+        return hess(t, a, b)
+
+    def recorded(name):
+        kernel = getattr(simulate, name)
+
+        def call(*args, **kwargs):
+            # gesv reads the dense matrix, gtsv its sub-, main and superdiagonal
+            if name == "dgesv":
+                K = args[0].copy()
+            else:
+                dl, d, du = args[:3]
+                K = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
+            seen.append((*iterate, K))
+            return kernel(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(simulate, "apply_hessian", recorded_hess)
+    for name in ("dgesv", "dgtsv"):
+        monkeypatch.setattr(simulate, name, recorded(name))
+    u = InputSignal.preset_cavity(2)
+    traj = (simulate_ode(sys, u, 0.2, dt) if kind == "narrow-ode" else
+            simulate_dae(sys, u, 0.2, dt))
+    steps = np.repeat(np.arange(traj.t.size), traj.newton_iters)
+    assert len(seen) == steps.size and set(steps) == set(range(1, traj.t.size))
+    K0 = np.block([[E - dt * A, -dt * A12], [A21, np.zeros((n_c, n_c))]])
+    off = np.ones(K0.shape, dtype=bool)
+    off[:n, :n] = ~np.any(N, axis=0)
+    off[H._i, H._j] = off[H._i, H._k] = False
+    for k, (x, K) in zip(steps, seen):
+        Kv = dt * (A + sum(uq * Nq for uq, Nq in zip(traj.inputs[k], N))
+                   + quadratic_jacobian(H, x))
+        expect = np.block([[E - Kv, -dt * A12], [A21, np.zeros((n_c, n_c))]])
+        assert np.linalg.norm(K - expect) <= 1e-14 * np.linalg.norm(expect)
+        assert np.array_equal(K[off], K0[off])
+
+
+def test_newton_step_allocates_no_matrix_sized_temporaries():
+    # the bilinear and Jacobian terms go into the Newton matrix at their stored
+    # entries only: no (size, size) product, sum or Jacobian is formed per step
+    sys = gen_synthetic_dae(300, 60, m=2, p=2, seed=0, quad_scale=0.1)
+    dt, size = 0.01, 360
+    assert all(Nk.any() for Nk in sys.N) and sys.H._dense_forms() is None
+    step = simulate._NewtonStep(sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt,
+                                sys.A12, sys.A21, sys.B2)
+    t = dt * np.arange(6)
+    U = InputSignal.preset_cavity(2).on_grid(t)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _, iters, _ = step.run(np.zeros(size), U, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(iters[1:] >= 1)
+    assert peak - start < 0.5 * size * size * 8
 
 
 def extrapolated_start(Z):

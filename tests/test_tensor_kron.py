@@ -307,6 +307,34 @@ def test_banded_quadratic_jacobian_holds_the_band_of_the_dense_one():
         quadratic_jacobian(wide, x, tridiagonal=True)
 
 
+@pytest.mark.parametrize("case", ["band", "band-tridiagonal", "full"])
+def test_quadratic_jacobian_adds_into_a_given_storage(case):
+    # into the leading n-by-n block of a larger Fortran-ordered storage, in place,
+    # at the stored positions as the default return holds them
+    rng = np.random.default_rng(5)
+    n, tri = 9, case == "band-tridiagonal"
+    i = np.arange(1, n - 1)
+    t = (counting_tensor(n) if case == "full" else
+         HessianTensor(n, np.r_[i, i, i], np.r_[i - 1, i + 1, i], np.r_[i, i, i - 1],
+                       rng.standard_normal(3 * i.size)))
+    assert (t._dense_forms() is not None) == (case == "full")
+    x = rng.standard_normal(n)
+    base = np.asfortranarray(rng.standard_normal((3 if tri else n + 2, n + 2)))
+    out = base.copy(order="F")
+    assert quadratic_jacobian(t, x, tri, out=out) is out
+    # every layout shares the default layout's terms
+    assert all(a is b for a, b in zip(t._jacobian_pattern(tri, out.shape[0])[1:],
+                                       t._jacobian_pattern()[1:]))
+    expect = base.copy(order="F")
+    block = expect[:, :n] if tri else expect[:n, :n]
+    block += quadratic_jacobian(t, x, tri)
+    assert np.array_equal(out, expect)
+    # C-ordered, too few columns, too few (or for tridiagonal storage, not 3) rows
+    for bad in (np.ascontiguousarray(base), base[:, :n - 1], np.asfortranarray(base[:2])):
+        with pytest.raises(ValueError, match=r"^out of shape .* is not Fortran storage of a 9x9"):
+            quadratic_jacobian(t, x, tri, out=bad)
+
+
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False,
                     allow_subnormal=False)
 
@@ -577,8 +605,8 @@ def test_cached_forms_are_read_only():
         for mode in (1, 2):
             Hc, a, b, _ = t._restriction(mode)
             cached += [Hc.data, Hc.indices, Hc.indptr, a, b]
-        cached += [*t._jacobian_pattern()[:3]]
-    cached += [*burgers._jacobian_pattern(True)[:3]]
+        cached += [*t._jacobian_pattern()]
+    cached += [*burgers._jacobian_pattern(True)]
     H1, G = full._dense_forms()
     cached += [H1, H1.base, G]
     for arr in cached:

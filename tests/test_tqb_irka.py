@@ -496,6 +496,18 @@ def test_wrong_size_right_hand_side_is_not_nudged(monkeypatch):
     assert len(calls) == 1 and not nudged
 
 
+def test_non_finite_right_hand_side_is_not_nudged(monkeypatch):
+    # a NaN right-hand side is no shift collision: no nudge, no second factorization
+    E, A = np.eye(5), -np.diag(np.arange(1.0, 6.0))
+    calls = count_full_order_factorizations(monkeypatch, 5)
+    nudged = set()
+    solve = tqb_irka._shift_solver(lambda s: solve_shifted(E, A, s, None),
+                                   np.array([-0.5]), 5, nudged)
+    with pytest.raises(ValueError, match=r"^right-hand side must be finite$"):
+        solve([0], np.full(5, np.nan), False)
+    assert len(calls) == 1 and not nudged
+
+
 def test_family_solver_matches_kronecker_oracle():
     # one real shift and one conjugate pair, conjugate-paired right-hand sides,
     # handed over and returned realified
