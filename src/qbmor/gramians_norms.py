@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf
 
 from .dense_solvers import SolverError, _gate_lyapunov, solve_lyapunov
-from .system_model import ReducedQbSystem, _bilinear_terms, _reduced_ode
+from .system_model import QbOdeSystem, ReducedQbSystem, _bilinear_terms, _expect, _reduced_ode
 from .tensor_kron import hessian_congruence, hessian_gram
 
 __all__ = [
@@ -192,6 +192,7 @@ def _kept_gramians(sys):
     that instance's ``__dict__``, so it is freed with it, and its arrays
     are read-only like the system's own.  A failed build stores nothing.
     """
+    _expect(sys, (QbOdeSystem, ReducedQbSystem), "gramians_norms", "a QbDaeSystem: explicit_ode")
     if isinstance(sys, ReducedQbSystem):
         sys = _reduced_ode(sys)
     kept = vars(sys).get("_gramians")

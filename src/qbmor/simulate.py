@@ -33,7 +33,8 @@ from .dae_transform import recover_pressure
 from .dense_solvers import (SolverError, _is_tridiagonal, _offsets, _tri_index, _tri_store,
                             _tridiagonals)
 from .mmio import _read_table, atomic_open
-from .system_model import ReducedQbSystem, _bilinear_terms, _reduced_ode
+from .system_model import (QbDaeSystem, QbOdeSystem, ReducedQbSystem, _bilinear_terms, _expect,
+                           _reduced_ode)
 from .tensor_kron import apply_hessian, quadratic_jacobian
 
 __all__ = [
@@ -253,10 +254,11 @@ class _NewtonStep:
     ``E x_old`` added to the staged row and ``K[p] = S - dt u_1 N_1[p] - ...``
     in input order; no other entry of ``K`` changes.  Per iteration:
     ``y = -dt x`` once, a residual from scratch with ``apply_hessian(H, y,
-    x) = -dt H (x kron x)``, and ``quadratic_jacobian(H, y, out=J)``, which
-    adds ``-dt J_H(x)`` to a copy ``J`` of ``K`` at the Jacobian's stored
-    positions only before ``J`` is factored.  Both kernels are linear in
-    ``y``, and no array of ``K``'s size is formed after the set-up.
+    x) = -dt H (x kron x)``, and ``quadratic_jacobian(H, y, out=J, at=at)``,
+    which adds ``-dt J_H(x)`` to a copy ``J`` of ``K`` only at ``at``, the
+    Jacobian's cells placed in ``K``'s storage once like ``p``, before ``J``
+    is factored.  Both kernels are linear in ``y``, and no array of ``K``'s
+    size is formed after the set-up.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
     ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
@@ -279,14 +281,14 @@ class _NewtonStep:
         if n_c:
             K[:n, n:] = -dt * A12
             K[n:, :n] = A21
-        col, row = np.divmod(H._jacobian_pattern()[0], n)
-        self._tri = _is_tridiagonal(size, [*map(_offsets, (E, K, *(Nq for _, Nq in N))),
-                                           row - col])
+        hj, hi = np.divmod(H._jacobian_pattern()[0], n)
+        tri = _is_tridiagonal(size, [*map(_offsets, (E, K, *(Nq for _, Nq in N))), hi - hj])
         i, j = np.nonzero(np.reshape([Nq for _, Nq in N], (-1, n, n)).any(axis=0))
         self._N = np.array([Nq[i, j] for _, Nq in N])
-        if self._tri:
+        if tri:
             self._E, self._K = _tri_store(E, n), _tri_store(K, size)
-            self._J, (i, j) = np.empty_like(self._K), _tri_index(i, j)
+            self._J = np.empty_like(self._K)
+            (i, j), (hi, hj) = _tri_index(i, j), _tri_index(hi, hj)
             self._mv = lambda M, x: dgbmv(M.shape[1], M.shape[1], 1, 1, 1.0, M, x)
             # gtsv reads views of J's diagonals, taken once (J is the one matrix it solves),
             # and returns (du2, d, du, x, info): without du2 it unpacks as gesv's
@@ -296,8 +298,9 @@ class _NewtonStep:
             self._E, self._K, self._J = E, K, np.empty_like(K)
             self._mv = np.ndarray.dot  # the gemv of matmul, with less call overhead
             self._solve = partial(dgesv, overwrite_a=True, overwrite_b=True)
-        # the N_k's union pattern as flat positions in K's Fortran storage, and K there
-        self._p = j * self._K.shape[0] + i
+        # the N_k's union pattern and the Jacobian cells as flat positions in K's storage
+        ld = self._K.shape[0]
+        self._p, self._at = j * ld + i, hj * ld + hi
         self._S = self._K.ravel("F")[self._p]
 
     def run(self, z0, U, t):
@@ -305,7 +308,7 @@ class _NewtonStep:
 
         ``U`` holds the input at every grid time as rows.
         """
-        n, dt, H, tri = self.n, self.dt, self.H, self._tri
+        n, dt, H, at = self.n, self.dt, self.H, self._at
         E, K, J, p, S, Ns = self._E, self._K, self._J, self._p, self._S, self._N
         Kf = K.ravel("F")  # a view, K being Fortran-ordered
         mv, solve = self._mv, self._solve
@@ -347,7 +350,7 @@ class _NewtonStep:
                         f"(t={t[k]:.6g}, residual={norm:.3e})"
                     )
                 np.copyto(J, K)
-                jac(H, y, tridiagonal=tri, out=J)
+                jac(H, y, out=J, at=at)
                 _, _, dz, info = solve(J, res)
                 if info:
                     raise SolverError(
@@ -367,6 +370,7 @@ def simulate_ode(sys, u, t_final, dt):
     when the system carries them.  Full and reduced realizations take the
     same path.
     """
+    _expect(sys, (QbOdeSystem, ReducedQbSystem), "simulate_ode", "a QbDaeSystem: simulate_dae")
     red = sys if isinstance(sys, ReducedQbSystem) else None
     if red is not None:
         sys = _reduced_ode(red)
@@ -394,6 +398,7 @@ def simulate_dae(sys, u, t_final, dt, v0=None):
     the new time level; the per-step constraint violation is recorded.  The
     initial velocity must be consistent with the constraint.
     """
+    _expect(sys, (QbDaeSystem,), "simulate_dae", "an ODE or a reduced model: simulate_ode")
     if u.m != sys.m:
         raise ValueError(f"input has {u.m} channels, system expects {sys.m}")
     n_v = sys.n_v

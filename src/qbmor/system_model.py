@@ -322,6 +322,13 @@ def validate_ode(sys):
     )
 
 
+def _expect(sys, classes, entry, hint):
+    """Raise a TypeError unless ``sys`` is one of the ``classes`` that ``entry`` takes."""
+    if not isinstance(sys, classes):
+        raise TypeError(f"{entry} expects a {' or '.join(c.__name__ for c in classes)}, "
+                        f"not a {type(sys).__name__} ({hint})")
+
+
 def _reduced_ode(red):
     """The :class:`QbOdeSystem` of ``red``'s reduced matrices, built on first use and kept.
 

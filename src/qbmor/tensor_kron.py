@@ -24,8 +24,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dense_solvers import _tri_index
-
 __all__ = [
     "HessianTensor",
     "vec",
@@ -59,9 +57,9 @@ class HessianTensor:
 
     Caches built on first use live in slots, so they are freed with the
     tensor: the unfoldings and their stored-column restrictions, the
-    Jacobian scatter pattern per layout and, for a tensor with a high stored
-    fill, its dense forms.  Their arrays are read-only like the triplets, so
-    every kernel reads the same tensor.
+    Jacobian pattern and, for a tensor with a high stored fill, its dense
+    forms.  Their arrays are read-only like the triplets, so every kernel
+    reads the same tensor.
     """
 
     __slots__ = ("n", "symmetric", "_i", "_j", "_k", "_v", "_modes", "_stored", "_jac",
@@ -99,7 +97,7 @@ class HessianTensor:
         self._i, self._j, self._k, self._v = i, j, k, v
         self._modes = {}
         self._stored = {}
-        self._jac = {}
+        self._jac = None
         self._dense = None
 
     # -- constructors ------------------------------------------------------
@@ -164,33 +162,25 @@ class HessianTensor:
             _freeze(cached.Hc.data, cached.Hc.indices, cached.Hc.indptr, cached.a, cached.b)
         return cached
 
-    def _jacobian_pattern(self, tridiagonal=False, ld=None):
-        """``(flat, inverse, operand, values)`` of the two Jacobian terms of every entry.
+    def _jacobian_pattern(self):
+        """``(cells, terms)`` of the Jacobian that :func:`quadratic_jacobian` fills.
 
-        Entry ``(i, j, k, v)`` adds ``v x[k]`` at ``(i, j)`` and ``v x[j]`` at
-        ``(i, k)``, all first terms before all second terms; term ``e`` lands
-        at ``flat[inverse[e]]``.  ``flat`` holds the unique positions in the
-        Fortran order of the ``(3, .)`` tridiagonal storage of
-        :mod:`qbmor.dense_solvers` with ``tridiagonal``, else of dense storage
-        of leading dimension ``ld`` (default n).  Each layout is cached, and
-        all share the ``inverse``, ``operand`` and ``values`` of the default.
+        ``cells`` are its unique column-major flat positions ``col*n + row``:
+        all n^2 for a tensor with dense forms, whose ``terms`` are ``None``,
+        else those of the stored entries.  Entry ``(i, j, k, v)`` adds ``v
+        x[k]`` at ``(i, j)`` and ``v x[j]`` at ``(i, k)``, all first terms
+        before all second; ``terms = (inverse, operand, values)`` puts term
+        ``e`` on cell ``inverse[e]``.
         """
-        n = self.n
-        ld = 3 if tridiagonal else ld or n
-        if (False, n) not in self._jac:
-            i, j, k, v = self._i, self._j, self._k, self._v
-            flat, inverse = np.unique(np.r_[j, k] * n + np.r_[i, i], return_inverse=True)
-            self._jac[False, n] = (flat, inverse, np.r_[k, j], np.r_[v, v])
-            _freeze(*self._jac[False, n])
-        if (tridiagonal, ld) not in self._jac:
-            flat, *shared = self._jac[False, n]
-            col, row = np.divmod(flat, n)
-            if tridiagonal and np.any(np.abs(row - col) > 1):
-                raise ValueError("tensor Jacobian pattern is not tridiagonal")
-            row, col = _tri_index(row, col) if tridiagonal else (row, col)
-            self._jac[tridiagonal, ld] = (col * ld + row, *shared)
-            _freeze(self._jac[tridiagonal, ld][0])
-        return self._jac[tridiagonal, ld]
+        if self._jac is None:
+            n, i, j, k, v = self.n, self._i, self._j, self._k, self._v
+            if self._dense_forms() is not None:
+                self._jac = (np.arange(n * n), None)
+            else:
+                cells, inverse = np.unique(np.r_[j, k] * n + np.r_[i, i], return_inverse=True)
+                self._jac = (cells, (inverse, np.r_[k, j], np.r_[v, v]))
+            _freeze(self._jac[0], *(self._jac[1] or ()))
+        return self._jac
 
     def _dense_forms(self):
         """``(H1, G)`` for a tensor with a high stored fill, else ``None``.
@@ -355,37 +345,31 @@ def hessian_gram(t, mode, L, R):
     return out
 
 
-def quadratic_jacobian(t, x, tridiagonal=False, out=None):
+def quadratic_jacobian(t, x, out=None, at=None):
     """Matrix of ``y -> H (x kron y) + H (y kron x)``.
 
     This is the Jacobian of ``x -> H (x kron x)`` and equals
     ``H (x kron I + I kron x)`` as an n-by-n matrix, returned in Fortran
-    (column-major) order, the layout LAPACK factors in place, or with
-    ``tridiagonal`` in the ``(3, n)`` tridiagonal storage of
-    :mod:`qbmor.dense_solvers`, where the Jacobian pattern must lie.  With
-    ``out``, Fortran-ordered storage of that kind (dense of any leading
-    dimension) with at least n columns, it is added into the leading n-by-n
-    block of ``out`` in place, and ``out`` is returned.  A tensor with a high
-    stored fill forms it densely as ``G x`` from its dense Jacobian operator;
-    any other sums its stored entries once per position of its cached
-    pattern and adds them there only.
+    (column-major) order, the layout LAPACK factors in place.  Its values on
+    the cells of the tensor's Jacobian pattern are ``G x`` from the dense
+    Jacobian operator of a tensor with a high stored fill, else sums of the
+    stored entries.  With ``out``, Fortran-contiguous, they are added in place
+    at the flat positions ``at`` of its storage, one per cell, and ``out`` is
+    returned.
     """
     x = np.asarray(x)
     n = t.n
     if x.shape != (n,):
         raise ValueError(f"operand shape {x.shape} does not match n={n}")
+    cells, terms = t._jacobian_pattern()
     if out is None:
-        out = np.zeros((3 if tridiagonal else n, n), np.result_type(x, float), order="F")
-    elif (not out.flags.f_contiguous or out.shape[1] < n
-          or (out.shape[0] != 3 if tridiagonal else out.shape[0] < n)):
-        raise ValueError(f"out of shape {out.shape} is not Fortran storage of a {n}x{n} block")
-    dense = None if tridiagonal else t._dense_forms()
-    if dense is not None:
-        out[:n, :n] += (dense[1] @ x).reshape(n, n, order="F")
-    else:
-        flat, inverse, operand, values = t._jacobian_pattern(tridiagonal, out.shape[0])
-        # ravel is a view of out's storage, Fortran-contiguous
-        out.ravel("F")[flat] += _scatter_sum(inverse, values * x[operand], flat.size)
+        out, at = np.zeros((n, n), np.result_type(x, float), order="F"), cells
+    if not out.flags.f_contiguous or at is None or len(at) != cells.size:
+        raise ValueError(f"out of shape {out.shape} is not Fortran storage with at placing "
+                         f"{cells.size} cells")
+    values = (t._dense_forms()[1] @ x if terms is None else
+              _scatter_sum(terms[0], terms[2] * x[terms[1]], cells.size))
+    out.ravel("F")[at] += values  # ravel is a view of out's Fortran-contiguous storage
     return out
 
 

@@ -45,8 +45,8 @@ from .dense_solvers import (
     solve_saddle_adjoint,  # noqa: F401  (bench/tracer.py wraps it by this name)
     solve_shifted,
 )
-from .system_model import (ReducedQbSystem, _bilinear_terms, project_dae_outputs,
-                           project_realization)
+from .system_model import (QbDaeSystem, QbOdeSystem, ReducedQbSystem, _bilinear_terms, _expect,
+                           project_dae_outputs, project_realization)
 from .tensor_kron import (apply_unfolded,  # noqa: F401  (bench/tracer.py wraps it by this name)
                           hessian_congruence)
 
@@ -352,6 +352,7 @@ def tqb_irka_ode(sys, cfg):
     Returns ``(reduced, trace)``; non-convergence within ``max_iters`` is
     reported through ``trace.converged``, not raised.
     """
+    _expect(sys, (QbOdeSystem,), "tqb_irka_ode", "a QbDaeSystem: tqb_irka_dae_saddle")
     E, A = sys.E, sys.A
     pencil = _ShiftPencil(E, A)
     state, trace, V, W = _drive(lambda s: solve_shifted(E, A, s, None, pencil),
@@ -376,6 +377,7 @@ def tqb_irka_dae_saddle(sys, cfg, output_corr=None):
     every ``W`` column in the kernel of ``A12^T`` without ever forming the
     projectors.  Requires ``B2 = 0`` (homogenize first).
     """
+    _expect(sys, (QbDaeSystem,), "tqb_irka_dae_saddle", "a QbOdeSystem: tqb_irka_ode")
     corr = _dae_outputs(sys, cfg, output_corr)
     E11, A11, A12, A21 = sys.E11, sys.A11, sys.A12, sys.A21
     pencil = _ShiftPencil(E11, A11, A12, A21)

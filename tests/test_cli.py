@@ -228,6 +228,39 @@ def test_header_only_tables_fail_cleanly(tmp_path, capsys):
         assert f"{bad}: table has no data rows" in err
 
 
+@pytest.mark.parametrize("case", ["csv-without-t", "unknown-input", "reduce-reduced",
+                                  "norm-b2-dae"])
+def test_refused_commands_fail_cleanly(tmp_path, capsys, case):
+    from qbmor.problems import gen_synthetic_dae
+    from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
+
+    system = gen_burgers(12, 0.1)
+    if case == "reduce-reduced":
+        system, _ = tqb_irka_ode(system, IrkaConfig(r=2))
+    elif case == "norm-b2-dae":
+        system = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, with_b2=True)
+    manifest = str(save_system(system, tmp_path / "sys"))
+    table = tmp_path / "input.csv"
+    table.write_text("time,u_1\n0,0\n1,1\n")
+    simulate = ["simulate", "--system", manifest, "--t-final", "1", "--dt", "0.1",
+                "--out", str(tmp_path / "out.csv"), "--input"]
+    args, message = {
+        "csv-without-t": (simulate + [f"csv:{table}"],
+                          f"{table}: input table must start with a 't' column"),
+        "unknown-input": (simulate + ["sine"],
+                          "unknown input 'sine' (use preset:cavity, zero, or csv:PATH)"),
+        "reduce-reduced": (["reduce", "--system", manifest, "--order", "1",
+                            "--out", str(tmp_path / "red")],
+                           "cannot reduce an already-reduced model"),
+        "norm-b2-dae": (["norm", "--system", manifest],
+                        "norm of a B2 != 0 descriptor system: homogenize first"),
+    }[case]
+    capsys.readouterr()
+    assert run(args) == 1
+    assert capsys.readouterr().err == f"qbmor: error: {message}\n"
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "red").exists()
+
+
 def test_compare_without_outputs_names_the_file(tmp_path, capsys):
     table = tmp_path / "no_outputs.csv"
     table.write_text("t,a,b\n0,1,2\n1,3,4\n")

@@ -144,6 +144,12 @@ def test_pencil_eig_singular_mass():
         pencil_eig(np.zeros((2, 2)), np.eye(2))
 
 
+def test_pencil_eig_rejects_non_square_operands():
+    with pytest.raises(ValueError, match=r"^pencil matrices must be square and matching, "
+                                         r"got \(2, 2\) and \(2, 3\)$"):
+        pencil_eig(np.eye(2), np.ones((2, 3)))
+
+
 @pytest.mark.parametrize("seed, r", [(1, 6), (2, 7), (4, 9)])
 def test_pencil_eig_basis_matches_the_per_column_reference(seed, r):
     # the per-column construction from scipy's complex eigenvectors: each
@@ -386,6 +392,19 @@ def test_solve_lyapunov_unstable():
 def test_solve_lyapunov_unstable_fails_at_factor_time():
     with pytest.raises(SolverError, match="unstable pencil: spectral abscissa"):
         solve_lyapunov(np.eye(2), np.eye(2), None)
+
+
+def test_solve_lyapunov_rejects_mismatched_operands():
+    A, E = -np.eye(3), np.eye(3)
+    fact = solve_lyapunov(A, E, None)
+    for call in (lambda: solve_lyapunov(A, np.eye(2), None),
+                 lambda: solve_lyapunov(np.ones((3, 2)), np.ones((3, 2)), None),
+                 lambda: solve_lyapunov(A, E, np.eye(2)),
+                 lambda: fact.sylvester(np.ones((3, 2)))):
+        with pytest.raises(ValueError, match="^lyapunov operands must be square and matching$"):
+            call()
+    with pytest.raises(ValueError, match=r"^right-hand side not symmetric \(\|R - R\^T\| = "):
+        solve_lyapunov(A, E, np.triu(np.ones((3, 3))))
 
 
 def test_lyapunov_factor_dual_solve_matches_transposed_pencil():

@@ -223,6 +223,9 @@ def test_error_system_norm_dimension_checks():
     red = project_ode(other, np.eye(6), np.eye(6))
     with pytest.raises(ValueError, match="input dimensions"):
         error_system_norm(sys, red)
+    red = project_ode(random_stable_ode(12, 6, m=1, p=2), np.eye(6), np.eye(6))
+    with pytest.raises(ValueError, match="^output dimensions differ: full has 1, reduced has 2$"):
+        error_system_norm(sys, red)
 
 
 # -- the error norm by blocks against the assembled (n + r) oracle -----------

@@ -79,3 +79,19 @@ def test_every_private_name_is_used_in_the_package():
     orphans += [f"{cls}.{name}" for cls, name in members
                 if not name.startswith("__") and name not in attributes]
     assert orphans == []
+
+
+def test_kernel_modules_are_leaves():
+    # the tensor kernels and the dense solvers import no module of the package:
+    # where a Newton matrix or a shift family keeps its entries is its caller's business
+    package, found = pathlib.Path(qbmor.__file__).parent, []
+    for stem in ("tensor_kron", "dense_solvers"):
+        for node in ast.walk(ast.parse((package / f"{stem}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [f"qbmor.{node.module or ''}"] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{stem}: {m}" for m in modules if m.split(".")[0] == "qbmor"]
+    assert found == []

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 
 from qbmor import problems
 from qbmor.dae_transform import build_projectors
-from qbmor.mmio import atomic_open, read_matrix, write_json, write_matrix
+from qbmor.mmio import _read_table, atomic_open, read_matrix, write_json, write_matrix
 from qbmor.problems import (
     gen_burgers,
     gen_synthetic_dae,
@@ -411,6 +412,41 @@ def test_mm_malformed_header(tmp_path):
     path.write_text("not a matrix market file\n1 1\n0.0\n")
     with pytest.raises(ValueError, match="header"):
         read_matrix(path)
+
+
+_COORD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("%%MatrixMarket vector coordinate real general\n1 1 0\n",
+     "malformed header: '%%MatrixMarket vector coordinate real general'"),
+    ("%%MatrixMarket matrix coordinate real\n1 1 0\n", "malformed header: "),
+    ("%%MatrixMarket matrix coordinate real symmetric\n1 1 0\n",
+     "unsupported symmetry 'symmetric' (need general)"),
+    ("%%MatrixMarket matrix sparse real general\n1 1 0\n", "unsupported format 'sparse'"),
+    (_COORD + "% a comment, then nothing\n\n", "missing size line"),
+    (_COORD + "2 2 2\n1 1 1.0\n", "header promises 2 entries, file has 1"),
+    (_COORD + "2 2 1\n3 1 1.0\n", "index exceeds declared shape (2, 2)"),
+    ("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n",
+     "array body has 3 values, expected 4"),
+], ids=["banner-without-matrix", "field-count", "symmetry", "format", "no-size-line", "nnz",
+        "index-past-shape", "array-count"])
+def test_mm_rejections_name_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}")):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,1\n1,2,3\n", "data row 2 has 3 columns, the header has 2"),
+    ("0,1\n1,two\n", "non-numeric table entry (could not convert string to float: 'two')"),
+])
+def test_table_rejections_name_the_file(tmp_path, body, message):
+    path = tmp_path / "table.csv"
+    path.write_text("t,u_1\n" + body)
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+        _read_table(path)
 
 
 def test_mm_missing_file():

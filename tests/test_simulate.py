@@ -203,7 +203,7 @@ def test_non_finite_input_fails_newton():
         simulate_dae(dae, u, 1.0, 0.1)
 
 
-@pytest.mark.parametrize("kind", ["dense-dae", "narrow-ode"])
+@pytest.mark.parametrize("kind", ["dense-dae", "narrow-ode", "reduced"])
 def test_newton_matrix_is_assembled_from_its_definition(kind, monkeypatch):
     # every matrix handed to the solver, copied before it is factored in place, is
     # [[E - dt A - dt sum_k u_k N_k - dt J_H(x), -dt A12], [A21, 0]] at its iterate x,
@@ -211,14 +211,21 @@ def test_newton_matrix_is_assembled_from_its_definition(kind, monkeypatch):
     dt, iterate, seen = 0.01, [], []
     if kind == "dense-dae":
         sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1)
-        E, A, A12, A21 = sys.E11, sys.A11, sys.A12, sys.A21
-        H = sys.H
+        E, A, N, A12, A21, H = sys.E11, sys.A11, sys.N, sys.A12, sys.A21, sys.H
         at = np.r_[H._i * 12 + H._j, H._i * 12 + H._k]
         assert np.unique(at).size < at.size  # stored entries share Jacobian positions
-    else:
+    elif kind == "narrow-ode":
         sys = narrow_ode(30)
-        E, A, A12, A21 = sys.E, sys.A, np.zeros((30, 0)), np.zeros((0, 30))
-    H, N, (n, n_c) = sys.H, sys.N, A12.shape
+        E, A, N, H = sys.E, sys.A, sys.N, sys.H
+        A12, A21 = np.zeros((30, 0)), np.zeros((0, 30))
+    else:
+        # dense Hessian forms: the Jacobian is added at all n^2 cells
+        Q = la.qr(np.random.default_rng(3).standard_normal((7, 4)), mode="economic")[0]
+        sys = project_ode(random_stable_ode(3, 7, m=2, p=2), Q, Q)
+        E, A, N, H = sys.Ehat, sys.Ahat, sys.Nhat, HessianTensor.from_mode1(sys.Hhat)
+        A12, A21 = np.zeros((4, 0)), np.zeros((0, 4))
+        assert H._dense_forms() is not None
+    n, n_c = A12.shape
     assert all(Nk.any() for Nk in N)
     hess = simulate.apply_hessian
 
@@ -244,8 +251,8 @@ def test_newton_matrix_is_assembled_from_its_definition(kind, monkeypatch):
     for name in ("dgesv", "dgtsv"):
         monkeypatch.setattr(simulate, name, recorded(name))
     u = InputSignal.preset_cavity(2)
-    traj = (simulate_ode(sys, u, 0.2, dt) if kind == "narrow-ode" else
-            simulate_dae(sys, u, 0.2, dt))
+    traj = (simulate_dae(sys, u, 0.2, dt) if kind == "dense-dae" else
+            simulate_ode(sys, u, 0.2, dt))
     steps = np.repeat(np.arange(traj.t.size), traj.newton_iters)
     assert len(seen) == steps.size and set(steps) == set(range(1, traj.t.size))
     K0 = np.block([[E - dt * A, -dt * A12], [A21, np.zeros((n_c, n_c))]])
@@ -471,6 +478,9 @@ def test_input_channel_mismatch():
     sys = gen_burgers(8, 0.5)
     with pytest.raises(ValueError, match="channels"):
         simulate_ode(sys, InputSignal.zero(2), 1.0, 0.01)
+    dae = gen_synthetic_dae(12, 3, m=2, p=2, seed=0)
+    with pytest.raises(ValueError, match="^input has 1 channels, system expects 2$"):
+        simulate_dae(dae, InputSignal.zero(1), 1.0, 0.01)
 
 
 @pytest.mark.parametrize("t_final, dt", [(1.0, float("nan")), (float("nan"), 0.1),
@@ -544,6 +554,21 @@ def test_compare_grid_mismatch():
     b = simulate_ode(sys, InputSignal.zero(1), 1.0, 0.02)
     with pytest.raises(ValueError, match="grid"):
         compare(a, b)
+
+
+def test_compare_output_count_mismatch():
+    t = np.linspace(0.0, 1.0, 5)
+    one, two = (Trajectory(t=t, states=np.zeros((5, 0)), outputs=np.zeros((5, p)),
+                           inputs=np.zeros((5, 1))) for p in (1, 2))
+    with pytest.raises(ValueError, match="^output dimensions differ: 1 vs 2$"):
+        compare(one, two)
+
+
+def test_read_csv_rejects_a_table_without_a_time_column(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("x,u_1,y_1\n0,1,2\n")
+    with pytest.raises(ValueError, match="not a trajectory CSV \\(header \\['x', 'u_1', 'y_1'\\]"):
+        Trajectory.read_csv(path)
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

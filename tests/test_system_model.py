@@ -17,7 +17,8 @@ from qbmor.system_model import (
 )
 from qbmor.tensor_kron import HessianTensor, apply_hessian, matricize
 
-from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
+from qbmor.simulate import InputSignal, simulate_dae, simulate_ode
+from qbmor.tqb_irka import IrkaConfig, tqb_irka_dae_saddle, tqb_irka_ode
 
 from helpers import random_stable_ode
 
@@ -170,6 +171,25 @@ def test_sparse_mode1_hessian_is_ingested():
     for a, b in ((sys.H._i, other.H._i), (sys.H._j, other.H._j),
                  (sys.H._k, other.H._k), (sys.H._v, other.H._v)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("entry, given, expected, hint", [
+    (lambda s: tqb_irka_ode(s, IrkaConfig(r=2)), "QbDaeSystem", "QbOdeSystem",
+     "tqb_irka_dae_saddle"),
+    (lambda s: simulate_ode(s, InputSignal.zero(1), 1.0, 0.1), "QbDaeSystem",
+     "QbOdeSystem or ReducedQbSystem", "simulate_dae"),
+    (truncated_h2_norm, "QbDaeSystem", "QbOdeSystem or ReducedQbSystem", "explicit_ode"),
+    (lambda s: tqb_irka_dae_saddle(s, IrkaConfig(r=2)), "QbOdeSystem", "QbDaeSystem",
+     "tqb_irka_ode"),
+    (lambda s: simulate_dae(s, InputSignal.zero(1), 1.0, 0.1), "QbOdeSystem", "QbDaeSystem",
+     "simulate_ode"),
+], ids=["tqb_irka_ode", "simulate_ode", "truncated_h2_norm", "tqb_irka_dae_saddle",
+        "simulate_dae"])
+def test_wrong_system_class_names_the_right_entry_point(entry, given, expected, hint):
+    sys = (gen_synthetic_dae(12, 3, m=1, p=1, seed=1) if given == "QbDaeSystem" else
+           gen_burgers(8, 0.5))
+    with pytest.raises(TypeError, match=rf" expects a {expected}, not a {given} \(.*: {hint}"):
+        entry(sys)
 
 
 def test_validate_ode_unstable_is_warning_not_error():

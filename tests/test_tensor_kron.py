@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -91,6 +92,24 @@ def test_matricize_single_entry_mode3():
     expected = np.zeros((2, 4))
     expected[0, 1 * 2 + 0] = 5.0  # row k=1, column (j-1)*n + i = 3 (1-based)
     assert np.array_equal(M, expected)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: HessianTensor(0, [], [], [], []), "tensor dimension must be positive, got 0"),
+    (lambda: HessianTensor(2, [0, 1], [0], [0], [1.0]),
+     "index and value arrays must have equal length"),
+    (lambda: HessianTensor(2, [0], [2], [0], [1.0]), "tensor indices out of range"),
+    (lambda: HessianTensor(2, [0], [0], [-1], [1.0]), "tensor indices out of range"),
+    (lambda: HessianTensor.from_mode1(np.ones((2, 3))),
+     "mode-1 unfolding must be n-by-n^2, got (2, 3)"),
+    (lambda: HessianTensor.from_dense(np.ones((2, 2, 3))),
+     "expected a cubic third-order array, got (2, 2, 3)"),
+    (lambda: HessianTensor.from_dense(np.ones((2, 2))), "expected a cubic third-order array"),
+], ids=["dimension", "lengths", "index-high", "index-negative", "mode1-shape", "dense-shape",
+        "dense-ndim"])
+def test_tensor_construction_rejections(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        build()
 
 
 def test_matricize_invalid_mode():
@@ -286,6 +305,15 @@ def test_dense_forms_are_freed_with_the_tensor():
     assert all(r() is None for r in refs)
 
 
+def jacobian_positions(t, ld=None):
+    """Flat positions of ``t``'s Jacobian cells in Fortran storage of leading dimension
+    ``ld``, or with ``ld=None`` in (3, n) tridiagonal storage, entry (i, j) at row 1 + i - j."""
+    col, row = np.divmod(t._jacobian_pattern()[0], t.n)
+    if ld is None:
+        row, ld = 1 + row - col, 3
+    return col * ld + row
+
+
 def test_banded_quadratic_jacobian_holds_the_band_of_the_dense_one():
     rng = np.random.default_rng(2)
     n = 9
@@ -294,45 +322,47 @@ def test_banded_quadratic_jacobian_holds_the_band_of_the_dense_one():
                       rng.standard_normal(3 * i.size))
     x = rng.standard_normal(n)
     J = quadratic_jacobian(t, x)
-    Jb = quadratic_jacobian(t, x, tridiagonal=True)
-    assert Jb.shape == (3, n) and Jb.flags.f_contiguous
+    Jb = np.zeros((3, n), order="F")
+    assert quadratic_jacobian(t, x, out=Jb, at=jacobian_positions(t)) is Jb
     r, c = np.indices((n, n))
     inside = abs(r - c) <= 1
     assert J.any() and not J[~inside].any()
     expect = np.zeros_like(Jb)
     expect[(1 + r - c)[inside], c[inside]] = J[inside]
     assert np.array_equal(Jb, expect)
-    wide = HessianTensor(n, [4], [2], [4], [1.0])
-    with pytest.raises(ValueError, match="tensor Jacobian pattern is not tridiagonal"):
-        quadratic_jacobian(wide, x, tridiagonal=True)
 
 
 @pytest.mark.parametrize("case", ["band", "band-tridiagonal", "full"])
 def test_quadratic_jacobian_adds_into_a_given_storage(case):
     # into the leading n-by-n block of a larger Fortran-ordered storage, in place,
-    # at the stored positions as the default return holds them
+    # at the positions the caller gives for the cells, as the default return holds them
     rng = np.random.default_rng(5)
     n, tri = 9, case == "band-tridiagonal"
     i = np.arange(1, n - 1)
     t = (counting_tensor(n) if case == "full" else
          HessianTensor(n, np.r_[i, i, i], np.r_[i - 1, i + 1, i], np.r_[i, i, i - 1],
                        rng.standard_normal(3 * i.size)))
-    assert (t._dense_forms() is not None) == (case == "full")
+    cells, terms = t._jacobian_pattern()
+    assert (t._dense_forms() is not None) == (case == "full") == (terms is None)
+    if case == "full":
+        assert np.array_equal(cells, np.arange(n * n))
     x = rng.standard_normal(n)
     base = np.asfortranarray(rng.standard_normal((3 if tri else n + 2, n + 2)))
+    at = jacobian_positions(t, None if tri else n + 2)
     out = base.copy(order="F")
-    assert quadratic_jacobian(t, x, tri, out=out) is out
-    # every layout shares the default layout's terms
-    assert all(a is b for a, b in zip(t._jacobian_pattern(tri, out.shape[0])[1:],
-                                       t._jacobian_pattern()[1:]))
+    assert quadratic_jacobian(t, x, out=out, at=at) is out
     expect = base.copy(order="F")
-    block = expect[:, :n] if tri else expect[:n, :n]
-    block += quadratic_jacobian(t, x, tri)
+    J = quadratic_jacobian(t, x)
+    if tri:
+        c, r = np.divmod(cells, n)
+        expect[1 + r - c, c] += J[r, c]
+    else:
+        expect[:n, :n] += J
     assert np.array_equal(out, expect)
-    # C-ordered, too few columns, too few (or for tridiagonal storage, not 3) rows
-    for bad in (np.ascontiguousarray(base), base[:, :n - 1], np.asfortranarray(base[:2])):
-        with pytest.raises(ValueError, match=r"^out of shape .* is not Fortran storage of a 9x9"):
-            quadratic_jacobian(t, x, tri, out=bad)
+    # C-ordered; positions of the wrong count; no positions
+    for bad, bad_at in ((np.ascontiguousarray(base), at), (base, at[:-1]), (base, None)):
+        with pytest.raises(ValueError, match=r"^out of shape .* is not Fortran storage with at"):
+            quadratic_jacobian(t, x, out=bad, at=bad_at)
 
 
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False,
@@ -361,23 +391,32 @@ def tensor_and_operands(draw):
 # round one unit apart
 @example((HessianTensor(1, [0], [0], [0], [1.1305]), np.array([1.22180796e-159]),
           np.array([1.22180796e-159])))
+# the dense route rounds the subnormal a b and then scales it by |t| ~ 9
+@example((HessianTensor(1, [0], [0], [0], [-8.99302148252577]),
+          np.array([9.213088809111633e-10]), np.array([2.2720106569507715e-306])))
+# the oracle rounds the subnormal t a and then scales it by |b| ~ 9
+@example((HessianTensor(1, [0], [0], [0], [1.634737705027863e-296]),
+          np.array([3.174087073657099e-20]), np.array([8.86852936016746])))
 def test_kernels_match_dense_oracle(case):
     t, a, b = case
     T = t.to_dense()
-    # relative to the summed magnitudes, plus a few subnormal units per summed term
-    unit = 4 * np.finfo(float).smallest_subnormal
+    # relative to the summed magnitudes, plus a few subnormal units per summed term:
+    # the dense route forms t[i,j,k] a[j] b[k] as (a b) t, the oracle as (t a) b, so a
+    # product rounded to a subnormal unit is then scaled by |t| or by |b|; a Jacobian
+    # term t[i,j,k] a[k] is one rounded product in both, well inside its (1 + |t|) units
+    unit, W = 4 * np.finfo(float).smallest_subnormal, 1.0 + np.abs(T)
     dtype = np.result_type(T, a, b)
     got = apply_hessian(t, a, b)
     expect = np.einsum("ijk,j,k->i", T, a, b)
     bound = (1e-13 * np.einsum("ijk,j,k->i", np.abs(T), np.abs(a), np.abs(b))
-             + unit * t.n ** 2)
+             + unit * (np.einsum("ijk->i", W) + t.n * np.abs(b).sum()))
     assert got.dtype == dtype and got.shape == (t.n,)
     assert np.all(np.abs(got - expect) <= bound)
     J = quadratic_jacobian(t, a)
     expect = np.einsum("ijk,k->ij", T, a) + np.einsum("ijk,j->ik", T, a)
     bound = (1e-13 * (np.einsum("ijk,k->ij", np.abs(T), np.abs(a))
                       + np.einsum("ijk,j->ik", np.abs(T), np.abs(a)))
-             + unit * 2 * t.n)
+             + unit * (np.einsum("ijk->ij", W) + np.einsum("ijk->ik", W)))
     assert J.dtype == np.result_type(T, a) and J.shape == (t.n, t.n)
     assert np.all(np.abs(J - expect) <= bound)
 
@@ -605,8 +644,8 @@ def test_cached_forms_are_read_only():
         for mode in (1, 2):
             Hc, a, b, _ = t._restriction(mode)
             cached += [Hc.data, Hc.indices, Hc.indptr, a, b]
-        cached += [*t._jacobian_pattern()]
-    cached += [*burgers._jacobian_pattern(True)]
+        cells, terms = t._jacobian_pattern()
+        cached += [cells, *(terms or ())]
     H1, G = full._dense_forms()
     cached += [H1, H1.base, G]
     for arr in cached:
