@@ -33,7 +33,6 @@ from .problems import (
     gen_burgers,
     gen_synthetic_dae,
     load_system,
-    save_reduced,
     save_system,
     steady_state_shift,
 )
@@ -44,17 +43,13 @@ from .system_model import (
     ReducedQbSystem,
     project_dae_outputs,
     project_ode,
-    validate_ode,
 )
 from .tensor_kron import (
     HessianTensor,
     apply_hessian,
     hessian_congruence,
-    kron,
-    matricize,
     quadratic_jacobian,
     symmetrize,
-    vec,
 )
 from .tqb_irka import (
     IrkaConfig,

@@ -93,11 +93,7 @@ class HomogenizedDae:
 
     dae: QbDaeSystem
     Omega: np.ndarray
-    Ncal: tuple
-    Bcal1: np.ndarray
-    Bu: np.ndarray
     du_feedthrough: np.ndarray
-    m_original: int
 
 
 def _rank_factor(Pi, rank):
@@ -119,7 +115,7 @@ def _mass_saddle(sys):
     return solve_saddle(sys.E11, -sys.E11, sys.A12, sys.A21, 0.0, None)
 
 
-def build_projectors(sys, size_cap=EXPLICIT_SIZE_CAP):
+def build_projectors(sys):
     """Form the dense projectors and their thin rank factorizations.
 
     ``Pi_r`` and ``Pi_l^T`` are the top blocks of ``M0^{-1} [E11; 0]`` and
@@ -129,8 +125,8 @@ def build_projectors(sys, size_cap=EXPLICIT_SIZE_CAP):
     ``theta^T phi = I`` follows automatically.
     """
     n_v, rank = sys.n_v, sys.n_v - sys.n_p
-    if n_v > size_cap:
-        raise ValueError(f"explicit projector path capped at n_v={size_cap}, got {n_v}")
+    if n_v > EXPLICIT_SIZE_CAP:
+        raise ValueError(f"explicit projector path capped at n_v={EXPLICIT_SIZE_CAP}, got {n_v}")
     M0 = _mass_saddle(sys)
     Pi_r = M0.solve(sys.E11)[:n_v]
     Pi_l = M0.solve(sys.E11.T, trans=True)[:n_v].T
@@ -156,7 +152,7 @@ def output_realization(sys):
         rhs = np.vstack([np.zeros((n_v, sys.p)), sys.C2.T])
         T_row = _mass_saddle(sys).solve(rhs, trans=True)[:n_v].T
     C = sys.C1 - T_row @ sys.A11
-    CH = (sp.csr_matrix(-T_row) @ sys.H.mode1).tocsr()
+    CH = (sp.csr_matrix(-T_row) @ sys.H.mode(1)).tocsr()
     CH.eliminate_zeros()
     CN = tuple(-T_row @ Nk for Nk in sys.N)
     D = -T_row @ sys.B1
@@ -231,10 +227,7 @@ def homogenize_b2(sys):
     B1_aug = np.hstack([Bcal1, Bu, Bdot])
     N_aug = Ncal + tuple(np.zeros((n_v, n_v)) for _ in range(m * m + m))
     dae = replace(sys, N=N_aug, B1=B1_aug, B2=np.zeros((sys.n_p, B1_aug.shape[1])))
-    return HomogenizedDae(
-        dae=dae, Omega=Omega, Ncal=Ncal, Bcal1=Bcal1, Bu=Bu,
-        du_feedthrough=sys.C2 @ z[n_v:], m_original=m,
-    )
+    return HomogenizedDae(dae=dae, Omega=Omega, du_feedthrough=sys.C2 @ z[n_v:])
 
 
 def homogenized_output_realization(hom):
@@ -246,6 +239,5 @@ def homogenized_output_realization(hom):
     """
     base = output_realization(hom.dae)
     D = base.D.copy()
-    m = hom.m_original
-    D[:, :m] += hom.dae.C1 @ hom.Omega
+    D[:, :hom.Omega.shape[1]] += hom.dae.C1 @ hom.Omega
     return OutputRealization(C=base.C, CH=base.CH, CN=base.CN, D=D)

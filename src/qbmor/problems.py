@@ -28,7 +28,6 @@ __all__ = [
     "steady_state_shift",
     "load_system",
     "save_system",
-    "save_reduced",
 ]
 
 
@@ -43,8 +42,8 @@ def gen_burgers(n, nu, seed=0):
     """
     if n < 4:
         raise ValueError(f"need at least 4 interior nodes, got {n}")
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    if not 0 < nu < np.inf:
+        raise ValueError(f"viscosity must be positive and finite, got {nu}")
     del seed
     h = 1.0 / (n + 1)
     s = nu / (h * h)
@@ -96,6 +95,8 @@ def gen_synthetic_dae(n_v, n_p, m=2, p=2, seed=0, quad_scale=0.1,
     """
     if not 0 < n_p < n_v / 2:
         raise ValueError(f"need 0 < n_p < n_v/2, got n_p={n_p}, n_v={n_v}")
+    if not 0 <= quad_scale < np.inf:
+        raise ValueError(f"quad_scale must be non-negative and finite, got {quad_scale}")
     for attempt in range(5):
         rng = np.random.default_rng([seed, attempt])
         d = 2.0 + rng.uniform(0.0, 1.0, n_v)
@@ -209,7 +210,7 @@ def save_system(sys, outdir):
     for key, field, axes, rule in rows:
         value = getattr(sys, field)
         if isinstance(value, HessianTensor):
-            value = value.mode1
+            value = value.mode(1)
         mats = value if rule == EACH else (value,)
         if (rule == IDENTITY and np.array_equal(value, np.eye(len(value)))
                 or rule in (ZERO, EACH) and not any(M.any() for M in mats)):
@@ -225,9 +226,6 @@ def save_system(sys, outdir):
     path = os.path.join(outdir, "manifest.json")
     write_json(path, manifest)
     return path
-
-
-save_reduced = save_system
 
 
 def load_system(manifest_path):

@@ -33,8 +33,8 @@ from .dae_transform import recover_pressure
 from .dense_solvers import (SolverError, _is_tridiagonal, _offsets, _tri_index, _tri_store,
                             _tridiagonals)
 from .mmio import _read_table, atomic_open
-from .system_model import (QbDaeSystem, QbOdeSystem, ReducedQbSystem, _bilinear_terms, _expect,
-                           _reduced_ode)
+from .system_model import (QbDaeSystem, QbOdeSystem, ReducedQbSystem, _bilinear_terms, _coerce,
+                           _expect, _reduced_ode)
 from .tensor_kron import apply_hessian, quadratic_jacobian
 
 __all__ = [
@@ -402,7 +402,7 @@ def simulate_dae(sys, u, t_final, dt, v0=None):
     if u.m != sys.m:
         raise ValueError(f"input has {u.m} channels, system expects {sys.m}")
     n_v = sys.n_v
-    v = (sys.v0 if v0 is None else np.asarray(v0, dtype=float).ravel()).copy()
+    v = (sys.v0 if v0 is None else _coerce("v0", v0, ("n_v", 1), {"n_v": n_v})).copy()
     u0 = u.sample(0.0)
     c0 = np.linalg.norm(sys.A21 @ v + sys.B2 @ u0)
     if c0 > 1e-8 * (1.0 + np.linalg.norm(v)):

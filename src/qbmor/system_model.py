@@ -4,7 +4,7 @@ All types are immutable value objects validated at construction, holding
 read-only private copies of their arrays.  Each realization class lists
 its matrix fields, their shapes and what an absent field means once, in
 its ``FIELDS`` table; one ingestion function walks that table for every
-class, coercing each field to a float matrix, reading the dims off the
+class, coercing each field to a finite float matrix, reading the dims off the
 first field that names them, checking every shape and filling absent
 optional fields with zeros.  ``__post_init__`` then adds only the checks
 beyond shape.  Hessians are symmetrized on ingestion so that downstream
@@ -14,7 +14,7 @@ formulas may rely on ``H(a kron b) == H(b kron a)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
@@ -31,8 +31,6 @@ __all__ = [
     "QbOdeSystem",
     "QbDaeSystem",
     "ReducedQbSystem",
-    "OdeValidationReport",
-    "validate_ode",
     "project_realization",
     "project_ode",
     "project_dae_outputs",
@@ -66,7 +64,7 @@ def field_shape(axes, dims):
 
 
 def _coerce(name, value, axes, dims):
-    """``value`` as a float matrix of shape ``axes``; fixes the dims not yet in ``dims``.
+    """``value`` as a finite float matrix of shape ``axes``; fixes the dims not yet in ``dims``.
 
     A field named ``H`` becomes a symmetrized :class:`HessianTensor` (from a
     tensor, a dense (n, n, n) array or a mode-1 unfolding, dense or sparse),
@@ -91,6 +89,8 @@ def _coerce(name, value, axes, dims):
             value = value.reshape((1, -1) if row else (-1, 1))
         if value.ndim != 2:
             raise ValueError(f"{name} must be a matrix, got shape {value.shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
         shape = value.shape
     for axis, size in zip(axes, shape):
         if _is_dim(axis) and axis not in dims:
@@ -222,7 +222,7 @@ class QbDaeSystem:
             raise ValueError("A12 is rank deficient")
         if np.linalg.matrix_rank(self.A21) < n_p:
             raise ValueError("A21 is rank deficient")
-        rc_s = _rcond(self.schur_complement())
+        rc_s = _rcond(self.A21 @ la.solve(self.E11, self.A12))
         if rc_s < _RCOND_MIN:
             raise ValueError(
                 f"Schur complement A21 E11^-1 A12 numerically singular "
@@ -235,9 +235,6 @@ class QbDaeSystem:
                     f"initial velocity violates the constraint: "
                     f"|A21 v0| = {cres:.3e}"
                 )
-
-    def schur_complement(self):
-        return self.A21 @ la.solve(self.E11, self.A12)
 
 
 @dataclass(frozen=True)
@@ -289,37 +286,6 @@ class ReducedQbSystem:
     def has_output_corrections(self):
         return bool(self.CHhat.any() or self.Dhat.any()
                     or any(M.any() for M in self.CNhat))
-
-
-@dataclass(frozen=True)
-class OdeValidationReport:
-    e_rcond: float
-    spectral_abscissa: float
-    stable: bool
-    hessian_symmetric: bool
-    warnings: tuple = field(default_factory=tuple)
-
-
-def validate_ode(sys):
-    """Diagnostic report: mass-matrix conditioning, pencil stability, Hessian symmetry.
-
-    An unstable linear part only yields a warning verdict; the reduction
-    algorithms still run on such systems.
-    """
-    rc = _rcond(sys.E)
-    w = la.eigvals(sys.A, sys.E)
-    abscissa = float(w.real.max()) if np.all(np.isfinite(w)) else np.inf
-    stable = abscissa < 0.0
-    warnings = ()
-    if not stable:
-        warnings = (f"unstable linear part (spectral abscissa {abscissa:.3e})",)
-    return OdeValidationReport(
-        e_rcond=rc,
-        spectral_abscissa=abscissa,
-        stable=stable,
-        hessian_symmetric=sys.H.symmetric,
-        warnings=warnings,
-    )
 
 
 def _expect(sys, classes, entry, hint):

@@ -26,9 +26,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "HessianTensor",
-    "vec",
-    "kron",
-    "matricize",
     "symmetrize",
     "apply_hessian",
     "hessian_congruence",
@@ -49,7 +46,7 @@ _DENSE_FILL = 0.25
 class HessianTensor:
     """Sparse third-order tensor of shape (n, n, n).
 
-    Stored as read-only canonical triplets ``(i, j, k, value)``, sorted
+    Stored as read-only canonical triplets ``(i, j, k, value)`` of finite values, sorted
     lexicographically and with duplicates summed.  With ``symmetric=True``
     the given triplets are first averaged with their (2,3)-swap, so that
     ``t[i, j, k] == t[i, k, j]`` holds entry-wise; data that is already
@@ -73,6 +70,8 @@ class HessianTensor:
         v = np.array(v, dtype=np.float64).ravel()
         if not (i.size == j.size == k.size == v.size):
             raise ValueError("index and value arrays must have equal length")
+        if not np.isfinite(v).all():
+            raise ValueError("tensor values must be finite")
         if i.size and (
             i.min() < 0 or j.min() < 0 or k.min() < 0
             or i.max() >= n or j.max() >= n or k.max() >= n
@@ -130,10 +129,6 @@ class HessianTensor:
     @property
     def nnz(self):
         return self._v.size
-
-    @property
-    def mode1(self):
-        return self.mode(1)
 
     def mode(self, mode):
         """Mode-``mode`` unfolding as a CSR matrix of shape (n, n^2)."""
@@ -211,21 +206,6 @@ class HessianTensor:
             f"HessianTensor(n={self.n}, nnz={self.nnz}, "
             f"symmetric={self.symmetric})"
         )
-
-
-def vec(M):
-    """Stack the columns of a matrix: ``vec(M)[j*a + i] = M[i, j]``."""
-    return np.asarray(M).ravel(order="F").copy()
-
-
-def kron(A, B):
-    """Kronecker product; satisfies ``vec(X Y Z) = kron(Z.T, X) vec(Y)``."""
-    return np.kron(np.asarray(A), np.asarray(B))
-
-
-def matricize(t, mode):
-    """Mode-``mode`` unfolding of ``t`` as a sparse n-by-n^2 matrix."""
-    return t.mode(mode)
 
 
 def symmetrize(t):

@@ -72,8 +72,7 @@ class IrkaConfig:
     The iteration starts from ``initial_model``, a :class:`ReducedQbSystem`
     of order ``r``, when it is set, and otherwise from a linear model drawn
     from ``seed`` (stable diagonal ``Ahat``, zero quadratic and bilinear
-    parts).  ``record_bases`` stores the per-iteration projection bases in
-    the trace.
+    parts).
     """
 
     r: int
@@ -81,7 +80,6 @@ class IrkaConfig:
     max_iters: int = 50
     seed: int = 0
     initial_model: object = None
-    record_bases: bool = False
 
     def __post_init__(self):
         if self.r < 1:
@@ -112,7 +110,6 @@ class IrkaTrace:
     two_step_distances: list = field(default_factory=list)
     kappa: list = field(default_factory=list)
     restarts: list = field(default_factory=list)
-    bases: list = field(default_factory=list)
 
     def to_json_dict(self):
         return {
@@ -327,8 +324,6 @@ def _drive(factor, data, cfg):
         trace.contraction.append(change / trace.relative_changes[-2] if it > 1 else None)
         trace.two_step_distances.append(_relative(lam - spectra[-3], lam) if it > 1 else None)
         trace.kappa.append(fact.kappa)
-        if cfg.record_bases:
-            trace.bases.append((V.copy(), W.copy()))
         if change < cfg.tol:
             trace.converged = True
             trace.restarts.append(None)

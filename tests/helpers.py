@@ -1,10 +1,11 @@
-"""Shared test fixtures: seeded random systems, an offline steady-state solver and
-the explicit-projector reduction oracle."""
+"""Shared test fixtures: seeded random systems, an offline steady-state solver,
+the explicit-projector reduction oracle and a recorder of each sweep's bases."""
 
 import numpy as np
+import pytest
 import scipy.linalg as la
 
-from qbmor import HessianTensor, QbOdeSystem, symmetrize
+from qbmor import HessianTensor, QbOdeSystem, symmetrize, tqb_irka
 from qbmor.dae_transform import build_projectors
 from qbmor.dense_solvers import _ShiftPencil, solve_lyapunov, solve_shifted
 from qbmor.gramians_norms import truncated_h2_norm
@@ -72,6 +73,11 @@ def conjugate_pairs(lam):
         free.remove(best)
         pairs.append((idx, best) if target.imag > 0 else (best, idx))
     return real_idx, pairs
+
+
+def vec(M):
+    """Stack the columns of a matrix: ``vec(M)[j*a + i] = M[i, j]``."""
+    return np.asarray(M).ravel(order="F")
 
 
 def random_tensor(seed, n, symmetric=False):
@@ -188,3 +194,21 @@ def tqb_irka_dae_explicit(sys, cfg, output_corr=None):
 
     state, trace, V, W = _drive(factor, (sys.E11, sys.A11, sys.H, sys.N, sys.B1, corr.C), cfg)
     return ReducedQbSystem(*state, V, W, *project_dae_outputs(corr, V)), trace
+
+
+def sweep_bases(run, *args):
+    """``(run(*args), bases)``, ``bases`` a copy of each sweep's ``(V, W)`` in order.
+
+    Records them by wrapping :func:`qbmor.tqb_irka._run_iteration`, which
+    :func:`~qbmor.tqb_irka._drive` looks up on each sweep, for this one run.
+    """
+    bases, inner = [], tqb_irka._run_iteration
+
+    def recording(*a):
+        state, V, W = inner(*a)
+        bases.append((V.copy(), W.copy()))
+        return state, V, W
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tqb_irka, "_run_iteration", recording)
+        return run(*args), bases

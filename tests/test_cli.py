@@ -23,6 +23,16 @@ def test_gen_burgers_file_set(tmp_path):
     assert manifest["type"] == "ode"
 
 
+@pytest.mark.parametrize("nu", ["nan", "inf"])
+def test_gen_rejects_a_non_finite_viscosity(tmp_path, capsys, nu):
+    out = tmp_path / "b"
+    capsys.readouterr()
+    assert run(["gen", "--problem", "burgers", "--n", "20", "--nu", nu, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"qbmor: error: viscosity must be positive and finite, got {nu}\n")
+    assert not out.exists()
+
+
 def test_gen_synthetic_dae_manifest(tmp_path):
     out = tmp_path / "d"
     code = run(["gen", "--problem", "synthetic-dae", "--nv", "20", "--np", "4",

@@ -81,10 +81,19 @@ def test_projectors_nonsymmetric_inverse_oracle():
     assert rel_err(proj.Pi_r, eye - E11i @ sys.A12 @ Si @ sys.A21) <= 1e-12
 
 
-def test_projector_size_cap():
+def test_projector_size_cap(monkeypatch):
     sys = gen_synthetic_dae(12, 3, seed=0)
+    monkeypatch.setattr(dae_transform, "EXPLICIT_SIZE_CAP", 10)
     with pytest.raises(ValueError, match="cap"):
-        build_projectors(sys, size_cap=10)
+        build_projectors(sys)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_projector_rank_defect_is_reported(rank):
+    # a rank-2 matrix: a cut at 1 leaves a singular value above the cut,
+    # a cut at 3 keeps a zero one
+    with pytest.raises(ValueError, match=f"^projector rank defect: expected rank {rank}, "):
+        dae_transform._rank_factor(np.diag([1.0, 1.0, 0.0]), rank)
 
 
 def test_kernel_characterization():
@@ -132,7 +141,7 @@ def test_output_realization_dense_inverse_oracle():
     G = la.inv(S) @ sys.A21 @ E11i
     C_oracle = sys.C1 - sys.C2 @ G @ sys.A11
     assert np.linalg.norm(out.C - C_oracle) <= 1e-10 * np.linalg.norm(C_oracle)
-    CH_oracle = -sys.C2 @ G @ sys.H.mode1.toarray()
+    CH_oracle = -sys.C2 @ G @ sys.H.mode(1).toarray()
     assert np.linalg.norm(out.CH.toarray() - CH_oracle) <= 1e-10 * np.linalg.norm(CH_oracle)
 
 
@@ -194,6 +203,12 @@ def test_explicit_ode_tiny_case():
     assert ode.E[0, 0] == pytest.approx(1.0)
     assert ode.A[0, 0] == pytest.approx(-1.0)
     assert np.allclose(np.abs(lift.ravel()), [0.0, 1.0])
+
+
+def test_explicit_ode_requires_homogeneous_constraint():
+    sys = gen_synthetic_dae(14, 3, m=2, p=2, seed=9, with_b2=True)
+    with pytest.raises(ValueError, match="^explicit ODE form requires B2 = 0; homogenize first$"):
+        explicit_ode(sys, build_projectors(sys))
 
 
 def test_explicit_ode_transfer_function_match():
@@ -258,10 +273,11 @@ def test_homogenize_linear_case():
     # no quadratic term: the bilinear matrices are untouched and the
     # quadratic-input channel carries only the N Omega blocks (zero here
     # because N is small but nonzero in general) minus the H part (zero)
-    for Nc, Nk in zip(hom.Ncal, sys.N):
+    m = sys.m
+    for Nc, Nk in zip(hom.dae.N[:m], sys.N):
         assert np.array_equal(Nc, Nk)
-    assert np.allclose(hom.Bu, np.hstack([Nk @ hom.Omega for Nk in sys.N]))
-    assert np.allclose(hom.Bcal1, sys.B1 + sys.A11 @ hom.Omega)
+    assert np.allclose(hom.dae.B1[:, m:m + m * m], np.hstack([Nk @ hom.Omega for Nk in sys.N]))
+    assert np.allclose(hom.dae.B1[:, :m], sys.B1 + sys.A11 @ hom.Omega)
     # Omega maps the constraint right: A21 Omega = -B2
     assert np.allclose(sys.A21 @ hom.Omega, -sys.B2, atol=1e-12)
 

@@ -150,6 +150,35 @@ def test_pencil_eig_rejects_non_square_operands():
         pencil_eig(np.eye(2), np.ones((2, 3)))
 
 
+def _with_fault(routine, output, change, *args, **kwargs):
+    """``routine(*args, **kwargs)`` with its output ``output`` replaced by ``change`` of it."""
+    out = list(routine(*args, **kwargs))
+    out[output] = change(out[output])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name, output, change, message", [
+    # alphai: a positive imaginary part with no negative partner after it
+    ("ggev", 1, lambda x: x + [1.0, 0.0], "real pencil produced a non-conjugate spectrum"),
+    # beta: an infinite eigenvalue, which an invertible E does not allow
+    ("ggev", 2, lambda x: x * [0.0, 1.0], "pencil has non-finite eigenvalues"),
+    # alphar: every eigenvalue off by 0.1, in the refinement pass too
+    ("ggev", 0, lambda x: x + 0.1, "defective pencil beyond residual tolerance: residual "),
+    # info: a zero pivot in the LU of the eigenvector matrix
+    ("getrf", 2, lambda x: 1, "pencil eigenvector matrix singular"),
+], ids=["non-conjugate", "non-finite", "defective", "singular-basis"])
+def test_pencil_eig_reports_a_failed_factorization(monkeypatch, name, output, change, message):
+    fetch = la.get_lapack_funcs
+
+    def faulty(names, *args, **kwargs):
+        return [partial(_with_fault, f, output, change) if n == name else f
+                for n, f in zip(names, fetch(names, *args, **kwargs))]
+
+    monkeypatch.setattr(la, "get_lapack_funcs", faulty)
+    with pytest.raises(SolverError, match="^" + message):
+        pencil_eig(np.eye(2), np.diag([-1.0, -2.0]))
+
+
 @pytest.mark.parametrize("seed, r", [(1, 6), (2, 7), (4, 9)])
 def test_pencil_eig_basis_matches_the_per_column_reference(seed, r):
     # the per-column construction from scipy's complex eigenvectors: each

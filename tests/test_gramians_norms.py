@@ -383,6 +383,23 @@ def test_gramian_just_beyond_the_psd_bound_is_indefinite():
         GramianPair(P=np.eye(4), Q=M, kind="linear", residual=0.0)
 
 
+def test_gramian_that_is_not_symmetric_is_refused():
+    P = np.eye(3)
+    P[0, 2] = 1e-6
+    with pytest.raises(SolverError,
+                       match=r"^gramian P not symmetric \(\|M - M\^T\| = 1\.414e-06\)$"):
+        GramianPair(P=P, Q=np.eye(3), kind="linear", residual=0.0)
+
+
+def test_dual_traces_that_disagree_are_a_gramian_inconsistency(monkeypatch):
+    # a dual right-hand side twice the true one doubles trace(B^T Q_T B) alone
+    q_rhs = gramians_norms._q_rhs
+    monkeypatch.setattr(gramians_norms, "_q_rhs", lambda sys, P, Q: 2.0 * q_rhs(sys, P, Q))
+    with pytest.raises(SolverError, match=r"^Gramian inconsistency: trace\(C P C\^T\) = \S+ but "
+                                          r"trace\(B\^T Q B\) = \S+$"):
+        truncated_h2_norm(random_stable_ode(3, 6))
+
+
 def test_gramian_just_inside_the_psd_bound_passes():
     M, _ = psd_bound_case(0.99)
     GramianPair(P=M, Q=M, kind="linear", residual=0.0)

@@ -95,3 +95,12 @@ def test_kernel_modules_are_leaves():
                 continue
             found += [f"{stem}: {m}" for m in modules if m.split(".")[0] == "qbmor"]
     assert found == []
+
+
+def test_every_exported_name_is_in_the_readme():
+    # each name the package exports is named, in backticks, in the README
+    tree = ast.parse(pathlib.Path(qbmor.__file__).read_text())
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    missing = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names if f"`{alias.name}`" not in readme]
+    assert missing == []

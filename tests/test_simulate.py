@@ -531,6 +531,13 @@ def test_dae_inconsistent_initial_velocity():
         simulate_dae(sys, InputSignal.zero(2), 1.0, 0.01, v0=bad)
 
 
+@pytest.mark.parametrize("length", [19, 21])
+def test_dae_initial_velocity_of_the_wrong_length(length):
+    sys = gen_synthetic_dae(20, 4, m=2, p=2, seed=0)
+    with pytest.raises(ValueError, match=rf"^v0 must have shape \(20, 1\), got \({length}, 1\)$"):
+        simulate_dae(sys, InputSignal.zero(2), 0.1, 0.01, v0=np.zeros(length))
+
+
 def test_compare_identical():
     sys = gen_burgers(8, 0.5)
     traj = simulate_ode(sys, InputSignal.preset_cavity(1), 1.0, 0.01)
@@ -716,6 +723,11 @@ def test_one_band_rule_routes_shift_factors_and_newton_steps(case, lapack_calls,
 def test_table_input_single_row_needs_two_samples():
     with pytest.raises(ValueError, match="at least two samples, got 1"):
         InputSignal.from_table([0.0], [[1.0]])
+
+
+def test_table_input_rows_must_match_the_times():
+    with pytest.raises(ValueError, match="^table rows must match the time samples$"):
+        InputSignal.from_table([0.0, 1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_table_input_times_must_increase():

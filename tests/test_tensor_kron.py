@@ -14,14 +14,11 @@ from qbmor.tensor_kron import (
     apply_unfolded,
     hessian_congruence,
     hessian_gram,
-    kron,
-    matricize,
     quadratic_jacobian,
     symmetrize,
-    vec,
 )
 
-from helpers import random_tensor
+from helpers import random_tensor, vec
 
 
 def counting_tensor(n):
@@ -41,17 +38,12 @@ def test_vec_column_stacking():
     assert np.array_equal(vec(M), [11, 21, 31, 12, 22, 32])
 
 
-def test_kron_identity_cases():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(kron(np.array([[2.0]]), np.eye(2)), 2.0 * np.eye(2))
-
-
 def test_vec_kron_identity_seeded():
     rng = np.random.default_rng(42)
     for _ in range(10):
         X, Y, Z = (rng.standard_normal((3, 3)) for _ in range(3))
         lhs = vec(X @ Y @ Z)
-        rhs = kron(Z.T, X) @ vec(Y)
+        rhs = np.kron(Z.T, X) @ vec(Y)
         assert np.linalg.norm(lhs - rhs) <= 1e-13 * np.linalg.norm(lhs)
 
 
@@ -76,19 +68,19 @@ def brute_force_unfolding(T, mode):
 def test_matricize_brute_force(mode, n):
     t = counting_tensor(n)
     expected = brute_force_unfolding(t.to_dense(), mode)
-    assert np.array_equal(matricize(t, mode).toarray(), expected)
+    assert np.array_equal(t.mode(mode).toarray(), expected)
 
 
 def test_matricize_counting_rows_n2():
     t = counting_tensor(2)
-    assert np.array_equal(matricize(t, 1).toarray()[0], [111, 112, 121, 122])
+    assert np.array_equal(t.mode(1).toarray()[0], [111, 112, 121, 122])
     # mode-2 columns are ordered (k, i) with i fastest
-    assert np.array_equal(matricize(t, 2).toarray()[0], [111, 211, 112, 212])
+    assert np.array_equal(t.mode(2).toarray()[0], [111, 211, 112, 212])
 
 
 def test_matricize_single_entry_mode3():
     t = HessianTensor(2, [0], [1], [0], [5.0])
-    M = matricize(t, 3).toarray()
+    M = t.mode(3).toarray()
     expected = np.zeros((2, 4))
     expected[0, 1 * 2 + 0] = 5.0  # row k=1, column (j-1)*n + i = 3 (1-based)
     assert np.array_equal(M, expected)
@@ -100,13 +92,16 @@ def test_matricize_single_entry_mode3():
      "index and value arrays must have equal length"),
     (lambda: HessianTensor(2, [0], [2], [0], [1.0]), "tensor indices out of range"),
     (lambda: HessianTensor(2, [0], [0], [-1], [1.0]), "tensor indices out of range"),
+    (lambda: HessianTensor(2, [0], [0], [0], [np.nan]), "tensor values must be finite"),
+    (lambda: HessianTensor(2, [0, 1], [0, 1], [1, 0], [1.0, -np.inf]),
+     "tensor values must be finite"),
     (lambda: HessianTensor.from_mode1(np.ones((2, 3))),
      "mode-1 unfolding must be n-by-n^2, got (2, 3)"),
     (lambda: HessianTensor.from_dense(np.ones((2, 2, 3))),
      "expected a cubic third-order array, got (2, 2, 3)"),
     (lambda: HessianTensor.from_dense(np.ones((2, 2))), "expected a cubic third-order array"),
-], ids=["dimension", "lengths", "index-high", "index-negative", "mode1-shape", "dense-shape",
-        "dense-ndim"])
+], ids=["dimension", "lengths", "index-high", "index-negative", "nan", "inf", "mode1-shape",
+        "dense-shape", "dense-ndim"])
 def test_tensor_construction_rejections(build, message):
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         build()
@@ -115,15 +110,15 @@ def test_tensor_construction_rejections(build, message):
 def test_matricize_invalid_mode():
     t = counting_tensor(2)
     with pytest.raises(ValueError):
-        matricize(t, 4)
+        t.mode(4)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_matricize_bijection_roundtrip(n):
     t = random_tensor(n, n)
-    m1 = matricize(t, 1).toarray()
+    m1 = t.mode(1).toarray()
     for mode in (2, 3):
-        M = matricize(t, mode).toarray()
+        M = t.mode(mode).toarray()
         rebuilt = np.zeros((n, n * n))
         for r in range(n):
             for c in range(n * n):
@@ -142,7 +137,7 @@ def test_symmetrize_fixed_point():
     assert t2 is t
     # explicit re-symmetrization of symmetric values is entry-wise exact
     t3 = symmetrize(HessianTensor(t.n, t._i, t._j, t._k, t._v))
-    assert (matricize(t3, 1) - matricize(t, 1)).nnz == 0
+    assert (t3.mode(1) - t.mode(1)).nnz == 0
 
 
 def test_symmetric_flag_averages_the_triplets():
@@ -152,7 +147,7 @@ def test_symmetric_flag_averages_the_triplets():
     t = HessianTensor(5, i, j, k, v, symmetric=True)
     T = t.to_dense()
     assert t.symmetric and np.array_equal(T, np.transpose(T, (0, 2, 1)))
-    assert (matricize(t, 1) - matricize(symmetrize(HessianTensor(5, i, j, k, v)), 1)).nnz == 0
+    assert (t.mode(1) - symmetrize(HessianTensor(5, i, j, k, v)).mode(1)).nnz == 0
     # data that is already symmetric comes out bit for bit
     again = HessianTensor(5, t._i, t._j, t._k, t._v, symmetric=True)
     assert all(np.array_equal(a, b) for a, b in
@@ -162,7 +157,7 @@ def test_symmetric_flag_averages_the_triplets():
 def test_symmetrize_single_entry():
     t = HessianTensor(2, [0], [0], [1], [4.0])
     ts = symmetrize(t)
-    M = matricize(ts, 1).toarray()
+    M = ts.mode(1).toarray()
     assert M[0, 0 * 2 + 1] == 2.0
     assert M[0, 1 * 2 + 0] == 2.0
     assert ts.symmetric
@@ -194,7 +189,7 @@ def test_apply_hessian_dense_oracle():
     rng = np.random.default_rng(9)
     t = random_tensor(2, 7)
     a, b = rng.standard_normal(7), rng.standard_normal(7)
-    dense = matricize(t, 1).toarray() @ np.kron(a, b)
+    dense = t.mode(1).toarray() @ np.kron(a, b)
     got = apply_hessian(t, a, b)
     assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
@@ -214,11 +209,16 @@ def test_apply_hessian_dimension_mismatch():
         apply_hessian(t, np.ones(3), np.ones(4))
 
 
+def test_quadratic_jacobian_dimension_mismatch():
+    with pytest.raises(ValueError, match=r"^operand shape \(3,\) does not match n=4$"):
+        quadratic_jacobian(random_tensor(0, 4), np.ones(3))
+
+
 @pytest.mark.parametrize("mode", [1, 2])
 def test_congruence_identity_returns_unfolding(mode):
     t = random_tensor(21, 5)
     got = hessian_congruence(t, mode, np.eye(5), np.eye(5))
-    assert np.allclose(got, matricize(t, mode).toarray(), rtol=0, atol=1e-15)
+    assert np.allclose(got, t.mode(mode).toarray(), rtol=0, atol=1e-15)
 
 
 def test_congruence_single_column():
@@ -238,7 +238,7 @@ def test_congruence_dense_oracle(mode):
     L = rng.standard_normal((6, 3))
     R = rng.standard_normal((6, 2))
     got = hessian_congruence(t, mode, L, R)
-    dense = matricize(t, mode).toarray() @ np.kron(L, R)
+    dense = t.mode(mode).toarray() @ np.kron(L, R)
     assert np.linalg.norm(got - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
@@ -248,6 +248,8 @@ def test_congruence_errors():
         hessian_congruence(t, 3, np.eye(4), np.eye(4))
     with pytest.raises(ValueError):
         hessian_congruence(t, 1, np.eye(5), np.eye(4))
+    with pytest.raises(ValueError, match="^L and R must be matrices$"):
+        apply_unfolded(t.mode(1), np.ones(4), np.eye(4))
 
 
 def test_quadratic_jacobian_matches_directional_derivative():
@@ -564,7 +566,7 @@ def _unfolded_case(name, rng):
     elif name == "dense":
         M = rng.standard_normal((3, n * n))
     elif name == "zero-tensor":
-        M = HessianTensor.zero(n).mode1
+        M = HessianTensor.zero(n).mode(1)
     else:
         M = random_tensor(8, n).mode(2)
     L = rng.standard_normal((n, 3))
@@ -600,7 +602,7 @@ def test_apply_unfolded_and_hessian_gram_share_one_restriction(monkeypatch):
     monkeypatch.setattr(tk, "_DENSE_FILL", 2.0)
     t = random_tensor(6, 4)
     L = np.random.default_rng(3).standard_normal((4, 4))
-    apply_unfolded(t.mode1, L[:, :2], L)
+    apply_unfolded(t.mode(1), L[:, :2], L)
     assert calls == [(4, 16)]
     hessian_congruence(t, 2, L, L[:, :3])
     assert len(calls) == 2

@@ -24,7 +24,8 @@ from qbmor.tqb_irka import (
     tqb_irka_ode,
 )
 
-from helpers import _LiftedFactor, conjugate_pairs, random_stable_ode, tqb_irka_dae_explicit
+from helpers import (_LiftedFactor, conjugate_pairs, random_stable_ode, sweep_bases,
+                     tqb_irka_dae_explicit)
 
 
 def linear_siso(seed=5, n=12):
@@ -43,6 +44,8 @@ def test_config_validation():
         IrkaConfig(r=2, tol=0.0)
     with pytest.raises(ValueError, match="tolerance must be positive"):
         IrkaConfig(r=2, tol=float("nan"))
+    with pytest.raises(ValueError, match="^max_iters must be >= 1, got 0$"):
+        IrkaConfig(r=2, max_iters=0)
     with pytest.raises(ValueError, match=r"\(1, 1, 4\), expected \(1, 1, 3\)"):
         tqb_irka_ode(linear_siso(), IrkaConfig(
             r=3, initial_model=user_model(np.diag([-1.0, -2.0, -3.0, -4.0]), 1, 1)))
@@ -152,11 +155,11 @@ def test_quadratic_terms_enter_the_bases():
                         N=sys_q.N, B=sys_q.B, C=sys_q.C)
     # iteration 1 is a pure linear step (zero initial reduced Hessian); the
     # quadratic correction family enters from iteration 2
-    cfg = IrkaConfig(r=3, seed=2, max_iters=2, tol=1e-14, record_bases=True)
-    _, tq = tqb_irka_ode(sys_q, cfg)
-    _, tl = tqb_irka_ode(sys_l, cfg)
-    assert la.subspace_angles(tq.bases[0][0], tl.bases[0][0]).max() <= 1e-10
-    assert la.subspace_angles(tq.bases[1][0], tl.bases[1][0]).max() > 1e-6
+    cfg = IrkaConfig(r=3, seed=2, max_iters=2, tol=1e-14)
+    _, bq = sweep_bases(tqb_irka_ode, sys_q, cfg)
+    _, bl = sweep_bases(tqb_irka_ode, sys_l, cfg)
+    assert la.subspace_angles(bq[0][0], bl[0][0]).max() <= 1e-10
+    assert la.subspace_angles(bq[1][0], bl[1][0]).max() > 1e-6
 
 
 def test_trace_shapes_and_convergence_flag():
@@ -291,11 +294,11 @@ def test_nudge_factors_the_family_again_at_a_copy_of_the_shifts(storage):
 def test_dae_saddle_matches_explicit():
     # fixed sweep count so both routes compare the same iterates
     sys = gen_synthetic_dae(18, 4, m=2, p=2, seed=6, quad_scale=0.1)
-    cfg = IrkaConfig(r=3, seed=2, tol=1e-14, max_iters=8, record_bases=True)
-    red3, tr3 = tqb_irka_dae_saddle(sys, cfg)
-    red2, tr2 = tqb_irka_dae_explicit(sys, cfg)
+    cfg = IrkaConfig(r=3, seed=2, tol=1e-14, max_iters=8)
+    (red3, tr3), bases3 = sweep_bases(tqb_irka_dae_saddle, sys, cfg)
+    (red2, tr2), bases2 = sweep_bases(tqb_irka_dae_explicit, sys, cfg)
     assert tr3.iterations == tr2.iterations == 8
-    for (V3, W3), (V2, W2) in zip(tr3.bases, tr2.bases):
+    for (V3, W3), (V2, W2) in zip(bases3, bases2):
         assert la.subspace_angles(V3, V2).max() <= 1e-6
         assert la.subspace_angles(W3, W2).max() <= 1e-6
     assert np.allclose(tr3.eigenvalues[-1], tr2.eigenvalues[-1],
@@ -789,7 +792,7 @@ def test_interpolation_data_matches_kronecker_oracle(monkeypatch, seed, gauged):
 def permuted(sys, perm):
     """The system in the state coordinates ``P x``, ``(P x)[a] = x[perm[a]]``."""
     inv = np.argsort(perm)
-    H = sys.H.mode1.tocoo()
+    H = sys.H.mode(1).tocoo()
     j, k = np.divmod(H.col, sys.n)
     ix = np.ix_(perm, perm)
     return QbOdeSystem(E=sys.E[ix], A=sys.A[ix],
