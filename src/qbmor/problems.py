@@ -95,6 +95,9 @@ def gen_synthetic_dae(n_v, n_p, m=2, p=2, seed=0, quad_scale=0.1,
     """
     if not 0 < n_p < n_v / 2:
         raise ValueError(f"need 0 < n_p < n_v/2, got n_p={n_p}, n_v={n_v}")
+    for name, count in (("m", m), ("p", p)):
+        if count < 1:
+            raise ValueError(f"need {name} >= 1, got {name}={count}")
     if not 0 <= quad_scale < np.inf:
         raise ValueError(f"quad_scale must be non-negative and finite, got {quad_scale}")
     for attempt in range(5):

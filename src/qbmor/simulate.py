@@ -11,12 +11,13 @@ tridiagonal system's Newton matrix in tridiagonal storage, solved by LAPACK's
 the shift factorizations of :mod:`qbmor.dense_solvers`; the library's input
 signals sample a whole grid.
 
-The Newton matrix and every step's input terms are bound once per
-simulation, ``E x_old`` and any bilinear terms once per step, and each
-iteration forms only a fresh residual and the exact Jacobian with its one
-factorization (:class:`_NewtonStep`), both terms written at their stored
-entries only.  A reduced model is simulated through the
-:class:`~qbmor.system_model.QbOdeSystem` of its matrices that it keeps.
+The Newton matrix, every step's input terms and the residual and Jacobian
+kernels, with ``-dt`` folded into their tensor data, are bound once per
+simulation; the start, ``E x_old`` and any bilinear terms once per step; and
+each iteration forms only a fresh residual and the exact Jacobian with its
+one factorization (:class:`_NewtonStep`).  A reduced model, simulated through
+the :class:`~qbmor.system_model.QbOdeSystem` of its matrices that it keeps,
+forms its residual in one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .dense_solvers import (SolverError, _is_tridiagonal, _offsets, _tri_index, 
 from .mmio import _read_table, atomic_open
 from .system_model import (QbDaeSystem, QbOdeSystem, ReducedQbSystem, _bilinear_terms, _coerce,
                            _expect, _reduced_ode)
-from .tensor_kron import apply_hessian, quadratic_jacobian
+from .tensor_kron import apply_hessian  # noqa: F401  (bench/tracer.py wraps it by this name)
+from .tensor_kron import quadratic_jacobian  # noqa: F401  (bench/tracer.py wraps it by this name)
 
 __all__ = [
     "InputSignal",
@@ -229,6 +231,11 @@ def _grid(t_final, dt):
                          f"(t_final {t_final:g}, dt {dt:g})") from None
 
 
+# step k's Newton start as weights of its last min(k, 3) states: Z[0], then
+# 2 Z[1] - Z[0], then the quadratic extrapolation 3 (Z[k-1] - Z[k-2]) + Z[k-3]
+_START = (None, np.array([1.0]), np.array([-1.0, 2.0]), np.array([1.0, -3.0, 3.0]))
+
+
 class _NewtonStep:
     """Preassembled implicit-Euler Newton step shared by both integrators.
 
@@ -246,101 +253,127 @@ class _NewtonStep:
     side and the tolerance ``NEWTON_TOL * max(1, |x_old|)`` come from the
     previous state ``x_old``.
 
-    What is fixed is bound once.  Per simulation: ``K`` with ``E - dt A``
-    and the constraint blocks, written once; the input part of every step's
-    right-hand side, ``[dt B; -B2] u``, in one product over the grid, staged
-    in the rows of the state array; and the union pattern ``p`` of the
-    nonzero ``N_k``, with ``S = K[p]`` and each ``N_k[p]``.  Per step:
-    ``E x_old`` added to the staged row and ``K[p] = S - dt u_1 N_1[p] - ...``
-    in input order; no other entry of ``K`` changes.  Per iteration:
-    ``y = -dt x`` once, a residual from scratch with ``apply_hessian(H, y,
-    x) = -dt H (x kron x)``, and ``quadratic_jacobian(H, y, out=J, at=at)``,
-    which adds ``-dt J_H(x)`` to a copy ``J`` of ``K`` only at ``at``, the
-    Jacobian's cells placed in ``K``'s storage once like ``p``, before ``J``
-    is factored.  Both kernels are linear in ``y``, and no array of ``K``'s
-    size is formed after the set-up.
+    Bound once per simulation: ``K`` with ``E - dt A`` and the constraint
+    blocks; ``[dt B; -B2] u`` for every step in one product, staged in the
+    rows of the state array; the union pattern ``p`` of the nonzero ``N_k``
+    with ``S = K[p]`` and each ``N_k[p]``; and two kernels, ``-dt`` folded
+    into their tensor data, that read the iterate ``z`` from the one buffer
+    it lives in: the residual ``K z - c - dt [H (x kron x); 0]``, formed from
+    scratch, and the Jacobian ``K - dt J_H(x)``, written into ``J``, the copy
+    of ``K``'s storage that the solver factors in place.  Per step: the start
+    and ``K[p] = S - dt (u_1 N_1[p] + ...)``, one product each, and ``E
+    x_old`` added to the staged row ``c``.  Per iteration: one residual and,
+    short of the tolerance, one Jacobian and its factorization.
+
+    With dense forms ``(H1, G)`` (every reduced model) ``K`` is the leading
+    columns of one Fortran array ``[K | -dt H1]``, zero under the constraint
+    block, and ``z`` the head of a work vector ``[z; x kron x]``: the residual
+    is one product, and the Jacobian is ``K + (-dt G) x`` with ``G`` placed in
+    ``K``'s storage.  Any other tensor adds one ``bincount`` to each: over its
+    triplets to the residual, over its Jacobian terms at their cells of ``J``.
 
     The storage is chosen once, from the union pattern of ``E``, ``A``, the
     ``N_k``, the Hessian's Jacobian and the constraint blocks, by the rule
     and tridiagonal layout that :mod:`qbmor.dense_solvers` also applies to
     the shift factorizations.  A tridiagonal pattern keeps ``K`` in that
     storage: residuals are band products (``gbmv``) and each iteration
-    solves with ``gtsv``.  Any other pattern keeps dense storage and ``gesv``.
+    solves with ``gtsv``.  Any other pattern, or dense forms, keeps dense
+    storage and ``gesv``.  After the set-up no array of ``K``'s size is formed.
     """
 
     def __init__(self, E, A, H, N, B, dt, A12=None, A21=None, B2=None):
         n = A.shape[0]
         n_c = 0 if A12 is None else A12.shape[1]
         size = n + n_c
-        self.n, self.dt, self.H = n, dt, H
+        self.n, self.dt = n, dt
         self._B = dt * B if B2 is None else np.vstack([dt * B, -B2])
         N = _bilinear_terms(N)
         self._q = [q for q, _ in N]
-        K = np.zeros((size, size), order="F")
+        dense = H._dense_forms()
+        KH = np.zeros((size, size + (n * n if dense else 0)), order="F")
+        K = KH[:, :size]
         K[:n, :n] = E - dt * A
         if n_c:
             K[:n, n:] = -dt * A12
             K[n:, :n] = A21
-        hj, hi = np.divmod(H._jacobian_pattern()[0], n)
-        tri = _is_tridiagonal(size, [*map(_offsets, (E, K, *(Nq for _, Nq in N))), hi - hj])
+        cells, terms = H._jacobian_pattern()
+        hj, hi = np.divmod(cells, n)
+        tri = dense is None and _is_tridiagonal(
+            size, [*map(_offsets, (E, K, *(Nq for _, Nq in N))), hi - hj])
         i, j = np.nonzero(np.reshape([Nq for _, Nq in N], (-1, n, n)).any(axis=0))
         self._N = np.array([Nq[i, j] for _, Nq in N])
         if tri:
             self._E, self._K = _tri_store(E, n), _tri_store(K, size)
             self._J = np.empty_like(self._K)
             (i, j), (hi, hj) = _tri_index(i, j), _tri_index(hi, hj)
-            self._mv = lambda M, x: dgbmv(M.shape[1], M.shape[1], 1, 1, 1.0, M, x)
+            mv = self._mv = lambda M, x: dgbmv(M.shape[1], M.shape[1], 1, 1, 1.0, M, x)
             # gtsv reads views of J's diagonals, taken once (J is the one matrix it solves),
             # and returns (du2, d, du, x, info): without du2 it unpacks as gesv's
             diagonals = _tridiagonals(self._J)
             self._solve = lambda J, b: dgtsv(*diagonals, b, overwrite_b=True)[1:]
         else:
             self._E, self._K, self._J = E, K, np.empty_like(K)
-            self._mv = np.ndarray.dot  # the gemv of matmul, with less call overhead
+            mv = self._mv = np.ndarray.dot  # the gemv of matmul, with less call overhead
             self._solve = partial(dgesv, overwrite_a=True, overwrite_b=True)
         # the N_k's union pattern and the Jacobian cells as flat positions in K's storage
-        ld = self._K.shape[0]
-        self._p, self._at = j * ld + i, hj * ld + hi
-        self._S = self._K.ravel("F")[self._p]
+        K, J, ld = self._K, self._J, self._K.shape[0]
+        Kf, Jf = K.ravel("F"), J.ravel("F")  # views, both being Fortran-ordered
+        self._p, at = j * ld + i, hj * ld + hi
+        self._S = Kf[self._p]
+        if dense:
+            KH[:n, size:] = -dt * dense[0]
+            w = np.empty(KH.shape[1])
+            z, x, xx = w[:size], w[:n], w[size:].reshape(n, n)
+            G = np.zeros((Kf.size, n))
+            G[at] = -dt * dense[1]
+
+            def residual(c):
+                np.multiply.outer(x, x, out=xx)
+                return KH.dot(w) - c
+
+            def jacobian():
+                np.add(np.matmul(G, x, out=Jf), Kf, out=Jf)
+        else:
+            z = np.empty(size)
+            ti, tj, tk, tv = H._i, H._j, H._k, -dt * H._v
+            inverse, operand, values = terms[0], terms[1], -dt * terms[2]
+
+            def residual(c):
+                res = mv(K, z)
+                res -= c
+                res[:n] += np.bincount(ti, tv * z[tj] * z[tk], n)
+                return res
+
+            def jacobian():
+                np.copyto(J, K)
+                Jf[at] += np.bincount(inverse, values * z[operand], cells.size)
+        self._z, self._residual, self._jacobian = z, residual, jacobian
 
     def run(self, z0, U, t):
         """States at every grid time with per-step Newton counts and residuals.
 
         ``U`` holds the input at every grid time as rows.
         """
-        n, dt, H, at = self.n, self.dt, self.H, self._at
-        E, K, J, p, S, Ns = self._E, self._K, self._J, self._p, self._S, self._N
-        Kf = K.ravel("F")  # a view, K being Fortran-ordered
+        n, z, residual, jacobian = self.n, self._z, self._residual, self._jacobian
+        E, J, p, S, Ns = self._E, self._J, self._p, self._S, self._N
+        Kf = self._K.ravel("F")  # a view, K being Fortran-ordered
         mv, solve = self._mv, self._solve
-        hess, jac = apply_hessian, quadratic_jacobian
         Z = np.empty((t.size, z0.size))
         iters = np.zeros(t.size, dtype=int)
         resid = np.zeros(t.size)
         Z[0] = z0
         # row k holds the input part of step k's right-hand side until step k ends
         np.matmul(U[1:], self._B.T, out=Z[1:])
-        W = dt * U[:, self._q]
+        W = self.dt * U[:, self._q]
         for k in range(1, t.size):
-            if k == 1:
-                z = Z[0].copy()
-            elif k == 2:
-                z = 2.0 * Z[1] - Z[0]
-            else:
-                z = 3.0 * (Z[k - 1] - Z[k - 2]) + Z[k - 3]
+            _START[min(k, 3)].dot(Z[max(k - 3, 0):k], out=z)
             if Ns.size:
-                Kp = S.copy()
-                for w, Nq in zip(W[k], Ns):
-                    Kp -= w * Nq
-                Kf[p] = Kp
+                Kf[p] = S - W[k].dot(Ns)
             x_old, c = Z[k - 1, :n], Z[k]
             c[:n] += mv(E, x_old)
             tol = NEWTON_TOL * max(1.0, math.sqrt(x_old @ x_old))
             for it in range(NEWTON_MAX + 1):
-                x = z[:n]
-                y = -dt * x  # the kernels are linear in it: no scaling of their results
-                res = mv(K, z)
-                res -= c
-                res[:n] += hess(H, y, x)
+                res = residual(c)
                 norm = math.sqrt(res @ res)
                 if norm <= tol:
                     break
@@ -349,8 +382,7 @@ class _NewtonStep:
                         f"Newton failed to converge at step {k} "
                         f"(t={t[k]:.6g}, residual={norm:.3e})"
                     )
-                np.copyto(J, K)
-                jac(H, y, out=J, at=at)
+                jacobian()
                 _, _, dz, info = solve(J, res)
                 if info:
                     raise SolverError(

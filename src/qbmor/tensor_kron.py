@@ -325,7 +325,7 @@ def hessian_gram(t, mode, L, R):
     return out
 
 
-def quadratic_jacobian(t, x, out=None, at=None):
+def quadratic_jacobian(t, x):
     """Matrix of ``y -> H (x kron y) + H (y kron x)``.
 
     This is the Jacobian of ``x -> H (x kron x)`` and equals
@@ -333,23 +333,16 @@ def quadratic_jacobian(t, x, out=None, at=None):
     (column-major) order, the layout LAPACK factors in place.  Its values on
     the cells of the tensor's Jacobian pattern are ``G x`` from the dense
     Jacobian operator of a tensor with a high stored fill, else sums of the
-    stored entries.  With ``out``, Fortran-contiguous, they are added in place
-    at the flat positions ``at`` of its storage, one per cell, and ``out`` is
-    returned.
+    stored entries.
     """
     x = np.asarray(x)
     n = t.n
     if x.shape != (n,):
         raise ValueError(f"operand shape {x.shape} does not match n={n}")
     cells, terms = t._jacobian_pattern()
-    if out is None:
-        out, at = np.zeros((n, n), np.result_type(x, float), order="F"), cells
-    if not out.flags.f_contiguous or at is None or len(at) != cells.size:
-        raise ValueError(f"out of shape {out.shape} is not Fortran storage with at placing "
-                         f"{cells.size} cells")
-    values = (t._dense_forms()[1] @ x if terms is None else
-              _scatter_sum(terms[0], terms[2] * x[terms[1]], cells.size))
-    out.ravel("F")[at] += values  # ravel is a view of out's Fortran-contiguous storage
+    out = np.zeros((n, n), np.result_type(x, float), order="F")
+    out.ravel("F")[cells] = (t._dense_forms()[1] @ x if terms is None else
+                             _scatter_sum(terms[0], terms[2] * x[terms[1]], cells.size))
     return out
 
 

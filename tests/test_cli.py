@@ -45,6 +45,17 @@ def test_gen_synthetic_dae_manifest(tmp_path):
         assert key in manifest["matrices"]
 
 
+@pytest.mark.parametrize("name, count", [("m", "0"), ("m", "-1"), ("p", "0")])
+def test_gen_synthetic_dae_needs_an_input_and_an_output(tmp_path, capsys, name, count):
+    out = tmp_path / "d"
+    capsys.readouterr()
+    assert run(["gen", "--problem", "synthetic-dae", "--nv", "20", "--np", "4",
+                f"--{name}", count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"qbmor: error: need {name} >= 1, got {name}={count}\n")
+    assert not out.exists()
+
+
 def test_gen_missing_out_is_usage_error(capsys):
     code = run(["gen", "--problem", "burgers", "--n", "8"])
     assert code == 2

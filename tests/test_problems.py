@@ -111,6 +111,14 @@ def test_synthetic_dae_dimension_guard():
         gen_synthetic_dae(10, 6)
 
 
+@pytest.mark.parametrize("name, count", [("m", 0), ("m", -1), ("p", 0), ("p", -1)])
+def test_synthetic_dae_needs_an_input_and_an_output(name, count, monkeypatch):
+    # refused before any draw
+    monkeypatch.setattr(problems, "_dae_finite_abscissa", None)
+    with pytest.raises(ValueError, match=f"^need {name} >= 1, got {name}={count}$"):
+        gen_synthetic_dae(20, 4, **{name: count})
+
+
 def test_synthetic_dae_exhausted_retries_name_the_last_reason(monkeypatch):
     monkeypatch.setattr(problems, "_dae_finite_abscissa", lambda *blocks: 0.0)
     with pytest.raises(RuntimeError, match=r"could not draw a valid descriptor system: "

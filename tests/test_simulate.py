@@ -20,7 +20,7 @@ from qbmor.simulate import (
     simulate_dae,
     simulate_ode,
 )
-from qbmor.system_model import QbDaeSystem, QbOdeSystem, project_ode
+from qbmor.system_model import QbDaeSystem, QbOdeSystem, _reduced_ode, project_ode
 from qbmor.tensor_kron import HessianTensor, apply_hessian, quadratic_jacobian
 from qbmor.tqb_irka import IrkaConfig, tqb_irka_ode
 
@@ -128,22 +128,27 @@ def test_reduced_identity_projection_bit_identical(n):
     assert np.array_equal(a.outputs, b.outputs)
 
 
-def count_calls(monkeypatch, module, name, calls):
-    """Replace ``module.name`` by a wrapper that appends ``name`` to ``calls``."""
-    kernel = getattr(module, name)
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of the kernels that each Newton step binds, one ``(name, z)`` entry per call:
+    ``name`` is "residual" or "jacobian" and ``z`` a copy of the iterate it reads."""
+    calls = []
+    init = simulate._NewtonStep.__init__
 
-    def counted(*args, **kwargs):
-        calls.append(name)
-        return kernel(*args, **kwargs)
+    def recorded_init(step, *args, **kwargs):
+        init(step, *args, **kwargs)
+        for name in ("residual", "jacobian"):
+            def call(*a, name=name, kernel=getattr(step, "_" + name)):
+                calls.append((name, step._z.copy()))
+                return kernel(*a)
+            setattr(step, "_" + name, call)
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(simulate._NewtonStep, "__init__", recorded_init)
+    return calls
 
 
 @pytest.mark.parametrize("kind", ["ode", "dae", "banded", "narrow-bilinear"])
-def test_newton_counts_match_jacobian_calls(kind, monkeypatch):
-    calls = []
-    for name in ("apply_hessian", "quadratic_jacobian"):
-        count_calls(monkeypatch, simulate, name, calls)
+def test_newton_counts_match_jacobian_calls(kind, kernel_calls):
     if kind == "narrow-bilinear":
         # banded storage with nonzero N_k, rewritten in the band every step
         traj = simulate_ode(narrow_ode(30), InputSignal.preset_cavity(2), 1.0, 0.01)
@@ -158,9 +163,10 @@ def test_newton_counts_match_jacobian_calls(kind, monkeypatch):
         x = traj.states[:, :12]
     assert traj.newton_iters.shape == traj.newton_residuals.shape == traj.t.shape
     assert traj.newton_iters[0] == 0
-    assert calls.count("quadratic_jacobian") == traj.newton_iters.sum()
+    calls = [name for name, _ in kernel_calls]
+    assert calls.count("jacobian") == traj.newton_iters.sum()
     # one residual per iterate: one per solve and the one that meets the tolerance
-    assert calls.count("apply_hessian") == traj.newton_iters.sum() + traj.t.size - 1
+    assert calls.count("residual") == traj.newton_iters.sum() + traj.t.size - 1
     tol = NEWTON_TOL * np.maximum(1.0, np.linalg.norm(x[:-1], axis=1))
     assert np.all(traj.newton_residuals[1:] <= tol)
 
@@ -204,11 +210,11 @@ def test_non_finite_input_fails_newton():
 
 
 @pytest.mark.parametrize("kind", ["dense-dae", "narrow-ode", "reduced"])
-def test_newton_matrix_is_assembled_from_its_definition(kind, monkeypatch):
+def test_newton_matrix_is_assembled_from_its_definition(kind, kernel_calls, monkeypatch):
     # every matrix handed to the solver, copied before it is factored in place, is
     # [[E - dt A - dt sum_k u_k N_k - dt J_H(x), -dt A12], [A21, 0]] at its iterate x,
     # and off the pattern of the N_k and J_H it holds the constant blocks bit for bit
-    dt, iterate, seen = 0.01, [], []
+    dt, seen = 0.01, []
     if kind == "dense-dae":
         sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1)
         E, A, N, A12, A21, H = sys.E11, sys.A11, sys.N, sys.A12, sys.A21, sys.H
@@ -227,11 +233,6 @@ def test_newton_matrix_is_assembled_from_its_definition(kind, monkeypatch):
         assert H._dense_forms() is not None
     n, n_c = A12.shape
     assert all(Nk.any() for Nk in N)
-    hess = simulate.apply_hessian
-
-    def recorded_hess(t, a, b):
-        iterate[:] = [b.copy()]  # the residual's iterate x, which a solve follows
-        return hess(t, a, b)
 
     def recorded(name):
         kernel = getattr(simulate, name)
@@ -243,11 +244,14 @@ def test_newton_matrix_is_assembled_from_its_definition(kind, monkeypatch):
             else:
                 dl, d, du = args[:3]
                 K = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
-            seen.append((*iterate, K))
+            # the iterate x that the residual and the Jacobian before this solve read
+            (residual, x), (jacobian, x_jac) = kernel_calls[-2:]
+            assert (residual, jacobian) == ("residual", "jacobian")
+            assert np.array_equal(x, x_jac)
+            seen.append((x[:n], K))
             return kernel(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(simulate, "apply_hessian", recorded_hess)
     for name in ("dgesv", "dgtsv"):
         monkeypatch.setattr(simulate, name, recorded(name))
     u = InputSignal.preset_cavity(2)
@@ -301,16 +305,18 @@ def previous_start(Z):
     return Z[-1].copy()
 
 
-def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_start):
+def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_start,
+                    iters=None):
     """Implicit Euler written from the definition, one dense Newton solve at a time.
 
-    Each step's Newton iteration starts from ``start(Z)``, the states so far.
+    Each step's Newton iteration starts from ``start(Z)``, the states so far;
+    the list ``iters`` receives each step's count of solves.
     """
     n, n_c = A.shape[0], A12.shape[1]
     Z = [z0]
     for u in U[1:]:
         x_old, z = Z[-1][:n], start(Z)
-        for _ in range(NEWTON_MAX):
+        for it in range(NEWTON_MAX):
             x, p = z[:n], z[n:]
             f = (A @ x + A12 @ p + apply_hessian(H, x, x) + B @ u
                  + sum((Nq @ x) * uq for uq, Nq in zip(u, N)))
@@ -321,7 +327,50 @@ def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_s
             J = np.block([[E - dt * Jv, -dt * A12], [A21, np.zeros((n_c, n_c))]])
             z = z - la.solve(J, res)
         Z.append(z)
+        if iters is not None:
+            iters.append(it)
     return np.array(Z)
+
+
+@pytest.mark.parametrize("case", ["tridiagonal-triplets", "dense-triplets-bilinear",
+                                  "dense-forms", "dense-forms-constrained"])
+def test_newton_step_binds_every_storage_and_tensor_form(case, lapack_calls):
+    # each storage the step keeps with each form its tensor contracts through: the
+    # same states as the definition, after as many solves, each step within tolerance
+    dt, rng = 0.01, np.random.default_rng(8)
+    if case == "tridiagonal-triplets":
+        sys = gen_burgers(40, 0.05)
+    elif case == "dense-triplets-bilinear":
+        sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=1, quad_scale=0.1)
+        assert all(Nk.any() for Nk in sys.N)
+    elif case == "dense-forms":
+        Q = la.qr(rng.standard_normal((7, 4)), mode="economic")[0]
+        # the system that a reduced model is simulated through
+        sys = _reduced_ode(project_ode(random_stable_ode(3, 7, m=2, p=2), Q, Q))
+    else:
+        sys = gen_synthetic_dae(12, 3, m=2, p=2, seed=2, quad_scale=0.1)
+        sys = dataclasses.replace(
+            sys, H=HessianTensor.from_dense(0.02 * rng.standard_normal((12, 12, 12))))
+    assert (sys.H._dense_forms() is None) == case.endswith(("triplets", "bilinear"))
+    u = InputSignal.preset_cavity(sys.m)
+    if isinstance(sys, QbDaeSystem):
+        traj = simulate_dae(sys, u, 1.0, dt)
+        z0 = np.concatenate([sys.v0, recover_pressure(sys, sys.v0, u.sample(0.0))])
+        args = (sys.E11, sys.A11, sys.H, sys.N, sys.B1, dt, traj.inputs, z0,
+                sys.A12, sys.A21, sys.B2)
+    else:
+        traj = simulate_ode(sys, u, 1.0, dt)
+        n = sys.n
+        args = (sys.E, sys.A, sys.H, sys.N, sys.B, dt, traj.inputs, np.zeros(n),
+                np.zeros((n, 0)), np.zeros((0, n)), np.zeros((0, sys.m)))
+    assert set(lapack_calls) == {"gtsv" if case == "tridiagonal-triplets" else "gesv"}
+    iters = []
+    Z = reference_euler(*args, iters=iters)
+    assert np.linalg.norm(traj.states - Z) <= 1e-12 * np.linalg.norm(Z)
+    assert np.array_equal(traj.newton_iters[1:], iters)
+    n = args[1].shape[0]
+    tol = NEWTON_TOL * np.maximum(1.0, np.linalg.norm(traj.states[:-1, :n], axis=1))
+    assert np.all(traj.newton_residuals[1:] <= tol)
 
 
 @pytest.mark.parametrize("kind", ["ode", "dae", "reduced", "reduced-burgers", "burgers",
@@ -406,25 +455,25 @@ def test_back_to_back_simulations_are_bit_identical(kind):
 
 
 def test_reduced_model_builds_one_tensor(monkeypatch):
-    import qbmor.gramians_norms as gramians_norms
-
+    # the tensor each Newton step binds, and every one whose dense forms a kernel reads
     full = gen_burgers(30, 0.05)
     Q = la.qr(np.random.default_rng(6).standard_normal((30, 6)), mode="economic")[0]
     red = project_ode(full, Q, Q)
     seen = []
+    init, forms = simulate._NewtonStep.__init__, HessianTensor._dense_forms
 
-    def recording(module, name):
-        kernel = getattr(module, name)
+    def step(self, E, A, H, *args, **kwargs):
+        if H.n == red.r:
+            seen.append(H)
+        init(self, E, A, H, *args, **kwargs)
 
-        def call(t, *args, **kwargs):
-            if t.n == red.r:
-                seen.append(t)
-            return kernel(t, *args, **kwargs)
+    def dense_forms(t):
+        if t.n == red.r:
+            seen.append(t)
+        return forms(t)
 
-        monkeypatch.setattr(module, name, call)
-
-    recording(simulate, "apply_hessian")
-    recording(gramians_norms, "hessian_gram")
+    monkeypatch.setattr(simulate._NewtonStep, "__init__", step)
+    monkeypatch.setattr(HessianTensor, "_dense_forms", dense_forms)
     for _ in range(2):
         simulate_ode(red, InputSignal.preset_cavity(1), 0.5, 0.01)
         error_system_norm(full, red)

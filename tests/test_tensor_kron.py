@@ -307,16 +307,9 @@ def test_dense_forms_are_freed_with_the_tensor():
     assert all(r() is None for r in refs)
 
 
-def jacobian_positions(t, ld=None):
-    """Flat positions of ``t``'s Jacobian cells in Fortran storage of leading dimension
-    ``ld``, or with ``ld=None`` in (3, n) tridiagonal storage, entry (i, j) at row 1 + i - j."""
-    col, row = np.divmod(t._jacobian_pattern()[0], t.n)
-    if ld is None:
-        row, ld = 1 + row - col, 3
-    return col * ld + row
-
-
 def test_banded_quadratic_jacobian_holds_the_band_of_the_dense_one():
+    # a tensor coupling neighbours only: its Jacobian is zero off the band, and so
+    # off the cells of its pattern, which all lie in the band
     rng = np.random.default_rng(2)
     n = 9
     i = np.arange(1, n - 1)
@@ -324,20 +317,24 @@ def test_banded_quadratic_jacobian_holds_the_band_of_the_dense_one():
                       rng.standard_normal(3 * i.size))
     x = rng.standard_normal(n)
     J = quadratic_jacobian(t, x)
-    Jb = np.zeros((3, n), order="F")
-    assert quadratic_jacobian(t, x, out=Jb, at=jacobian_positions(t)) is Jb
     r, c = np.indices((n, n))
     inside = abs(r - c) <= 1
     assert J.any() and not J[~inside].any()
-    expect = np.zeros_like(Jb)
-    expect[(1 + r - c)[inside], c[inside]] = J[inside]
-    assert np.array_equal(Jb, expect)
+    col, row = np.divmod(t._jacobian_pattern()[0], n)
+    assert np.all(abs(row - col) <= 1)
+    on = np.zeros((n, n), dtype=bool)
+    on[row, col] = True
+    assert not J[~on].any()
 
 
 @pytest.mark.parametrize("case", ["band", "band-tridiagonal", "full"])
 def test_quadratic_jacobian_adds_into_a_given_storage(case):
-    # into the leading n-by-n block of a larger Fortran-ordered storage, in place,
-    # at the positions the caller gives for the cells, as the default return holds them
+    # a Newton step adds -dt J_H(x) into the storage of its larger saddle matrix, in
+    # place and at the Jacobian's cells only: stored dense, stored tridiagonal, and at
+    # all n^2 cells of a tensor with dense forms; at dt = 1 that is the default
+    # return, negated, bit for bit
+    from qbmor.simulate import _NewtonStep
+
     rng = np.random.default_rng(5)
     n, tri = 9, case == "band-tridiagonal"
     i = np.arange(1, n - 1)
@@ -348,23 +345,28 @@ def test_quadratic_jacobian_adds_into_a_given_storage(case):
     assert (t._dense_forms() is not None) == (case == "full") == (terms is None)
     if case == "full":
         assert np.array_equal(cells, np.arange(n * n))
+    # one constraint on the last state keeps the saddle tridiagonal, a second makes it dense
+    n_c = 1 if tri else 2
+    A12 = np.zeros((n, n_c))
+    A12[n - 1, 0] = 1.0
+    if not tri:
+        A12[:, 1] = rng.standard_normal(n)
+    A = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    step = _NewtonStep(np.eye(n), A, t, (), np.ones((n, 1)), 1.0, A12, A12.T.copy(),
+                       np.zeros((n_c, 1)))
+    size = n + n_c
+    assert step._K.shape == ((3, size) if tri else (size, size))
     x = rng.standard_normal(n)
-    base = np.asfortranarray(rng.standard_normal((3 if tri else n + 2, n + 2)))
-    at = jacobian_positions(t, None if tri else n + 2)
-    out = base.copy(order="F")
-    assert quadratic_jacobian(t, x, out=out, at=at) is out
-    expect = base.copy(order="F")
+    step._z[:n] = x
+    step._jacobian()
+    expect = step._K.copy(order="F")
     J = quadratic_jacobian(t, x)
     if tri:
         c, r = np.divmod(cells, n)
-        expect[1 + r - c, c] += J[r, c]
+        expect[1 + r - c, c] -= J[r, c]
     else:
-        expect[:n, :n] += J
-    assert np.array_equal(out, expect)
-    # C-ordered; positions of the wrong count; no positions
-    for bad, bad_at in ((np.ascontiguousarray(base), at), (base, at[:-1]), (base, None)):
-        with pytest.raises(ValueError, match=r"^out of shape .* is not Fortran storage with at"):
-            quadratic_jacobian(t, x, out=bad, at=bad_at)
+        expect[:n, :n] -= J
+    assert np.array_equal(step._J, expect)
 
 
 _VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False,
