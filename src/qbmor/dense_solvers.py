@@ -4,13 +4,14 @@ Generalized pencil eigendecomposition, shifted and saddle-point solves (one
 factorization per family of shifts serves plain and transposed solves; a
 tridiagonal pattern stacks a family's matrices side by side in one
 tridiagonal storage, any other is dense), and generalized Lyapunov solves
-(Bartels-Stewart on the pencil reduced by one LU of the mass matrix).  Every
-LU is one raw ``getrf`` or ``gttrf``, and every pencil eigensolve
-one ``ggev``, from ``get_lapack_funcs``: its ``info`` (a shift factor's
-pivots) is checked first, so a zero pivot (before any triangular solve) or a
-failed QZ raises :class:`SolverError`, never a warning.  Every solver
-gates the residual of its own output (:class:`ResidualError` past the
-stated bound) and reports it to any active :func:`record_residuals`.
+(Bartels-Stewart on the pencil reduced by one LU of the mass matrix, none
+for an identity one).  Every LU is one raw ``getrf`` or ``gttrf``, and every
+pencil eigensolve one ``ggev``, from ``get_lapack_funcs``: its ``info`` (a
+shift factor's pivots) is checked first, so a zero pivot (before any
+triangular solve) or a failed QZ raises :class:`SolverError`, never a
+warning.  Every solver gates the residual of its own output
+(:class:`ResidualError` past the stated bound) and reports it to any active
+:func:`record_residuals`.
 """
 
 from __future__ import annotations
@@ -157,6 +158,13 @@ def _canonical_eigenbasis(w, V):
                                    list(zip(idx[mate > idx].tolist(), mate[mate > idx].tolist())))
 
 
+def _is_identity(M):
+    """Whether ``M`` is exactly a square identity, decided without forming one: the one
+    rule that Lyapunov factors, Newton steps and saved manifests ask of a mass matrix."""
+    n = len(M)
+    return M.shape == (n, n) and np.count_nonzero(M) == n and bool(np.all(M.diagonal() == 1.0))
+
+
 def _left_inverse(EY):
     """``(X, |I - X EY|_F)`` with ``X @ EY = I``, refined on that (left) residual."""
     r = EY.shape[0]
@@ -183,7 +191,8 @@ def pencil_eig(Ehat, Ahat):
     computed eigenbasis is applied.  The accepted residual is the strict
     bound or, for ill-conditioned eigenbases, the level that floating-point
     evaluation of the residual itself can resolve (eps times the basis
-    condition); anything beyond that is reported as a defective pencil.
+    condition); anything beyond that, or a basis condition at which that
+    level reaches 1, is reported as a defective pencil.
     """
     Ehat = np.asarray(Ehat, dtype=float)
     Ahat = np.asarray(Ahat, dtype=float)
@@ -222,6 +231,13 @@ def pencil_eig(Ehat, Ahat):
             fact, res = refined, res_r
     kappa = fact.kappa
     tol_eff = max(PENCIL_TOL, 50.0 * np.finfo(float).eps * kappa)
+    # a bound of 1 accepts any residual: the basis is numerically singular, as an
+    # exactly defective pencil's (a Jordan block's) is
+    if not tol_eff < 1.0:
+        raise SolverError(
+            f"defective pencil: basis condition ~{kappa:.3e} leaves no residual bound "
+            f"(50 eps kappa = {tol_eff:.3e} >= 1)"
+        )
     if not np.isfinite(res) or res > tol_eff:
         raise SolverError(
             f"defective pencil beyond residual tolerance: residual {res:.3e} "
@@ -467,6 +483,9 @@ def solve_shifted(E, A, sigma, rhs, pencil=None):
 class _LyapunovFactor:
     """One LU of ``E`` (``getrf``) and one real Schur form ``E^{-1} A = Z T Z^T``.
 
+    An identity ``E`` (:func:`_is_identity`) takes no LU, and its ``E``-solves
+    return their operand: bit for bit what LU solves with an exact identity give.
+
     Built only for a stable pencil: the diagonal of ``T`` carries the real
     parts of the eigenvalues (standardized 2x2 blocks have the pair's real
     part on the diagonal), a check that a singular ``E`` fails.
@@ -486,9 +505,13 @@ class _LyapunovFactor:
             raise ValueError("lyapunov operands must be square and matching")
         if n == 0:
             raise ValueError("lyapunov pencil must not be empty")
-        getrf, self._getrs = la.get_lapack_funcs(("getrf", "getrs"), (self.E,))
-        lu, piv, info = getrf(self.E)
-        self.lu = (lu, piv)
+        if _is_identity(self.E):
+            # E^{-1} b is b itself: no LU, and no E-solve runs
+            self.lu, info = (), 0
+        else:
+            getrf, self._getrs = la.get_lapack_funcs(("getrf", "getrs"), (self.E,))
+            lu, piv, info = getrf(self.E)
+            self.lu = (lu, piv)
         abscissa = np.inf
         # a zero pivot leaves E^{-1} A undefined, an overflow leaves it non-finite
         if not info:
@@ -502,8 +525,8 @@ class _LyapunovFactor:
             )
 
     def _solve_e(self, b, trans=0):
-        """``E^{-1} b`` (``E^{-T} b`` with ``trans = 1``)."""
-        return self._getrs(*self.lu, b, trans=trans)[0]
+        """``E^{-1} b`` (``E^{-T} b`` with ``trans = 1``): ``b`` itself for an identity ``E``."""
+        return self._getrs(*self.lu, b, trans=trans)[0] if self.lu else b
 
     def sylvester(self, RHS, other=None, trans=False):
         """``(X, (|residual|_F, |RHS|_F))``, ungated; without ``other``, ``X`` is symmetrized.
@@ -561,12 +584,12 @@ def solve_lyapunov(A, E, RHS):
     """Solve ``A P E^T + E P A^T + RHS = 0`` for symmetric ``RHS``.
 
     The pencil ``(A, E)`` must be stable.  One LU factorization of ``E``
-    (``getrf``) gives ``F = E^{-1} A`` and ``G = E^{-1} RHS E^{-T}``; the
-    standard equation ``F P + P F^T + G = 0`` is solved by Bartels-Stewart:
-    one real Schur form ``F = Z T Z^T``, whose diagonal carries the real
-    parts of the eigenvalues (the stability check, which a singular ``E``
-    fails as an unstable pencil), then ``trsyl`` on ``T``.  No n^2-by-n^2
-    operator is formed.
+    (``getrf``, none for an identity ``E``) gives ``F = E^{-1} A`` and ``G =
+    E^{-1} RHS E^{-T}``; the standard equation ``F P + P F^T + G = 0`` is
+    solved by Bartels-Stewart: one real Schur form ``F = Z T Z^T``, whose
+    diagonal carries the real parts of the eigenvalues (the stability check,
+    which a singular ``E`` fails as an unstable pencil), then ``trsyl`` on
+    ``T``.  No n^2-by-n^2 operator is formed.
 
     With ``RHS=None`` the factorization is returned instead, as in
     :func:`solve_shifted`: an object whose ``solve(RHS, trans=False)``

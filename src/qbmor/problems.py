@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
+from .dense_solvers import _is_identity
 from .mmio import read_matrix, write_json, write_matrix
 from .system_model import EACH, IDENTITY, REQUIRED, ZERO, field_dims, field_shape
 from .system_model import QbDaeSystem, QbOdeSystem, ReducedQbSystem
@@ -215,7 +216,7 @@ def save_system(sys, outdir):
         if isinstance(value, HessianTensor):
             value = value.mode(1)
         mats = value if rule == EACH else (value,)
-        if (rule == IDENTITY and np.array_equal(value, np.eye(len(value)))
+        if (rule == IDENTITY and _is_identity(value)
                 or rule in (ZERO, EACH) and not any(M.any() for M in mats)):
             continue
         names = [f"{key}{k + 1}.mtx" if rule == EACH else f"{key}.mtx"

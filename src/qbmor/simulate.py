@@ -13,11 +13,14 @@ signals sample a whole grid.
 
 The Newton matrix, every step's input terms and the residual and Jacobian
 kernels, with ``-dt`` folded into their tensor data, are bound once per
-simulation; the start, ``E x_old`` and any bilinear terms once per step; and
-each iteration forms only a fresh residual and the exact Jacobian with its
-one factorization (:class:`_NewtonStep`).  A reduced model, simulated through
-the :class:`~qbmor.system_model.QbOdeSystem` of its matrices that it keeps,
-forms its residual in one matrix-vector product.
+simulation, as is whether ``E`` is the identity; the start, ``E x_old`` (just
+``x_old`` for an identity ``E``) and any bilinear terms once per step.  Each
+step builds the exact Jacobian at its start first and reads the start's
+residual off it, ``(K + J) z / 2 - c``, with no pass over the tensor; every
+later iterate forms a fresh residual and Jacobian, and each solve factors its
+Jacobian once (:class:`_NewtonStep`).  A reduced model, simulated through the
+:class:`~qbmor.system_model.QbOdeSystem` of its matrices that it keeps, forms
+a fresh residual in one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg.blas import dgbmv
+from scipy.linalg.blas import dgbmv, dgemv
 from scipy.linalg.lapack import dgesv, dgtsv
 
 from .dae_transform import recover_pressure
-from .dense_solvers import (SolverError, _is_tridiagonal, _offsets, _tri_index, _tri_store,
-                            _tridiagonals)
+from .dense_solvers import (SolverError, _is_identity, _is_tridiagonal, _offsets, _tri_index,
+                            _tri_store, _tridiagonals)
 from .mmio import _read_table, atomic_open
 from .system_model import (QbDaeSystem, QbOdeSystem, ReducedQbSystem, _bilinear_terms, _coerce,
                            _expect, _reduced_ode)
@@ -256,14 +259,20 @@ class _NewtonStep:
     Bound once per simulation: ``K`` with ``E - dt A`` and the constraint
     blocks; ``[dt B; -B2] u`` for every step in one product, staged in the
     rows of the state array; the union pattern ``p`` of the nonzero ``N_k``
-    with ``S = K[p]`` and each ``N_k[p]``; and two kernels, ``-dt`` folded
-    into their tensor data, that read the iterate ``z`` from the one buffer
-    it lives in: the residual ``K z - c - dt [H (x kron x); 0]``, formed from
-    scratch, and the Jacobian ``K - dt J_H(x)``, written into ``J``, the copy
-    of ``K``'s storage that the solver factors in place.  Per step: the start
-    and ``K[p] = S - dt (u_1 N_1[p] + ...)``, one product each, and ``E
-    x_old`` added to the staged row ``c``.  Per iteration: one residual and,
-    short of the tolerance, one Jacobian and its factorization.
+    with ``S = K[p]`` and each ``N_k[p]``; whether ``E`` is the identity
+    (:func:`~qbmor.dense_solvers._is_identity`); and two kernels, ``-dt``
+    folded into their tensor data, that read the iterate ``z`` from the one
+    buffer it lives in: the residual ``K z - c - dt [H (x kron x); 0]``,
+    formed from scratch, and the Jacobian ``K - dt J_H(x)``, written into
+    ``J``, the copy of ``K``'s storage that the solver factors in place.  Per
+    step: the start and ``K[p] = S - dt (u_1 N_1[p] + ...)``, one product
+    each, ``E x_old`` (``x_old`` for an identity ``E``) added to the staged
+    row ``c``, and the Jacobian at the start, whose ``J z = K z - 2 dt [H (x
+    kron x); 0]`` gives the start's residual ``(K + J) z / 2 - c`` in one add
+    and one ``gbmv``/``gemv``; the first solve factors that ``J``.  Each later
+    iterate: one residual and, short of the tolerance, one Jacobian and its
+    factorization.  A start within the tolerance (a zero input) builds one
+    Jacobian it does not use.
 
     With dense forms ``(H1, G)`` (every reduced model) ``K`` is the leading
     columns of one Fortran array ``[K | -dt H1]``, zero under the constraint
@@ -288,6 +297,7 @@ class _NewtonStep:
         self.n, self.dt = n, dt
         self._B = dt * B if B2 is None else np.vstack([dt * B, -B2])
         N = _bilinear_terms(N)
+        identity = _is_identity(E)
         self._q = [q for q, _ in N]
         dense = H._dense_forms()
         KH = np.zeros((size, size + (n * n if dense else 0)), order="F")
@@ -303,17 +313,20 @@ class _NewtonStep:
         i, j = np.nonzero(np.reshape([Nq for _, Nq in N], (-1, n, n)).any(axis=0))
         self._N = np.array([Nq[i, j] for _, Nq in N])
         if tri:
-            self._E, self._K = _tri_store(E, n), _tri_store(K, size)
+            self._K = _tri_store(K, size)
+            self._E = None if identity else _tri_store(E, n)
             self._J = np.empty_like(self._K)
             (i, j), (hi, hj) = _tri_index(i, j), _tri_index(hi, hj)
             mv = self._mv = lambda M, x: dgbmv(M.shape[1], M.shape[1], 1, 1, 1.0, M, x)
+            half = partial(dgbmv, size, size, 1, 1, 0.5, beta=-1.0)
             # gtsv reads views of J's diagonals, taken once (J is the one matrix it solves),
             # and returns (du2, d, du, x, info): without du2 it unpacks as gesv's
             diagonals = _tridiagonals(self._J)
             self._solve = lambda J, b: dgtsv(*diagonals, b, overwrite_b=True)[1:]
         else:
-            self._E, self._K, self._J = E, K, np.empty_like(K)
+            self._E, self._K, self._J = None if identity else E, K, np.empty_like(K)
             mv = self._mv = np.ndarray.dot  # the gemv of matmul, with less call overhead
+            half = partial(dgemv, 0.5, beta=-1.0)
             self._solve = partial(dgesv, overwrite_a=True, overwrite_b=True)
         # the N_k's union pattern and the Jacobian cells as flat positions in K's storage
         K, J, ld = self._K, self._J, self._K.shape[0]
@@ -347,7 +360,14 @@ class _NewtonStep:
             def jacobian():
                 np.copyto(J, K)
                 Jf[at] += np.bincount(inverse, values * z[operand], cells.size)
+        KJ = np.empty_like(K)
+
+        def start_residual(c):
+            # J_H(x) x = 2 H (x kron x), so K z - c - dt [H (x kron x); 0] = (K + J) z / 2 - c
+            return half(np.add(K, J, out=KJ), z, y=c)
+
         self._z, self._residual, self._jacobian = z, residual, jacobian
+        self._start_residual = start_residual
 
     def run(self, z0, U, t):
         """States at every grid time with per-step Newton counts and residuals.
@@ -355,6 +375,7 @@ class _NewtonStep:
         ``U`` holds the input at every grid time as rows.
         """
         n, z, residual, jacobian = self.n, self._z, self._residual, self._jacobian
+        start_residual = self._start_residual
         E, J, p, S, Ns = self._E, self._J, self._p, self._S, self._N
         Kf = self._K.ravel("F")  # a view, K being Fortran-ordered
         mv, solve = self._mv, self._solve
@@ -370,10 +391,11 @@ class _NewtonStep:
             if Ns.size:
                 Kf[p] = S - W[k].dot(Ns)
             x_old, c = Z[k - 1, :n], Z[k]
-            c[:n] += mv(E, x_old)
+            c[:n] += x_old if E is None else mv(E, x_old)
             tol = NEWTON_TOL * max(1.0, math.sqrt(x_old @ x_old))
+            jacobian()
+            res = start_residual(c)
             for it in range(NEWTON_MAX + 1):
-                res = residual(c)
                 norm = math.sqrt(res @ res)
                 if norm <= tol:
                     break
@@ -382,7 +404,8 @@ class _NewtonStep:
                         f"Newton failed to converge at step {k} "
                         f"(t={t[k]:.6g}, residual={norm:.3e})"
                     )
-                jacobian()
+                if it:
+                    jacobian()
                 _, _, dz, info = solve(J, res)
                 if info:
                     raise SolverError(
@@ -390,6 +413,7 @@ class _NewtonStep:
                         f"zero pivot {info} in the LU factorization"
                     )
                 z -= dz
+                res = residual(c)
             Z[k], iters[k], resid[k] = z, it, norm
         return Z, iters, resid
 

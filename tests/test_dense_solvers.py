@@ -144,6 +144,16 @@ def test_pencil_eig_singular_mass():
         pencil_eig(np.zeros((2, 2)), np.eye(2))
 
 
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_pencil_eig_refuses_a_jordan_block(size):
+    # an exactly defective pencil: its computed basis is numerically singular, and
+    # 50 eps kappa, the residual that roundoff would excuse, is 50 or more
+    A = -2.0 * np.eye(size) + np.eye(size, k=1)
+    with pytest.raises(SolverError, match=r"^defective pencil: basis condition ~\S+ leaves "
+                                          r"no residual bound \(50 eps kappa = \S+ >= 1\)$"):
+        pencil_eig(np.eye(size), A)
+
+
 def test_pencil_eig_rejects_non_square_operands():
     with pytest.raises(ValueError, match=r"^pencil matrices must be square and matching, "
                                          r"got \(2, 2\) and \(2, 3\)$"):

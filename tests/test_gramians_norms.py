@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from qbmor import gramians_norms
+from qbmor import dense_solvers, gramians_norms
 from qbmor.dense_solvers import SolverError, record_residuals
 from qbmor.gramians_norms import (
     GramianPair,
@@ -127,6 +127,33 @@ def test_truncated_gramians_factor_the_pencil_once(monkeypatch):
         truncated_gramians(sys)
     assert calls == [(9, 9)]
     assert [tag for tag, _ in log] == ["lyapunov"] * 4
+
+
+def test_identity_mass_matrix_runs_no_e_solve(monkeypatch):
+    # Burgers' E is the identity: no getrf or getrs is asked for, and the Gramians
+    # and norm are the LU route's bit for bit, LU solves with an exact identity being
+    # exact copies
+    from qbmor.problems import gen_burgers
+
+    asked, lapack = [], la.get_lapack_funcs
+
+    def counted(names, *args, **kwargs):
+        asked.extend(names)
+        return lapack(names, *args, **kwargs)
+
+    def gramians():
+        sys = gen_burgers(30, 0.05)
+        return (*(getattr(g, X) for g in (linear_gramians(sys), truncated_gramians(sys))
+                  for X in "PQ"), truncated_h2_norm(sys))
+
+    monkeypatch.setattr(dense_solvers.la, "get_lapack_funcs", counted)
+    skipped = gramians()
+    assert asked == []
+    monkeypatch.setattr(dense_solvers, "_is_identity", lambda M: False)
+    solved = gramians()
+    assert asked == ["getrf", "getrs"]
+    for got, want in zip(skipped, solved):
+        assert np.array_equal(got, want)
 
 
 def test_truncated_gramians_match_congruence_oracle_on_burgers():

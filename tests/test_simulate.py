@@ -131,13 +131,14 @@ def test_reduced_identity_projection_bit_identical(n):
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Calls of the kernels that each Newton step binds, one ``(name, z)`` entry per call:
-    ``name`` is "residual" or "jacobian" and ``z`` a copy of the iterate it reads."""
+    ``name`` is "residual", "start_residual" or "jacobian" and ``z`` a copy of the iterate
+    it reads."""
     calls = []
     init = simulate._NewtonStep.__init__
 
     def recorded_init(step, *args, **kwargs):
         init(step, *args, **kwargs)
-        for name in ("residual", "jacobian"):
+        for name in ("residual", "start_residual", "jacobian"):
             def call(*a, name=name, kernel=getattr(step, "_" + name)):
                 calls.append((name, step._z.copy()))
                 return kernel(*a)
@@ -163,10 +164,13 @@ def test_newton_counts_match_jacobian_calls(kind, kernel_calls):
         x = traj.states[:, :12]
     assert traj.newton_iters.shape == traj.newton_residuals.shape == traj.t.shape
     assert traj.newton_iters[0] == 0
-    calls = [name for name, _ in kernel_calls]
-    assert calls.count("jacobian") == traj.newton_iters.sum()
-    # one residual per iterate: one per solve and the one that meets the tolerance
-    assert calls.count("residual") == traj.newton_iters.sum() + traj.t.size - 1
+    calls, iters = [name for name, _ in kernel_calls], traj.newton_iters[1:]
+    # each step builds the Jacobian at its start and reads the start's residual off it,
+    # then one Jacobian per further solve
+    assert calls.count("start_residual") == iters.size
+    assert calls.count("jacobian") == np.maximum(iters, 1).sum()
+    # one residual from scratch per solve, at the iterate that solve produced
+    assert calls.count("residual") == iters.sum()
     tol = NEWTON_TOL * np.maximum(1.0, np.linalg.norm(x[:-1], axis=1))
     assert np.all(traj.newton_residuals[1:] <= tol)
 
@@ -244,10 +248,11 @@ def test_newton_matrix_is_assembled_from_its_definition(kind, kernel_calls, monk
             else:
                 dl, d, du = args[:3]
                 K = np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
-            # the iterate x that the residual and the Jacobian before this solve read
-            (residual, x), (jacobian, x_jac) = kernel_calls[-2:]
-            assert (residual, jacobian) == ("residual", "jacobian")
-            assert np.array_equal(x, x_jac)
+            # the iterate x that the Jacobian before this solve read, and the residual
+            # next to it: read off that Jacobian at the start, else formed just before it
+            (first, x), (second, x_res) = kernel_calls[-2:]
+            assert (first, second) in (("jacobian", "start_residual"), ("residual", "jacobian"))
+            assert np.array_equal(x, x_res)
             seen.append((x[:n], K))
             return kernel(*args, **kwargs)
         return call
@@ -332,12 +337,14 @@ def reference_euler(E, A, H, N, B, dt, U, z0, A12, A21, B2, start=extrapolated_s
     return np.array(Z)
 
 
-@pytest.mark.parametrize("case", ["tridiagonal-triplets", "dense-triplets-bilinear",
-                                  "dense-forms", "dense-forms-constrained"])
-def test_newton_step_binds_every_storage_and_tensor_form(case, lapack_calls):
-    # each storage the step keeps with each form its tensor contracts through: the
-    # same states as the definition, after as many solves, each step within tolerance
-    dt, rng = 0.01, np.random.default_rng(8)
+STORAGE_AND_TENSOR_FORMS = ["tridiagonal-triplets", "dense-triplets-bilinear", "dense-forms",
+                            "dense-forms-constrained"]
+
+
+def storage_and_tensor_form(case):
+    """A system for each storage the Newton step keeps with each form its tensor
+    contracts through."""
+    rng = np.random.default_rng(8)
     if case == "tridiagonal-triplets":
         sys = gen_burgers(40, 0.05)
     elif case == "dense-triplets-bilinear":
@@ -352,6 +359,13 @@ def test_newton_step_binds_every_storage_and_tensor_form(case, lapack_calls):
         sys = dataclasses.replace(
             sys, H=HessianTensor.from_dense(0.02 * rng.standard_normal((12, 12, 12))))
     assert (sys.H._dense_forms() is None) == case.endswith(("triplets", "bilinear"))
+    return sys
+
+
+@pytest.mark.parametrize("case", STORAGE_AND_TENSOR_FORMS)
+def test_newton_step_binds_every_storage_and_tensor_form(case, lapack_calls):
+    # the same states as the definition, after as many solves, each step within tolerance
+    dt, sys = 0.01, storage_and_tensor_form(case)
     u = InputSignal.preset_cavity(sys.m)
     if isinstance(sys, QbDaeSystem):
         traj = simulate_dae(sys, u, 1.0, dt)
@@ -371,6 +385,35 @@ def test_newton_step_binds_every_storage_and_tensor_form(case, lapack_calls):
     n = args[1].shape[0]
     tol = NEWTON_TOL * np.maximum(1.0, np.linalg.norm(traj.states[:-1, :n], axis=1))
     assert np.all(traj.newton_residuals[1:] <= tol)
+
+
+@pytest.mark.parametrize("case", STORAGE_AND_TENSOR_FORMS)
+def test_start_residual_read_off_the_jacobian_matches_the_residual_kernel(case, monkeypatch):
+    # (K + J) z / 2 - c, read off the Jacobian J at each step's start z, is the residual
+    # K z - c - dt [H (x kron x); 0] that the from-scratch kernel forms at the same z;
+    # an identity E (Burgers) adds x_old to c with no product
+    gaps, identity, init = [], [], simulate._NewtonStep.__init__
+
+    def recorded_init(step, *args, **kwargs):
+        init(step, *args, **kwargs)
+        identity.append(step._E is None)
+        read_off = step._start_residual
+
+        def call(c):
+            got, want = read_off(c), step._residual(c)
+            scale = np.linalg.norm(step._K) * np.linalg.norm(step._z) + np.linalg.norm(c)
+            gaps.append(np.linalg.norm(got - want) / scale)
+            return got
+        step._start_residual = call
+
+    monkeypatch.setattr(simulate._NewtonStep, "__init__", recorded_init)
+    sys = storage_and_tensor_form(case)
+    u = InputSignal.preset_cavity(sys.m)
+    traj = (simulate_dae(sys, u, 1.0, 0.01) if isinstance(sys, QbDaeSystem) else
+            simulate_ode(sys, u, 1.0, 0.01))
+    assert identity == [case == "tridiagonal-triplets"]
+    assert len(gaps) == traj.t.size - 1
+    assert max(gaps) <= 4 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("kind", ["ode", "dae", "reduced", "reduced-burgers", "burgers",
